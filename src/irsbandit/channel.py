@@ -78,13 +78,33 @@ def draw_realization(
     )
 
 
+def feed_db(d_bs_irs: float, p: ChannelParams) -> float:
+    """Budget up to a panel, in dB: tx power plus panel gain minus the BS -> IRS loss.
+
+    It is the same for every receiver behind the panel.
+    """
+    pl_bs = path_loss_db(d_bs_irs, p.pathloss_exponent, p.ref_loss_db)
+    return p.tx_power_db + p.irs_gain_db - pl_bs
+
+
+def budget_db(feed: float, d_irs_rx: float, p: ChannelParams) -> float:
+    """Two-hop budget, in dB: a panel's feed_db minus the IRS -> receiver loss."""
+    return feed - path_loss_db(d_irs_rx, p.pathloss_exponent, p.ref_loss_db)
+
+
 def _cascade_budget_db(
     bs: Position, irs: Position, receiver: Position, p: ChannelParams
 ) -> float:
     """Deterministic part of the two-hop budget, in dB."""
-    pl_bs = path_loss_db(bs.distance_to(irs), p.pathloss_exponent, p.ref_loss_db)
-    pl_rx = path_loss_db(irs.distance_to(receiver), p.pathloss_exponent, p.ref_loss_db)
-    return p.tx_power_db + p.irs_gain_db - pl_bs - pl_rx
+    return budget_db(feed_db(bs.distance_to(irs), p), irs.distance_to(receiver), p)
+
+
+def snr_factor(budget: float, p: ChannelParams) -> float:
+    """Pre-fading linear SNR of a two-hop budget in dB: 10^((budget - noise)/10).
+
+    cascaded_snr is this factor times the two fading gains.
+    """
+    return 10.0 ** ((budget - p.noise_power_db) / 10.0)
 
 
 def cascaded_snr(
@@ -100,8 +120,7 @@ def cascaded_snr(
     10^((tx + irs_gain - PL(bs,irs) - PL(irs,ue) - noise)/10) * g1 * g2:
     the fading gains multiply because the panel is passive.
     """
-    budget = _cascade_budget_db(bs, irs, ue, p) - p.noise_power_db
-    return 10.0 ** (budget / 10.0) * g_bs_irs * g_irs_ue
+    return snr_factor(_cascade_budget_db(bs, irs, ue, p), p) * g_bs_irs * g_irs_ue
 
 
 def achievable_rate(snr: float) -> float:

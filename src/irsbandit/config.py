@@ -7,7 +7,9 @@ cluster divisibility) are enforced where the operation runs.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -23,6 +25,22 @@ class PolicyKind(str, enum.Enum):
 
     CONTEXTUAL_BANDIT = "cb"
     GREEDY = "greedy"
+
+
+def _require_finite(cfg) -> None:
+    """Reject NaN and +-inf in every float field, nested tuples included."""
+
+    def finite(value) -> bool:
+        if isinstance(value, float):
+            return math.isfinite(value)
+        if isinstance(value, tuple):
+            return all(finite(v) for v in value)
+        return True
+
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if not finite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +68,7 @@ class TopologyConfig:
     detection_radius: float | None = None  # optional cap on candidate IRS distance
 
     def __post_init__(self):
+        _require_finite(self)
         if self.grid_side <= 0:
             raise ValueError("grid_side must be positive")
         if self.small_cell_count < 1:
@@ -96,6 +115,7 @@ class ChannelParams:
     noise_power_db: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.carrier_hz <= 0:
             raise ValueError("carrier_hz must be positive")
         if self.pathloss_exponent < 2:
@@ -113,6 +133,7 @@ class PolicyConfig:
     phi: int = 2
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError("omega must be within [0, 1]")
         if self.phi < 1:
@@ -134,6 +155,7 @@ class SimulationConfig:
     enforce_channel_budget: bool = True
 
     def __post_init__(self):
+        _require_finite(self)
         if self.rate_threshold <= 0:
             raise ValueError("rate_threshold must be positive")
         if self.periods < 1:

@@ -11,10 +11,16 @@ Determinism contract (draw order within a replication, one stream):
      needs (see policy module), then one outcome evaluation per agent.
 The abstract plug-in environment replaces step 2's realization with one
 Bernoulli outcome draw per evaluated agent.
+
+The channel environment computes every link's deterministic budget once per
+replication, when it is built after step 1; periods only combine those
+budgets with the fading gains. That precompute draws nothing, so the draw
+order above is the whole contract.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import channel, policy
 from .config import DistributionCase, PolicyKind, SimulationConfig
-from .topology import NetworkTopology, build_network, candidate_irs_set
+from .topology import NetworkTopology, build_network, candidate_irs_distances
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -82,7 +88,21 @@ def mean_satisfaction(outcome: PeriodOutcome) -> float:
 
 
 class ChannelEnvironment:
-    """Geometry plus block fading drive satisfaction (the default)."""
+    """Geometry plus block fading drive satisfaction (the default).
+
+    Everything but the fading is fixed within a replication, so the
+    constructor computes each two-hop budget once, with the scalar
+    functions of the channel module: in dB for every (UE, candidate panel)
+    pair, and as a linear pre-fading SNR for every (panel, eavesdropper)
+    pair. initial_signal and evaluate then combine those lookups with the
+    period's fading gains, in the order channel.rssi_db and
+    channel.cascaded_snr use, so every result matches them bit for bit. The
+    constructor draws nothing, so the determinism contract is unchanged.
+
+    The UE budgets are one flat array aligned with the concatenated
+    candidate tuples: UE u's k-th candidate sits at _offsets[u] + k. The
+    agents share those tuples.
+    """
 
     fading_blocks_per_period = 1
 
@@ -97,11 +117,37 @@ class ChannelEnvironment:
         self.params = params
         self.rate_threshold = rate_threshold
         self.n_agents = len(topo.ues)
-        self._candidates = [
-            candidate_irs_set(u, topo, detection_radius) for u in range(self.n_agents)
+        feed = [
+            channel.feed_db(topo.small_cells[cell].distance_to(irs), params)
+            for cell, irs in topo.irs_panels
         ]
+        self._candidates = []
 
-    def candidate_arms(self, u: int) -> list[int]:
+        def ue_budgets():  # fills _candidates as it goes: no list of floats
+            for u in range(self.n_agents):
+                arms, d_rx = candidate_irs_distances(u, topo, detection_radius)
+                self._candidates.append(tuple(arms))
+                for i, d in zip(arms, d_rx):
+                    yield channel.budget_db(feed[i], d, params)
+
+        self._ue_budget_db = np.fromiter(ue_budgets(), dtype=float)
+        self._offsets = list(
+            itertools.accumulate(map(len, self._candidates), initial=0)
+        )
+        eves = topo.eavesdroppers
+        self._eve_snr = np.fromiter(
+            (
+                channel.snr_factor(
+                    channel.budget_db(feed[i], irs.distance_to(eve), params), params
+                )
+                for i, (_, irs) in enumerate(topo.irs_panels)
+                for eve in eves
+            ),
+            dtype=float,
+            count=len(topo.irs_panels) * len(eves),
+        ).reshape(len(topo.irs_panels), len(eves))
+
+    def candidate_arms(self, u: int) -> tuple[int, ...]:
         return self._candidates[u]
 
     def new_period(self, rng: np.random.Generator) -> channel.ChannelRealization:
@@ -109,19 +155,17 @@ class ChannelEnvironment:
 
     def initial_signal(self, u: int, real: channel.ChannelRealization) -> np.ndarray:
         """Warm-start context: this period's RSSI through each candidate."""
-        ue = self.topo.ues[u]
-        out = np.empty(len(self._candidates[u]))
-        for j, i in enumerate(self._candidates[u]):
-            bs = self.topo.small_cells[self.topo.irs_cell(i)]
-            out[j] = channel.rssi_db(
-                bs,
-                self.topo.irs_position(i),
-                ue,
-                real.g_bs_irs[i],
-                real.g_irs_ue[i, u],
-                self.params,
-            )
-        return out
+        lo = self._offsets[u]
+        g_bs, g_ue = real.g_bs_irs, real.g_irs_ue
+        return np.array(
+            [
+                b + 10.0 * math.log10(g_bs.item(i) * g_ue.item(i, u))
+                for b, i in zip(
+                    self._ue_budget_db[lo : self._offsets[u + 1]].tolist(),
+                    self._candidates[u],
+                )
+            ]
+        )
 
     def evaluate(
         self,
@@ -131,22 +175,15 @@ class ChannelEnvironment:
         rng: np.random.Generator,
     ) -> tuple[float, bool, float]:
         """Rate, satisfaction, and report-only secrecy on the chosen panel."""
-        topo = self.topo
-        ue = topo.ues[u]
-        irs = topo.irs_position(arm)
-        bs = topo.small_cells[topo.irs_cell(arm)]
-        snr = channel.cascaded_snr(
-            bs, irs, ue, real.g_bs_irs[arm], real.g_irs_ue[arm, u], self.params
-        )
-        rate = channel.achievable_rate(snr)
-        satisfied = rate >= self.rate_threshold
+        j = self._offsets[u] + self._candidates[u].index(arm)
+        g_bs = real.g_bs_irs.item(arm)
+        snr = channel.snr_factor(self._ue_budget_db.item(j), self.params)
+        rate = math.log2(1.0 + snr * g_bs * real.g_irs_ue.item(arm, u))
         r_eve = 0.0
-        for e, eve in enumerate(topo.eavesdroppers):
-            snr_e = channel.cascaded_snr(
-                bs, irs, eve, real.g_bs_irs[arm], real.g_irs_eve[arm, e], self.params
-            )
-            r_eve = max(r_eve, channel.achievable_rate(snr_e))
-        return rate, satisfied, channel.secrecy_rate(rate, r_eve)
+        eve_snr = self._eve_snr[arm].tolist()
+        for snr_e, g_eve in zip(eve_snr, real.g_irs_eve[arm].tolist()):
+            r_eve = max(r_eve, math.log2(1.0 + snr_e * g_bs * g_eve))
+        return rate, rate >= self.rate_threshold, max(0.0, rate - r_eve)
 
 
 class BernoulliEnvironment:
@@ -228,7 +265,7 @@ def run_replication(
     else:
         env = environment
 
-    agents = [
+    agents = [  # tuple() returns a tuple argument itself: agents share it
         policy.AgentState(candidate_irs=tuple(env.candidate_arms(u)))
         for u in range(env.n_agents)
     ]

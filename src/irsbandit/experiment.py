@@ -26,6 +26,7 @@ from .config import (
     TopologyConfig,
 )
 from .engine import SatisfactionTrace, run_monte_carlo
+from .policy import effective_config
 
 log = logging.getLogger("irsbandit")
 
@@ -532,15 +533,24 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
     """Run every sweep cell, write the trace file and a summary JSON.
 
     Every cell reuses the same seed range (common random numbers), which
-    pairs the bandit and greedy runs for the gap statistics.
+    pairs the bandit and greedy runs for the gap statistics. Cells whose
+    configs differ only in policy fields the policy never reads (see
+    policy.effective_config) run once; the repeats copy that trace under
+    their own omega and phi labels, and their wall_seconds is the time the
+    copy took.
     """
     window = min(FINAL_WINDOW, spec.base.periods)
     traces = []
     cells = []
+    computed: dict[SimulationConfig, SatisfactionTrace] = {}
     for kind, case, phi, omega in spec.sweep_cells():
         cfg = _cell_config(spec.base, kind, case, phi, omega)
         start = time.perf_counter()
-        trace = run_monte_carlo(cfg)
+        key = dataclasses.replace(cfg, policy=effective_config(cfg.policy))
+        if key in computed:
+            trace = dataclasses.replace(computed[key], omega=omega, phi=phi)
+        else:
+            trace = computed[key] = run_monte_carlo(cfg)
         wall = time.perf_counter() - start
         log.info(
             "cell policy=%s case=%s phi=%d omega=%g: %.2f s",

@@ -44,6 +44,17 @@ class AgentState:
         return self.candidate_irs.index(irs_index)
 
 
+def effective_config(cfg: PolicyConfig) -> PolicyConfig:
+    """The config with every field the policy never reads reset to its default.
+
+    Greedy reads neither omega nor phi, so two greedy configs that differ
+    only there run identically; the bandit reads all of them.
+    """
+    if cfg.kind is PolicyKind.GREEDY:
+        return PolicyConfig(kind=cfg.kind)
+    return cfg
+
+
 def init_association(
     agent: AgentState,
     cfg: PolicyConfig,

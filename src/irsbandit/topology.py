@@ -10,6 +10,7 @@ same layout bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,14 @@ class NetworkTopology:
     @property
     def irs_per_cell(self) -> int:
         return len(self.irs_panels) // len(self.small_cells)
+
+    @functools.cached_property
+    def rings(self) -> tuple[tuple[int, ...], ...]:
+        """Global panel indices of each small cell's ring, in panel order."""
+        return tuple(
+            tuple(i for i, (ci, _) in enumerate(self.irs_panels) if ci == cell)
+            for cell in range(len(self.small_cells))
+        )
 
     def irs_position(self, irs_index: int) -> Position:
         return self.irs_panels[irs_index][1]
@@ -156,7 +165,28 @@ def serving_cell(ue: Position, topo: NetworkTopology) -> int:
     if not topo.small_cells:
         raise ValueError("topology has no small cells")
     distances = [ue.distance_to(cell) for cell in topo.small_cells]
-    return int(np.argmin(distances))
+    return distances.index(min(distances))
+
+
+def candidate_irs_distances(
+    ue_index: int, topo: NetworkTopology, detection_radius: float | None = None
+) -> tuple[list[int], list[float]]:
+    """candidate_irs_set together with each candidate's distance to the UE.
+
+    Each distance is the one the detection-radius filter compares, computed
+    once, so a caller that also needs the panel-to-UE hop length (the link
+    budget) reuses it instead of measuring the hop again.
+    """
+    ue = topo.ues[ue_index]
+    ring = topo.rings[serving_cell(ue, topo)]
+    panels = topo.irs_panels
+    x, y = ue.x, ue.y  # panels[i][1].distance_to(ue), inlined: the hot part of set-up
+    distances = [math.hypot(panels[i][1].x - x, panels[i][1].y - y) for i in ring]
+    if detection_radius is not None:
+        near = [k for k, d in enumerate(distances) if d <= detection_radius]
+        if near:
+            return [ring[k] for k in near], [distances[k] for k in near]
+    return list(ring), distances
 
 
 def candidate_irs_set(
@@ -169,13 +199,4 @@ def candidate_irs_set(
     dropped; if the filter would empty the set, the full ring stands in so
     the agent always has at least one arm.
     """
-    ue = topo.ues[ue_index]
-    cell = serving_cell(ue, topo)
-    ring = [i for i, (ci, _) in enumerate(topo.irs_panels) if ci == cell]
-    if detection_radius is not None:
-        near = [
-            i for i in ring if topo.irs_position(i).distance_to(ue) <= detection_radius
-        ]
-        if near:
-            return near
-    return ring
+    return candidate_irs_distances(ue_index, topo, detection_radius)[0]

@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irsbandit import channel
 from irsbandit.config import (
     ChannelParams,
     DistributionCase,
@@ -21,7 +24,7 @@ from irsbandit.engine import (
     run_replication,
 )
 from irsbandit.policy import AgentState
-from irsbandit.topology import build_network
+from irsbandit.topology import build_network, candidate_irs_set
 
 CB = PolicyKind.CONTEXTUAL_BANDIT
 
@@ -236,3 +239,72 @@ class TestConfigValidation:
             ChannelParams(pathloss_exponent=1.5)
         with pytest.raises(ValueError):
             ChannelParams(irs_gain_db=-1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_ues=st.integers(min_value=1, max_value=12),
+    n_panels=st.integers(min_value=2, max_value=10),
+    n_eves=st.integers(min_value=0, max_value=3),
+    irs_radius=st.floats(min_value=2.0, max_value=40.0),
+    case=st.sampled_from(list(DistributionCase)),
+    detection_radius=st.one_of(st.none(), st.floats(min_value=1.0, max_value=80.0)),
+    exponent=st.floats(min_value=2.0, max_value=4.0),
+    ref_loss_db=st.floats(min_value=-20.0, max_value=60.0),
+    noise_power_db=st.floats(min_value=-30.0, max_value=30.0),
+    threshold=st.floats(min_value=0.01, max_value=8.0),
+)
+def test_environment_matches_scalar_channel_bit_for_bit(
+    seed, n_ues, n_panels, n_eves, irs_radius, case, detection_radius, exponent,
+    ref_loss_db, noise_power_db, threshold,
+):
+    """The per-replication budgets reproduce the scalar reference model exactly."""
+    rng = np.random.default_rng(seed)
+    topo = build_network(
+        TopologyConfig(
+            irs_per_cell=n_panels,
+            irs_radius=irs_radius,
+            eavesdroppers_per_cell=n_eves,
+            eve_radius=irs_radius + 5.0,
+            ue_count=n_ues,
+            distribution_case=case,
+            cluster_size=1,
+        ),
+        rng,
+    )
+    params = ChannelParams(
+        pathloss_exponent=exponent,
+        ref_loss_db=ref_loss_db,
+        noise_power_db=noise_power_db,
+    )
+    env = ChannelEnvironment(topo, params, threshold, detection_radius)
+    real = channel.draw_realization(topo, rng)
+    for u, ue in enumerate(topo.ues):
+        arms = env.candidate_arms(u)
+        assert list(arms) == candidate_irs_set(u, topo, detection_radius)
+        rssi = env.initial_signal(u, real)
+        for k, i in enumerate(arms):
+            bs = topo.small_cells[topo.irs_cell(i)]
+            irs = topo.irs_position(i)
+            g1 = real.g_bs_irs[i]
+            expected = channel.rssi_db(bs, irs, ue, g1, real.g_irs_ue[i, u], params)
+            assert rssi[k].hex() == float(expected).hex()
+
+            rate = channel.achievable_rate(
+                channel.cascaded_snr(bs, irs, ue, g1, real.g_irs_ue[i, u], params)
+            )
+            r_eve = max(
+                (
+                    channel.achievable_rate(
+                        channel.cascaded_snr(bs, irs, eve, g1, real.g_irs_eve[i, e], params)
+                    )
+                    for e, eve in enumerate(topo.eavesdroppers)
+                ),
+                default=0.0,
+            )
+            got_rate, got_sat, got_secrecy = env.evaluate(u, i, real, rng)
+            assert float(got_rate).hex() == float(rate).hex()
+            assert got_sat == (rate >= threshold)
+            expected_secrecy = channel.secrecy_rate(rate, r_eve)
+            assert float(got_secrecy).hex() == float(expected_secrecy).hex()

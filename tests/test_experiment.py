@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from irsbandit.config import DistributionCase, PolicyKind, SimulationConfig
+from irsbandit import experiment
+from irsbandit.config import DistributionCase, PolicyConfig, PolicyKind, SimulationConfig
 from irsbandit.engine import run_monte_carlo
 from irsbandit.experiment import (
     CSV_HEADER,
@@ -110,6 +112,20 @@ class TestParseConfig:
     def test_budget_violation_named(self):
         with pytest.raises(ConfigError, match="experiment"):
             parse_config("[experiment]\nperiods = 200\nreplications = 100\n")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("experiment", "rate_threshold", "nan"),
+            ("topology", "grid_side", "inf"),
+            ("topology", "cluster_spread", "nan"),
+            ("channel", "tx_power_db", "nan"),
+            ("channel", "irs_gain_db", "inf"),
+        ],
+    )
+    def test_non_finite_float_rejected_and_named(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"{section}: {key} must be finite"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
 
 
 def tiny_trace(periods=5, replications=2, seed=42, kind=PolicyKind.CONTEXTUAL_BANDIT):
@@ -225,3 +241,37 @@ class TestRunExperiment:
     def test_common_seeds_across_cells(self, tmp_path):
         summary = run_experiment(self.spec(tmp_path))
         assert len({(c.seed_lo, c.seed_hi) for c in summary.cells}) == 1
+
+
+class TestSweepDedup:
+    """Cells that differ only in policy fields the policy never reads run once."""
+
+    def test_default_axes_run_each_effective_cell_once(self, tmp_path, monkeypatch):
+        base = dataclasses.replace(SimulationConfig(), periods=6, replications=2)
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return run_monte_carlo(cfg)
+
+        monkeypatch.setattr(experiment, "run_monte_carlo", counting)
+        spec = ExperimentSpec(base=base, output_path=str(tmp_path / "dedup.csv"))
+        summary = run_experiment(spec)
+        assert len(list(spec.sweep_cells())) == 12
+        assert len(calls) == 8  # 6 bandit cells + 2 greedy cells (one per case)
+        assert len(summary.cells) == 12
+
+        traces = [
+            run_monte_carlo(
+                dataclasses.replace(
+                    base,
+                    topology=dataclasses.replace(base.topology, distribution_case=case),
+                    policy=PolicyConfig(kind=kind, omega=omega, phi=phi),
+                )
+            )
+            for kind, case, phi, omega in spec.sweep_cells()
+        ]
+        emit_trace(traces, str(tmp_path / "every_cell.csv"))
+        assert (tmp_path / "dedup.csv").read_bytes() == (
+            tmp_path / "every_cell.csv"
+        ).read_bytes()

@@ -1,0 +1,73 @@
+"""Golden determinism digests.
+
+The digests below were recorded before the per-replication link budgets
+and the sweep deduplication landed, and must not be re-frozen to match a
+code change: any change here is a change to the random-stream layout or to
+the output bytes, and must be deliberate and recorded in CHANGES.md.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+
+from irsbandit.config import (
+    DistributionCase,
+    PolicyConfig,
+    PolicyKind,
+    SimulationConfig,
+    TopologyConfig,
+)
+from irsbandit.engine import run_monte_carlo
+from irsbandit.experiment import ExperimentSpec, run_experiment
+
+DEFAULT_SWEEP_CSV_SHA256 = (
+    "15c9ad8203478fa7c3cd6566717e83be181bebae2d5926f1b5519551046f373e"
+)
+DENSE_PER_REPLICATION_SHA256 = (
+    "fdb847a1723dcc3e176ac6fb249a9d6b0fd017cd309ada339e5088d6d6d2210c"
+)
+DENSE_MEAN_SECRECY_SHA256 = (
+    "fd935f201fccb51771bbe1783106b0babbdb1615d321d20518bc833d758968af"
+)
+
+# Four cells with 16 panels each and 2 eavesdroppers per cell; detection
+# radius 30 m leaves some UEs a partial ring and others the full fallback.
+DENSE_CFG = SimulationConfig(
+    topology=TopologyConfig(
+        small_cell_count=4,
+        small_cell_offsets=((-50.0, -50.0), (50.0, -50.0), (-50.0, 50.0), (50.0, 50.0)),
+        irs_per_cell=16,
+        ue_count=60,
+        distribution_case=DistributionCase.CLUSTERED,
+        cluster_size=20,
+        detection_radius=30.0,
+    ),
+    policy=PolicyConfig(kind=PolicyKind.CONTEXTUAL_BANDIT, omega=0.2, phi=2),
+    periods=15,
+    replications=3,
+    base_seed=2718,
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_default_sweep_csv_digest(tmp_path):
+    out = tmp_path / "traces.csv"
+    spec = ExperimentSpec(
+        base=dataclasses.replace(SimulationConfig(), replications=2),
+        output_path=str(out),
+    )
+    run_experiment(spec)
+    assert _sha256(out.read_bytes()) == DEFAULT_SWEEP_CSV_SHA256
+
+
+def test_dense_clustered_trace_digests():
+    trace = run_monte_carlo(DENSE_CFG)
+    assert trace.per_replication.dtype == np.float64
+    assert trace.per_replication.shape == (3, 15)
+    assert trace.mean_secrecy_rate.dtype == np.float64
+    assert _sha256(trace.per_replication.tobytes()) == DENSE_PER_REPLICATION_SHA256
+    assert _sha256(trace.mean_secrecy_rate.tobytes()) == DENSE_MEAN_SECRECY_SHA256
