@@ -27,19 +27,19 @@ class PolicyKind(str, enum.Enum):
     GREEDY = "greedy"
 
 
+def _finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, tuple):
+        return all(_finite(v) for v in value)
+    return True
+
+
 def _require_finite(cfg) -> None:
     """Reject NaN and +-inf in every float field, nested tuples included."""
-
-    def finite(value) -> bool:
-        if isinstance(value, float):
-            return math.isfinite(value)
-        if isinstance(value, tuple):
-            return all(finite(v) for v in value)
-        return True
-
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
-        if not finite(value):
+        if not _finite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
