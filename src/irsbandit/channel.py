@@ -39,10 +39,9 @@ def sample_fading(rng: np.random.Generator) -> float:
 
 def _fading_matrix(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     g = rng.exponential(size=shape)
-    zero = g == 0.0
-    while np.any(zero):
-        g[zero] = rng.exponential(size=int(zero.sum()))
+    while not g.all():  # redraw exact zeros; almost never taken
         zero = g == 0.0
+        g[zero] = rng.exponential(size=int(zero.sum()))
     return g
 
 

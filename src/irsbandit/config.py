@@ -1,6 +1,8 @@
 """Dataclass configuration for every tunable of the simulator.
 
-All configs are frozen; construction validates the cheap field invariants.
+All configs are frozen; construction validates the cheap field invariants,
+and every error message starts with the offending field's name ("field:
+message") so the config parser can prefix the section.
 Cross-cutting checks that belong to an operation's error contract (grid fit,
 cluster divisibility) are enforced where the operation runs.
 """
@@ -40,7 +42,7 @@ def _require_finite(cfg) -> None:
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if not _finite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+            raise ValueError(f"{f.name}: must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,29 +72,29 @@ class TopologyConfig:
     def __post_init__(self):
         _require_finite(self)
         if self.grid_side <= 0:
-            raise ValueError("grid_side must be positive")
+            raise ValueError("grid_side: must be positive")
         if self.small_cell_count < 1:
-            raise ValueError("small_cell_count must be at least 1")
+            raise ValueError("small_cell_count: must be at least 1")
         if len(self.small_cell_offsets) != self.small_cell_count:
             raise ValueError(
-                "small_cell_offsets must list exactly small_cell_count offsets"
+                "small_cell_offsets: must list exactly small_cell_count offsets"
             )
         if self.irs_per_cell < 2:
-            raise ValueError("irs_per_cell must be at least 2")
+            raise ValueError("irs_per_cell: must be at least 2")
         if self.irs_radius <= 0:
-            raise ValueError("irs_radius must be positive")
+            raise ValueError("irs_radius: must be positive")
         if self.eavesdroppers_per_cell < 0:
-            raise ValueError("eavesdroppers_per_cell must be non-negative")
+            raise ValueError("eavesdroppers_per_cell: must be non-negative")
         if self.eve_radius <= self.irs_radius:
-            raise ValueError("eve_radius must exceed irs_radius")
+            raise ValueError("eve_radius: must exceed irs_radius")
         if self.ue_count < 1:
-            raise ValueError("ue_count must be at least 1")
+            raise ValueError("ue_count: must be at least 1")
         if self.cluster_size < 1:
-            raise ValueError("cluster_size must be at least 1")
+            raise ValueError("cluster_size: must be at least 1")
         if self.cluster_spread < 0:
-            raise ValueError("cluster_spread must be non-negative")
+            raise ValueError("cluster_spread: must be non-negative")
         if self.detection_radius is not None and self.detection_radius <= 0:
-            raise ValueError("detection_radius must be positive when set")
+            raise ValueError("detection_radius: must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,6 @@ class ChannelParams:
     to real values.
     """
 
-    carrier_hz: float = 5.0e9
     pathloss_exponent: float = 2.2
     ref_loss_db: float = 0.0
     irs_gain_db: float = 61.0
@@ -116,12 +117,10 @@ class ChannelParams:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier_hz must be positive")
         if self.pathloss_exponent < 2:
-            raise ValueError("pathloss_exponent must be at least 2")
+            raise ValueError("pathloss_exponent: must be at least 2")
         if self.irs_gain_db < 0:
-            raise ValueError("irs_gain_db must be non-negative")
+            raise ValueError("irs_gain_db: must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -135,9 +134,9 @@ class PolicyConfig:
     def __post_init__(self):
         _require_finite(self)
         if not 0.0 <= self.omega <= 1.0:
-            raise ValueError("omega must be within [0, 1]")
+            raise ValueError("omega: must be within [0, 1]")
         if self.phi < 1:
-            raise ValueError("phi must be at least 1")
+            raise ValueError("phi: must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -157,18 +156,18 @@ class SimulationConfig:
     def __post_init__(self):
         _require_finite(self)
         if self.rate_threshold <= 0:
-            raise ValueError("rate_threshold must be positive")
+            raise ValueError("rate_threshold: must be positive")
         if self.periods < 1:
-            raise ValueError("periods must be at least 1")
+            raise ValueError("periods: must be at least 1")
         if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+            raise ValueError("replications: must be at least 1")
         if self.channel_budget < 1:
-            raise ValueError("channel_budget must be at least 1")
+            raise ValueError("channel_budget: must be at least 1")
         if (
             self.enforce_channel_budget
             and self.periods * self.replications > self.channel_budget
         ):
             raise ValueError(
-                "periods * replications exceeds channel_budget; "
+                "channel_budget: periods * replications exceeds it; "
                 "raise the budget or disable enforcement"
             )

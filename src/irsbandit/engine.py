@@ -7,10 +7,16 @@ and aggregate by plain averaging, so their order never matters.
 Determinism contract (draw order within a replication, one stream):
   1. topology build (eavesdropper angles), then UE placement;
   2. per period: one block-fading realization (BS->IRS, IRS->UE, IRS->eve),
-     then agents in UE order, each consuming only the draws its policy
-     needs (see policy module), then one outcome evaluation per agent.
-The abstract plug-in environment replaces step 2's realization with one
-Bernoulli outcome draw per evaluated agent.
+     drawn in that order and unchanged by the batched loop; then the
+     decisions, taken agent by agent in UE order, each consuming only the
+     draws its policy needs (see policy module); then one batched link
+     evaluation for all agents, which draws nothing.
+The abstract plug-in environment has no realization; after the period's
+decisions it draws every agent's Bernoulli outcome as one block of
+uniforms, one per agent in UE order. With one agent this is the stream of
+one outcome draw per decision; with several agents the outcome draws used
+to interleave with the decisions, so multi-agent Bernoulli runs changed
+when the period loop was batched.
 
 The channel environment computes every link's deterministic budget once per
 replication, when it is built after step 1; periods only combine those
@@ -49,7 +55,8 @@ class ReplicationResult:
 
     satisfaction[t] is the fraction of satisfied UEs at period t; chosen
     and satisfied keep the full per-period, per-UE record so conservation
-    and frequency checks can audit the run.
+    and frequency checks can audit the run. agents is the final flat agent
+    state; indexing it gives one record per UE.
     """
 
     satisfaction: np.ndarray
@@ -57,7 +64,7 @@ class ReplicationResult:
     chosen: np.ndarray
     satisfied: np.ndarray
     rates: np.ndarray
-    agents: list
+    agents: policy.Agents
     fading_blocks: int
 
 
@@ -92,16 +99,17 @@ class ChannelEnvironment:
 
     Everything but the fading is fixed within a replication, so the
     constructor computes each two-hop budget once, with the scalar
-    functions of the channel module: in dB for every (UE, candidate panel)
-    pair, and as a linear pre-fading SNR for every (panel, eavesdropper)
-    pair. initial_signal and evaluate then combine those lookups with the
-    period's fading gains, in the order channel.rssi_db and
-    channel.cascaded_snr use, so every result matches them bit for bit. The
-    constructor draws nothing, so the determinism contract is unchanged.
+    functions of the channel module: for every (UE, candidate panel) slot
+    in dB and as a linear pre-fading SNR, and for every (panel,
+    eavesdropper) pair as a linear pre-fading SNR. initial_signal and
+    outcomes then combine those lookups with the period's fading gains,
+    gathered for every UE at once, in the order channel.rssi_db and
+    channel.cascaded_snr use; logarithms stay per element in math, so every
+    result matches the scalar functions bit for bit. The constructor draws
+    nothing, so the determinism contract is unchanged.
 
-    The UE budgets are one flat array aligned with the concatenated
-    candidate tuples: UE u's k-th candidate sits at _offsets[u] + k. The
-    agents share those tuples.
+    Slots are the agents' flat layout: UE u's k-th candidate sits at slot
+    offsets[u] + k, and arms[s] is the global panel index of slot s.
     """
 
     fading_blocks_per_period = 1
@@ -121,19 +129,26 @@ class ChannelEnvironment:
             channel.feed_db(topo.small_cells[cell].distance_to(irs), params)
             for cell, irs in topo.irs_panels
         ]
-        self._candidates = []
+        arms = []
+        sizes = []
 
-        def ue_budgets():  # fills _candidates as it goes: no list of floats
+        def ue_budgets():  # fills arms and sizes as it goes: no list of floats
             for u in range(self.n_agents):
-                arms, d_rx = candidate_irs_distances(u, topo, detection_radius)
-                self._candidates.append(tuple(arms))
-                for i, d in zip(arms, d_rx):
+                cand, d_rx = candidate_irs_distances(u, topo, detection_radius)
+                arms.extend(cand)
+                sizes.append(len(cand))
+                for i, d in zip(cand, d_rx):
                     yield channel.budget_db(feed[i], d, params)
 
-        self._ue_budget_db = np.fromiter(ue_budgets(), dtype=float)
-        self._offsets = list(
-            itertools.accumulate(map(len, self._candidates), initial=0)
+        self._budget_db = np.fromiter(ue_budgets(), dtype=float)
+        self.arms = np.array(arms, dtype=np.int64)
+        self.offsets = np.array(list(itertools.accumulate(sizes, initial=0)))
+        self._snr = np.fromiter(
+            (channel.snr_factor(b, params) for b in memoryview(self._budget_db)),
+            dtype=float,
+            count=len(arms),
         )
+        self._ues = np.arange(self.n_agents)
         eves = topo.eavesdroppers
         self._eve_snr = np.fromiter(
             (
@@ -148,42 +163,41 @@ class ChannelEnvironment:
         ).reshape(len(topo.irs_panels), len(eves))
 
     def candidate_arms(self, u: int) -> tuple[int, ...]:
-        return self._candidates[u]
+        return tuple(self.arms[self.offsets[u] : self.offsets[u + 1]].tolist())
 
     def new_period(self, rng: np.random.Generator) -> channel.ChannelRealization:
         return channel.draw_realization(self.topo, rng)
 
-    def initial_signal(self, u: int, real: channel.ChannelRealization) -> np.ndarray:
-        """Warm-start context: this period's RSSI through each candidate."""
-        lo = self._offsets[u]
-        g_bs, g_ue = real.g_bs_irs, real.g_irs_ue
-        return np.array(
-            [
-                b + 10.0 * math.log10(g_bs.item(i) * g_ue.item(i, u))
-                for b, i in zip(
-                    self._ue_budget_db[lo : self._offsets[u + 1]].tolist(),
-                    self._candidates[u],
-                )
-            ]
-        )
+    def initial_signal(self, real: channel.ChannelRealization) -> np.ndarray:
+        """Warm-start context: this period's RSSI through every slot's panel."""
+        arms = self.arms
+        gain = real.g_irs_ue[arms, np.repeat(self._ues, np.diff(self.offsets))]
+        gain *= real.g_bs_irs[arms]
+        rssi = np.fromiter(map(math.log10, memoryview(gain)), dtype=float, count=len(arms))
+        rssi *= 10.0
+        rssi += self._budget_db
+        return rssi
 
-    def evaluate(
+    def outcomes(
         self,
-        u: int,
-        arm: int,
+        slot: np.ndarray,
         real: channel.ChannelRealization,
         rng: np.random.Generator,
-    ) -> tuple[float, bool, float]:
-        """Rate, satisfaction, and report-only secrecy on the chosen panel."""
-        j = self._offsets[u] + self._candidates[u].index(arm)
-        g_bs = real.g_bs_irs.item(arm)
-        snr = channel.snr_factor(self._ue_budget_db.item(j), self.params)
-        rate = math.log2(1.0 + snr * g_bs * real.g_irs_ue.item(arm, u))
-        r_eve = 0.0
-        eve_snr = self._eve_snr[arm].tolist()
-        for snr_e, g_eve in zip(eve_snr, real.g_irs_eve[arm].tolist()):
-            r_eve = max(r_eve, math.log2(1.0 + snr_e * g_bs * g_eve))
-        return rate, rate >= self.rate_threshold, max(0.0, rate - r_eve)
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every UE's rate, satisfaction and report-only secrecy on its slot's panel."""
+        arm = self.arms[slot]
+        g_bs = real.g_bs_irs[arm]
+        snr = self._snr[slot] * g_bs * real.g_irs_ue[arm, self._ues]
+        rate = np.fromiter(
+            map(math.log2, (1.0 + snr).tolist()), dtype=float, count=len(slot)
+        )
+        # the strongest eavesdropper's rate depends on the panel alone
+        eve = 1.0 + self._eve_snr * real.g_bs_irs[:, None] * real.g_irs_eve
+        r_eve = np.fromiter(
+            map(math.log2, eve.ravel().tolist()), dtype=float, count=eve.size
+        ).reshape(eve.shape).max(axis=1, initial=0.0)
+        secrecy = np.maximum(rate - r_eve[arm], 0.0)
+        return rate, rate >= self.rate_threshold, secrecy
 
 
 class BernoulliEnvironment:
@@ -191,8 +205,10 @@ class BernoulliEnvironment:
 
     Test hook for validating the policy chain against straight-line
     oracles. There is no geometry, so no signal context exists and the
-    warm start degenerates to a uniform random arm; the reported rate is
-    1.0 or 0.0 and secrecy is always 0.
+    warm start degenerates to a uniform random arm; every agent's
+    candidates are all arms. A period's outcomes are one block of uniform
+    draws, one per agent in agent order, taken after every decision of the
+    period. The reported rate is 1.0 or 0.0 and secrecy is always 0.
     """
 
     fading_blocks_per_period = 0
@@ -202,6 +218,10 @@ class BernoulliEnvironment:
         if not self.arm_probs:
             raise ValueError("need at least one arm")
         self.n_agents = n_agents
+        n_arms = len(self.arm_probs)
+        self.offsets = np.arange(n_agents + 1) * n_arms
+        self.arms = np.tile(np.arange(n_arms, dtype=np.int64), n_agents)
+        self._probs = np.array(self.arm_probs)
 
     def candidate_arms(self, u: int) -> list[int]:
         return list(range(len(self.arm_probs)))
@@ -209,42 +229,34 @@ class BernoulliEnvironment:
     def new_period(self, rng: np.random.Generator):
         return None
 
-    def initial_signal(self, u: int, ctx) -> None:
+    def initial_signal(self, ctx) -> None:
         return None
 
-    def evaluate(
-        self, u: int, arm: int, ctx, rng: np.random.Generator
-    ) -> tuple[float, bool, float]:
-        satisfied = rng.random() < self.arm_probs[arm]
-        return (1.0 if satisfied else 0.0), satisfied, 0.0
+    def outcomes(
+        self, slot: np.ndarray, ctx, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        satisfied = rng.random(len(slot)) < self._probs[self.arms[slot]]
+        return satisfied.astype(float), satisfied, np.zeros(len(slot))
 
 
 def run_period(
-    env, agents: list, cfg: SimulationConfig, rng: np.random.Generator
+    env, agents: policy.Agents, cfg: SimulationConfig, rng: np.random.Generator
 ) -> PeriodOutcome:
     """Advance every agent by one association period.
 
     Uninitialized agents associate from this period's signal context;
-    initialized ones run a re-association decision. Each then experiences
-    the period on its chosen panel and records the outcome.
+    initialized ones run a re-association decision. Every agent then
+    experiences the period on its chosen panel, in one batched link
+    evaluation, and records the outcome.
     """
     ctx = env.new_period(rng)
-    n = len(agents)
-    chosen = np.empty(n, dtype=np.int64)
-    rate = np.empty(n)
-    satisfied = np.empty(n, dtype=bool)
-    secrecy = np.empty(n)
-    for u, agent in enumerate(agents):
-        if not agent.initialized:
-            arm = policy.init_association(
-                agent, cfg.policy, env.initial_signal(u, ctx), rng
-            )
-        else:
-            arm = policy.select_irs(agent, cfg.policy, rng)
-        r, s, z = env.evaluate(u, arm, ctx, rng)
-        policy.update(agent, s)
-        chosen[u], rate[u], satisfied[u], secrecy[u] = arm, r, s, z
-    return PeriodOutcome(chosen, rate, satisfied, secrecy)
+    if not agents.initialized:
+        slot = policy.init_association(agents, cfg.policy, env.initial_signal(ctx), rng)
+    else:
+        slot = policy.select_irs(agents, cfg.policy, rng)
+    rate, satisfied, secrecy = env.outcomes(slot, ctx, rng)
+    policy.update(agents, satisfied)
+    return PeriodOutcome(env.arms[slot], rate, satisfied, secrecy)
 
 
 def run_replication(
@@ -265,10 +277,7 @@ def run_replication(
     else:
         env = environment
 
-    agents = [  # tuple() returns a tuple argument itself: agents share it
-        policy.AgentState(candidate_irs=tuple(env.candidate_arms(u)))
-        for u in range(env.n_agents)
-    ]
+    agents = policy.Agents(env.offsets, env.arms)
     periods = cfg.periods
     satisfaction = np.empty(periods)
     mean_secrecy = np.empty(periods)
@@ -299,14 +308,19 @@ def run_monte_carlo(cfg: SimulationConfig) -> SatisfactionTrace:
     Replication i runs with seed base_seed + i. The trace carries the
     per-iteration mean and a 95% normal-approximation half-width across
     replications (zero when there is a single replication), plus the full
-    per-replication matrix for downstream statistics.
+    per-replication matrix for downstream statistics. Each replication's
+    agents and per-UE record are released before the next one runs.
     """
-    results = [
-        run_replication(cfg, cfg.base_seed + i) for i in range(cfg.replications)
-    ]
-    per_rep = np.stack([r.satisfaction for r in results])
-    per_rep_secrecy = np.stack([r.mean_secrecy for r in results])
     n_rep = cfg.replications
+    per_rep = np.empty((n_rep, cfg.periods))
+    per_rep_secrecy = np.empty((n_rep, cfg.periods))
+    fading_blocks = 0
+    for i in range(n_rep):
+        res = run_replication(cfg, cfg.base_seed + i)
+        per_rep[i] = res.satisfaction
+        per_rep_secrecy[i] = res.mean_secrecy
+        fading_blocks += res.fading_blocks
+        del res
     mean = per_rep.mean(axis=0)
     if n_rep > 1:
         halfwidth = Z95 * per_rep.std(axis=0, ddof=1) / math.sqrt(n_rep)
@@ -323,6 +337,6 @@ def run_monte_carlo(cfg: SimulationConfig) -> SatisfactionTrace:
         base_seed=cfg.base_seed,
         replications=n_rep,
         periods=cfg.periods,
-        fading_blocks=sum(r.fading_blocks for r in results),
+        fading_blocks=fading_blocks,
         per_replication=per_rep,
     )

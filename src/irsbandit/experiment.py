@@ -66,8 +66,9 @@ class ExperimentSpec:
     format: OutputFormat = OutputFormat.CSV
 
     def __post_init__(self):
-        if not (self.policies and self.cases and self.phis and self.omegas):
-            raise ConfigError("sweep axes must be non-empty")
+        for axis in ("policies", "cases", "phis", "omegas"):
+            if not getattr(self, axis):
+                raise ConfigError(f"sweep.{axis}: must be non-empty")
 
     def sweep_cells(self):
         """Deterministic cell order: policies, cases, phis, omegas."""
@@ -209,7 +210,6 @@ _SCHEMA = {
         "detection_radius": _to_optional_float,
     },
     "channel": {
-        "carrier_hz": _to_float,
         "pathloss_exponent": _to_float,
         "ref_loss_db": _to_float,
         "irs_gain_db": _to_float,
@@ -268,6 +268,14 @@ def _parse_sections(text: str) -> dict:
     return sections
 
 
+def _build(section: str, cls, **fields):
+    """cls(**fields), with a failed field check reported as section.field."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:  # config messages start with "field: "
+        raise ConfigError(f"{section}.{exc}") from None
+
+
 def parse_config(text: str) -> ExperimentSpec:
     """Validate config text and fill every omitted key with its default.
 
@@ -292,13 +300,6 @@ def parse_config(text: str) -> ExperimentSpec:
     def pick(section, key, default):
         return values.get(section, {}).get(key, default)
 
-    # named bound checks before dataclass construction, so errors carry keys
-    omega = pick("policy", "omega", 0.1)
-    if not 0.0 <= omega <= 1.0:
-        raise ConfigError("policy.omega: must be within [0, 1]")
-    phi = pick("policy", "phi", 2)
-    if phi < 1:
-        raise ConfigError("policy.phi: must be at least 1")
     for w in pick("sweep", "omegas", (0.1,)):
         if not 0.0 <= w <= 1.0:
             raise ConfigError("sweep.omegas: every value must be within [0, 1]")
@@ -307,56 +308,55 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigError("sweep.phis: every value must be at least 1")
 
     defaults_topo = TopologyConfig()
-    irs_radius = pick("topology", "irs_radius", defaults_topo.irs_radius)
-    eve_radius = pick("topology", "eve_radius", defaults_topo.eve_radius)
-    if eve_radius <= irs_radius:
-        raise ConfigError("topology.eve_radius: must exceed topology.irs_radius")
-
-    try:
-        topo = TopologyConfig(
-            grid_side=pick("topology", "grid_side", defaults_topo.grid_side),
-            small_cell_count=pick(
-                "topology", "small_cell_count", defaults_topo.small_cell_count
-            ),
-            small_cell_offsets=pick(
-                "topology", "small_cell_offsets", defaults_topo.small_cell_offsets
-            ),
-            irs_per_cell=pick("topology", "irs_per_cell", defaults_topo.irs_per_cell),
-            irs_radius=irs_radius,
-            eavesdroppers_per_cell=pick(
-                "topology",
-                "eavesdroppers_per_cell",
-                defaults_topo.eavesdroppers_per_cell,
-            ),
-            eve_radius=eve_radius,
-            ue_count=pick("topology", "ue_count", defaults_topo.ue_count),
-            cluster_size=pick("topology", "cluster_size", defaults_topo.cluster_size),
-            cluster_spread=pick(
-                "topology", "cluster_spread", defaults_topo.cluster_spread
-            ),
-            detection_radius=pick(
-                "topology", "detection_radius", defaults_topo.detection_radius
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"topology: {exc}") from None
+    topo = _build(
+        "topology",
+        TopologyConfig,
+        grid_side=pick("topology", "grid_side", defaults_topo.grid_side),
+        small_cell_count=pick(
+            "topology", "small_cell_count", defaults_topo.small_cell_count
+        ),
+        small_cell_offsets=pick(
+            "topology", "small_cell_offsets", defaults_topo.small_cell_offsets
+        ),
+        irs_per_cell=pick("topology", "irs_per_cell", defaults_topo.irs_per_cell),
+        irs_radius=pick("topology", "irs_radius", defaults_topo.irs_radius),
+        eavesdroppers_per_cell=pick(
+            "topology",
+            "eavesdroppers_per_cell",
+            defaults_topo.eavesdroppers_per_cell,
+        ),
+        eve_radius=pick("topology", "eve_radius", defaults_topo.eve_radius),
+        ue_count=pick("topology", "ue_count", defaults_topo.ue_count),
+        cluster_size=pick("topology", "cluster_size", defaults_topo.cluster_size),
+        cluster_spread=pick(
+            "topology", "cluster_spread", defaults_topo.cluster_spread
+        ),
+        detection_radius=pick(
+            "topology", "detection_radius", defaults_topo.detection_radius
+        ),
+    )
 
     defaults_chan = ChannelParams()
-    try:
-        chan = ChannelParams(
-            carrier_hz=pick("channel", "carrier_hz", defaults_chan.carrier_hz),
-            pathloss_exponent=pick(
-                "channel", "pathloss_exponent", defaults_chan.pathloss_exponent
-            ),
-            ref_loss_db=pick("channel", "ref_loss_db", defaults_chan.ref_loss_db),
-            irs_gain_db=pick("channel", "irs_gain_db", defaults_chan.irs_gain_db),
-            tx_power_db=pick("channel", "tx_power_db", defaults_chan.tx_power_db),
-            noise_power_db=pick(
-                "channel", "noise_power_db", defaults_chan.noise_power_db
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from None
+    chan = _build(
+        "channel",
+        ChannelParams,
+        pathloss_exponent=pick(
+            "channel", "pathloss_exponent", defaults_chan.pathloss_exponent
+        ),
+        ref_loss_db=pick("channel", "ref_loss_db", defaults_chan.ref_loss_db),
+        irs_gain_db=pick("channel", "irs_gain_db", defaults_chan.irs_gain_db),
+        tx_power_db=pick("channel", "tx_power_db", defaults_chan.tx_power_db),
+        noise_power_db=pick(
+            "channel", "noise_power_db", defaults_chan.noise_power_db
+        ),
+    )
+    defaults_policy = PolicyConfig()
+    policy = _build(
+        "policy",
+        PolicyConfig,
+        omega=pick("policy", "omega", defaults_policy.omega),
+        phi=pick("policy", "phi", defaults_policy.phi),
+    )
 
     defaults_sim = SimulationConfig()
     cases = pick("sweep", "cases", ExperimentSpec().cases)
@@ -367,30 +367,29 @@ def parse_config(text: str) -> ExperimentSpec:
             "for the clustered case"
         )
 
-    try:
-        base = SimulationConfig(
-            topology=topo,
-            channel=chan,
-            policy=PolicyConfig(kind=PolicyKind.CONTEXTUAL_BANDIT, omega=omega, phi=phi),
-            rate_threshold=pick(
-                "experiment", "rate_threshold", defaults_sim.rate_threshold
-            ),
-            periods=pick("experiment", "periods", defaults_sim.periods),
-            replications=pick(
-                "experiment", "replications", defaults_sim.replications
-            ),
-            base_seed=pick("experiment", "base_seed", defaults_sim.base_seed),
-            channel_budget=pick(
-                "experiment", "channel_budget", defaults_sim.channel_budget
-            ),
-            enforce_channel_budget=pick(
-                "experiment",
-                "enforce_channel_budget",
-                defaults_sim.enforce_channel_budget,
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"experiment: {exc}") from None
+    base = _build(
+        "experiment",
+        SimulationConfig,
+        topology=topo,
+        channel=chan,
+        policy=policy,
+        rate_threshold=pick(
+            "experiment", "rate_threshold", defaults_sim.rate_threshold
+        ),
+        periods=pick("experiment", "periods", defaults_sim.periods),
+        replications=pick(
+            "experiment", "replications", defaults_sim.replications
+        ),
+        base_seed=pick("experiment", "base_seed", defaults_sim.base_seed),
+        channel_budget=pick(
+            "experiment", "channel_budget", defaults_sim.channel_budget
+        ),
+        enforce_channel_budget=pick(
+            "experiment",
+            "enforce_channel_budget",
+            defaults_sim.enforce_channel_budget,
+        ),
+    )
 
     spec_defaults = ExperimentSpec()
     return ExperimentSpec(
@@ -435,7 +434,6 @@ cluster_spread = {topo.cluster_spread}
 detection_radius = none
 
 [channel]
-carrier_hz = {chan.carrier_hz}
 pathloss_exponent = {chan.pathloss_exponent}
 ref_loss_db = {chan.ref_loss_db}
 irs_gain_db = {chan.irs_gain_db}

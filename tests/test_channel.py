@@ -160,8 +160,8 @@ class TestRssi:
         topo = build_network(cfg, rng)
         env = ChannelEnvironment(topo, ChannelParams(), rate_threshold=1.0)
         real = env.new_period(rng)
-        signal = env.initial_signal(0, real)
-        assert math.isclose(signal[0], -6.4650184599, abs_tol=1e-9)
+        signal = env.initial_signal(real)  # one entry per slot; UE 0's come first
+        assert math.isclose(signal[env.offsets[0]], -6.4650184599, abs_tol=1e-9)
 
 
 class TestSecrecyRate:

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +25,23 @@ from irsbandit.engine import (
     run_period,
     run_replication,
 )
-from irsbandit.policy import AgentState
+from irsbandit.policy import Agents
 from irsbandit.topology import build_network, candidate_irs_set
 
+import reference_model
+
 CB = PolicyKind.CONTEXTUAL_BANDIT
+
+
+def _load_script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+two_armed_oracle = _load_script("two_armed_oracle")
 
 
 def small_cfg(**overrides):
@@ -67,10 +82,7 @@ class TestRunPeriod:
         rng = np.random.default_rng(seed)
         topo = build_network(cfg.topology, rng)
         env = ChannelEnvironment(topo, cfg.channel, rate_threshold)
-        agents = [
-            AgentState(candidate_irs=tuple(env.candidate_arms(u)))
-            for u in range(env.n_agents)
-        ]
+        agents = Agents(env.offsets, env.arms)
         return run_period(env, agents, cfg, rng), agents
 
     def test_tiny_threshold_satisfies_everyone(self):
@@ -259,7 +271,12 @@ def test_environment_matches_scalar_channel_bit_for_bit(
     seed, n_ues, n_panels, n_eves, irs_radius, case, detection_radius, exponent,
     ref_loss_db, noise_power_db, threshold,
 ):
-    """The per-replication budgets reproduce the scalar reference model exactly."""
+    """The per-replication budgets reproduce the scalar channel functions exactly.
+
+    initial_signal covers every slot at once; outcomes is called once per
+    candidate rank k, each UE on its k-th candidate (or its last one), so
+    every (UE, candidate) pair is evaluated.
+    """
     rng = np.random.default_rng(seed)
     topo = build_network(
         TopologyConfig(
@@ -280,16 +297,22 @@ def test_environment_matches_scalar_channel_bit_for_bit(
     )
     env = ChannelEnvironment(topo, params, threshold, detection_radius)
     real = channel.draw_realization(topo, rng)
+    rssi = env.initial_signal(real)
+    sizes = np.diff(env.offsets)
+    outcomes = [
+        env.outcomes(env.offsets[:-1] + np.minimum(k, sizes - 1), real, rng)
+        for k in range(sizes.max())
+    ]
     for u, ue in enumerate(topo.ues):
         arms = env.candidate_arms(u)
         assert list(arms) == candidate_irs_set(u, topo, detection_radius)
-        rssi = env.initial_signal(u, real)
+        assert env.arms[env.offsets[u] : env.offsets[u + 1]].tolist() == list(arms)
         for k, i in enumerate(arms):
             bs = topo.small_cells[topo.irs_cell(i)]
             irs = topo.irs_position(i)
             g1 = real.g_bs_irs[i]
             expected = channel.rssi_db(bs, irs, ue, g1, real.g_irs_ue[i, u], params)
-            assert rssi[k].hex() == float(expected).hex()
+            assert rssi[env.offsets[u] + k].hex() == float(expected).hex()
 
             rate = channel.achievable_rate(
                 channel.cascaded_snr(bs, irs, ue, g1, real.g_irs_ue[i, u], params)
@@ -303,8 +326,101 @@ def test_environment_matches_scalar_channel_bit_for_bit(
                 ),
                 default=0.0,
             )
-            got_rate, got_sat, got_secrecy = env.evaluate(u, i, real, rng)
+            got_rate, got_sat, got_secrecy = (a[u] for a in outcomes[k])
             assert float(got_rate).hex() == float(rate).hex()
             assert got_sat == (rate >= threshold)
             expected_secrecy = channel.secrecy_rate(rate, r_eve)
             assert float(got_secrecy).hex() == float(expected_secrecy).hex()
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(list(PolicyKind)),
+    omega=st.sampled_from([0.0, 0.1, 1.0]),
+    phi=st.sampled_from([1, 2, 4]),
+    case=st.sampled_from(list(DistributionCase)),
+    n_ues=st.sampled_from([1, 4, 10]),
+    n_panels=st.integers(min_value=2, max_value=8),
+    n_eves=st.integers(min_value=0, max_value=2),
+    detection_radius=st.sampled_from([None, 22.0, 30.0, 45.0]),
+    threshold=st.sampled_from([0.5, 1.0, 2.5]),
+)
+def test_engine_matches_reference_chain_bit_for_bit(
+    seed, kind, omega, phi, case, n_ues, n_panels, n_eves, detection_radius, threshold,
+):
+    """The batched period loop reproduces the per-agent scalar chain exactly.
+
+    Detection radii of 22-45 m around 20 m rings leave many UEs a partial
+    ring, and the rest the full-ring fallback.
+    """
+    cfg = SimulationConfig(
+        topology=TopologyConfig(
+            irs_per_cell=n_panels,
+            eavesdroppers_per_cell=n_eves,
+            ue_count=n_ues,
+            distribution_case=case,
+            cluster_size=1,
+            cluster_spread=15.0,
+            detection_radius=detection_radius,
+        ),
+        policy=PolicyConfig(kind=kind, omega=omega, phi=phi),
+        rate_threshold=threshold,
+        periods=12,
+        replications=1,
+    )
+    want = reference_model.channel_replication(cfg, seed)
+    got = run_replication(cfg, seed)
+    _assert_same_bits(got.chosen, want.chosen)
+    _assert_same_bits(got.satisfied, want.satisfied)
+    _assert_same_bits(got.rates, want.rates)
+    for t in range(cfg.periods):
+        assert got.mean_secrecy[t].hex() == float(want.secrecy[t].mean()).hex()
+    for record, agent in zip(got.agents, want.agents, strict=True):
+        _assert_same_bits(record.rewards, agent.rewards)
+        assert record.candidate_irs == agent.candidate_irs
+        assert record.current_irs == agent.current_irs
+        assert record.consecutive_unsatisfied == agent.consecutive_unsatisfied
+
+    # per-UE secrecy, period by period, as run_replication drives run_period
+    rng = np.random.default_rng(seed)
+    topo = build_network(cfg.topology, rng)
+    env = ChannelEnvironment(topo, cfg.channel, threshold, detection_radius)
+    agents = Agents(env.offsets, env.arms)
+    for t in range(cfg.periods):
+        out = run_period(env, agents, cfg, rng)
+        _assert_same_bits(out.secrecy, want.secrecy[t])
+        _assert_same_bits(out.chosen_irs, want.chosen[t])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    probs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5),
+    kind=st.sampled_from(list(PolicyKind)),
+    omega=st.sampled_from([0.0, 0.1, 1.0]),
+    phi=st.sampled_from([1, 2, 4]),
+    n_agents=st.sampled_from([1, 3, 8]),
+)
+def test_bernoulli_engine_matches_reference_chains(
+    seed, probs, kind, omega, phi, n_agents
+):
+    """Bernoulli runs match the scalar chain; one bandit agent matches the oracle script."""
+    cfg = SimulationConfig(
+        policy=PolicyConfig(kind=kind, omega=omega, phi=phi), periods=40, replications=1
+    )
+    got = run_replication(cfg, seed, environment=BernoulliEnvironment(probs, n_agents))
+    want = reference_model.bernoulli_replication(cfg, seed, probs, n_agents)
+    _assert_same_bits(got.chosen, want.chosen)
+    _assert_same_bits(got.satisfied, want.satisfied)
+    _assert_same_bits(got.rates, want.rates)
+    for record, agent in zip(got.agents, want.agents, strict=True):
+        _assert_same_bits(record.rewards, agent.rewards)
+    if n_agents == 1 and kind is CB:
+        chain = two_armed_oracle.run_chain(seed, probs, omega, phi, cfg.periods)
+        _assert_same_bits(got.chosen[:, 0], chain)

@@ -89,7 +89,7 @@ class TestParseConfig:
             parse_config("[policy]\nphi = 1\nphi = 2\n")
 
     def test_empty_sweep_axis_rejected(self):
-        with pytest.raises(ConfigError, match="sweep"):
+        with pytest.raises(ConfigError, match=r"sweep\.policies: must be non-empty"):
             parse_config("[sweep]\npolicies =\n")
 
     def test_json_alternative(self):
@@ -124,7 +124,7 @@ class TestParseConfig:
         ],
     )
     def test_non_finite_float_rejected_and_named(self, section, key, value):
-        with pytest.raises(ConfigError, match=rf"{section}: {key} must be finite"):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: must be finite"):
             parse_config(f"[{section}]\n{key} = {value}\n")
 
 

@@ -1,9 +1,10 @@
 """Golden determinism digests.
 
-The digests below were recorded before the per-replication link budgets
-and the sweep deduplication landed, and must not be re-frozen to match a
-code change: any change here is a change to the random-stream layout or to
-the output bytes, and must be deliberate and recorded in CHANGES.md.
+The first three digests were recorded before the per-replication link
+budgets and the sweep deduplication landed, the last two before the period
+loop was batched over agents. None may be re-frozen to match a code change:
+any change here is a change to the random-stream layout or to the output
+bytes, and must be deliberate and recorded in CHANGES.md.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from irsbandit.config import (
     SimulationConfig,
     TopologyConfig,
 )
-from irsbandit.engine import run_monte_carlo
+from irsbandit.engine import BernoulliEnvironment, run_monte_carlo, run_replication
 from irsbandit.experiment import ExperimentSpec, run_experiment
 
 DEFAULT_SWEEP_CSV_SHA256 = (
@@ -29,6 +30,12 @@ DENSE_PER_REPLICATION_SHA256 = (
 )
 DENSE_MEAN_SECRECY_SHA256 = (
     "fd935f201fccb51771bbe1783106b0babbdb1615d321d20518bc833d758968af"
+)
+GREEDY_CLUSTERED_SHA256 = (
+    "2a34e8caf3194a7cd1495e1c65baca6eaab7bdb14f08dd2e4e54699acece1d92"
+)
+ONE_AGENT_BERNOULLI_SHA256 = (
+    "5d1ea466fbb15e8da44c717252725b00503211f982e2c3631fac76d0d5a4a946"
 )
 
 # Four cells with 16 panels each and 2 eavesdroppers per cell; detection
@@ -48,6 +55,29 @@ DENSE_CFG = SimulationConfig(
     replications=3,
     base_seed=2718,
 )
+
+# Greedy on two cells of 12 panels; detection radius 25 m leaves clustered
+# UEs near a cell between one and seven candidates, the rest the full ring.
+GREEDY_CLUSTERED_CFG = SimulationConfig(
+    topology=TopologyConfig(
+        irs_per_cell=12,
+        ue_count=30,
+        distribution_case=DistributionCase.CLUSTERED,
+        cluster_size=10,
+        detection_radius=25.0,
+    ),
+    policy=PolicyConfig(kind=PolicyKind.GREEDY),
+    periods=20,
+    replications=3,
+    base_seed=31337,
+)
+
+BERNOULLI_CFG = SimulationConfig(
+    policy=PolicyConfig(kind=PolicyKind.CONTEXTUAL_BANDIT, omega=0.2, phi=2),
+    periods=300,
+    replications=1,
+)
+BERNOULLI_ARMS = (0.3, 0.55, 0.7, 0.2)
 
 
 def _sha256(data: bytes) -> str:
@@ -71,3 +101,24 @@ def test_dense_clustered_trace_digests():
     assert trace.mean_secrecy_rate.dtype == np.float64
     assert _sha256(trace.per_replication.tobytes()) == DENSE_PER_REPLICATION_SHA256
     assert _sha256(trace.mean_secrecy_rate.tobytes()) == DENSE_MEAN_SECRECY_SHA256
+
+
+def test_greedy_clustered_replication_digest():
+    h = hashlib.sha256()
+    cfg = GREEDY_CLUSTERED_CFG
+    for i in range(cfg.replications):
+        res = run_replication(cfg, cfg.base_seed + i)
+        for a in (res.chosen, res.satisfied, res.rates, res.mean_secrecy):
+            h.update(a.tobytes())
+    assert h.hexdigest() == GREEDY_CLUSTERED_SHA256
+
+
+def test_one_agent_bernoulli_chain_digest():
+    h = hashlib.sha256()
+    for seed in range(600, 604):
+        env = BernoulliEnvironment(BERNOULLI_ARMS, n_agents=1)
+        res = run_replication(BERNOULLI_CFG, seed, environment=env)
+        assert res.chosen.dtype == np.int64 and res.satisfied.dtype == np.bool_
+        for a in (res.chosen, res.satisfied):
+            h.update(a.tobytes())
+    assert h.hexdigest() == ONE_AGENT_BERNOULLI_SHA256

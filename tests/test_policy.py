@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 
 from irsbandit.config import PolicyConfig, PolicyKind
 from irsbandit.policy import (
-    AgentState,
-    argmax_lowest,
+    Agents,
     init_association,
+    segment_argmax,
     select_irs,
     update,
 )
@@ -16,43 +18,57 @@ CB = PolicyKind.CONTEXTUAL_BANDIT
 GREEDY = PolicyKind.GREEDY
 
 
-def agent(candidates=(0, 1, 2)):
-    return AgentState(candidate_irs=tuple(candidates))
+def agents(*candidates):
+    """Fresh flat state: one agent per candidate tuple, (0, 1, 2) by default."""
+    candidates = candidates or ((0, 1, 2),)
+    offsets = list(itertools.accumulate(map(len, candidates), initial=0))
+    arms = np.array([a for c in candidates for a in c], dtype=np.int64)
+    return Agents(offsets, arms)
 
 
 def initialized_agent(candidates=(0, 1, 2), current=0, rewards=None, streak=0):
-    a = agent(candidates)
+    """One initialized agent on panel `current`."""
+    a = agents(tuple(candidates))
     a.initialized = True
-    a.current_irs = current
+    a.slot[0] = list(candidates).index(current)
     if rewards is not None:
-        a.rewards = np.asarray(rewards, dtype=np.int64)
-    a.consecutive_unsatisfied = streak
+        a.rewards[:] = rewards
+    a.unsat[0] = streak
     return a
+
+
+def panels(a):
+    """Every agent's current panel."""
+    return a.arms[a.slot].tolist()
 
 
 class TestInitAssociation:
     def test_cb_takes_strongest_rssi(self):
-        a = agent()
-        chosen = init_association(
+        a = agents()
+        slot = init_association(
             a, PolicyConfig(kind=CB), [-70.0, -60.0, -80.0], np.random.default_rng(0)
         )
-        assert chosen == 1
-        assert a.initialized and a.current_irs == 1
+        assert a.arms[slot].tolist() == [1]
+        assert a.initialized and a[0].current_irs == 1
+        # every agent picks within its own segment
+        b = agents((0, 1, 2), (3, 4), (5,), (6, 7, 8))
+        rssi = [-70.0, -60.0, -80.0, -50.0, -55.0, -99.0, -90.0, -91.0, -10.0]
+        init_association(b, PolicyConfig(kind=CB), rssi, np.random.default_rng(0))
+        assert panels(b) == [1, 3, 5, 8]
 
     def test_cb_rssi_tie_goes_low(self):
-        a = agent((5, 9))
-        chosen = init_association(
-            a, PolicyConfig(kind=CB), [-60.0, -60.0], np.random.default_rng(0)
+        a = agents((5, 9), (2, 3, 4))
+        init_association(
+            a, PolicyConfig(kind=CB), [-60.0, -60.0, -1.0, 0.0, 0.0],
+            np.random.default_rng(0),
         )
-        assert chosen == 5
+        assert panels(a) == [5, 3]
 
     def test_greedy_golden_draw(self):
         # documented draw: default_rng(123).integers(8) == 0, frozen once
-        a = agent(tuple(range(10, 18)))
-        chosen = init_association(
-            a, PolicyConfig(kind=GREEDY), None, np.random.default_rng(123)
-        )
-        assert chosen == 10
+        a = agents(tuple(range(10, 18)))
+        init_association(a, PolicyConfig(kind=GREEDY), None, np.random.default_rng(123))
+        assert panels(a) == [10]
 
     def test_reinitialization_rejected(self):
         a = initialized_agent()
@@ -60,7 +76,7 @@ class TestInitAssociation:
             init_association(a, PolicyConfig(kind=CB), [0.0, 0.0, 0.0], np.random.default_rng(0))
 
     def test_misaligned_rssi_rejected(self):
-        a = agent((1, 2))
+        a = agents((1, 2))
         with pytest.raises(ValueError, match="align"):
             init_association(
                 a, PolicyConfig(kind=CB), [0.0, 0.0, 0.0], np.random.default_rng(0)
@@ -69,11 +85,9 @@ class TestInitAssociation:
     def test_cb_without_signal_context_draws_uniformly(self):
         counts = np.zeros(3)
         for seed in range(300):
-            a = agent()
-            chosen = init_association(
-                a, PolicyConfig(kind=CB), None, np.random.default_rng(seed)
-            )
-            counts[chosen] += 1
+            a = agents()
+            init_association(a, PolicyConfig(kind=CB), None, np.random.default_rng(seed))
+            counts[panels(a)[0]] += 1
         assert counts.min() > 60  # roughly uniform across 3 arms
 
 
@@ -81,58 +95,70 @@ class TestSelectIrs:
     def test_pure_exploitation_argmax(self):
         a = initialized_agent(current=1, rewards=[5, 2, 9])
         cfg = PolicyConfig(kind=CB, omega=0.0, phi=1)
-        a.consecutive_unsatisfied = 1  # current not argmax anyway
-        assert select_irs(a, cfg, np.random.default_rng(0)) == 2
+        a.unsat[0] = 1  # current not argmax anyway
+        select_irs(a, cfg, np.random.default_rng(0))
+        assert panels(a) == [2]
 
     def test_greedy_tie_goes_low(self):
         a = initialized_agent(current=2, rewards=[4, 4, 1])
-        assert select_irs(a, PolicyConfig(kind=GREEDY), np.random.default_rng(0)) == 0
+        select_irs(a, PolicyConfig(kind=GREEDY), np.random.default_rng(0))
+        assert panels(a) == [0]
 
     def test_stickiness_overrides_omega(self):
         # on the argmax panel with streak < phi: stays even at omega = 1
         a = initialized_agent(current=2, rewards=[1, 2, 7], streak=1)
         cfg = PolicyConfig(kind=CB, omega=1.0, phi=3)
         rng = np.random.default_rng(0)
-        assert select_irs(a, cfg, rng) == 2
+        select_irs(a, cfg, rng)
+        assert panels(a) == [2]
         state = rng.bit_generator.state
         assert state == np.random.default_rng(0).bit_generator.state  # no draw used
 
     def test_streak_at_phi_forces_decision(self):
         a = initialized_agent(current=2, rewards=[1, 2, 7], streak=3)
         cfg = PolicyConfig(kind=CB, omega=0.0, phi=3)
-        assert select_irs(a, cfg, np.random.default_rng(0)) == 2  # argmax again
+        rng = np.random.default_rng(0)
+        select_irs(a, cfg, rng)
+        assert panels(a) == [2]  # argmax again
+        assert rng.bit_generator.state != np.random.default_rng(0).bit_generator.state
 
     def test_uninitialized_rejected(self):
-        a = agent()
         with pytest.raises(ValueError, match="not initialized"):
-            select_irs(a, PolicyConfig(kind=CB), np.random.default_rng(0))
+            select_irs(agents(), PolicyConfig(kind=CB), np.random.default_rng(0))
 
     def test_exploration_rate_respected(self):
         cfg = PolicyConfig(kind=CB, omega=0.3, phi=1)
-        explored = 0
         trials = 4000
-        rng = np.random.default_rng(11)
-        for _ in range(trials):
-            a = initialized_agent(current=1, rewards=[0, 9, 0], streak=5)
-            if select_irs(a, cfg, rng) != 1:
-                explored += 1
+        a = agents(*[(0, 1, 2)] * trials)
+        a.initialized = True
+        a.slot[:] = a.starts + 1
+        a.rewards[:] = np.tile([0, 9, 0], trials)
+        a.unsat[:] = 5
+        select_irs(a, cfg, np.random.default_rng(11))
+        explored = np.count_nonzero(a.arms[a.slot] != 1)
         # explore picks uniformly among 3 arms, so P(leave argmax) = omega * 2/3
         assert abs(explored / trials - 0.2) < 0.02
 
     def test_reduction_to_greedy(self):
         # omega = 0, phi = 1, no ties: always the argmax, like greedy
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            rewards = rng.integers(0, 50, size=4)
-            while len(np.unique(rewards)) < 4:
-                rewards = rng.integers(0, 50, size=4)
-            streak = int(rng.integers(0, 5))
-            current = int(rng.integers(4))
-            cb = initialized_agent((0, 1, 2, 3), current, rewards.copy(), streak)
-            gr = initialized_agent((0, 1, 2, 3), current, rewards.copy(), streak)
-            got_cb = select_irs(cb, PolicyConfig(kind=CB, omega=0.0, phi=1), rng)
-            got_gr = select_irs(gr, PolicyConfig(kind=GREEDY), rng)
-            assert got_cb == got_gr == int(np.argmax(rewards))
+        n = 200
+        rewards = np.empty((n, 4), dtype=np.int64)
+        for row in rewards:
+            row[:] = rng.integers(0, 50, size=4)
+            while len(np.unique(row)) < 4:
+                row[:] = rng.integers(0, 50, size=4)
+        streak = rng.integers(0, 5, size=n)
+        current = rng.integers(4, size=n)
+        cb, gr = agents(*[(0, 1, 2, 3)] * n), agents(*[(0, 1, 2, 3)] * n)
+        for a in (cb, gr):
+            a.initialized = True
+            a.slot[:] = a.starts + current
+            a.rewards[:] = rewards.ravel()
+            a.unsat[:] = streak
+        select_irs(cb, PolicyConfig(kind=CB, omega=0.0, phi=1), rng)
+        select_irs(gr, PolicyConfig(kind=GREEDY), rng)
+        assert panels(cb) == panels(gr) == rewards.argmax(axis=1).tolist()
 
     def test_argmax_invariant_under_positive_scaling(self):
         # scaled-comparison harness: scaling all accumulators by a positive
@@ -144,52 +170,75 @@ class TestSelectIrs:
             for scale in (2, 7):
                 a = initialized_agent(range(5), 0, rewards, streak=9)
                 b = initialized_agent(range(5), 0, rewards * scale, streak=9)
-                assert select_irs(a, cfg, np.random.default_rng(0)) == select_irs(
-                    b, cfg, np.random.default_rng(0)
-                )
-        assert argmax_lowest([1.0, 3.0, 3.0]) == argmax_lowest([2.0, 6.0, 6.0]) == 1
+                select_irs(a, cfg, np.random.default_rng(0))
+                select_irs(b, cfg, np.random.default_rng(0))
+                assert panels(a) == panels(b)
+        two = agents((0, 1, 2), (3, 4, 5))
+        values = np.array([1.0, 3.0, 3.0, 4.0, 5.0, 5.0])
+        low = segment_argmax(values, two)[0]
+        high = segment_argmax(values * 2.0, two)[0]
+        assert low.tolist() == high.tolist() == [1, 4]
 
 
 class TestUpdate:
     def test_satisfied_increments_and_resets(self):
         a = initialized_agent((0, 1), current=1, rewards=[0, 3], streak=2)
-        update(a, True)
+        update(a, np.array([True]))
         assert a.rewards.tolist() == [0, 4]
-        assert a.consecutive_unsatisfied == 0
+        assert a.unsat.tolist() == [0]
 
     def test_unsatisfied_leaves_rewards(self):
         a = initialized_agent((0, 1), current=1, rewards=[0, 3], streak=0)
-        update(a, False)
+        update(a, np.array([False]))
         assert a.rewards.tolist() == [0, 3]
-        assert a.consecutive_unsatisfied == 1
+        assert a.unsat.tolist() == [1]
 
     def test_streak_counts_consecutive(self):
         a = initialized_agent((0, 1), current=0)
         for _ in range(3):
-            update(a, False)
-        assert a.consecutive_unsatisfied == 3
+            update(a, np.array([False]))
+        assert a.unsat.tolist() == [3]
 
     def test_uninitialized_rejected(self):
         with pytest.raises(ValueError):
-            update(agent(), True)
+            update(agents(), np.array([True]))
+
+
+def test_agent_records_read_the_flat_state():
+    a = agents((4, 7), (1,), (2, 3, 9))
+    assert len(a) == 3 and a[1].current_irs == -1
+    a.initialized = True
+    a.slot[:] = [1, 2, 5]
+    a.rewards[:] = [0, 6, 1, 2, 0, 5]
+    a.unsat[:] = [0, 3, 1]
+    records = list(a)
+    assert [r.candidate_irs for r in records] == [(4, 7), (1,), (2, 3, 9)]
+    assert [r.rewards.tolist() for r in records] == [[0, 6], [1], [2, 0, 5]]
+    assert [r.current_irs for r in records] == [7, 1, 9]
+    assert [r.consecutive_unsatisfied for r in records] == [0, 3, 1]
+    assert a[-1].candidate_irs == (2, 3, 9)
+    with pytest.raises(IndexError):
+        a[3]
+    with pytest.raises(ValueError, match="at least one candidate"):
+        agents((0, 1), ())
 
 
 @settings(max_examples=60, deadline=None)
 @given(outcomes=st.lists(st.booleans(), min_size=1, max_size=200), seed=st.integers(0, 2**31))
 def test_reward_monotone_and_conserved(outcomes, seed):
     rng = np.random.default_rng(seed)
-    a = agent((0, 1, 2, 3))
+    a = agents((0, 1, 2, 3))
     init_association(a, PolicyConfig(kind=GREEDY), None, rng)
     cfg = PolicyConfig(kind=CB, omega=0.2, phi=2)
     prev = a.rewards.copy()
     for sat in outcomes:
         select_irs(a, cfg, rng)
-        update(a, sat)
+        update(a, np.array([sat]))
         assert (a.rewards >= prev).all()  # never decreases
         prev = a.rewards.copy()
     assert a.rewards.sum() == sum(outcomes)  # total reward = satisfied periods
     if outcomes[-1]:
-        assert a.consecutive_unsatisfied == 0
+        assert a.unsat.tolist() == [0]
 
 
 def test_two_armed_sanity_quick():
@@ -199,7 +248,7 @@ def test_two_armed_sanity_quick():
     fractions = []
     for seed in range(20):
         rng = np.random.default_rng(500 + seed)
-        a = agent((0, 1))
+        a = agents((0, 1))
         init_association(a, cfg, None, rng)
         picks = []
         first = True
@@ -208,7 +257,7 @@ def test_two_armed_sanity_quick():
                 first = False
             else:
                 select_irs(a, cfg, rng)
-            picks.append(a.current_irs)
-            update(a, rng.random() < (0.9 if a.current_irs == 0 else 0.1))
+            picks.append(panels(a)[0])
+            update(a, np.array([rng.random() < (0.9 if picks[-1] == 0 else 0.1)]))
         fractions.append(np.mean(np.array(picks[199:400]) == 0))
     assert np.mean(fractions) >= 0.8
