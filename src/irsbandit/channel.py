@@ -4,17 +4,24 @@ Log-distance path loss per segment, Rayleigh power fading (Exp(1) gains),
 and the cascaded BS -> IRS -> UE budget. The direct BS -> UE link is in deep
 fade and carries nothing, so only cascaded links exist. All functions are
 pure; randomness enters only through an explicit Generator.
+
+The scalar functions state each formula for one link. path_losses_db,
+budgets_db and snr_factors apply the same formulas to whole arrays of hop
+lengths, in the same operation order, with log10 and pow taken element by
+element from math (topology.elementwise), so every element matches the
+scalar result bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ChannelParams
-from .topology import NetworkTopology, Position
+from .topology import NetworkTopology, Position, elementwise
 
 # below this the log-distance law is clamped to the reference distance
 MIN_PATH_DISTANCE_M = 1.0
@@ -27,6 +34,12 @@ def path_loss_db(d: float, n: float, ref_loss_db: float) -> float:
     """
     d = max(d, MIN_PATH_DISTANCE_M)
     return ref_loss_db + 10.0 * n * math.log10(d)
+
+
+def path_losses_db(d: np.ndarray, p: ChannelParams) -> np.ndarray:
+    """path_loss_db of every distance in an array, with p's exponent and reference loss."""
+    log_d = elementwise(math.log10, np.maximum(d, MIN_PATH_DISTANCE_M))
+    return p.ref_loss_db + 10.0 * p.pathloss_exponent * log_d
 
 
 def sample_fading(rng: np.random.Generator) -> float:
@@ -98,12 +111,29 @@ def _cascade_budget_db(
     return budget_db(feed_db(bs.distance_to(irs), p), irs.distance_to(receiver), p)
 
 
+def budgets_db(
+    d_bs_irs: np.ndarray, panel: np.ndarray, d_irs_rx: np.ndarray, p: ChannelParams
+) -> np.ndarray:
+    """budget_db(feed_db(d_bs_irs[panel], p), d_irs_rx, p) over arrays.
+
+    d_bs_irs holds each panel's BS -> IRS hop; panel (broadcast against
+    d_irs_rx) names the panel of each receiver's IRS -> receiver hop.
+    """
+    feed = p.tx_power_db + p.irs_gain_db - path_losses_db(d_bs_irs, p)
+    return feed[panel] - path_losses_db(d_irs_rx, p)
+
+
 def snr_factor(budget: float, p: ChannelParams) -> float:
     """Pre-fading linear SNR of a two-hop budget in dB: 10^((budget - noise)/10).
 
     cascaded_snr is this factor times the two fading gains.
     """
     return 10.0 ** ((budget - p.noise_power_db) / 10.0)
+
+
+def snr_factors(budget: np.ndarray, p: ChannelParams) -> np.ndarray:
+    """snr_factor of every budget in an array."""
+    return elementwise(functools.partial(pow, 10.0), (budget - p.noise_power_db) / 10.0)
 
 
 def cascaded_snr(

@@ -26,7 +26,6 @@ order above is the whole contract.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +33,13 @@ import numpy as np
 
 from . import channel, policy
 from .config import DistributionCase, PolicyKind, SimulationConfig
-from .topology import NetworkTopology, build_network, candidate_irs_distances
+from .topology import (
+    NetworkTopology,
+    build_network,
+    candidate_slots,
+    distances,
+    elementwise,
+)
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -98,15 +103,18 @@ class ChannelEnvironment:
     """Geometry plus block fading drive satisfaction (the default).
 
     Everything but the fading is fixed within a replication, so the
-    constructor computes each two-hop budget once, with the scalar
-    functions of the channel module: for every (UE, candidate panel) slot
-    in dB and as a linear pre-fading SNR, and for every (panel,
-    eavesdropper) pair as a linear pre-fading SNR. initial_signal and
-    outcomes then combine those lookups with the period's fading gains,
-    gathered for every UE at once, in the order channel.rssi_db and
-    channel.cascaded_snr use; logarithms stay per element in math, so every
-    result matches the scalar functions bit for bit. The constructor draws
-    nothing, so the determinism contract is unchanged.
+    constructor computes each two-hop budget once, in whole-array passes:
+    topology.candidate_slots selects every UE's candidates with their hop
+    lengths, and the array functions of the channel module turn the hop
+    lengths into budgets in dB and linear pre-fading SNRs, for every (UE,
+    candidate panel) slot and every (panel, eavesdropper) pair.
+    initial_signal and outcomes then combine those lookups with the period's
+    fading gains, gathered for every UE at once, in the order
+    channel.rssi_db and channel.cascaded_snr use. Only exactly rounded
+    operations run as numpy ufuncs; hypot, logarithms and powers are taken
+    element by element from math (topology.elementwise), so every result
+    matches the scalar functions of the channel module bit for bit. The
+    constructor draws nothing, so the determinism contract is unchanged.
 
     Slots are the agents' flat layout: UE u's k-th candidate sits at slot
     offsets[u] + k, and arms[s] is the global panel index of slot s.
@@ -125,42 +133,16 @@ class ChannelEnvironment:
         self.params = params
         self.rate_threshold = rate_threshold
         self.n_agents = len(topo.ues)
-        feed = [
-            channel.feed_db(topo.small_cells[cell].distance_to(irs), params)
-            for cell, irs in topo.irs_panels
-        ]
-        arms = []
-        sizes = []
-
-        def ue_budgets():  # fills arms and sizes as it goes: no list of floats
-            for u in range(self.n_agents):
-                cand, d_rx = candidate_irs_distances(u, topo, detection_radius)
-                arms.extend(cand)
-                sizes.append(len(cand))
-                for i, d in zip(cand, d_rx):
-                    yield channel.budget_db(feed[i], d, params)
-
-        self._budget_db = np.fromiter(ue_budgets(), dtype=float)
-        self.arms = np.array(arms, dtype=np.int64)
-        self.offsets = np.array(list(itertools.accumulate(sizes, initial=0)))
-        self._snr = np.fromiter(
-            (channel.snr_factor(b, params) for b in memoryview(self._budget_db)),
-            dtype=float,
-            count=len(arms),
-        )
+        self.arms, self.offsets, d_rx = candidate_slots(topo, detection_radius)
+        d_feed = distances(topo.cell_xy[topo.panel_cell], topo.panel_xy)
+        self._budget_db = channel.budgets_db(d_feed, self.arms, d_rx, params)
+        self._snr = channel.snr_factors(self._budget_db, params)
         self._ues = np.arange(self.n_agents)
-        eves = topo.eavesdroppers
-        self._eve_snr = np.fromiter(
-            (
-                channel.snr_factor(
-                    channel.budget_db(feed[i], irs.distance_to(eve), params), params
-                )
-                for i, (_, irs) in enumerate(topo.irs_panels)
-                for eve in eves
-            ),
-            dtype=float,
-            count=len(topo.irs_panels) * len(eves),
-        ).reshape(len(topo.irs_panels), len(eves))
+        d_eve = distances(topo.panel_xy[:, None], topo.eve_xy)
+        panels = np.arange(len(topo.irs_panels))[:, None]
+        self._eve_snr = channel.snr_factors(
+            channel.budgets_db(d_feed, panels, d_eve, params), params
+        )
 
     def candidate_arms(self, u: int) -> tuple[int, ...]:
         return tuple(self.arms[self.offsets[u] : self.offsets[u + 1]].tolist())
@@ -173,7 +155,7 @@ class ChannelEnvironment:
         arms = self.arms
         gain = real.g_irs_ue[arms, np.repeat(self._ues, np.diff(self.offsets))]
         gain *= real.g_bs_irs[arms]
-        rssi = np.fromiter(map(math.log10, memoryview(gain)), dtype=float, count=len(arms))
+        rssi = elementwise(math.log10, gain)
         rssi *= 10.0
         rssi += self._budget_db
         return rssi
@@ -188,14 +170,10 @@ class ChannelEnvironment:
         arm = self.arms[slot]
         g_bs = real.g_bs_irs[arm]
         snr = self._snr[slot] * g_bs * real.g_irs_ue[arm, self._ues]
-        rate = np.fromiter(
-            map(math.log2, (1.0 + snr).tolist()), dtype=float, count=len(slot)
-        )
+        rate = elementwise(math.log2, 1.0 + snr)
         # the strongest eavesdropper's rate depends on the panel alone
         eve = 1.0 + self._eve_snr * real.g_bs_irs[:, None] * real.g_irs_eve
-        r_eve = np.fromiter(
-            map(math.log2, eve.ravel().tolist()), dtype=float, count=eve.size
-        ).reshape(eve.shape).max(axis=1, initial=0.0)
+        r_eve = elementwise(math.log2, eve).max(axis=1, initial=0.0)
         secrecy = np.maximum(rate - r_eve[arm], 0.0)
         return rate, rate >= self.rate_threshold, secrecy
 

@@ -5,12 +5,20 @@ evenly spaced ring around each small cell, eavesdroppers at random angles on
 a wider ring, and UEs placed uniformly or in Gaussian clusters. Everything
 is built from an explicit numpy Generator, so the same seed reproduces the
 same layout bit for bit.
+
+Geometry queries work on whole arrays: NetworkTopology caches the
+coordinates of its cells, panels and eavesdroppers as (N, 2) arrays, and
+candidate_slots selects every UE's candidate panels in one pass. Differences, comparisons and reductions
+run as numpy operations, which round exactly as Python floats do; hypot
+stays math.hypot, applied element by element through `elementwise`, because
+numpy's own hypot may differ in the last bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +44,9 @@ class NetworkTopology:
 
     irs_panels is cell-major: the panels of cell 0 first, then cell 1, and
     so on, each ring in increasing-angle order. Eavesdroppers follow the
-    same cell-major order.
+    same cell-major order. cell_xy, panel_xy and eve_xy hold the same
+    positions as (N, 2) float arrays, in the same order; panel_cell and
+    rings give the panel-to-cell map as integer arrays.
     """
 
     grid_side: float
@@ -51,18 +61,62 @@ class NetworkTopology:
         return len(self.irs_panels) // len(self.small_cells)
 
     @functools.cached_property
-    def rings(self) -> tuple[tuple[int, ...], ...]:
-        """Global panel indices of each small cell's ring, in panel order."""
-        return tuple(
-            tuple(i for i, (ci, _) in enumerate(self.irs_panels) if ci == cell)
-            for cell in range(len(self.small_cells))
-        )
+    def panel_cell(self) -> np.ndarray:
+        """The small cell of each panel, as an int64 array."""
+        return np.array([ci for ci, _ in self.irs_panels], dtype=np.int64)
+
+    @property
+    def rings(self) -> np.ndarray:
+        """Global panel indices of each small cell's ring, in panel order.
+
+        A (cells, irs_per_cell) int64 array: row c lists cell c's panels.
+        """
+        order = np.argsort(self.panel_cell, kind="stable")
+        return order.reshape(len(self.small_cells), -1)
+
+    @functools.cached_property
+    def cell_xy(self) -> np.ndarray:
+        return _xy(self.small_cells)
+
+    @functools.cached_property
+    def panel_xy(self) -> np.ndarray:
+        return _xy([pos for _, pos in self.irs_panels])
+
+    @functools.cached_property
+    def eve_xy(self) -> np.ndarray:
+        return _xy(self.eavesdroppers)
 
     def irs_position(self, irs_index: int) -> Position:
         return self.irs_panels[irs_index][1]
 
     def irs_cell(self, irs_index: int) -> int:
         return self.irs_panels[irs_index][0]
+
+
+def _xy(points) -> np.ndarray:
+    """(N, 2) float array of a sequence of points' coordinates."""
+    coords = itertools.chain.from_iterable((p.x, p.y) for p in points)
+    return np.fromiter(coords, dtype=float, count=2 * len(points)).reshape(-1, 2)
+
+
+def elementwise(f, a: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """f applied to each element of equally shaped arrays, as a float array.
+
+    Exists for math's hypot, log10, log2 and pow, whose numpy counterparts
+    may round differently in the last bit. The arrays reach map as
+    memoryviews, so no list of Python floats is ever held. A call with one
+    array builds no list of views and a 1-D one no reshape: outcomes makes
+    such calls every period.
+    """
+    flat = a.ravel().data
+    items = map(f, flat, *[b.ravel().data for b in more]) if more else map(f, flat)
+    out = np.fromiter(items, dtype=float, count=a.size)
+    return out if a.ndim == 1 else out.reshape(a.shape)
+
+
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Position.distance_to between (..., 2) coordinate arrays, broadcast, bit for bit."""
+    return elementwise(math.hypot, a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
 
 
 def build_topology(cfg: TopologyConfig, rng: np.random.Generator) -> NetworkTopology:
@@ -83,8 +137,8 @@ def build_topology(cfg: TopologyConfig, rng: np.random.Generator) -> NetworkTopo
         lo_y, hi_y = cell.y - cfg.irs_radius, cell.y + cfg.irs_radius
         if lo_x < 0 or lo_y < 0 or hi_x > side or hi_y > side:
             raise ValueError(
-                f"small cell {i} at ({cell.x}, {cell.y}) leaves the grid or "
-                f"its IRS ring does"
+                f"small_cell_offsets: small cell {i} at ({cell.x}, {cell.y}) "
+                f"leaves the grid or its IRS ring does"
             )
         cells.append(cell)
 
@@ -138,7 +192,7 @@ def place_ues(
     else:
         if cfg.ue_count % cfg.cluster_size != 0:
             raise ValueError(
-                "clustered placement needs ue_count divisible by cluster_size"
+                "ue_count: clustered placement needs it divisible by cluster_size"
             )
         n_clusters = cfg.ue_count // cfg.cluster_size
         centers = rng.uniform(0.0, side, size=(n_clusters, 2))
@@ -160,43 +214,51 @@ def build_network(cfg: TopologyConfig, rng: np.random.Generator) -> NetworkTopol
     return with_ues(topo, place_ues(cfg, topo, rng))
 
 
+def _nearest_cells(xy: np.ndarray, topo: NetworkTopology) -> np.ndarray:
+    """Nearest small cell of each (N, 2) point; argmin keeps the first, lowest, index."""
+    return distances(xy[:, None], topo.cell_xy).argmin(axis=1)
+
+
 def serving_cell(ue: Position, topo: NetworkTopology) -> int:
     """Index of the nearest small cell; ties go to the lowest index."""
     if not topo.small_cells:
         raise ValueError("topology has no small cells")
-    distances = [ue.distance_to(cell) for cell in topo.small_cells]
-    return distances.index(min(distances))
+    return int(_nearest_cells(_xy((ue,)), topo)[0])
 
 
-def candidate_irs_distances(
-    ue_index: int, topo: NetworkTopology, detection_radius: float | None = None
-) -> tuple[list[int], list[float]]:
-    """candidate_irs_set together with each candidate's distance to the UE.
+def candidate_slots(
+    topo: NetworkTopology, detection_radius: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every UE's candidate panels, flattened into slots, with their distances.
 
-    Each distance is the one the detection-radius filter compares, computed
-    once, so a caller that also needs the panel-to-UE hop length (the link
-    budget) reuses it instead of measuring the hop again.
+    UE u's k-th candidate is slot offsets[u] + k: arms[s] is the slot's
+    global panel index and distances[s] its panel-to-UE distance, the one
+    the detection-radius filter compared (also the IRS -> UE hop length).
+    A UE's candidates are its serving cell's ring (see serving_cell), in
+    panel order; when detection_radius is set, panels farther than that are
+    dropped, and if that would empty the set the full ring stands in, so
+    every UE keeps at least one arm.
     """
-    ue = topo.ues[ue_index]
-    ring = topo.rings[serving_cell(ue, topo)]
-    panels = topo.irs_panels
-    x, y = ue.x, ue.y  # panels[i][1].distance_to(ue), inlined: the hot part of set-up
-    distances = [math.hypot(panels[i][1].x - x, panels[i][1].y - y) for i in ring]
-    if detection_radius is not None:
-        near = [k for k, d in enumerate(distances) if d <= detection_radius]
-        if near:
-            return [ring[k] for k in near], [distances[k] for k in near]
-    return list(ring), distances
+    ues = _xy(topo.ues)
+    ring = topo.rings[_nearest_cells(ues, topo)]
+    d = distances(topo.panel_xy[ring], ues[:, None])
+    if detection_radius is None:
+        keep = np.ones(d.shape, dtype=bool)
+    else:
+        keep = d <= detection_radius
+        keep[~keep.any(axis=1)] = True
+    offsets = np.zeros(len(ues) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=offsets[1:])
+    return ring[keep], offsets, d[keep]
 
 
 def candidate_irs_set(
     ue_index: int, topo: NetworkTopology, detection_radius: float | None = None
 ) -> list[int]:
-    """Global indices of the IRS panels the UE may associate with.
+    """Global indices of the IRS panels UE ue_index may associate with.
 
-    The candidate set is the serving cell's whole ring, in panel order.
-    When detection_radius is set, panels farther than that from the UE are
-    dropped; if the filter would empty the set, the full ring stands in so
-    the agent always has at least one arm.
+    The UE's slots of candidate_slots, which states the selection rule.
     """
-    return candidate_irs_distances(ue_index, topo, detection_radius)[0]
+    u = range(len(topo.ues))[ue_index]
+    arms, offsets, _ = candidate_slots(topo, detection_radius)
+    return arms[offsets[u] : offsets[u + 1]].tolist()

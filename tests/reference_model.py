@@ -1,11 +1,12 @@
-"""Scalar reference model of the policy and of one replication.
+"""Scalar reference model of the candidate sets, the policy and one replication.
 
-The engine keeps every agent's state in flat arrays and applies each rule
-to all agents at once. This module states the same rules one agent at a
-time, in plain Python, as the simulator first implemented them: the
-per-agent state, the warm start, the re-association decision and the
-reward update. Its replication loops evaluate each agent's link with the
-scalar functions of the channel module and draw from the Generator in
+The engine selects every UE's candidate panels in one array pass, keeps
+every agent's state in flat arrays and applies each rule to all agents at
+once. This module states the same rules one UE at a time, in plain Python,
+as the simulator first implemented them: the serving cell and candidate
+set, the per-agent state, the warm start, the re-association decision and
+the reward update. Its replication loops evaluate each agent's link with
+the scalar functions of the channel module and draw from the Generator in
 agent order. Tests run them next to the engine and compare every output
 bit for bit.
 """
@@ -18,7 +19,32 @@ import numpy as np
 
 from irsbandit import channel
 from irsbandit.config import PolicyConfig, PolicyKind, SimulationConfig
-from irsbandit.topology import build_network, candidate_irs_set
+from irsbandit.topology import build_network
+
+
+def serving_cell(ue, topo) -> int:
+    """Index of the nearest small cell; ties go to the lowest index."""
+    distances = [ue.distance_to(cell) for cell in topo.small_cells]
+    return distances.index(min(distances))
+
+
+def candidate_irs_distances(
+    u: int, topo, detection_radius: float | None = None
+) -> tuple[list[int], list[float]]:
+    """UE u's candidate panels, in panel order, with each one's distance to the UE.
+
+    The serving cell's ring, less the panels farther than detection_radius
+    when it is set; the full ring when that would leave none.
+    """
+    ue = topo.ues[u]
+    cell = serving_cell(ue, topo)
+    ring = [i for i, (ci, _) in enumerate(topo.irs_panels) if ci == cell]
+    distances = [topo.irs_position(i).distance_to(ue) for i in ring]
+    if detection_radius is not None:
+        near = [k for k, d in enumerate(distances) if d <= detection_radius]
+        if near:
+            return [ring[k] for k in near], [distances[k] for k in near]
+    return ring, distances
 
 
 def argmax_lowest(values) -> int:
@@ -145,7 +171,8 @@ def channel_replication(cfg: SimulationConfig, seed: int) -> ReferenceRun:
     topo = build_network(cfg.topology, rng)
     radius = cfg.topology.detection_radius
     agents = [
-        AgentState(tuple(candidate_irs_set(u, topo, radius))) for u in range(len(topo.ues))
+        AgentState(tuple(candidate_irs_distances(u, topo, radius)[0]))
+        for u in range(len(topo.ues))
     ]
     run = _empty_run(cfg.periods, agents)
     for t in range(cfg.periods):

@@ -8,12 +8,18 @@ from hypothesis import strategies as st
 from irsbandit.channel import (
     ChannelRealization,
     achievable_rate,
+    budget_db,
+    budgets_db,
     cascaded_snr,
     draw_realization,
+    feed_db,
     path_loss_db,
+    path_losses_db,
     rssi_db,
     sample_fading,
     secrecy_rate,
+    snr_factor,
+    snr_factors,
 )
 from irsbandit.config import ChannelParams, TopologyConfig
 from irsbandit.topology import Position, build_network
@@ -204,3 +210,39 @@ class TestRealization:
         args = (Position(0, 0), Position(3, 4), Position(6, 8), 0.5, 2.0, p)
         assert cascaded_snr(*args) == cascaded_snr(*args)
         assert rssi_db(*args) == rssi_db(*args)
+
+
+hop_lengths = st.lists(st.floats(min_value=0.0, max_value=2000.0), min_size=1, max_size=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d_bs_irs=hop_lengths,
+    d_irs_rx=hop_lengths,
+    exponent=st.floats(min_value=2.0, max_value=6.0),
+    ref_loss_db=st.floats(min_value=-40.0, max_value=80.0),
+    irs_gain_db=st.floats(min_value=0.0, max_value=120.0),
+    tx_power_db=st.floats(min_value=-30.0, max_value=60.0),
+    noise_power_db=st.floats(min_value=-120.0, max_value=30.0),
+)
+def test_array_budgets_match_scalar_functions_bit_for_bit(
+    d_bs_irs, d_irs_rx, exponent, ref_loss_db, irs_gain_db, tx_power_db, noise_power_db
+):
+    """path_losses_db, budgets_db and snr_factors equal their scalar forms per element."""
+    p = ChannelParams(
+        pathloss_exponent=exponent,
+        ref_loss_db=ref_loss_db,
+        irs_gain_db=irs_gain_db,
+        tx_power_db=tx_power_db,
+        noise_power_db=noise_power_db,
+    )
+    feeds = np.array(d_bs_irs)
+    panel = np.arange(len(d_irs_rx)) % len(d_bs_irs)
+    got_pl = path_losses_db(np.array(d_irs_rx), p)
+    got_budget = budgets_db(feeds, panel, np.array(d_irs_rx), p)
+    got_snr = snr_factors(got_budget, p)
+    for j, d in enumerate(d_irs_rx):
+        budget = budget_db(feed_db(d_bs_irs[panel[j]], p), d, p)
+        assert got_pl[j].hex() == path_loss_db(d, exponent, ref_loss_db).hex()
+        assert got_budget[j].hex() == budget.hex()
+        assert got_snr[j].hex() == snr_factor(budget, p).hex()

@@ -1,10 +1,11 @@
 import dataclasses
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from irsbandit import channel
@@ -424,3 +425,100 @@ def test_bernoulli_engine_matches_reference_chains(
     if n_agents == 1 and kind is CB:
         chain = two_armed_oracle.run_chain(seed, probs, omega, phi, cfg.periods)
         _assert_same_bits(got.chosen[:, 0], chain)
+
+
+TOPOLOGY_FIELDS = {f.name for f in dataclasses.fields(TopologyConfig)}
+
+
+def _named_field(exc: ValueError) -> str:
+    """The field a config error names: its message starts with "field: "."""
+    field = str(exc).split(":", 1)[0]
+    assert field in TOPOLOGY_FIELDS, str(exc)
+    return field
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("grid_side", 0.0),
+        ("grid_side", math.nan),
+        ("small_cell_count", 0),
+        ("small_cell_count", 3),
+        ("small_cell_offsets", ((math.inf, 0.0), (50.0, 0.0))),
+        ("irs_per_cell", 1),
+        ("irs_radius", -3.0),
+        ("eavesdroppers_per_cell", -1),
+        ("eve_radius", 20.0),
+        ("eve_radius", math.inf),
+        ("ue_count", 0),
+        ("cluster_size", 0),
+        ("cluster_spread", -1.0),
+        ("detection_radius", 0.0),
+        ("detection_radius", math.nan),
+    ],
+)
+def test_rejected_topology_names_its_field(key, value):
+    with pytest.raises(ValueError) as info:
+        TopologyConfig(**{key: value})
+    _named_field(info.value)
+    assert key in str(info.value)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    grid_side=st.floats(min_value=60.0, max_value=300.0),
+    cell_fractions=st.lists(
+        st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)), min_size=1, max_size=3
+    ),
+    irs_per_cell=st.integers(min_value=2, max_value=6),
+    irs_radius=st.floats(min_value=1.0, max_value=40.0),
+    n_eves=st.integers(min_value=0, max_value=3),
+    ue_count=st.integers(min_value=1, max_value=12),
+    case=st.sampled_from(list(DistributionCase)),
+    cluster_size=st.integers(min_value=1, max_value=4),
+    cluster_spread=st.floats(min_value=0.0, max_value=40.0),
+    detection_radius=st.one_of(st.none(), st.floats(min_value=1.0, max_value=80.0)),
+)
+def test_accepted_topologies_give_finite_budgets_and_a_period_in_unit_range(
+    seed, grid_side, cell_fractions, irs_per_cell, irs_radius, n_eves,
+    ue_count, case, cluster_size, cluster_spread, detection_radius,
+):
+    """Every topology the config and the network build accept can run.
+
+    Its environment's budgets are finite and one period's satisfaction
+    lies in [0, 1]. A network build that rejects the config (a ring that
+    leaves the grid, clusters that do not divide the UEs) names the field.
+    """
+    cfg = TopologyConfig(
+        grid_side=grid_side,
+        small_cell_count=len(cell_fractions),
+        small_cell_offsets=tuple(
+            (fx * grid_side / 2, fy * grid_side / 2) for fx, fy in cell_fractions
+        ),
+        irs_per_cell=irs_per_cell,
+        irs_radius=irs_radius,
+        eavesdroppers_per_cell=n_eves,
+        eve_radius=irs_radius + 5.0,
+        ue_count=ue_count,
+        distribution_case=case,
+        cluster_size=cluster_size,
+        cluster_spread=cluster_spread,
+        detection_radius=detection_radius,
+    )
+    rng = np.random.default_rng(seed)
+    try:
+        topo = build_network(cfg, rng)
+    except ValueError as exc:
+        event(f"rejected: {_named_field(exc)}")
+        return
+    event("accepted")
+
+    env = ChannelEnvironment(topo, ChannelParams(), 1.0, cfg.detection_radius)
+    for budget in (env._budget_db, env._snr, env._eve_snr):
+        assert np.isfinite(budget).all()
+    assert env._eve_snr.shape == (len(topo.irs_panels), len(topo.eavesdroppers))
+    sim = SimulationConfig(topology=cfg, periods=1, replications=1)
+    out = run_period(env, Agents(env.offsets, env.arms), sim, rng)
+    assert 0.0 <= mean_satisfaction(out) <= 1.0
+    assert np.isin(out.chosen_irs, env.arms).all()

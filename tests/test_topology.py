@@ -11,10 +11,13 @@ from irsbandit.topology import (
     build_network,
     build_topology,
     candidate_irs_set,
+    candidate_slots,
     place_ues,
     serving_cell,
     with_ues,
 )
+
+import reference_model
 
 
 def rng(seed=0):
@@ -238,3 +241,82 @@ def test_candidate_union_is_partition(seed):
     for a in seen:
         for b in seen:
             assert a == b or a.isdisjoint(b)
+
+
+CELL_LAYOUTS = {
+    1: ((0.0, 0.0),),
+    2: ((-50.0, 0.0), (50.0, 0.0)),
+    4: ((-50.0, -50.0), (50.0, -50.0), (-50.0, 50.0), (50.0, 50.0)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=seeds,
+    n_cells=st.sampled_from(sorted(CELL_LAYOUTS)),
+    n_panels=panel_counts,
+    n_eves=st.integers(min_value=0, max_value=3),
+    case=st.sampled_from(list(DistributionCase)),
+    tie_ys=st.lists(
+        st.one_of(st.just(100.0), st.floats(min_value=0.0, max_value=200.0)), max_size=3
+    ),
+    radius_mode=st.sampled_from(["none", "drawn", "panel_distance", "below_all"]),
+    radius=st.floats(min_value=1.0, max_value=80.0),
+)
+def test_candidate_slots_match_scalar_selection(
+    seed, n_cells, n_panels, n_eves, case, tie_ys, radius_mode, radius
+):
+    """candidate_slots reproduces the per-UE scalar selection bit for bit.
+
+    Extra UEs on the line x = 100 sit exactly halfway between cells 0 and
+    1 (and, with four cells, between 2 and 3; at y = 100 between all
+    four), so the serving cell is a tie that must go to the lower index.
+    The detection radius is unset, drawn, exactly one panel's distance
+    (which <= keeps), or below every distance (every ring falls back whole).
+    """
+    cfg = TopologyConfig(
+        small_cell_count=n_cells,
+        small_cell_offsets=CELL_LAYOUTS[n_cells],
+        irs_per_cell=n_panels,
+        eavesdroppers_per_cell=n_eves,
+        ue_count=10,
+        distribution_case=case,
+        cluster_size=5,
+    )
+    topo = build_network(cfg, np.random.default_rng(seed))
+    topo = with_ues(topo, topo.ues + tuple(Position(100.0, y) for y in tie_ys))
+    full = [reference_model.candidate_irs_distances(u, topo) for u in range(len(topo.ues))]
+    detection_radius = {
+        "none": None,
+        "drawn": radius,
+        "panel_distance": full[0][1][int(radius) % n_panels],
+        "below_all": min(min(d) for _, d in full) / 2,
+    }[radius_mode]
+    if radius_mode == "below_all" and detection_radius == 0.0:
+        detection_radius = None  # a UE on a panel: nothing lies below it
+
+    arms, offsets, distances = candidate_slots(topo, detection_radius)
+    assert arms.dtype == offsets.dtype == np.int64
+    assert offsets[0] == 0 and offsets[-1] == len(arms) == len(distances)
+    for u, ue in enumerate(topo.ues):
+        want_arms, want_distances = reference_model.candidate_irs_distances(
+            u, topo, detection_radius
+        )
+        lo, hi = offsets[u], offsets[u + 1]
+        assert arms[lo:hi].tolist() == want_arms
+        assert [d.hex() for d in distances[lo:hi].tolist()] == [
+            d.hex() for d in want_distances
+        ]
+        assert candidate_irs_set(u, topo, detection_radius) == want_arms
+        assert serving_cell(ue, topo) == reference_model.serving_cell(ue, topo)
+
+    for u in range(cfg.ue_count, len(topo.ues)):
+        y = topo.ues[u].y
+        low = 0 if n_cells < 4 or y <= 100.0 else 2
+        assert serving_cell(topo.ues[u], topo) == low
+    if radius_mode == "panel_distance":
+        assert arms[offsets[0] : offsets[1]].tolist().count(
+            full[0][0][int(radius) % n_panels]
+        ) == 1
+    if radius_mode == "below_all" and detection_radius is not None:
+        assert (np.diff(offsets) == n_panels).all()
