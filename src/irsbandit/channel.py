@@ -43,11 +43,8 @@ def path_losses_db(d: np.ndarray, p: ChannelParams) -> np.ndarray:
 
 
 def sample_fading(rng: np.random.Generator) -> float:
-    """One Rayleigh power gain: a strictly positive Exp(1) draw."""
-    g = rng.exponential()
-    while g == 0.0:  # zero has measure zero but is representable
-        g = rng.exponential()
-    return float(g)
+    """One Rayleigh power gain: a positive Exp(1) draw from a size-1 fading block."""
+    return float(_fading_matrix(rng, (1,))[0])
 
 
 def _fading_matrix(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
@@ -32,7 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--out", help="override the output trace path")
     parser.add_argument(
-        "--format", choices=["csv", "json"], help="override the output format"
+        "--format",
+        choices=[f.value for f in OutputFormat],
+        help="override the output format",
     )
     parser.add_argument("--seed", type=int, help="override base_seed")
     parser.add_argument(
@@ -54,24 +55,17 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
 
+    overrides = {
+        "experiment": {
+            "base_seed": args.seed,
+            "replications": args.replications,
+            "periods": args.periods,
+        },
+        "output": {"path": args.out, "format": args.format},
+    }
     try:
-        spec = parse_config(text)
-        overrides = {}
-        if args.seed is not None:
-            overrides["base_seed"] = args.seed
-        if args.replications is not None:
-            overrides["replications"] = args.replications
-        if args.periods is not None:
-            overrides["periods"] = args.periods
-        if overrides:
-            spec = dataclasses.replace(
-                spec, base=dataclasses.replace(spec.base, **overrides)
-            )
-        if args.out is not None:
-            spec = dataclasses.replace(spec, output_path=args.out)
-        if args.format is not None:
-            spec = dataclasses.replace(spec, format=OutputFormat(args.format))
-    except (ConfigError, ValueError) as exc:
+        spec = parse_config(text, overrides)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

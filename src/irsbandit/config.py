@@ -146,15 +146,17 @@ class SimulationConfig:
     topology: TopologyConfig = TopologyConfig()
     channel: ChannelParams = ChannelParams()
     policy: PolicyConfig = PolicyConfig()
-    rate_threshold: float = 1.0
+    base_seed: int = 12345
     periods: int = 100
     replications: int = 100
-    base_seed: int = 12345
+    rate_threshold: float = 1.0
     channel_budget: int = 10_000
     enforce_channel_budget: bool = True
 
     def __post_init__(self):
         _require_finite(self)
+        if self.base_seed < 0:
+            raise ValueError("base_seed: must be non-negative")
         if self.rate_threshold <= 0:
             raise ValueError("rate_threshold: must be positive")
         if self.periods < 1:

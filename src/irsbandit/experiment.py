@@ -1,8 +1,10 @@
 """Experiment runner: config parsing, scenario sweeps, trace emission.
 
 The config file is flat sectioned key=value text (or the same schema as a
-JSON object); every key is optional and falls back to the documented
-default. Sweeps run the Cartesian product policies x cases x phis x omegas,
+JSON object); every key is optional and falls back to its default. The
+keys, their types and their defaults come from the config dataclasses: each
+section is one dataclass and each key one of its fields, so a new field is a
+new key. Sweeps run the Cartesian product policies x cases x phis x omegas,
 every cell with the same seed range, and emit one plot-ready trace file
 plus a machine-readable summary.
 """
@@ -37,6 +39,8 @@ CSV_HEADER = (
     "mean_satisfaction,ci95_halfwidth,mean_secrecy_rate"
 )
 
+_AXES = ("policies", "cases", "phis", "omegas")
+
 
 class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending key."""
@@ -66,9 +70,22 @@ class ExperimentSpec:
     format: OutputFormat = OutputFormat.CSV
 
     def __post_init__(self):
-        for axis in ("policies", "cases", "phis", "omegas"):
+        for axis in _AXES:
             if not getattr(self, axis):
                 raise ConfigError(f"sweep.{axis}: must be non-empty")
+        if not all(0.0 <= w <= 1.0 for w in self.omegas):
+            raise ConfigError("sweep.omegas: every value must be within [0, 1]")
+        if not all(f >= 1 for f in self.phis):
+            raise ConfigError("sweep.phis: every value must be at least 1")
+        topo = self.base.topology
+        clustered = DistributionCase.CLUSTERED in self.cases
+        if clustered and topo.ue_count % topo.cluster_size:
+            raise ConfigError(
+                "topology.ue_count: must be a multiple of topology.cluster_size "
+                "for the clustered case"
+            )
+        if not self.output_path:
+            raise ConfigError("output.path: must be non-empty")
 
     def sweep_cells(self):
         """Deterministic cell order: policies, cases, phis, omegas."""
@@ -187,49 +204,63 @@ def _each(item_convert):
     return convert
 
 
-_SCHEMA = {
-    "experiment": {
-        "base_seed": _to_int,
-        "periods": _to_int,
-        "replications": _to_int,
-        "rate_threshold": _to_float,
-        "channel_budget": _to_int,
-        "enforce_channel_budget": _to_bool,
-    },
-    "topology": {
-        "grid_side": _to_float,
-        "small_cell_count": _to_int,
-        "small_cell_offsets": _to_offsets,
-        "irs_per_cell": _to_int,
-        "irs_radius": _to_float,
-        "eavesdroppers_per_cell": _to_int,
-        "eve_radius": _to_float,
-        "ue_count": _to_int,
-        "cluster_size": _to_int,
-        "cluster_spread": _to_float,
-        "detection_radius": _to_optional_float,
-    },
-    "channel": {
-        "pathloss_exponent": _to_float,
-        "ref_loss_db": _to_float,
-        "irs_gain_db": _to_float,
-        "tx_power_db": _to_float,
-        "noise_power_db": _to_float,
-    },
-    "policy": {
-        "omega": _to_float,
-        "phi": _to_int,
-    },
-    "sweep": {
-        "policies": _each(_to_enum(PolicyKind)),
-        "cases": _each(_to_enum(DistributionCase)),
-        "phis": _each(_to_int),
-        "omegas": _each(_to_float),
-    },
-    "output": {
-        "path": str,
-        "format": _to_enum(OutputFormat),
-    },
+def _joined(item_text):
+    def text(values):
+        return ", ".join(item_text(v) for v in values)
+
+    return text
+
+
+def _value(member):
+    return member.value
+
+
+# Field annotation (a string under postponed evaluation) -> (text -> value,
+# value -> text). The second writes default_config_text.
+_TYPES = {
+    "int": (_to_int, str),
+    "float": (_to_float, str),
+    "bool": (_to_bool, lambda v: str(v).lower()),
+    "float | None": (_to_optional_float, lambda v: "none" if v is None else str(v)),
+    "str": (str, str),
+    "OutputFormat": (_to_enum(OutputFormat), _value),
+    "tuple[tuple[float, float], ...]": (
+        _to_offsets,
+        _joined(lambda xy: f"{xy[0]:g} {xy[1]:g}"),
+    ),
+    "tuple[PolicyKind, ...]": (_each(_to_enum(PolicyKind)), _joined(_value)),
+    "tuple[DistributionCase, ...]": (
+        _each(_to_enum(DistributionCase)),
+        _joined(_value),
+    ),
+    "tuple[int, ...]": (_each(_to_int), _joined(str)),
+    "tuple[float, ...]": (_each(_to_float), _joined(str)),
+}
+
+# Fields no key sets: the nested sections, and the axes every sweep cell sets.
+_NOT_KEYS = ("topology", "channel", "policy", "distribution_case", "kind")
+
+
+def _keys(cls, names=None) -> dict:
+    """Config key -> field of cls; names maps key -> field name."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    if names is None:
+        names = {name: name for name in fields if name not in _NOT_KEYS}
+    return {key: fields[name] for key, name in names.items()}
+
+
+# section -> (dataclass, key -> field), in the order default_config_text
+# writes them.
+_SECTIONS = {
+    "experiment": (SimulationConfig, _keys(SimulationConfig)),
+    "topology": (TopologyConfig, _keys(TopologyConfig)),
+    "channel": (ChannelParams, _keys(ChannelParams)),
+    "policy": (PolicyConfig, _keys(PolicyConfig)),
+    "sweep": (ExperimentSpec, _keys(ExperimentSpec, {a: a for a in _AXES})),
+    "output": (
+        ExperimentSpec,
+        _keys(ExperimentSpec, {"path": "output_path", "format": "format"}),
+    ),
 }
 
 
@@ -276,184 +307,58 @@ def _build(section: str, cls, **fields):
         raise ConfigError(f"{section}.{exc}") from None
 
 
-def parse_config(text: str) -> ExperimentSpec:
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentSpec:
     """Validate config text and fill every omitted key with its default.
 
-    Raises ConfigError naming the exact offending key on unknown keys,
-    type mismatches, and invariant violations.
+    overrides ({section: {key: value}}, None for an unset value) replace
+    the text's values before they are checked, so they are validated and
+    named like the text's own. Raises ConfigError naming the exact
+    offending key on unknown keys, type mismatches, and invariant
+    violations.
     """
     sections = _parse_sections(text)
+    for section, keys in (overrides or {}).items():
+        set_keys = {key: value for key, value in keys.items() if value is not None}
+        sections.setdefault(section, {}).update(set_keys)
 
-    values: dict = {}
+    values: dict = {section: {} for section in _SECTIONS}
     for section, keys in sections.items():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section: {section}")
-        values[section] = {}
+        fields = _SECTIONS[section][1]
         for key, raw in keys.items():
-            if key not in _SCHEMA[section]:
+            if key not in fields:
                 raise ConfigError(f"unknown key: {section}.{key}")
+            field = fields[key]
             try:
-                values[section][key] = _SCHEMA[section][key](raw)
+                values[section][field.name] = _TYPES[field.type][0](raw)
             except ValueError as exc:
                 raise ConfigError(f"{section}.{key}: {exc}") from None
 
-    def pick(section, key, default):
-        return values.get(section, {}).get(key, default)
-
-    for w in pick("sweep", "omegas", (0.1,)):
-        if not 0.0 <= w <= 1.0:
-            raise ConfigError("sweep.omegas: every value must be within [0, 1]")
-    for f in pick("sweep", "phis", (1, 2, 4)):
-        if f < 1:
-            raise ConfigError("sweep.phis: every value must be at least 1")
-
-    defaults_topo = TopologyConfig()
-    topo = _build(
-        "topology",
-        TopologyConfig,
-        grid_side=pick("topology", "grid_side", defaults_topo.grid_side),
-        small_cell_count=pick(
-            "topology", "small_cell_count", defaults_topo.small_cell_count
-        ),
-        small_cell_offsets=pick(
-            "topology", "small_cell_offsets", defaults_topo.small_cell_offsets
-        ),
-        irs_per_cell=pick("topology", "irs_per_cell", defaults_topo.irs_per_cell),
-        irs_radius=pick("topology", "irs_radius", defaults_topo.irs_radius),
-        eavesdroppers_per_cell=pick(
-            "topology",
-            "eavesdroppers_per_cell",
-            defaults_topo.eavesdroppers_per_cell,
-        ),
-        eve_radius=pick("topology", "eve_radius", defaults_topo.eve_radius),
-        ue_count=pick("topology", "ue_count", defaults_topo.ue_count),
-        cluster_size=pick("topology", "cluster_size", defaults_topo.cluster_size),
-        cluster_spread=pick(
-            "topology", "cluster_spread", defaults_topo.cluster_spread
-        ),
-        detection_radius=pick(
-            "topology", "detection_radius", defaults_topo.detection_radius
-        ),
-    )
-
-    defaults_chan = ChannelParams()
-    chan = _build(
-        "channel",
-        ChannelParams,
-        pathloss_exponent=pick(
-            "channel", "pathloss_exponent", defaults_chan.pathloss_exponent
-        ),
-        ref_loss_db=pick("channel", "ref_loss_db", defaults_chan.ref_loss_db),
-        irs_gain_db=pick("channel", "irs_gain_db", defaults_chan.irs_gain_db),
-        tx_power_db=pick("channel", "tx_power_db", defaults_chan.tx_power_db),
-        noise_power_db=pick(
-            "channel", "noise_power_db", defaults_chan.noise_power_db
-        ),
-    )
-    defaults_policy = PolicyConfig()
-    policy = _build(
-        "policy",
-        PolicyConfig,
-        omega=pick("policy", "omega", defaults_policy.omega),
-        phi=pick("policy", "phi", defaults_policy.phi),
-    )
-
-    defaults_sim = SimulationConfig()
-    cases = pick("sweep", "cases", ExperimentSpec().cases)
-    ue_count = topo.ue_count
-    if DistributionCase.CLUSTERED in cases and ue_count % topo.cluster_size != 0:
-        raise ConfigError(
-            "topology.ue_count: must be a multiple of topology.cluster_size "
-            "for the clustered case"
-        )
-
-    base = _build(
-        "experiment",
-        SimulationConfig,
-        topology=topo,
-        channel=chan,
-        policy=policy,
-        rate_threshold=pick(
-            "experiment", "rate_threshold", defaults_sim.rate_threshold
-        ),
-        periods=pick("experiment", "periods", defaults_sim.periods),
-        replications=pick(
-            "experiment", "replications", defaults_sim.replications
-        ),
-        base_seed=pick("experiment", "base_seed", defaults_sim.base_seed),
-        channel_budget=pick(
-            "experiment", "channel_budget", defaults_sim.channel_budget
-        ),
-        enforce_channel_budget=pick(
-            "experiment",
-            "enforce_channel_budget",
-            defaults_sim.enforce_channel_budget,
-        ),
-    )
-
-    spec_defaults = ExperimentSpec()
+    nested = {
+        section: _build(section, _SECTIONS[section][0], **values[section])
+        for section in ("topology", "channel", "policy")
+    }
     return ExperimentSpec(
-        base=base,
-        policies=pick("sweep", "policies", spec_defaults.policies),
-        cases=cases,
-        phis=pick("sweep", "phis", spec_defaults.phis),
-        omegas=pick("sweep", "omegas", spec_defaults.omegas),
-        output_path=pick("output", "path", spec_defaults.output_path),
-        format=pick("output", "format", spec_defaults.format),
+        base=_build("experiment", SimulationConfig, **values["experiment"], **nested),
+        **values["sweep"],
+        **values["output"],
     )
 
 
 def default_config_text() -> str:
-    """The documented schema with every default spelled out."""
-    topo = TopologyConfig()
-    chan = ChannelParams()
-    sim = SimulationConfig()
-    spec = ExperimentSpec()
-    offsets = ", ".join(f"{x:g} {y:g}" for x, y in topo.small_cell_offsets)
-    return f"""\
-# experiment protocol
-[experiment]
-base_seed = {sim.base_seed}
-periods = {sim.periods}
-replications = {sim.replications}
-rate_threshold = {sim.rate_threshold}
-channel_budget = {sim.channel_budget}
-enforce_channel_budget = {str(sim.enforce_channel_budget).lower()}
-
-[topology]
-grid_side = {topo.grid_side}
-small_cell_count = {topo.small_cell_count}
-small_cell_offsets = {offsets}
-irs_per_cell = {topo.irs_per_cell}
-irs_radius = {topo.irs_radius}
-eavesdroppers_per_cell = {topo.eavesdroppers_per_cell}
-eve_radius = {topo.eve_radius}
-ue_count = {topo.ue_count}
-cluster_size = {topo.cluster_size}
-cluster_spread = {topo.cluster_spread}
-detection_radius = none
-
-[channel]
-pathloss_exponent = {chan.pathloss_exponent}
-ref_loss_db = {chan.ref_loss_db}
-irs_gain_db = {chan.irs_gain_db}
-tx_power_db = {chan.tx_power_db}
-noise_power_db = {chan.noise_power_db}
-
-[policy]
-omega = {PolicyConfig().omega}
-phi = {PolicyConfig().phi}
-
-[sweep]
-policies = {", ".join(p.value for p in spec.policies)}
-cases = {", ".join(c.value for c in spec.cases)}
-phis = {", ".join(str(f) for f in spec.phis)}
-omegas = {", ".join(f"{w:g}" for w in spec.omegas)}
-
-[output]
-path = {spec.output_path}
-format = {spec.format.value}
-"""
+    """Every key with its default, in field order, as parse_config reads it."""
+    blocks = [
+        "\n".join(
+            [f"[{section}]"]
+            + [
+                f"{key} = {_TYPES[field.type][1](field.default)}"
+                for key, field in keys.items()
+            ]
+        )
+        for section, (_, keys) in _SECTIONS.items()
+    ]
+    return "# experiment protocol\n" + "\n\n".join(blocks) + "\n"
 
 
 # ---------------------------------------------------------------------------

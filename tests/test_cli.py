@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from irsbandit.cli import main
 
 CONFIG = """
@@ -43,6 +45,29 @@ def test_validation_error_exits_nonzero(tmp_path, capsys):
     cfg = write_config(tmp_path, text="[policy]\nomega = 1.5\n")
     assert main(["--config", str(cfg)]) == 1
     assert "policy.omega" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, flags, key",
+    [
+        ("base_seed = -1\n", [], "experiment.base_seed"),
+        (None, ["--seed", "-1"], "experiment.base_seed"),
+        (None, ["--periods", "0"], "experiment.periods"),
+        (
+            None,
+            ["--periods", "100", "--replications", "200"],
+            "experiment.channel_budget",
+        ),
+        (None, ["--out", ""], "output.path"),
+    ],
+    ids=["config-seed", "seed", "periods", "replications", "out"],
+)
+def test_invalid_value_exits_nonzero_naming_section_and_key(
+    tmp_path, capsys, text, flags, key
+):
+    cfg = write_config(tmp_path, text=text)
+    assert main(["--config", str(cfg), *flags]) == 1
+    assert f"error: {key}: " in capsys.readouterr().err
 
 
 def test_flag_overrides_apply(tmp_path):

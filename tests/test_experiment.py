@@ -1,11 +1,18 @@
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from irsbandit import experiment
-from irsbandit.config import DistributionCase, PolicyConfig, PolicyKind, SimulationConfig
+from irsbandit.config import (
+    DistributionCase,
+    PolicyConfig,
+    PolicyKind,
+    SimulationConfig,
+    TopologyConfig,
+)
 from irsbandit.engine import run_monte_carlo
 from irsbandit.experiment import (
     CSV_HEADER,
@@ -37,6 +44,34 @@ format = {format}
 """
 
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def config_keys(text):
+    """(section, key) of every `key = value` line, comments stripped, in order."""
+    section = "experiment"
+    keys = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif "=" in line:
+            keys.append((section, line.split("=", 1)[0].strip()))
+    return keys
+
+
+DEFAULT_KEYS = config_keys(default_config_text())
+
+# "" is malformed for every key; "?" for every key but output.path, where any
+# non-empty text is a path.
+MALFORMED = [
+    (section, key, value)
+    for section, key in DEFAULT_KEYS
+    for value in ("", "?")
+    if (section, key, value) != ("output", "path", "?")
+]
+
+
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self):
         spec = parse_config("base_seed = 99\n")
@@ -53,6 +88,60 @@ class TestParseConfig:
 
     def test_default_text_round_trips(self):
         assert parse_config(default_config_text()) == ExperimentSpec()
+
+    @pytest.mark.parametrize("section, key, value", MALFORMED)
+    def test_malformed_value_names_its_key(self, section, key, value):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"[{section}]\n{key} = {value}\n")
+        assert str(exc.value).startswith(f"{section}.{key}: ")
+
+    def test_default_sections_as_json_parse_to_defaults(self):
+        sections = {
+            "experiment": {
+                "base_seed": 12345,
+                "periods": 100,
+                "replications": 100,
+                "rate_threshold": 1.0,
+                "channel_budget": 10000,
+                "enforce_channel_budget": True,
+            },
+            "topology": {
+                "grid_side": 200.0,
+                "small_cell_count": 2,
+                "small_cell_offsets": [[-50, 0], [50, 0]],
+                "irs_per_cell": 8,
+                "irs_radius": 20.0,
+                "eavesdroppers_per_cell": 2,
+                "eve_radius": 25.0,
+                "ue_count": 20,
+                "cluster_size": 10,
+                "cluster_spread": 35.0,
+                "detection_radius": None,
+            },
+            "channel": {
+                "pathloss_exponent": 2.2,
+                "ref_loss_db": 0.0,
+                "irs_gain_db": 61.0,
+                "tx_power_db": 5.0,
+                "noise_power_db": 0.0,
+            },
+            "policy": {"omega": 0.1, "phi": 2},
+            "sweep": {
+                "policies": ["cb", "greedy"],
+                "cases": ["random", "clustered"],
+                "phis": [1, 2, 4],
+                "omegas": [0.1],
+            },
+            "output": {"path": "traces.csv", "format": "csv"},
+        }
+        assert [(s, k) for s, keys in sections.items() for k in keys] == DEFAULT_KEYS
+        assert parse_config(json.dumps(sections)) == ExperimentSpec()
+
+    def test_readme_config_block_matches_default_text(self):
+        readme = README.read_text(encoding="utf-8")
+        block = readme.split("## Config file", 1)[1].split("```")[1]
+        assert config_keys(block) == DEFAULT_KEYS
+        assert parse_config(block) == ExperimentSpec()
 
     def test_omega_bound_error_names_key(self):
         with pytest.raises(ConfigError, match=r"policy\.omega.*\[0, 1\]"):
@@ -126,6 +215,25 @@ class TestParseConfig:
     def test_non_finite_float_rejected_and_named(self, section, key, value):
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: must be finite"):
             parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        ({"phis": (1, 0)}, "sweep.phis"),
+        ({"omegas": (1.5,)}, "sweep.omegas"),
+        ({"omegas": (float("nan"),)}, "sweep.omegas"),
+        (
+            {"base": SimulationConfig(topology=TopologyConfig(ue_count=25))},
+            "topology.ue_count",
+        ),
+        ({"output_path": ""}, "output.path"),
+    ],
+    ids=["phis", "omegas", "omegas-nan", "clustered-ue-count", "output-path"],
+)
+def test_experiment_spec_rejects_invalid_sweep_at_construction(changes, key):
+    with pytest.raises(ConfigError, match=rf"^{key}: "):
+        ExperimentSpec(**changes)
 
 
 def tiny_trace(periods=5, replications=2, seed=42, kind=PolicyKind.CONTEXTUAL_BANDIT):
