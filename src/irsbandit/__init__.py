@@ -32,12 +32,9 @@ from .experiment import (
 )
 from .topology import (
     NetworkTopology,
-    Position,
     build_network,
     build_topology,
-    candidate_irs_set,
     place_ues,
-    serving_cell,
 )
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "PeriodOutcome",
     "PolicyConfig",
     "PolicyKind",
-    "Position",
     "ReplicationResult",
     "RunSummary",
     "SatisfactionTrace",
@@ -60,7 +56,6 @@ __all__ = [
     "TopologyConfig",
     "build_network",
     "build_topology",
-    "candidate_irs_set",
     "default_config_text",
     "emit_trace",
     "mean_satisfaction",
@@ -70,7 +65,6 @@ __all__ = [
     "run_monte_carlo",
     "run_period",
     "run_replication",
-    "serving_cell",
 ]
 
 __version__ = "0.1.0"

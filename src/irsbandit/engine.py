@@ -109,12 +109,11 @@ class ChannelEnvironment:
     lengths into budgets in dB and linear pre-fading SNRs, for every (UE,
     candidate panel) slot and every (panel, eavesdropper) pair.
     initial_signal and outcomes then combine those lookups with the period's
-    fading gains, gathered for every UE at once, in the order
-    channel.rssi_db and channel.cascaded_snr use. Only exactly rounded
+    fading gains, gathered for every UE at once. Only exactly rounded
     operations run as numpy ufuncs; hypot, logarithms and powers are taken
     element by element from math (topology.elementwise), so every result
-    matches the scalar functions of the channel module bit for bit. The
-    constructor draws nothing, so the determinism contract is unchanged.
+    matches the one-link formulas evaluated in Python floats bit for bit.
+    The constructor draws nothing, so the determinism contract is unchanged.
 
     Slots are the agents' flat layout: UE u's k-th candidate sits at slot
     offsets[u] + k, and arms[s] is the global panel index of slot s.
@@ -132,14 +131,14 @@ class ChannelEnvironment:
         self.topo = topo
         self.params = params
         self.rate_threshold = rate_threshold
-        self.n_agents = len(topo.ues)
+        self.n_agents = len(topo.ue_xy)
         self.arms, self.offsets, d_rx = candidate_slots(topo, detection_radius)
         d_feed = distances(topo.cell_xy[topo.panel_cell], topo.panel_xy)
         self._budget_db = channel.budgets_db(d_feed, self.arms, d_rx, params)
         self._snr = channel.snr_factors(self._budget_db, params)
         self._ues = np.arange(self.n_agents)
         d_eve = distances(topo.panel_xy[:, None], topo.eve_xy)
-        panels = np.arange(len(topo.irs_panels))[:, None]
+        panels = np.arange(len(topo.panel_xy))[:, None]
         self._eve_snr = channel.snr_factors(
             channel.budgets_db(d_feed, panels, d_eve, params), params
         )

@@ -73,10 +73,13 @@ class ExperimentSpec:
         for axis in _AXES:
             if not getattr(self, axis):
                 raise ConfigError(f"sweep.{axis}: must be non-empty")
-        if not all(0.0 <= w <= 1.0 for w in self.omegas):
-            raise ConfigError("sweep.omegas: every value must be within [0, 1]")
-        if not all(f >= 1 for f in self.phis):
-            raise ConfigError("sweep.phis: every value must be at least 1")
+        for axis, name in (("omegas", "omega"), ("phis", "phi")):
+            for value in getattr(self, axis):
+                try:
+                    PolicyConfig(**{name: value})
+                except ValueError as exc:  # "omega: must be ...": keep the message
+                    message = str(exc).partition(": ")[2]
+                    raise ConfigError(f"sweep.{axis}: {message}") from None
         topo = self.base.topology
         clustered = DistributionCase.CLUSTERED in self.cases
         if clustered and topo.ue_count % topo.cluster_size:
@@ -143,6 +146,12 @@ def _to_float(raw):
         return float(str(raw).strip())
     except ValueError:
         raise ValueError(f"expected a number, got {raw!r}") from None
+
+
+def _to_str(raw):
+    if not isinstance(raw, str):
+        raise ValueError(f"expected a string, got {raw!r}")
+    return raw
 
 
 def _to_bool(raw):
@@ -222,7 +231,7 @@ _TYPES = {
     "float": (_to_float, str),
     "bool": (_to_bool, lambda v: str(v).lower()),
     "float | None": (_to_optional_float, lambda v: "none" if v is None else str(v)),
-    "str": (str, str),
+    "str": (_to_str, str),
     "OutputFormat": (_to_enum(OutputFormat), _value),
     "tuple[tuple[float, float], ...]": (
         _to_offsets,

@@ -1,30 +1,129 @@
-"""Scalar reference model of the candidate sets, the policy and one replication.
+"""Scalar reference model of the layout, the link formulas, the candidate
+sets, the policy and one replication.
 
-The engine selects every UE's candidate panels in one array pass, keeps
-every agent's state in flat arrays and applies each rule to all agents at
-once. This module states the same rules one UE at a time, in plain Python,
-as the simulator first implemented them: the serving cell and candidate
-set, the per-agent state, the warm start, the re-association decision and
-the reward update. Its replication loops evaluate each agent's link with
-the scalar functions of the channel module and draw from the Generator in
-agent order. Tests run them next to the engine and compare every output
-bit for bit.
+The simulator works on whole arrays: (N, 2) positions, array link budgets
+and flat agent state. This module states the same rules one point, one
+link and one UE at a time, in plain Python floats, as the simulator first
+implemented them. Its replication loops evaluate each agent's link with
+these formulas and draw from the Generator in agent order. Tests run them
+next to the simulator and compare every output bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from irsbandit import channel
-from irsbandit.config import PolicyConfig, PolicyKind, SimulationConfig
+from irsbandit.channel import MIN_PATH_DISTANCE_M
+from irsbandit.config import ChannelParams, PolicyConfig, PolicyKind, SimulationConfig
 from irsbandit.topology import build_network
 
 
+def distance(a, b) -> float:
+    """Distance between two (x, y) points, in meters."""
+    return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def _on_circle(center, radius: float, angle: float):
+    return (center[0] + radius * math.cos(angle), center[1] + radius * math.sin(angle))
+
+
+def scalar_layout(cfg, rng):
+    """build_topology's cells, (cell, panel) pairs and eavesdroppers as (x, y) points.
+
+    Point by point and cell-major; each cell draws its eavesdropper angles
+    with one rng.uniform call.
+    """
+    center = cfg.grid_side / 2.0
+    cells = [(center + dx, center + dy) for dx, dy in cfg.small_cell_offsets]
+    n = cfg.irs_per_cell
+    panels = [
+        (ci, _on_circle(cell, cfg.irs_radius, 2.0 * math.pi * k / n))
+        for ci, cell in enumerate(cells)
+        for k in range(n)
+    ]
+    eves = [
+        _on_circle(cell, cfg.eve_radius, angle)
+        for cell in cells
+        for angle in rng.uniform(0.0, 2.0 * math.pi, size=cfg.eavesdroppers_per_cell)
+    ]
+    return cells, panels, eves
+
+
+def path_loss_db(d: float, n: float, ref_loss_db: float) -> float:
+    """Log-distance path loss: ref_loss_db + 10 * n * log10(d), d >= 1 m.
+
+    Distances below 1 m are clamped to the reference distance.
+    """
+    d = max(d, MIN_PATH_DISTANCE_M)
+    return ref_loss_db + 10.0 * n * math.log10(d)
+
+
+def feed_db(d_bs_irs: float, p: ChannelParams) -> float:
+    """Budget up to a panel, in dB: tx power plus panel gain minus the BS -> IRS loss.
+
+    It is the same for every receiver behind the panel.
+    """
+    pl_bs = path_loss_db(d_bs_irs, p.pathloss_exponent, p.ref_loss_db)
+    return p.tx_power_db + p.irs_gain_db - pl_bs
+
+
+def budget_db(feed: float, d_irs_rx: float, p: ChannelParams) -> float:
+    """Two-hop budget, in dB: a panel's feed_db minus the IRS -> receiver loss."""
+    return feed - path_loss_db(d_irs_rx, p.pathloss_exponent, p.ref_loss_db)
+
+
+def _cascade_budget_db(bs, irs, receiver, p: ChannelParams) -> float:
+    """Deterministic part of the two-hop budget between (x, y) points, in dB."""
+    return budget_db(feed_db(distance(bs, irs), p), distance(irs, receiver), p)
+
+
+def snr_factor(budget: float, p: ChannelParams) -> float:
+    """Pre-fading linear SNR of a two-hop budget in dB: 10^((budget - noise)/10).
+
+    cascaded_snr is this factor times the two fading gains.
+    """
+    return 10.0 ** ((budget - p.noise_power_db) / 10.0)
+
+
+def cascaded_snr(bs, irs, ue, g_bs_irs: float, g_irs_ue: float, p: ChannelParams) -> float:
+    """Linear SNR of the passive two-hop cascade through one panel.
+
+    10^((tx + irs_gain - PL(bs,irs) - PL(irs,ue) - noise)/10) * g1 * g2:
+    the fading gains multiply because the panel is passive.
+    """
+    return snr_factor(_cascade_budget_db(bs, irs, ue, p), p) * g_bs_irs * g_irs_ue
+
+
+def achievable_rate(snr: float) -> float:
+    """Shannon rate at unit bandwidth: log2(1 + snr)."""
+    if snr < 0:
+        raise ValueError("snr must be non-negative")
+    return math.log2(1.0 + snr)
+
+
+def rssi_db(bs, irs, ue, g_bs_irs: float, g_irs_ue: float, p: ChannelParams) -> float:
+    """Received signal strength through one panel, in dB (no noise term)."""
+    return _cascade_budget_db(bs, irs, ue, p) + 10.0 * math.log10(g_bs_irs * g_irs_ue)
+
+
+def secrecy_rate(r_main: float, r_eve: float) -> float:
+    """Nonnegative rate margin of the legitimate link over the eavesdropper.
+
+    With several eavesdroppers, pass the largest of their rates: they
+    decode independently, so the strongest one bounds the leak.
+    """
+    if r_main < 0 or r_eve < 0:
+        raise ValueError("rates must be non-negative")
+    return max(0.0, r_main - r_eve)
+
+
 def serving_cell(ue, topo) -> int:
-    """Index of the nearest small cell; ties go to the lowest index."""
-    distances = [ue.distance_to(cell) for cell in topo.small_cells]
+    """Index of the small cell nearest the (x, y) point ue; ties go to the lowest index."""
+    distances = [distance(ue, cell) for cell in topo.cell_xy.tolist()]
     return distances.index(min(distances))
 
 
@@ -36,10 +135,10 @@ def candidate_irs_distances(
     The serving cell's ring, less the panels farther than detection_radius
     when it is set; the full ring when that would leave none.
     """
-    ue = topo.ues[u]
+    ue = topo.ue_xy[u].tolist()
     cell = serving_cell(ue, topo)
-    ring = [i for i, (ci, _) in enumerate(topo.irs_panels) if ci == cell]
-    distances = [topo.irs_position(i).distance_to(ue) for i in ring]
+    ring = [i for i, ci in enumerate(topo.panel_cell.tolist()) if ci == cell]
+    distances = [distance(topo.panel_xy[i].tolist(), ue) for i in ring]
     if detection_radius is not None:
         near = [k for k, d in enumerate(distances) if d <= detection_radius]
         if near:
@@ -133,36 +232,33 @@ class ReferenceRun:
     agents: list
 
 
+def _points(topo, u, arm):
+    """Serving small cell, panel and UE of UE u's link through panel arm, as (x, y) points."""
+    bs = topo.cell_xy[topo.panel_cell[arm]].tolist()
+    return bs, topo.panel_xy[arm].tolist(), topo.ue_xy[u].tolist()
+
+
 def _rssi(topo, params, u, arm, real) -> float:
     """Warm-start RSSI of UE u through panel arm, from the scalar formula."""
-    return channel.rssi_db(
-        topo.small_cells[topo.irs_cell(arm)],
-        topo.irs_position(arm),
-        topo.ues[u],
-        float(real.g_bs_irs[arm]),
-        float(real.g_irs_ue[arm, u]),
-        params,
+    bs, irs, ue = _points(topo, u, arm)
+    return rssi_db(
+        bs, irs, ue, float(real.g_bs_irs[arm]), float(real.g_irs_ue[arm, u]), params
     )
 
 
 def _link(topo, params, u, arm, real):
     """Rate and secrecy of UE u through panel arm, from the scalar formulas."""
-    bs = topo.small_cells[topo.irs_cell(arm)]
-    irs = topo.irs_position(arm)
+    bs, irs, ue = _points(topo, u, arm)
     g1 = float(real.g_bs_irs[arm])
-    rate = channel.achievable_rate(
-        channel.cascaded_snr(bs, irs, topo.ues[u], g1, float(real.g_irs_ue[arm, u]), params)
-    )
+    rate = achievable_rate(cascaded_snr(bs, irs, ue, g1, float(real.g_irs_ue[arm, u]), params))
     r_eve = max(
         (
-            channel.achievable_rate(
-                channel.cascaded_snr(bs, irs, eve, g1, float(real.g_irs_eve[arm, e]), params)
-            )
-            for e, eve in enumerate(topo.eavesdroppers)
+            achievable_rate(cascaded_snr(bs, irs, eve, g1, float(g2), params))
+            for eve, g2 in zip(topo.eve_xy.tolist(), real.g_irs_eve[arm])
         ),
         default=0.0,
     )
-    return rate, channel.secrecy_rate(rate, r_eve)
+    return rate, secrecy_rate(rate, r_eve)
 
 
 def channel_replication(cfg: SimulationConfig, seed: int) -> ReferenceRun:
@@ -172,7 +268,7 @@ def channel_replication(cfg: SimulationConfig, seed: int) -> ReferenceRun:
     radius = cfg.topology.detection_radius
     agents = [
         AgentState(tuple(candidate_irs_distances(u, topo, radius)[0]))
-        for u in range(len(topo.ues))
+        for u in range(len(topo.ue_xy))
     ]
     run = _empty_run(cfg.periods, agents)
     for t in range(cfg.periods):

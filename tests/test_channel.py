@@ -7,25 +7,27 @@ from hypothesis import strategies as st
 
 from irsbandit.channel import (
     ChannelRealization,
-    achievable_rate,
-    budget_db,
     budgets_db,
-    cascaded_snr,
     draw_realization,
-    feed_db,
-    path_loss_db,
     path_losses_db,
-    rssi_db,
     sample_fading,
-    secrecy_rate,
-    snr_factor,
     snr_factors,
 )
 from irsbandit.config import ChannelParams, TopologyConfig
-from irsbandit.topology import Position, build_network
+from irsbandit.topology import build_network
+from reference_model import (
+    achievable_rate,
+    budget_db,
+    cascaded_snr,
+    feed_db,
+    path_loss_db,
+    rssi_db,
+    secrecy_rate,
+    snr_factor,
+)
 
 
-P0 = Position(0.0, 0.0)
+P0 = (0.0, 0.0)
 
 
 class TestPathLoss:
@@ -134,21 +136,21 @@ class TestAchievableRate:
 class TestRssi:
     def setup_method(self):
         self.p = ChannelParams()
-        self.bs = Position(50.0, 100.0)
-        self.ue = Position(80.0, 100.0)
+        self.bs = (50.0, 100.0)
+        self.ue = (80.0, 100.0)
 
     def test_equal_geometry_equal_fading_same_rssi(self):
-        a = Position(50.0, 120.0)
-        b = Position(50.0, 80.0)  # mirrored panel, same distances
+        a = (50.0, 120.0)
+        b = (50.0, 80.0)  # mirrored panel, same distances
         assert math.isclose(
-            rssi_db(self.bs, a, Position(50.0, 140.0), 0.7, 1.3, self.p),
-            rssi_db(self.bs, b, Position(50.0, 60.0), 0.7, 1.3, self.p),
+            rssi_db(self.bs, a, (50.0, 140.0), 0.7, 1.3, self.p),
+            rssi_db(self.bs, b, (50.0, 60.0), 0.7, 1.3, self.p),
             abs_tol=1e-12,
         )
 
     def test_closer_panel_wins_at_equal_fading(self):
-        near = Position(70.0, 100.0)
-        far = Position(30.0, 100.0)
+        near = (70.0, 100.0)
+        far = (30.0, 100.0)
         assert rssi_db(self.bs, near, self.ue, 1.0, 1.0, self.p) > rssi_db(
             self.bs, far, self.ue, 1.0, 1.0, self.p
         )
@@ -207,7 +209,7 @@ class TestRealization:
 
     def test_pure_functions_no_hidden_state(self):
         p = ChannelParams()
-        args = (Position(0, 0), Position(3, 4), Position(6, 8), 0.5, 2.0, p)
+        args = ((0, 0), (3, 4), (6, 8), 0.5, 2.0, p)
         assert cascaded_snr(*args) == cascaded_snr(*args)
         assert rssi_db(*args) == rssi_db(*args)
 

@@ -27,7 +27,7 @@ from irsbandit.engine import (
     run_replication,
 )
 from irsbandit.policy import Agents
-from irsbandit.topology import build_network, candidate_irs_set
+from irsbandit.topology import build_network
 
 import reference_model
 
@@ -43,6 +43,29 @@ def _load_script(name):
 
 
 two_armed_oracle = _load_script("two_armed_oracle")
+calibrate_satisfaction = _load_script("calibrate_satisfaction")
+
+
+def test_calibration_script_restates_the_package_defaults():
+    """Criterion 8's frozen table comes from scripts/calibrate_satisfaction.py,
+    which restates the default scenario instead of importing it; its
+    constants must still be the package's defaults, and its sampling law
+    (uniform UEs, the whole serving ring) the default one."""
+    script = calibrate_satisfaction
+    topo, params, sim = TopologyConfig(), ChannelParams(), SimulationConfig()
+    assert script.GRID == topo.grid_side
+    cells = topo.grid_side / 2.0 + np.array(topo.small_cell_offsets)
+    assert np.array_equal(script.CELLS, cells)
+    assert script.RING_RADIUS == topo.irs_radius
+    assert script.PANELS_PER_CELL == topo.irs_per_cell
+    assert script.PATHLOSS_EXPONENT == params.pathloss_exponent
+    assert script.REF_LOSS_DB == params.ref_loss_db
+    assert script.TX_POWER_DB == params.tx_power_db
+    assert script.NOISE_POWER_DB == params.noise_power_db
+    assert script.IRS_GAIN_DB == params.irs_gain_db
+    assert script.RATE_THRESHOLD == sim.rate_threshold
+    assert topo.distribution_case is DistributionCase.RANDOM
+    assert topo.detection_radius is None
 
 
 def small_cfg(**overrides):
@@ -304,33 +327,36 @@ def test_environment_matches_scalar_channel_bit_for_bit(
         env.outcomes(env.offsets[:-1] + np.minimum(k, sizes - 1), real, rng)
         for k in range(sizes.max())
     ]
-    for u, ue in enumerate(topo.ues):
+    for u, ue in enumerate(topo.ue_xy.tolist()):
         arms = env.candidate_arms(u)
-        assert list(arms) == candidate_irs_set(u, topo, detection_radius)
+        want_arms, _ = reference_model.candidate_irs_distances(u, topo, detection_radius)
+        assert list(arms) == want_arms
         assert env.arms[env.offsets[u] : env.offsets[u + 1]].tolist() == list(arms)
         for k, i in enumerate(arms):
-            bs = topo.small_cells[topo.irs_cell(i)]
-            irs = topo.irs_position(i)
+            bs = topo.cell_xy[topo.panel_cell[i]].tolist()
+            irs = topo.panel_xy[i].tolist()
             g1 = real.g_bs_irs[i]
-            expected = channel.rssi_db(bs, irs, ue, g1, real.g_irs_ue[i, u], params)
+            expected = reference_model.rssi_db(bs, irs, ue, g1, real.g_irs_ue[i, u], params)
             assert rssi[env.offsets[u] + k].hex() == float(expected).hex()
 
-            rate = channel.achievable_rate(
-                channel.cascaded_snr(bs, irs, ue, g1, real.g_irs_ue[i, u], params)
+            rate = reference_model.achievable_rate(
+                reference_model.cascaded_snr(bs, irs, ue, g1, real.g_irs_ue[i, u], params)
             )
             r_eve = max(
                 (
-                    channel.achievable_rate(
-                        channel.cascaded_snr(bs, irs, eve, g1, real.g_irs_eve[i, e], params)
+                    reference_model.achievable_rate(
+                        reference_model.cascaded_snr(
+                            bs, irs, eve, g1, real.g_irs_eve[i, e], params
+                        )
                     )
-                    for e, eve in enumerate(topo.eavesdroppers)
+                    for e, eve in enumerate(topo.eve_xy.tolist())
                 ),
                 default=0.0,
             )
             got_rate, got_sat, got_secrecy = (a[u] for a in outcomes[k])
             assert float(got_rate).hex() == float(rate).hex()
             assert got_sat == (rate >= threshold)
-            expected_secrecy = channel.secrecy_rate(rate, r_eve)
+            expected_secrecy = reference_model.secrecy_rate(rate, r_eve)
             assert float(got_secrecy).hex() == float(expected_secrecy).hex()
 
 
@@ -517,7 +543,7 @@ def test_accepted_topologies_give_finite_budgets_and_a_period_in_unit_range(
     env = ChannelEnvironment(topo, ChannelParams(), 1.0, cfg.detection_radius)
     for budget in (env._budget_db, env._snr, env._eve_snr):
         assert np.isfinite(budget).all()
-    assert env._eve_snr.shape == (len(topo.irs_panels), len(topo.eavesdroppers))
+    assert env._eve_snr.shape == (len(topo.panel_xy), len(topo.eve_xy))
     sim = SimulationConfig(topology=cfg, periods=1, replications=1)
     out = run_period(env, Agents(env.offsets, env.arms), sim, rng)
     assert 0.0 <= mean_satisfaction(out) <= 1.0

@@ -95,6 +95,11 @@ class TestParseConfig:
             parse_config(f"[{section}]\n{key} = {value}\n")
         assert str(exc.value).startswith(f"{section}.{key}: ")
 
+    @pytest.mark.parametrize("value", [None, [1, 2], 3], ids=["null", "list", "number"])
+    def test_non_string_json_output_path_names_its_key(self, value):
+        with pytest.raises(ConfigError, match=r"^output\.path: expected a string"):
+            parse_config(json.dumps({"output": {"path": value}}))
+
     def test_default_sections_as_json_parse_to_defaults(self):
         sections = {
             "experiment": {

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,12 @@ from hypothesis import strategies as st
 
 from irsbandit.config import DistributionCase, TopologyConfig
 from irsbandit.topology import (
-    Position,
     build_network,
     build_topology,
-    candidate_irs_set,
     candidate_slots,
+    distances,
     place_ues,
-    serving_cell,
-    with_ues,
+    serving_cells,
 )
 
 import reference_model
@@ -24,23 +23,34 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def with_ue_xy(topo, points):
+    return dataclasses.replace(topo, ue_xy=np.array(points, dtype=float).reshape(-1, 2))
+
+
+def candidates(topo, detection_radius=None):
+    """Each UE's candidate panels, as one list per UE."""
+    arms, offsets, _ = candidate_slots(topo, detection_radius)
+    return [arms[lo:hi].tolist() for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
 class TestBuildTopology:
     def test_default_layout_counts(self):
         cfg = TopologyConfig()
         topo = build_topology(cfg, rng())
-        assert topo.macro_bs == Position(100.0, 100.0)
-        assert len(topo.small_cells) == 2
-        assert len(topo.irs_panels) == 16
-        assert len(topo.eavesdroppers) == 4
+        assert topo.grid_side == 200.0
+        assert topo.cell_xy.tolist() == [[50.0, 100.0], [150.0, 100.0]]
+        assert topo.panel_xy.shape == (16, 2)
+        assert topo.panel_cell.tolist() == [0] * 8 + [1] * 8
+        assert topo.eve_xy.shape == (4, 2)
+        assert topo.ue_xy.shape == (0, 2)
 
     def test_sixteen_panels_exactly_on_ring(self):
         # 2 cells x 8 panels, each exactly 20 m from its cell center
         cfg = TopologyConfig(irs_per_cell=8, irs_radius=20.0)
         topo = build_topology(cfg, rng())
-        assert len(topo.irs_panels) == 16
-        for cell_index, pos in topo.irs_panels:
-            d = pos.distance_to(topo.small_cells[cell_index])
-            assert abs(d - 20.0) < 1e-9
+        assert topo.panel_xy.shape == (16, 2)
+        d = distances(topo.panel_xy, topo.cell_xy[topo.panel_cell])
+        assert np.allclose(d, 20.0, rtol=0.0, atol=1e-9)
 
     def test_four_panels_axis_aligned(self):
         # cell at grid center, ring 20: panels at (+-20, 0), (0, +-20)
@@ -51,8 +61,7 @@ class TestBuildTopology:
             irs_radius=20.0,
         )
         topo = build_topology(cfg, rng())
-        cx, cy = topo.small_cells[0].x, topo.small_cells[0].y
-        rel = [(p.x - cx, p.y - cy) for _, p in topo.irs_panels]
+        rel = (topo.panel_xy - topo.cell_xy[0]).tolist()
         expected = [(20.0, 0.0), (0.0, 20.0), (-20.0, 0.0), (0.0, -20.0)]
         for (gx, gy), (ex, ey) in zip(rel, expected):
             assert math.isclose(gx, ex, abs_tol=1e-9)
@@ -62,7 +71,9 @@ class TestBuildTopology:
         cfg = TopologyConfig()
         a = build_topology(cfg, rng(7))
         b = build_topology(cfg, rng(7))
-        assert a == b
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
     def test_offsets_outside_grid_rejected(self):
         cfg = TopologyConfig(small_cell_offsets=((-95.0, 0.0), (50.0, 0.0)))
@@ -82,9 +93,9 @@ class TestBuildTopology:
     def test_eavesdroppers_outside_ring(self):
         cfg = TopologyConfig()
         topo = build_topology(cfg, rng(3))
-        for i, eve in enumerate(topo.eavesdroppers):
-            cell = topo.small_cells[i // cfg.eavesdroppers_per_cell]
-            assert eve.distance_to(cell) > cfg.irs_radius
+        eve_cell = np.repeat(np.arange(len(topo.cell_xy)), cfg.eavesdroppers_per_cell)
+        assert len(topo.eve_xy) == len(eve_cell) == 4
+        assert (distances(topo.eve_xy, topo.cell_xy[eve_cell]) > cfg.irs_radius).all()
 
 
 class TestPlaceUes:
@@ -92,10 +103,8 @@ class TestPlaceUes:
         cfg = TopologyConfig(ue_count=20)
         topo = build_topology(cfg, rng(1))
         ues = place_ues(cfg, topo, rng(1))
-        assert len(ues) == 20
-        for ue in ues:
-            assert 0.0 <= ue.x <= cfg.grid_side
-            assert 0.0 <= ue.y <= cfg.grid_side
+        assert ues.shape == (20, 2)
+        assert ((0.0 <= ues) & (ues <= cfg.grid_side)).all()
 
     def test_clustered_counts(self):
         cfg = TopologyConfig(
@@ -105,7 +114,7 @@ class TestPlaceUes:
         )
         topo = build_topology(cfg, rng(2))
         ues = place_ues(cfg, topo, rng(2))
-        assert len(ues) == 20  # exactly 2 clusters of 10
+        assert ues.shape == (20, 2)  # exactly 2 clusters of 10
 
     def test_zero_spread_collapses_clusters(self):
         cfg = TopologyConfig(
@@ -116,8 +125,8 @@ class TestPlaceUes:
         )
         topo = build_topology(cfg, rng(2))
         ues = place_ues(cfg, topo, rng(2))
-        first = set((u.x, u.y) for u in ues[:10])
-        second = set((u.x, u.y) for u in ues[10:])
+        first = set(map(tuple, ues[:10].tolist()))
+        second = set(map(tuple, ues[10:].tolist()))
         assert len(first) == 1 and len(second) == 1
 
     def test_indivisible_cluster_rejected(self):
@@ -133,54 +142,54 @@ class TestPlaceUes:
     def test_same_seed_identical_placement(self):
         cfg = TopologyConfig(distribution_case=DistributionCase.CLUSTERED)
         topo = build_topology(cfg, rng(5))
-        assert place_ues(cfg, topo, rng(9)) == place_ues(cfg, topo, rng(9))
+        assert np.array_equal(place_ues(cfg, topo, rng(9)), place_ues(cfg, topo, rng(9)))
 
 
 class TestServingCell:
     def test_ue_on_cell_position(self):
         topo = build_topology(TopologyConfig(), rng())
-        assert serving_cell(topo.small_cells[1], topo) == 1
+        assert serving_cells(topo.cell_xy[1:], topo).tolist() == [1]
 
     def test_equidistant_tie_goes_low(self):
         topo = build_topology(TopologyConfig(), rng())
         # (100, y) is equidistant from cells at (50, 100) and (150, 100)
-        assert serving_cell(Position(100.0, 37.0), topo) == 0
+        assert serving_cells(np.array([[100.0, 37.0]]), topo).tolist() == [0]
 
     def test_corner_nearest_cell_one(self):
         topo = build_topology(TopologyConfig(), rng())
-        assert serving_cell(Position(199.0, 199.0), topo) == 1
+        assert serving_cells(np.array([[199.0, 199.0]]), topo).tolist() == [1]
 
 
 class TestCandidateSet:
     def test_cell_zero_gets_first_ring(self):
         cfg = TopologyConfig()
         topo = build_network(cfg, rng(4))
-        topo = with_ues(topo, (Position(40.0, 90.0),))
-        assert candidate_irs_set(0, topo) == list(range(8))
+        topo = with_ue_xy(topo, [(40.0, 90.0)])
+        assert candidates(topo) == [list(range(8))]
 
     def test_cells_partition_panels(self):
         cfg = TopologyConfig()
         topo = build_topology(cfg, rng(4))
-        topo = with_ues(topo, (Position(40.0, 90.0), Position(160.0, 90.0)))
-        a = candidate_irs_set(0, topo)
-        b = candidate_irs_set(1, topo)
+        topo = with_ue_xy(topo, [(40.0, 90.0), (160.0, 90.0)])
+        a, b = candidates(topo)
         assert set(a).isdisjoint(b)
-        assert sorted(a + b) == list(range(len(topo.irs_panels)))
+        assert sorted(a + b) == list(range(len(topo.panel_xy)))
 
     def test_same_cell_same_candidates(self):
         cfg = TopologyConfig()
         topo = build_topology(cfg, rng(4))
-        topo = with_ues(topo, (Position(40.0, 90.0), Position(60.0, 120.0)))
-        assert candidate_irs_set(0, topo) == candidate_irs_set(1, topo)
+        topo = with_ue_xy(topo, [(40.0, 90.0), (60.0, 120.0)])
+        a, b = candidates(topo)
+        assert a == b
 
     def test_detection_radius_filters_but_never_empties(self):
         cfg = TopologyConfig()
         topo = build_topology(cfg, rng(4))
-        topo = with_ues(topo, (Position(70.5, 100.0),))
-        near = candidate_irs_set(0, topo, detection_radius=5.0)
-        assert near == [0]  # panel 0 sits at (70, 100)
-        far = candidate_irs_set(0, topo, detection_radius=0.001)
-        assert far == list(range(8))  # filter would empty: full ring stands in
+        topo = with_ue_xy(topo, [(70.5, 100.0)])
+        near = candidates(topo, detection_radius=5.0)
+        assert near == [[0]]  # panel 0 sits at (70, 100)
+        far = candidates(topo, detection_radius=0.001)
+        assert far == [list(range(8))]  # filter would empty: full ring stands in
 
 
 grids = st.floats(min_value=100.0, max_value=1000.0)
@@ -201,11 +210,12 @@ def test_ring_distance_invariant(grid, fraction, n_panels, seed):
         eve_radius=radius + 1.0,
     )
     topo = build_topology(cfg, np.random.default_rng(seed))
-    for cell_index, pos in topo.irs_panels:
-        assert abs(pos.distance_to(topo.small_cells[cell_index]) - radius) < 1e-9
+    d = distances(topo.panel_xy, topo.cell_xy[topo.panel_cell])
+    assert np.allclose(d, radius, rtol=0.0, atol=1e-9)
+    rel = topo.panel_xy - topo.cell_xy[topo.panel_cell]
     angles = sorted(
-        math.atan2(p.y - topo.small_cells[c].y, p.x - topo.small_cells[c].x) % (2 * math.pi)
-        for c, p in topo.irs_panels
+        math.atan2(dy, dx) % (2 * math.pi)
+        for (dx, dy), c in zip(rel.tolist(), topo.panel_cell.tolist())
         if c == 0
     )
     gaps = np.diff(angles + [angles[0] + 2 * math.pi])
@@ -226,8 +236,8 @@ def test_placement_support_and_count(seed, n_ues, case):
         cfg = TopologyConfig(ue_count=n_ues, distribution_case=case)
     topo = build_topology(cfg, np.random.default_rng(seed))
     ues = place_ues(cfg, topo, np.random.default_rng(seed))
-    assert len(ues) == cfg.ue_count
-    assert all(0.0 <= u.x <= cfg.grid_side and 0.0 <= u.y <= cfg.grid_side for u in ues)
+    assert ues.shape == (cfg.ue_count, 2)
+    assert ((0.0 <= ues) & (ues <= cfg.grid_side)).all()
 
 
 @settings(max_examples=25, deadline=None)
@@ -235,9 +245,8 @@ def test_placement_support_and_count(seed, n_ues, case):
 def test_candidate_union_is_partition(seed):
     cfg = TopologyConfig(ue_count=10)
     topo = build_network(cfg, np.random.default_rng(seed))
-    seen = []
-    for u in range(cfg.ue_count):
-        seen.append(frozenset(candidate_irs_set(u, topo)))
+    seen = [frozenset(arms) for arms in candidates(topo)]
+    assert len(seen) == cfg.ue_count
     for a in seen:
         for b in seen:
             assert a == b or a.isdisjoint(b)
@@ -284,8 +293,8 @@ def test_candidate_slots_match_scalar_selection(
         cluster_size=5,
     )
     topo = build_network(cfg, np.random.default_rng(seed))
-    topo = with_ues(topo, topo.ues + tuple(Position(100.0, y) for y in tie_ys))
-    full = [reference_model.candidate_irs_distances(u, topo) for u in range(len(topo.ues))]
+    topo = with_ue_xy(topo, topo.ue_xy.tolist() + [(100.0, y) for y in tie_ys])
+    full = [reference_model.candidate_irs_distances(u, topo) for u in range(len(topo.ue_xy))]
     detection_radius = {
         "none": None,
         "drawn": radius,
@@ -298,7 +307,8 @@ def test_candidate_slots_match_scalar_selection(
     arms, offsets, distances = candidate_slots(topo, detection_radius)
     assert arms.dtype == offsets.dtype == np.int64
     assert offsets[0] == 0 and offsets[-1] == len(arms) == len(distances)
-    for u, ue in enumerate(topo.ues):
+    cells = serving_cells(topo.ue_xy, topo).tolist()
+    for u, ue in enumerate(topo.ue_xy.tolist()):
         want_arms, want_distances = reference_model.candidate_irs_distances(
             u, topo, detection_radius
         )
@@ -307,16 +317,65 @@ def test_candidate_slots_match_scalar_selection(
         assert [d.hex() for d in distances[lo:hi].tolist()] == [
             d.hex() for d in want_distances
         ]
-        assert candidate_irs_set(u, topo, detection_radius) == want_arms
-        assert serving_cell(ue, topo) == reference_model.serving_cell(ue, topo)
+        assert cells[u] == reference_model.serving_cell(ue, topo)
 
-    for u in range(cfg.ue_count, len(topo.ues)):
-        y = topo.ues[u].y
+    for u in range(cfg.ue_count, len(topo.ue_xy)):
+        y = topo.ue_xy[u, 1]
         low = 0 if n_cells < 4 or y <= 100.0 else 2
-        assert serving_cell(topo.ues[u], topo) == low
+        assert cells[u] == low
     if radius_mode == "panel_distance":
         assert arms[offsets[0] : offsets[1]].tolist().count(
             full[0][0][int(radius) % n_panels]
         ) == 1
     if radius_mode == "below_all" and detection_radius is not None:
         assert (np.diff(offsets) == n_panels).all()
+
+
+def _same_bits(array, points):
+    assert array.dtype == np.float64
+    assert array.tobytes() == np.array(points, dtype=float).reshape(-1, 2).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid=grids,
+    fraction=radius_fractions,
+    n_panels=panel_counts,
+    seed=seeds,
+    n_cells=st.sampled_from(sorted(CELL_LAYOUTS)),
+    n_eves=st.integers(min_value=0, max_value=3),
+    case=st.sampled_from(list(DistributionCase)),
+)
+def test_build_network_matches_scalar_layout(
+    grid, fraction, n_panels, seed, n_cells, n_eves, case
+):
+    """The whole-array build equals the point-by-point one, bit for bit.
+
+    The layouts of CELL_LAYOUTS are scaled from the 200 m grid to the drawn
+    one, so every ring stays inside it. Both builds leave the generator in
+    the same state, so UE placement and every later draw are the same.
+    """
+    scale = grid / 200.0
+    radius = grid * fraction
+    cfg = TopologyConfig(
+        grid_side=grid,
+        small_cell_count=n_cells,
+        small_cell_offsets=tuple((dx * scale, dy * scale) for dx, dy in CELL_LAYOUTS[n_cells]),
+        irs_per_cell=n_panels,
+        irs_radius=radius,
+        eavesdroppers_per_cell=n_eves,
+        eve_radius=radius + 1.0,
+        ue_count=10,
+        distribution_case=case,
+        cluster_size=5,
+    )
+    rng_array, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    topo = build_network(cfg, rng_array)
+    cells, panels, eves = reference_model.scalar_layout(cfg, rng_scalar)
+    _same_bits(topo.cell_xy, cells)
+    _same_bits(topo.panel_xy, [point for _, point in panels])
+    assert topo.panel_cell.tolist() == [cell for cell, _ in panels]
+    _same_bits(topo.eve_xy, eves)
+    _same_bits(topo.ue_xy, place_ues(cfg, topo, rng_scalar))
+    assert rng_array.bit_generator.state == rng_scalar.bit_generator.state
+    assert rng_array.random() == rng_scalar.random()
