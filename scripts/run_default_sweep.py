@@ -11,8 +11,10 @@ Usage:
 """
 
 import argparse
+import dataclasses
 import os
 import sys
+import time
 
 from irsbandit.experiment import (
     default_config_text,
@@ -20,7 +22,6 @@ from irsbandit.experiment import (
     parse_config,
     run_experiment,
 )
-import dataclasses
 
 
 def main():
@@ -39,9 +40,12 @@ def main():
             spec, base=dataclasses.replace(spec.base, base_seed=args.seed)
         )
 
+    start = time.perf_counter()
     summary = run_experiment(spec)
+    wall = time.perf_counter() - start
     print(format_summary(summary))
     print(f"traces written to {spec.output_path}")
+    print(f"sweep wall time: {wall:.2f} s")
     return 0
 
 

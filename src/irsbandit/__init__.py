@@ -12,12 +12,11 @@ from .config import (
 from .engine import (
     BernoulliEnvironment,
     ChannelEnvironment,
-    PeriodOutcome,
+    Lane,
     ReplicationResult,
     SatisfactionTrace,
-    mean_satisfaction,
+    run_lanes,
     run_monte_carlo,
-    run_period,
     run_replication,
 )
 from .experiment import (
@@ -44,9 +43,9 @@ __all__ = [
     "ConfigError",
     "DistributionCase",
     "ExperimentSpec",
+    "Lane",
     "NetworkTopology",
     "OutputFormat",
-    "PeriodOutcome",
     "PolicyConfig",
     "PolicyKind",
     "ReplicationResult",
@@ -58,12 +57,11 @@ __all__ = [
     "build_topology",
     "default_config_text",
     "emit_trace",
-    "mean_satisfaction",
     "parse_config",
     "place_ues",
     "run_experiment",
+    "run_lanes",
     "run_monte_carlo",
-    "run_period",
     "run_replication",
 ]
 

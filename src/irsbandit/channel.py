@@ -45,6 +45,48 @@ def _fading_matrix(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
     return g
 
 
+class _Replay:
+    """Generator stand-in: serves already drawn Exp(1) variates, then continues rng.
+
+    A Generator's exponentials form one sequence however the draws are
+    split into calls, so replaying the drawn ones first and drawing only
+    the shortfall reproduces the stream of separate calls exactly.
+    """
+
+    def __init__(self, drawn: np.ndarray, rng: np.random.Generator):
+        self._drawn = drawn
+        self._rng = rng
+
+    def exponential(self, size):
+        n = math.prod(size) if isinstance(size, tuple) else size
+        head, self._drawn = self._drawn[:n], self._drawn[n:]
+        tail = self._rng.standard_exponential(n - len(head))
+        return np.concatenate([head, tail]).reshape(size)
+
+
+def fill_fading(draws, gains: np.ndarray) -> np.ndarray:
+    """One period's fading for each (rng, out, blocks) of draws; returns gains.
+
+    Every out is a 1-D view into gains, filled with consecutive fading
+    blocks of the sizes in blocks, from its own Generator. The result and
+    the stream each Generator is left at are those of one _fading_matrix
+    call per block, in order, each redrawing its exact zeros before the
+    next block starts. When no zero is drawn, which is almost always, that
+    is one draw call per Generator and a single zero check over gains.
+    """
+    for rng, out, _ in draws:
+        rng.standard_exponential(out=out)
+    if not gains.all():
+        for rng, out, blocks in draws:
+            if not out.all():
+                replay = _Replay(out.copy(), rng)
+                pos = 0
+                for n in blocks:
+                    out[pos : pos + n] = _fading_matrix(replay, (n,))
+                    pos += n
+    return gains
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """One block-fading draw of every link's power gain.
@@ -65,13 +107,18 @@ def draw_realization(
     """Draw all link gains for one association period (one fading block).
 
     Draw order is part of the determinism contract: BS->IRS first, then
-    IRS->UE, then IRS->eavesdropper.
+    IRS->UE, then IRS->eavesdropper (see fill_fading). The three arrays are
+    views of one flat buffer laid out in that order, row-major, as the
+    engine holds each lane's period.
     """
-    n_irs = len(topo.panel_xy)
+    n_irs, n_ue, n_eve = len(topo.panel_xy), len(topo.ue_xy), len(topo.eve_xy)
+    blocks = (n_irs, n_irs * n_ue, n_irs * n_eve)
+    g = np.empty(sum(blocks))
+    fill_fading([(rng, g, blocks)], g)
     return ChannelRealization(
-        g_bs_irs=_fading_matrix(rng, (n_irs,)),
-        g_irs_ue=_fading_matrix(rng, (n_irs, len(topo.ue_xy))),
-        g_irs_eve=_fading_matrix(rng, (n_irs, len(topo.eve_xy))),
+        g_bs_irs=g[:n_irs],
+        g_irs_ue=g[n_irs : n_irs + blocks[1]].reshape(n_irs, n_ue),
+        g_irs_eve=g[n_irs + blocks[1] :].reshape(n_irs, n_eve),
     )
 
 

@@ -1,33 +1,50 @@
 """Monte-Carlo simulation loop.
 
-One replication owns its topology, agents, and Generator; periods advance
-sequentially inside it. Replications are independent (seed base_seed + i)
-and aggregate by plain averaging, so their order never matters.
+A lane is one replication: a (config, seed) pair, optionally with its own
+environment. Each lane owns its topology, agents and Generator,
+default_rng(seed). The replications of a cell are lanes with seeds
+base_seed + i and aggregate by plain averaging, so their order never
+matters.
 
-Determinism contract (draw order within a replication, one stream):
+Lanes run in lock step, in chunks. The lanes of a chunk advance period by
+period together, their slots and agents concatenated into one flat layout
+(policy.Agents), so every step that draws nothing (the RSSI and its argmax,
+stickiness, link evaluation with its logarithms, the reward update) runs
+once per chunk rather than once per lane. Chunks are cut in lane order: a
+chunk holds lanes of one environment kind and one period count whose
+per-period draws total at most CHUNK_FLOATS floats, and a lane larger than
+that runs alone.
+
+Determinism contract: each lane has one stream, drawn in this order:
   1. topology build (eavesdropper angles), then UE placement;
   2. per period: one block-fading realization (BS->IRS, IRS->UE, IRS->eve),
-     drawn in that order and unchanged by the batched loop; then the
-     decisions, taken agent by agent in UE order, each consuming only the
-     draws its policy needs (see policy module); then one batched link
-     evaluation for all agents, which draws nothing.
+     drawn in that order, each block's exact zeros redrawn before the next
+     block starts (channel.fill_fading); then the decisions, agent by agent
+     in UE order, each consuming only the draws its policy needs (see
+     policy module); then the link evaluation, which draws nothing.
 The abstract plug-in environment has no realization; after the period's
 decisions it draws every agent's Bernoulli outcome as one block of
 uniforms, one per agent in UE order. With one agent this is the stream of
 one outcome draw per decision; with several agents the outcome draws used
 to interleave with the decisions, so multi-agent Bernoulli runs changed
-when the period loop was batched.
+when the period loop was batched over agents.
+Batching lanes draws nothing and lanes share no stream, so every lane's
+results are those it gives when run alone, whatever runs beside it and
+whatever the chunk size.
 
 The channel environment computes every link's deterministic budget once per
-replication, when it is built after step 1; periods only combine those
-budgets with the fading gains. That precompute draws nothing, so the draw
-order above is the whole contract.
+lane, when it is built after step 1; periods only combine those budgets
+with the fading gains. That precompute draws nothing either.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,36 +58,49 @@ from .topology import (
     elementwise,
 )
 
+log = logging.getLogger("irsbandit")
+
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
+# Most floats one period of a chunk draws, summed over its lanes. A default
+# lane draws 400 (16 panels x (1 BS + 20 UE + 4 eve) gains), so about 80
+# default lanes share a chunk; a lane above the bound runs alone.
+CHUNK_FLOATS = 2**15
 
-@dataclass(frozen=True)
-class PeriodOutcome:
-    """Per-UE results of one association period."""
 
-    chosen_irs: np.ndarray
-    rate: np.ndarray
-    satisfied: np.ndarray
-    secrecy: np.ndarray
+class Lane(NamedTuple):
+    """One replication: cfg run on default_rng(seed).
+
+    environment=None builds the configured network from that stream; an
+    environment (e.g. BernoulliEnvironment) replaces the channel.
+    """
+
+    cfg: SimulationConfig
+    seed: int
+    environment: object = None
 
 
 @dataclass(frozen=True)
 class ReplicationResult:
     """Everything one replication produced.
 
-    satisfaction[t] is the fraction of satisfied UEs at period t; chosen
-    and satisfied keep the full per-period, per-UE record so conservation
-    and frequency checks can audit the run. agents is the final flat agent
-    state; indexing it gives one record per UE.
+    satisfaction[t] is the fraction of satisfied UEs at period t and
+    mean_secrecy[t] their mean secrecy rate. chosen, satisfied and rates
+    keep the full per-period, per-UE record so conservation and frequency
+    checks can audit the run, and agents is the final flat agent state
+    (indexing it gives one record per UE); all four are None when the lane
+    ran without a record (see run_lanes). wall_seconds is the lane's share
+    of its chunk's wall time.
     """
 
     satisfaction: np.ndarray
     mean_secrecy: np.ndarray
-    chosen: np.ndarray
-    satisfied: np.ndarray
-    rates: np.ndarray
-    agents: policy.Agents
+    chosen: np.ndarray | None
+    satisfied: np.ndarray | None
+    rates: np.ndarray | None
+    agents: policy.Agents | None
     fading_blocks: int
+    wall_seconds: float
 
 
 @dataclass(frozen=True)
@@ -91,14 +121,6 @@ class SatisfactionTrace:
     per_replication: np.ndarray
 
 
-def mean_satisfaction(outcome: PeriodOutcome) -> float:
-    """Satisfied count over total UE count for one period."""
-    n = len(outcome.satisfied)
-    if n == 0:
-        raise ValueError("period has no UEs")
-    return float(np.count_nonzero(outcome.satisfied) / n)
-
-
 class ChannelEnvironment:
     """Geometry plus block fading drive satisfaction (the default).
 
@@ -107,16 +129,13 @@ class ChannelEnvironment:
     topology.candidate_slots selects every UE's candidates with their hop
     lengths, and the array functions of the channel module turn the hop
     lengths into budgets in dB and linear pre-fading SNRs, for every (UE,
-    candidate panel) slot and every (panel, eavesdropper) pair.
-    initial_signal and outcomes then combine those lookups with the period's
-    fading gains, gathered for every UE at once. Only exactly rounded
-    operations run as numpy ufuncs; hypot, logarithms and powers are taken
-    element by element from math (topology.elementwise), so every result
-    matches the one-link formulas evaluated in Python floats bit for bit.
-    The constructor draws nothing, so the determinism contract is unchanged.
+    candidate panel) slot and every (panel, eavesdropper) pair. ChannelLanes
+    combines those lookups with each period's fading gains. The constructor
+    draws nothing, so the determinism contract is unchanged.
 
     Slots are the agents' flat layout: UE u's k-th candidate sits at slot
-    offsets[u] + k, and arms[s] is the global panel index of slot s.
+    offsets[u] + k, and arms[s] is the panel index of slot s. blocks gives
+    the sizes of one period's fading blocks: BS->IRS, IRS->UE, IRS->eve.
     """
 
     fading_blocks_per_period = 1
@@ -128,53 +147,22 @@ class ChannelEnvironment:
         rate_threshold: float,
         detection_radius: float | None = None,
     ):
-        self.topo = topo
-        self.params = params
         self.rate_threshold = rate_threshold
         self.n_agents = len(topo.ue_xy)
         self.arms, self.offsets, d_rx = candidate_slots(topo, detection_radius)
         d_feed = distances(topo.cell_xy[topo.panel_cell], topo.panel_xy)
         self._budget_db = channel.budgets_db(d_feed, self.arms, d_rx, params)
         self._snr = channel.snr_factors(self._budget_db, params)
-        self._ues = np.arange(self.n_agents)
         d_eve = distances(topo.panel_xy[:, None], topo.eve_xy)
         panels = np.arange(len(topo.panel_xy))[:, None]
         self._eve_snr = channel.snr_factors(
             channel.budgets_db(d_feed, panels, d_eve, params), params
         )
+        n_panels, n_eves = self._eve_snr.shape
+        self.blocks = (n_panels, n_panels * self.n_agents, n_panels * n_eves)
 
     def candidate_arms(self, u: int) -> tuple[int, ...]:
         return tuple(self.arms[self.offsets[u] : self.offsets[u + 1]].tolist())
-
-    def new_period(self, rng: np.random.Generator) -> channel.ChannelRealization:
-        return channel.draw_realization(self.topo, rng)
-
-    def initial_signal(self, real: channel.ChannelRealization) -> np.ndarray:
-        """Warm-start context: this period's RSSI through every slot's panel."""
-        arms = self.arms
-        gain = real.g_irs_ue[arms, np.repeat(self._ues, np.diff(self.offsets))]
-        gain *= real.g_bs_irs[arms]
-        rssi = elementwise(math.log10, gain)
-        rssi *= 10.0
-        rssi += self._budget_db
-        return rssi
-
-    def outcomes(
-        self,
-        slot: np.ndarray,
-        real: channel.ChannelRealization,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every UE's rate, satisfaction and report-only secrecy on its slot's panel."""
-        arm = self.arms[slot]
-        g_bs = real.g_bs_irs[arm]
-        snr = self._snr[slot] * g_bs * real.g_irs_ue[arm, self._ues]
-        rate = elementwise(math.log2, 1.0 + snr)
-        # the strongest eavesdropper's rate depends on the panel alone
-        eve = 1.0 + self._eve_snr * real.g_bs_irs[:, None] * real.g_irs_eve
-        r_eve = elementwise(math.log2, eve).max(axis=1, initial=0.0)
-        secrecy = np.maximum(rate - r_eve[arm], 0.0)
-        return rate, rate >= self.rate_threshold, secrecy
 
 
 class BernoulliEnvironment:
@@ -203,101 +191,302 @@ class BernoulliEnvironment:
     def candidate_arms(self, u: int) -> list[int]:
         return list(range(len(self.arm_probs)))
 
-    def new_period(self, rng: np.random.Generator):
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts end to end; a single part is returned as is, uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _shifted(a: np.ndarray, k: int) -> np.ndarray:
+    return a + k if k else a
+
+
+class _Layout:
+    """Where each lane of a chunk sits in the concatenated agents and slots.
+
+    Lane l owns agents agents[l] to agents[l + 1] - 1 and slots slots[l]
+    to slots[l + 1] - 1; offsets is the chunk's flat slot layout.
+    """
+
+    def __init__(self, envs):
+        self.agents = list(accumulate((env.n_agents for env in envs), initial=0))
+        self.slots = list(accumulate((len(env.arms) for env in envs), initial=0))
+        self.offsets = np.concatenate(
+            [env.offsets[:-1] + base for env, base in zip(envs, self.slots)]
+            + [self.slots[-1:]]
+        )
+        self.arms = _joined([env.arms for env in envs])
+
+
+class ChannelLanes:
+    """One period of a chunk of channel lanes, in whole-chunk array passes.
+
+    gains holds every lane's period back to back: lane l's gains start at
+    base[l], laid out as channel.draw_realization lays out one period
+    (BS->IRS, then IRS->UE and IRS->eve, row-major by panel). Panels are
+    numbered across the chunk: lane l's panel i is chunk panel
+    panel_base[l] + i, and _bs_at gives each chunk panel's BS->IRS gain.
+    Every slot keeps its chunk panel, budget and SNR factor; every agent
+    the position of its first IRS->UE gain, its lane's UE count (the row
+    stride of that block) and its rate threshold; every (panel,
+    eavesdropper) pair its chunk panel, its IRS->eve gain's position and
+    its SNR factor.
+    """
+
+    def __init__(self, envs, rngs):
+        layout = _Layout(envs)
+        self.offsets, self.arms = layout.offsets, layout.arms
+        sizes = [sum(env.blocks) for env in envs]
+        base = list(accumulate(sizes, initial=0))
+        self.gains = np.empty(base[-1])
+        self._draws = [
+            (rng, self.gains[b : b + n], env.blocks)
+            for rng, env, b, n in zip(rngs, envs, base, sizes)
+        ]
+        n_panels = [env.blocks[0] for env in envs]
+        panel_base = list(accumulate(n_panels, initial=0))
+        self._n_panels = panel_base[-1]
+        self._panel = _joined([_shifted(env.arms, pb) for env, pb in zip(envs, panel_base)])
+        self._budget_db = _joined([env._budget_db for env in envs])
+        self._snr = _joined([env._snr for env in envs])
+        self._bs_at = np.concatenate(
+            [b + np.arange(n) for b, n in zip(base, n_panels)]
+        )
+        self._ue_row = np.concatenate(
+            [b + n + np.arange(env.n_agents) for env, b, n in zip(envs, base, n_panels)]
+        )
+        n_ues = [env.n_agents for env in envs]
+        self._ue_stride = np.repeat(n_ues, n_ues)
+        self._threshold = np.repeat([env.rate_threshold for env in envs], n_ues)
+        n_eves = [env._eve_snr.shape[1] for env in envs]
+        self._pair_panel = np.concatenate(
+            [pb + np.arange(n).repeat(e) for pb, n, e in zip(panel_base, n_panels, n_eves)]
+        )
+        self._pair_eve = np.concatenate(
+            [b + env.blocks[0] + env.blocks[1] + np.arange(env.blocks[2])
+             for env, b in zip(envs, base)]
+        )
+        self._pair_snr = _joined([env._eve_snr.ravel() for env in envs])
+
+    def draw(self) -> None:
+        """Every lane's fading for the period, each from its own Generator."""
+        channel.fill_fading(self._draws, self.gains)
+
+    def signal(self) -> np.ndarray:
+        """Warm-start context: this period's RSSI through every slot's panel."""
+        # built in place, so no more than two slot-sized arrays live at once
+        sizes = np.diff(self.offsets)
+        at = np.repeat(self._ue_stride, sizes)
+        at *= self.arms
+        at += np.repeat(self._ue_row, sizes)
+        gain = self.gains[at]
+        del at
+        gain *= self.gains[self._bs_at][self._panel]
+        rssi = elementwise(math.log10, gain)
+        rssi *= 10.0
+        rssi += self._budget_db
+        return rssi
+
+    def outcomes(self, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every agent's rate, satisfaction and report-only secrecy on its slot's panel."""
+        gains = self.gains
+        g_bs = gains[self._bs_at]
+        panel = self._panel[slot]
+        g_ue = gains[self._ue_row + self.arms[slot] * self._ue_stride]
+        snr = self._snr[slot] * g_bs[panel] * g_ue
+        rate = elementwise(math.log2, 1.0 + snr)
+        # The strongest eavesdropper's rate depends on the panel alone, and
+        # only panels some agent is on are read.
+        used = np.zeros(self._n_panels, dtype=bool)
+        used[panel] = True
+        pair = np.flatnonzero(used[self._pair_panel])
+        pair_panel = self._pair_panel[pair]
+        eve = self._pair_snr[pair] * g_bs[pair_panel] * gains[self._pair_eve[pair]]
+        eve += 1.0
+        r_eve = np.zeros(self._n_panels)
+        np.maximum.at(r_eve, pair_panel, elementwise(math.log2, eve))
+        secrecy = np.maximum(rate - r_eve[panel], 0.0)
+        return rate, rate >= self._threshold, secrecy
+
+
+class BernoulliLanes:
+    """One period of a chunk of Bernoulli lanes: one block of uniforms per lane."""
+
+    def __init__(self, envs, rngs):
+        layout = _Layout(envs)
+        self.offsets, self.arms = layout.offsets, layout.arms
+        arm_base = list(accumulate((len(env.arm_probs) for env in envs), initial=0))
+        self._arm = _joined([_shifted(env.arms, ab) for env, ab in zip(envs, arm_base)])
+        self._probs = _joined([env._probs for env in envs])
+        self._uniform = np.empty(layout.agents[-1])
+        self._draws = [
+            (rng, self._uniform[lo:hi])
+            for rng, lo, hi in zip(rngs, layout.agents, layout.agents[1:])
+        ]
+
+    def draw(self) -> None:
+        """No realization: the outcomes draw after the decisions."""
+
+    def signal(self) -> None:
         return None
 
-    def initial_signal(self, ctx) -> None:
-        return None
-
-    def outcomes(
-        self, slot: np.ndarray, ctx, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        satisfied = rng.random(len(slot)) < self._probs[self.arms[slot]]
+    def outcomes(self, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        for rng, out in self._draws:
+            rng.random(out=out)
+        satisfied = self._uniform < self._probs[self._arm[slot]]
         return satisfied.astype(float), satisfied, np.zeros(len(slot))
 
 
-def run_period(
-    env, agents: policy.Agents, cfg: SimulationConfig, rng: np.random.Generator
-) -> PeriodOutcome:
-    """Advance every agent by one association period.
+_LANES = {ChannelEnvironment: ChannelLanes, BernoulliEnvironment: BernoulliLanes}
 
-    Uninitialized agents associate from this period's signal context;
-    initialized ones run a re-association decision. Every agent then
-    experiences the period on its chosen panel, in one batched link
-    evaluation, and records the outcome.
+
+def _kind(lane: Lane) -> type:
+    return ChannelEnvironment if lane.environment is None else type(lane.environment)
+
+
+def _period_floats(lane: Lane) -> int:
+    """Floats one period of the lane draws: its fading gains, or its outcome uniforms."""
+    if lane.environment is None:
+        t = lane.cfg.topology
+        cells = len(t.small_cell_offsets)
+        return cells * t.irs_per_cell * (1 + t.ue_count + cells * t.eavesdroppers_per_cell)
+    env = lane.environment
+    return sum(env.blocks) if isinstance(env, ChannelEnvironment) else env.n_agents
+
+
+def _chunks(lanes):
+    """Cut lanes, in order, into chunks of one kind and period count within CHUNK_FLOATS."""
+    chunk, floats = [], 0
+    for lane in lanes:
+        n = _period_floats(lane)
+        if chunk and (
+            floats + n > CHUNK_FLOATS
+            or _kind(lane) is not _kind(chunk[0])
+            or lane.cfg.periods != chunk[0].cfg.periods
+        ):
+            yield chunk
+            chunk, floats = [], 0
+        chunk.append(lane)
+        floats += n
+    if chunk:
+        yield chunk
+
+
+def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
+    """Run the lanes of one chunk in lock step; one result per lane."""
+    start = time.perf_counter()
+    rngs = [np.random.default_rng(lane.seed) for lane in chunk]
+    envs = [
+        lane.environment
+        if lane.environment is not None
+        else ChannelEnvironment(
+            build_network(lane.cfg.topology, rng),
+            lane.cfg.channel,
+            lane.cfg.rate_threshold,
+            lane.cfg.topology.detection_radius,
+        )
+        for lane, rng in zip(chunk, rngs)
+    ]
+    lanes = _LANES[type(envs[0])](envs, rngs)
+    policies = [lane.cfg.policy for lane in chunk]
+    sizes = [env.n_agents for env in envs]
+    bounds = list(accumulate(sizes, initial=0))
+    agents = policy.Agents(lanes.offsets, lanes.arms, policies, bounds)
+    fading_blocks = chunk[0].cfg.periods * envs[0].fading_blocks_per_period
+    del envs  # lanes and agents hold all that is left to read
+
+    # runs of lanes with equal agent counts, so per-lane means are row means
+    runs = []
+    for l, n in enumerate(sizes):
+        if runs and runs[-1][4] == n:
+            runs[-1][1], runs[-1][3] = bounds[l + 1], l + 1
+        else:
+            runs.append([bounds[l], bounds[l + 1], l, l + 1, n])
+    periods = chunk[0].cfg.periods
+    satisfaction = np.empty((len(chunk), periods))
+    mean_secrecy = np.empty((len(chunk), periods))
+    if record:
+        chosen = [np.empty((periods, n), dtype=np.int64) for n in sizes]
+        sat_record = [np.empty((periods, n), dtype=bool) for n in sizes]
+        rates = [np.empty((periods, n)) for n in sizes]
+    any_bandit = any(p.kind is PolicyKind.CONTEXTUAL_BANDIT for p in policies)
+    for t in range(periods):
+        lanes.draw()
+        if t == 0:  # greedy starts at random whatever the signal
+            rssi = lanes.signal() if any_bandit else None
+            slot = policy.init_association(agents, rssi, rngs)
+        else:
+            slot = policy.select_irs(agents, rngs)
+        rate, satisfied, secrecy = lanes.outcomes(slot)
+        policy.update(agents, satisfied)
+        for a_lo, a_hi, l_lo, l_hi, n in runs:
+            if l_hi - l_lo == 1:  # the flat reductions round alike and cost less
+                satisfaction[l_lo, t] = np.count_nonzero(satisfied[a_lo:a_hi]) / n
+                mean_secrecy[l_lo, t] = secrecy[a_lo:a_hi].mean()
+            else:
+                hits = np.count_nonzero(satisfied[a_lo:a_hi].reshape(-1, n), axis=1)
+                satisfaction[l_lo:l_hi, t] = hits / n
+                mean_secrecy[l_lo:l_hi, t] = secrecy[a_lo:a_hi].reshape(-1, n).mean(axis=1)
+        if record:
+            arm = lanes.arms[slot]
+            for l, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                chosen[l][t] = arm[lo:hi]
+                sat_record[l][t] = satisfied[lo:hi]
+                rates[l][t] = rate[lo:hi]
+    wall = time.perf_counter() - start
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "chunk lanes=%d cells=%d periods=%d: %.3f s",
+            len(chunk), len({lane.cfg for lane in chunk}), periods, wall,
+        )
+    return [
+        ReplicationResult(
+            satisfaction=satisfaction[l],
+            mean_secrecy=mean_secrecy[l],
+            chosen=chosen[l] if record else None,
+            satisfied=sat_record[l] if record else None,
+            rates=rates[l] if record else None,
+            agents=(agents if len(chunk) == 1 else agents.lane(l)) if record else None,
+            fading_blocks=fading_blocks,
+            wall_seconds=wall / len(chunk),
+        )
+        for l in range(len(chunk))
+    ]
+
+
+def run_lanes(lanes, record: bool = False) -> list[ReplicationResult]:
+    """Run every Lane of lanes; one result each, in order.
+
+    Lanes run in chunks of lanes advancing in lock step (see the module
+    docstring); each lane's results are those it gives when run alone.
+    Without record only the per-period series are kept: a result's chosen,
+    satisfied, rates and agents are None.
     """
-    ctx = env.new_period(rng)
-    if not agents.initialized:
-        slot = policy.init_association(agents, cfg.policy, env.initial_signal(ctx), rng)
-    else:
-        slot = policy.select_irs(agents, cfg.policy, rng)
-    rate, satisfied, secrecy = env.outcomes(slot, ctx, rng)
-    policy.update(agents, satisfied)
-    return PeriodOutcome(env.arms[slot], rate, satisfied, secrecy)
+    results = []
+    for chunk in _chunks(lanes):
+        results.extend(_run_chunk(chunk, record))
+    return results
 
 
 def run_replication(
     cfg: SimulationConfig, seed: int, environment=None
 ) -> ReplicationResult:
-    """One seeded replication: build the scenario, run all periods.
+    """One seeded replication, with its full record: a one-lane run_lanes call.
 
     With environment=None the scenario is the configured network; passing
     an environment (e.g. BernoulliEnvironment) replaces the channel while
     keeping the policy loop identical.
     """
-    rng = np.random.default_rng(seed)
-    if environment is None:
-        topo = build_network(cfg.topology, rng)
-        env = ChannelEnvironment(
-            topo, cfg.channel, cfg.rate_threshold, cfg.topology.detection_radius
-        )
-    else:
-        env = environment
-
-    agents = policy.Agents(env.offsets, env.arms)
-    periods = cfg.periods
-    satisfaction = np.empty(periods)
-    mean_secrecy = np.empty(periods)
-    chosen = np.empty((periods, env.n_agents), dtype=np.int64)
-    sat_matrix = np.empty((periods, env.n_agents), dtype=bool)
-    rates = np.empty((periods, env.n_agents))
-    for t in range(periods):
-        out = run_period(env, agents, cfg, rng)
-        satisfaction[t] = mean_satisfaction(out)
-        mean_secrecy[t] = float(out.secrecy.mean())
-        chosen[t] = out.chosen_irs
-        sat_matrix[t] = out.satisfied
-        rates[t] = out.rate
-    return ReplicationResult(
-        satisfaction=satisfaction,
-        mean_secrecy=mean_secrecy,
-        chosen=chosen,
-        satisfied=sat_matrix,
-        rates=rates,
-        agents=agents,
-        fading_blocks=periods * env.fading_blocks_per_period,
-    )
+    return run_lanes([Lane(cfg, seed, environment)], record=True)[0]
 
 
-def run_monte_carlo(cfg: SimulationConfig) -> SatisfactionTrace:
-    """Aggregate `replications` independent replications.
-
-    Replication i runs with seed base_seed + i. The trace carries the
-    per-iteration mean and a 95% normal-approximation half-width across
-    replications (zero when there is a single replication), plus the full
-    per-replication matrix for downstream statistics. Each replication's
-    agents and per-UE record are released before the next one runs.
-    """
-    n_rep = cfg.replications
+def _aggregate(cfg: SimulationConfig, results) -> SatisfactionTrace:
+    n_rep = len(results)
     per_rep = np.empty((n_rep, cfg.periods))
     per_rep_secrecy = np.empty((n_rep, cfg.periods))
-    fading_blocks = 0
-    for i in range(n_rep):
-        res = run_replication(cfg, cfg.base_seed + i)
+    for i, res in enumerate(results):
         per_rep[i] = res.satisfaction
         per_rep_secrecy[i] = res.mean_secrecy
-        fading_blocks += res.fading_blocks
-        del res
     mean = per_rep.mean(axis=0)
     if n_rep > 1:
         halfwidth = Z95 * per_rep.std(axis=0, ddof=1) / math.sqrt(n_rep)
@@ -314,6 +503,35 @@ def run_monte_carlo(cfg: SimulationConfig) -> SatisfactionTrace:
         base_seed=cfg.base_seed,
         replications=n_rep,
         periods=cfg.periods,
-        fading_blocks=fading_blocks,
+        fading_blocks=sum(res.fading_blocks for res in results),
         per_replication=per_rep,
     )
+
+
+def run_cells(cfgs) -> list[tuple[SatisfactionTrace, float]]:
+    """Every cell's trace and wall seconds, all replications of all cells run as lanes.
+
+    Cell c's replication i is the lane (cfgs[c], cfgs[c].base_seed + i).
+    A cell's wall seconds are its lanes' shares of their chunks' wall time.
+    """
+    cfgs = list(cfgs)
+    results = iter(
+        run_lanes(Lane(cfg, cfg.base_seed + i) for cfg in cfgs for i in range(cfg.replications))
+    )
+    cells = []
+    for cfg in cfgs:
+        mine = [next(results) for _ in range(cfg.replications)]
+        cells.append((_aggregate(cfg, mine), sum(res.wall_seconds for res in mine)))
+    return cells
+
+
+def run_monte_carlo(cfg: SimulationConfig) -> SatisfactionTrace:
+    """Aggregate `replications` independent replications.
+
+    Replication i runs with seed base_seed + i. The trace carries the
+    per-iteration mean and a 95% normal-approximation half-width across
+    replications (zero when there is a single replication), plus the full
+    per-replication matrix for downstream statistics. The replications run
+    as lanes (see run_cells) that keep no per-UE record.
+    """
+    return run_cells([cfg])[0][0]

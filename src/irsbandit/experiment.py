@@ -27,7 +27,7 @@ from .config import (
     SimulationConfig,
     TopologyConfig,
 )
-from .engine import SatisfactionTrace, run_monte_carlo
+from .engine import SatisfactionTrace, run_cells
 from .policy import effective_config
 
 log = logging.getLogger("irsbandit")
@@ -381,7 +381,7 @@ def _csv_rows(trace: SatisfactionTrace):
             f"{trace.omega:g},{trace.phi},"
             f"{trace.mean_satisfaction[t]:.6f},"
             f"{trace.ci95_halfwidth[t]:.6f},"
-            f"{trace.mean_secrecy_rate[t]:.6f}"
+            f"{trace.mean_secrecy_rate[t]:.6f}\n"
         )
 
 
@@ -409,19 +409,18 @@ def emit_trace(traces, path: str, format: OutputFormat = OutputFormat.CSV) -> No
     CSV columns are exactly iteration,policy,case,omega,phi,
     mean_satisfaction,ci95_halfwidth,mean_secrecy_rate with means at six
     decimal places; rows follow sweep order then iteration, so reruns of
-    the same spec are byte-identical.
+    the same spec are byte-identical. CSV rows stream to the file cell by
+    cell.
     """
     if isinstance(traces, SatisfactionTrace):
         traces = [traces]
-    if format is OutputFormat.CSV:
-        lines = [CSV_HEADER]
-        for trace in traces:
-            lines.extend(_csv_rows(trace))
-        payload = "\n".join(lines) + "\n"
-    else:
-        payload = json.dumps([_json_cell(t) for t in traces], indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+        if format is OutputFormat.CSV:
+            fh.write(CSV_HEADER + "\n")
+            for trace in traces:
+                fh.writelines(_csv_rows(trace))
+        else:
+            fh.write(json.dumps([_json_cell(t) for t in traces], indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -448,22 +447,30 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
     pairs the bandit and greedy runs for the gap statistics. Cells whose
     configs differ only in policy fields the policy never reads (see
     policy.effective_config) run once; the repeats copy that trace under
-    their own omega and phi labels, and their wall_seconds is the time the
-    copy took.
+    their own omega and phi labels. Every replication of every distinct
+    cell runs as one lane of a single engine.run_cells call, so lanes of
+    different cells share chunks. A computed cell's wall_seconds is its
+    lanes' share of their chunks' wall time; a copied cell's is the time
+    the copy took.
     """
     window = min(FINAL_WINDOW, spec.base.periods)
     traces = []
     cells = []
-    computed: dict[SimulationConfig, SatisfactionTrace] = {}
-    for kind, case, phi, omega in spec.sweep_cells():
-        cfg = _cell_config(spec.base, kind, case, phi, omega)
-        start = time.perf_counter()
+    sweep = []
+    first: dict[SimulationConfig, SimulationConfig] = {}  # effective cell -> first cell
+    for cell in spec.sweep_cells():
+        cfg = _cell_config(spec.base, *cell)
         key = dataclasses.replace(cfg, policy=effective_config(cfg.policy))
-        if key in computed:
-            trace = dataclasses.replace(computed[key], omega=omega, phi=phi)
+        sweep.append((cell, cfg, key))
+        first.setdefault(key, cfg)
+    computed = dict(zip(first, run_cells(first.values())))
+    for (kind, case, phi, omega), cfg, key in sweep:
+        if first[key] is cfg:
+            trace, wall = computed[key]
         else:
-            trace = computed[key] = run_monte_carlo(cfg)
-        wall = time.perf_counter() - start
+            start = time.perf_counter()
+            trace = dataclasses.replace(computed[key][0], omega=omega, phi=phi)
+            wall = time.perf_counter() - start
         log.info(
             "cell policy=%s case=%s phi=%d omega=%g: %.2f s",
             kind.value, case.value, phi, omega, wall,

@@ -161,12 +161,27 @@ def candidate_slots(
     every UE keeps at least one arm.
     """
     ring = topo.rings[serving_cells(topo.ue_xy, topo)]
-    d = distances(topo.panel_xy[ring], topo.ue_xy[:, None])
+    dx = topo.panel_xy[ring, 0] - topo.ue_xy[:, 0:1]
+    dy = topo.panel_xy[ring, 1] - topo.ue_xy[:, 1:2]
     if detection_radius is None:
+        d = elementwise(math.hypot, dx, dy)
         keep = np.ones(d.shape, dtype=bool)
     else:
-        keep = d <= detection_radius
-        keep[~keep.any(axis=1)] = True
+        # Only slots whose squared distance is within a relative margin of
+        # the radius's square can pass; the margin covers the rounding of
+        # dx*dx + dy*dy and of hypot many times over, and the floor keeps a
+        # square that underflows from excluding anything. The exact hypot
+        # then decides those slots, and gives every slot of a full-ring row.
+        bound = max(detection_radius * detection_radius * (1.0 + 1e-12), 1e-300)
+        near = dx * dx + dy * dy <= bound
+        d = np.empty(dx.shape)
+        d[near] = elementwise(math.hypot, dx[near], dy[near])
+        keep = near.copy()
+        keep[near] = d[near] <= detection_radius
+        full = ~keep.any(axis=1)
+        rest = full[:, None] & ~near
+        d[rest] = elementwise(math.hypot, dx[rest], dy[rest])
+        keep[full] = True
     offsets = np.zeros(len(ring) + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(keep, axis=1), out=offsets[1:])
     return ring[keep], offsets, d[keep]

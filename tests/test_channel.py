@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from irsbandit.channel import (
     ChannelRealization,
+    _fading_matrix,
     budgets_db,
     draw_realization,
+    fill_fading,
     path_losses_db,
     sample_fading,
     snr_factors,
@@ -133,6 +135,74 @@ class TestAchievableRate:
         assert np.all(np.diff(ys, 2) < 1e-12)
 
 
+class Scripted:
+    """Generator stand-in whose Exp(1) variates are a fixed sequence."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+        self.used = 0
+
+    def _take(self, n):
+        out = self.values[self.used : self.used + n]
+        assert len(out) == n, "script exhausted"
+        self.used += n
+        return out.copy()
+
+    def exponential(self, size):
+        return self._take(math.prod(size) if isinstance(size, tuple) else size).reshape(size)
+
+    def standard_exponential(self, size=None, out=None):
+        if out is None:
+            return self._take(size)
+        out[:] = self._take(len(out))
+        return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    blocks=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=4),
+    values=st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=5.0)),
+        min_size=60,
+        max_size=60,
+    ),
+)
+def test_fill_fading_matches_one_fading_matrix_per_block(blocks, values):
+    """Exact zeros are redrawn block by block, as separate draws would.
+
+    One draw call fills every block; when it holds a zero, the variates are
+    replayed through _fading_matrix block by block and only the shortfall
+    is drawn, so both the gains and the stream consumed match one
+    _fading_matrix call per block.
+    """
+    values[40:] = [1.0] * 20  # no zero can outlast the script
+    want_rng = Scripted(values)
+    try:
+        want = np.concatenate([_fading_matrix(want_rng, (n,)) for n in blocks])
+    except AssertionError:  # more zeros than the script covers
+        return
+    got_rng = Scripted(values)
+    got = np.empty(sum(blocks))
+    fill_fading([(got_rng, got, blocks)], got)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.used == want_rng.used
+    assert got.all()
+
+
+def test_fill_fading_lanes_draw_from_their_own_streams():
+    """Two lanes in one buffer; the second's zero is redrawn from its own stream."""
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    scripted = [0.5, 0.0, 1.5, 2.0, 0.25]
+    gains = np.empty(29)
+    draws = [(rng, gains[:25], (5, 15, 5)), (Scripted(scripted), gains[25:], (2, 2))]
+    fill_fading(draws, gains)
+    want = np.concatenate([_fading_matrix(twin, (n,)) for n in (5, 15, 5)])
+    assert gains[:25].tobytes() == want.tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert gains[25:].tolist() == [0.5, 1.5, 2.0, 0.25]
+    assert draws[1][0].used == 5
+
+
 class TestRssi:
     def setup_method(self):
         self.p = ChannelParams()
@@ -161,14 +231,15 @@ class TestRssi:
         # replays the documented draw order (eve angles, UE uniforms,
         # then the fading block) and evaluates
         # tx + gain - PL(20) - PL(|panel-ue|) + 10*log10(g1*g2) directly.
-        from irsbandit.engine import ChannelEnvironment
+        from irsbandit.engine import ChannelEnvironment, ChannelLanes
 
         cfg = TopologyConfig()
         rng = np.random.default_rng(42)
         topo = build_network(cfg, rng)
         env = ChannelEnvironment(topo, ChannelParams(), rate_threshold=1.0)
-        real = env.new_period(rng)
-        signal = env.initial_signal(real)  # one entry per slot; UE 0's come first
+        lanes = ChannelLanes([env], [rng])
+        lanes.draw()
+        signal = lanes.signal()  # one entry per slot; UE 0's come first
         assert math.isclose(signal[env.offsets[0]], -6.4650184599, abs_tol=1e-9)
 
 

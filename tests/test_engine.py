@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib.util
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from irsbandit import channel
+from irsbandit import channel, engine
 from irsbandit.config import (
     ChannelParams,
     DistributionCase,
@@ -20,13 +21,13 @@ from irsbandit.config import (
 from irsbandit.engine import (
     BernoulliEnvironment,
     ChannelEnvironment,
-    PeriodOutcome,
-    mean_satisfaction,
+    ChannelLanes,
+    Lane,
+    run_lanes,
     run_monte_carlo,
-    run_period,
     run_replication,
 )
-from irsbandit.policy import Agents
+from irsbandit.policy import Agents, init_association, select_irs, update
 from irsbandit.topology import build_network
 
 import reference_model
@@ -74,66 +75,67 @@ def small_cfg(**overrides):
     return SimulationConfig(**defaults)
 
 
-def make_period_outcome(flags):
-    n = len(flags)
-    satisfied = np.array(flags, dtype=bool)
-    return PeriodOutcome(
-        chosen_irs=np.zeros(n, dtype=np.int64),
-        rate=satisfied.astype(float) * 2.0,
-        satisfied=satisfied,
-        secrecy=np.zeros(n),
+def first_period(cfg, seed):
+    """Period 1 of a replication driven step by step through ChannelLanes.
+
+    The engine's period protocol, restated: the lane's fading, the warm
+    start, the batched link evaluation, the update. Returns the replication
+    result of run_replication for the same period, the per-UE outcomes and
+    the agents.
+    """
+    rng = np.random.default_rng(seed)
+    topo = build_network(cfg.topology, rng)
+    env = ChannelEnvironment(
+        topo, cfg.channel, cfg.rate_threshold, cfg.topology.detection_radius
     )
+    lanes = ChannelLanes([env], [rng])
+    agents = Agents(env.offsets, env.arms, [cfg.policy])
+    lanes.draw()
+    slot = init_association(agents, lanes.signal(), [rng])
+    rate, satisfied, secrecy = lanes.outcomes(slot)
+    update(agents, satisfied)
+    res = run_replication(dataclasses.replace(cfg, periods=1), seed)
+    _assert_same_bits(res.chosen[0], env.arms[slot])
+    _assert_same_bits(res.rates[0], rate)
+    return res, (rate, satisfied, secrecy), agents
 
 
-class TestMeanSatisfaction:
-    def test_half(self):
-        assert mean_satisfaction(make_period_outcome([1, 1, 0, 0])) == 0.5
+class TestOnePeriod:
+    """One association period: the engine's first period and its per-UE outcomes."""
 
-    def test_all(self):
-        assert mean_satisfaction(make_period_outcome([1, 1, 1])) == 1.0
-
-    def test_none(self):
-        assert mean_satisfaction(make_period_outcome([0, 0, 0])) == 0.0
-
-    def test_zero_ues_rejected(self):
-        with pytest.raises(ValueError):
-            mean_satisfaction(make_period_outcome([]))
-
-
-class TestRunPeriod:
     def run_one(self, rate_threshold, seed=7):
-        cfg = small_cfg(rate_threshold=rate_threshold)
-        rng = np.random.default_rng(seed)
-        topo = build_network(cfg.topology, rng)
-        env = ChannelEnvironment(topo, cfg.channel, rate_threshold)
-        agents = Agents(env.offsets, env.arms)
-        return run_period(env, agents, cfg, rng), agents
+        return first_period(small_cfg(rate_threshold=rate_threshold), seed)
 
     def test_tiny_threshold_satisfies_everyone(self):
-        out, _ = self.run_one(rate_threshold=1e-12)
-        assert mean_satisfaction(out) == 1.0
+        res, _, _ = self.run_one(rate_threshold=1e-12)
+        assert res.satisfaction[0] == 1.0
 
     def test_huge_threshold_satisfies_nobody(self):
-        out, agents = self.run_one(rate_threshold=1e6)
-        assert mean_satisfaction(out) == 0.0
+        res, _, agents = self.run_one(rate_threshold=1e6)
+        assert res.satisfaction[0] == 0.0
+        assert all(a.rewards.sum() == 0 for a in res.agents)
         assert all(a.rewards.sum() == 0 for a in agents)
 
     def test_fixed_seed_identical_outcome(self):
-        a, _ = self.run_one(rate_threshold=1.0, seed=11)
-        b, _ = self.run_one(rate_threshold=1.0, seed=11)
-        assert np.array_equal(a.chosen_irs, b.chosen_irs)
-        assert np.array_equal(a.rate, b.rate)
+        a, out_a, _ = self.run_one(rate_threshold=1.0, seed=11)
+        b, out_b, _ = self.run_one(rate_threshold=1.0, seed=11)
+        assert np.array_equal(a.chosen, b.chosen)
+        assert np.array_equal(a.rates, b.rates)
         assert np.array_equal(a.satisfied, b.satisfied)
-        assert np.array_equal(a.secrecy, b.secrecy)
+        assert np.array_equal(a.mean_secrecy, b.mean_secrecy)
+        for x, y in zip(out_a, out_b):
+            assert np.array_equal(x, y)
 
     def test_satisfaction_matches_threshold_definition(self):
-        out, _ = self.run_one(rate_threshold=1.0)
-        assert np.array_equal(out.satisfied, out.rate >= 1.0)
+        res, (rate, satisfied, _), _ = self.run_one(rate_threshold=1.0)
+        assert np.array_equal(res.satisfied[0], res.rates[0] >= 1.0)
+        assert np.array_equal(satisfied, rate >= 1.0)
 
     def test_secrecy_within_bounds(self):
-        out, _ = self.run_one(rate_threshold=1.0)
-        assert (out.secrecy >= 0).all()
-        assert (out.secrecy <= out.rate).all()
+        res, (rate, _, secrecy), _ = self.run_one(rate_threshold=1.0)
+        assert (secrecy >= 0).all()
+        assert (secrecy <= rate).all()
+        assert res.mean_secrecy[0].hex() == float(secrecy.mean()).hex()
 
 
 class TestRunReplication:
@@ -297,9 +299,10 @@ def test_environment_matches_scalar_channel_bit_for_bit(
 ):
     """The per-replication budgets reproduce the scalar channel functions exactly.
 
-    initial_signal covers every slot at once; outcomes is called once per
-    candidate rank k, each UE on its k-th candidate (or its last one), so
-    every (UE, candidate) pair is evaluated.
+    The lane's fading is channel.draw_realization's, in its layout; signal
+    covers every slot at once; outcomes is called once per candidate rank
+    k, each UE on its k-th candidate (or its last one), so every (UE,
+    candidate) pair is evaluated.
     """
     rng = np.random.default_rng(seed)
     topo = build_network(
@@ -320,11 +323,17 @@ def test_environment_matches_scalar_channel_bit_for_bit(
         noise_power_db=noise_power_db,
     )
     env = ChannelEnvironment(topo, params, threshold, detection_radius)
-    real = channel.draw_realization(topo, rng)
-    rssi = env.initial_signal(real)
+    twin = copy.deepcopy(rng)
+    real = channel.draw_realization(topo, twin)
+    lanes = ChannelLanes([env], [rng])
+    lanes.draw()
+    flat = np.concatenate([real.g_bs_irs, real.g_irs_ue.ravel(), real.g_irs_eve.ravel()])
+    _assert_same_bits(lanes.gains, flat)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    rssi = lanes.signal()
     sizes = np.diff(env.offsets)
     outcomes = [
-        env.outcomes(env.offsets[:-1] + np.minimum(k, sizes - 1), real, rng)
+        lanes.outcomes(env.offsets[:-1] + np.minimum(k, sizes - 1))
         for k in range(sizes.max())
     ]
     for u, ue in enumerate(topo.ue_xy.tolist()):
@@ -414,15 +423,22 @@ def test_engine_matches_reference_chain_bit_for_bit(
         assert record.current_irs == agent.current_irs
         assert record.consecutive_unsatisfied == agent.consecutive_unsatisfied
 
-    # per-UE secrecy, period by period, as run_replication drives run_period
+    # per-UE secrecy, period by period, through the engine's period protocol
     rng = np.random.default_rng(seed)
     topo = build_network(cfg.topology, rng)
     env = ChannelEnvironment(topo, cfg.channel, threshold, detection_radius)
-    agents = Agents(env.offsets, env.arms)
+    lanes = ChannelLanes([env], [rng])
+    agents = Agents(env.offsets, env.arms, [cfg.policy])
     for t in range(cfg.periods):
-        out = run_period(env, agents, cfg, rng)
-        _assert_same_bits(out.secrecy, want.secrecy[t])
-        _assert_same_bits(out.chosen_irs, want.chosen[t])
+        lanes.draw()
+        if t == 0:
+            slot = init_association(agents, lanes.signal(), [rng])
+        else:
+            slot = select_irs(agents, [rng])
+        _, satisfied, secrecy = lanes.outcomes(slot)
+        update(agents, satisfied)
+        _assert_same_bits(secrecy, want.secrecy[t])
+        _assert_same_bits(env.arms[slot], want.chosen[t])
 
 
 @settings(max_examples=40, deadline=None)
@@ -451,6 +467,87 @@ def test_bernoulli_engine_matches_reference_chains(
     if n_agents == 1 and kind is CB:
         chain = two_armed_oracle.run_chain(seed, probs, omega, phi, cfg.periods)
         _assert_same_bits(got.chosen[:, 0], chain)
+
+
+channel_lanes = st.builds(
+    lambda seed, kind, case, radius, eves, n_ues, n_panels: Lane(
+        SimulationConfig(
+            topology=TopologyConfig(
+                irs_per_cell=n_panels,
+                eavesdroppers_per_cell=eves,
+                ue_count=n_ues,
+                distribution_case=case,
+                cluster_size=1,
+                detection_radius=radius,
+            ),
+            policy=PolicyConfig(kind=kind, omega=0.3, phi=2),
+            periods=LANE_PERIODS,
+            replications=1,
+        ),
+        seed,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(list(PolicyKind)),
+    case=st.sampled_from(list(DistributionCase)),
+    radius=st.sampled_from([None, 25.0]),
+    eves=st.integers(min_value=0, max_value=2),
+    n_ues=st.sampled_from([1, 3, 8]),
+    n_panels=st.sampled_from([2, 5]),
+)
+bernoulli_lanes = st.builds(
+    lambda seed, kind, probs, n_agents: Lane(
+        SimulationConfig(
+            policy=PolicyConfig(kind=kind, omega=0.3, phi=1),
+            periods=LANE_PERIODS,
+            replications=1,
+        ),
+        seed,
+        BernoulliEnvironment(probs, n_agents),
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(list(PolicyKind)),
+    probs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4),
+    n_agents=st.sampled_from([1, 2, 5]),
+)
+LANE_PERIODS = 8
+
+
+@pytest.mark.parametrize("chunk_floats", [1, 3, math.inf])
+@settings(max_examples=25, deadline=None)
+@given(lanes=st.lists(st.one_of(channel_lanes, bernoulli_lanes), min_size=1, max_size=6))
+def test_lanes_in_chunks_match_one_lane_runs(chunk_floats, lanes):
+    """Every lane of a chunk gives, bit for bit, what it gives run alone.
+
+    Lanes mix policies, placements, detection radii, eavesdropper counts
+    and sizes; Bernoulli lanes join the list and chunk with each other.
+    Unbounded chunks put every run of same-kind lanes in one chunk; a
+    bound of 1 or 3 floats runs every channel lane alone.
+    """
+    alone = [run_replication(*lane) for lane in lanes]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "CHUNK_FLOATS", chunk_floats)
+        chunks = list(engine._chunks(lanes))
+        got = run_lanes(lanes, record=True)
+        series = run_lanes(lanes)
+    kinds = [lane.environment is None for lane in lanes]
+    if chunk_floats == math.inf:
+        assert len(chunks) == 1 + sum(a != b for a, b in zip(kinds, kinds[1:]))
+    assert [lane for chunk in chunks for lane in chunk] == lanes
+    for want, res, light in zip(alone, got, series, strict=True):
+        _assert_same_bits(res.chosen, want.chosen)
+        _assert_same_bits(res.satisfied, want.satisfied)
+        _assert_same_bits(res.rates, want.rates)
+        for r in (res, light):
+            _assert_same_bits(r.satisfaction, want.satisfaction)
+            _assert_same_bits(r.mean_secrecy, want.mean_secrecy)
+            assert r.fading_blocks == want.fading_blocks
+        assert light.chosen is None and light.agents is None
+        assert len(res.agents) == len(want.agents)
+        for record, agent in zip(res.agents, want.agents, strict=True):
+            _assert_same_bits(record.rewards, agent.rewards)
+            assert record.candidate_irs == agent.candidate_irs
+            assert record.current_irs == agent.current_irs
+            assert record.consecutive_unsatisfied == agent.consecutive_unsatisfied
 
 
 TOPOLOGY_FIELDS = {f.name for f in dataclasses.fields(TopologyConfig)}
@@ -545,6 +642,6 @@ def test_accepted_topologies_give_finite_budgets_and_a_period_in_unit_range(
         assert np.isfinite(budget).all()
     assert env._eve_snr.shape == (len(topo.panel_xy), len(topo.eve_xy))
     sim = SimulationConfig(topology=cfg, periods=1, replications=1)
-    out = run_period(env, Agents(env.offsets, env.arms), sim, rng)
-    assert 0.0 <= mean_satisfaction(out) <= 1.0
-    assert np.isin(out.chosen_irs, env.arms).all()
+    res = run_replication(sim, seed)  # builds the same network from the same seed
+    assert 0.0 <= res.satisfaction[0] <= 1.0
+    assert np.isin(res.chosen[0], env.arms).all()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import pathlib
 
 import numpy as np
@@ -13,7 +14,8 @@ from irsbandit.config import (
     SimulationConfig,
     TopologyConfig,
 )
-from irsbandit.engine import run_monte_carlo
+from irsbandit import engine
+from irsbandit.engine import run_lanes, run_monte_carlo
 from irsbandit.experiment import (
     CSV_HEADER,
     ConfigError,
@@ -361,17 +363,20 @@ class TestSweepDedup:
 
     def test_default_axes_run_each_effective_cell_once(self, tmp_path, monkeypatch):
         base = dataclasses.replace(SimulationConfig(), periods=6, replications=2)
-        calls = []
+        lanes = []
 
-        def counting(cfg):
-            calls.append(cfg)
-            return run_monte_carlo(cfg)
+        def counting(batch, record=False):
+            batch = list(batch)
+            lanes.extend(batch)
+            return run_lanes(batch, record)
 
-        monkeypatch.setattr(experiment, "run_monte_carlo", counting)
+        monkeypatch.setattr(engine, "run_lanes", counting)
         spec = ExperimentSpec(base=base, output_path=str(tmp_path / "dedup.csv"))
         summary = run_experiment(spec)
         assert len(list(spec.sweep_cells())) == 12
-        assert len(calls) == 8  # 6 bandit cells + 2 greedy cells (one per case)
+        # 6 bandit cells + 2 greedy cells (one per case), 2 replications each
+        assert len({lane.cfg for lane in lanes}) == 8
+        assert sorted(lane.seed for lane in lanes) == sorted([base.base_seed, base.base_seed + 1] * 8)
         assert len(summary.cells) == 12
 
         traces = [
@@ -388,3 +393,27 @@ class TestSweepDedup:
         assert (tmp_path / "dedup.csv").read_bytes() == (
             tmp_path / "every_cell.csv"
         ).read_bytes()
+
+
+class TestChunkTiming:
+    """One debug line per lane chunk; computed cells split their chunks' wall time."""
+
+    def test_one_line_per_chunk(self, tmp_path, caplog, monkeypatch):
+        base = dataclasses.replace(SimulationConfig(), periods=4, replications=3)
+        spec = ExperimentSpec(base=base, output_path=str(tmp_path / "t.csv"))
+        with caplog.at_level(logging.DEBUG, logger="irsbandit"):
+            run_experiment(spec)
+        chunks = [r.getMessage() for r in caplog.records if r.getMessage().startswith("chunk ")]
+        assert len(chunks) == 1 and chunks[0].startswith("chunk lanes=24 cells=8 periods=4: ")
+
+        caplog.clear()
+        monkeypatch.setattr(engine, "CHUNK_FLOATS", 1000)  # two default lanes per chunk
+        with caplog.at_level(logging.DEBUG, logger="irsbandit"):
+            summary = run_experiment(spec)
+        chunks = [r.getMessage() for r in caplog.records if r.getMessage().startswith("chunk ")]
+        assert len(chunks) == 12
+        assert sum(m.startswith("chunk lanes=2 cells=2 ") for m in chunks) == 4
+        walls = [float(m.rsplit(": ", 1)[1].split()[0]) for m in chunks]
+        computed = [c.wall_seconds for c in summary.cells if c.policy is PolicyKind.CONTEXTUAL_BANDIT]
+        computed += [summary.cells[6].wall_seconds, summary.cells[9].wall_seconds]
+        assert sum(computed) == pytest.approx(sum(walls), abs=0.01)

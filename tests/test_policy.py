@@ -18,17 +18,19 @@ CB = PolicyKind.CONTEXTUAL_BANDIT
 GREEDY = PolicyKind.GREEDY
 
 
-def agents(*candidates):
-    """Fresh flat state: one agent per candidate tuple, (0, 1, 2) by default."""
+def agents(*candidates, policy=PolicyConfig()):
+    """Fresh flat state of one lane: one agent per candidate tuple, (0, 1, 2) by default."""
     candidates = candidates or ((0, 1, 2),)
     offsets = list(itertools.accumulate(map(len, candidates), initial=0))
     arms = np.array([a for c in candidates for a in c], dtype=np.int64)
-    return Agents(offsets, arms)
+    return Agents(offsets, arms, [policy])
 
 
-def initialized_agent(candidates=(0, 1, 2), current=0, rewards=None, streak=0):
+def initialized_agent(
+    candidates=(0, 1, 2), current=0, rewards=None, streak=0, policy=PolicyConfig()
+):
     """One initialized agent on panel `current`."""
-    a = agents(tuple(candidates))
+    a = agents(tuple(candidates), policy=policy)
     a.initialized = True
     a.slot[0] = list(candidates).index(current)
     if rewards is not None:
@@ -45,96 +47,89 @@ def panels(a):
 class TestInitAssociation:
     def test_cb_takes_strongest_rssi(self):
         a = agents()
-        slot = init_association(
-            a, PolicyConfig(kind=CB), [-70.0, -60.0, -80.0], np.random.default_rng(0)
-        )
+        slot = init_association(a, [-70.0, -60.0, -80.0], [np.random.default_rng(0)])
         assert a.arms[slot].tolist() == [1]
         assert a.initialized and a[0].current_irs == 1
         # every agent picks within its own segment
         b = agents((0, 1, 2), (3, 4), (5,), (6, 7, 8))
         rssi = [-70.0, -60.0, -80.0, -50.0, -55.0, -99.0, -90.0, -91.0, -10.0]
-        init_association(b, PolicyConfig(kind=CB), rssi, np.random.default_rng(0))
+        init_association(b, rssi, [np.random.default_rng(0)])
         assert panels(b) == [1, 3, 5, 8]
 
     def test_cb_rssi_tie_goes_low(self):
         a = agents((5, 9), (2, 3, 4))
-        init_association(
-            a, PolicyConfig(kind=CB), [-60.0, -60.0, -1.0, 0.0, 0.0],
-            np.random.default_rng(0),
-        )
+        init_association(a, [-60.0, -60.0, -1.0, 0.0, 0.0], [np.random.default_rng(0)])
         assert panels(a) == [5, 3]
 
     def test_greedy_golden_draw(self):
         # documented draw: default_rng(123).integers(8) == 0, frozen once
-        a = agents(tuple(range(10, 18)))
-        init_association(a, PolicyConfig(kind=GREEDY), None, np.random.default_rng(123))
+        a = agents(tuple(range(10, 18)), policy=PolicyConfig(kind=GREEDY))
+        init_association(a, None, [np.random.default_rng(123)])
         assert panels(a) == [10]
 
     def test_reinitialization_rejected(self):
         a = initialized_agent()
         with pytest.raises(ValueError, match="already initialized"):
-            init_association(a, PolicyConfig(kind=CB), [0.0, 0.0, 0.0], np.random.default_rng(0))
+            init_association(a, [0.0, 0.0, 0.0], [np.random.default_rng(0)])
 
     def test_misaligned_rssi_rejected(self):
         a = agents((1, 2))
         with pytest.raises(ValueError, match="align"):
-            init_association(
-                a, PolicyConfig(kind=CB), [0.0, 0.0, 0.0], np.random.default_rng(0)
-            )
+            init_association(a, [0.0, 0.0, 0.0], [np.random.default_rng(0)])
 
     def test_cb_without_signal_context_draws_uniformly(self):
         counts = np.zeros(3)
         for seed in range(300):
             a = agents()
-            init_association(a, PolicyConfig(kind=CB), None, np.random.default_rng(seed))
+            init_association(a, None, [np.random.default_rng(seed)])
             counts[panels(a)[0]] += 1
         assert counts.min() > 60  # roughly uniform across 3 arms
 
 
 class TestSelectIrs:
     def test_pure_exploitation_argmax(self):
-        a = initialized_agent(current=1, rewards=[5, 2, 9])
         cfg = PolicyConfig(kind=CB, omega=0.0, phi=1)
+        a = initialized_agent(current=1, rewards=[5, 2, 9], policy=cfg)
         a.unsat[0] = 1  # current not argmax anyway
-        select_irs(a, cfg, np.random.default_rng(0))
+        select_irs(a, [np.random.default_rng(0)])
         assert panels(a) == [2]
 
     def test_greedy_tie_goes_low(self):
-        a = initialized_agent(current=2, rewards=[4, 4, 1])
-        select_irs(a, PolicyConfig(kind=GREEDY), np.random.default_rng(0))
+        a = initialized_agent(current=2, rewards=[4, 4, 1], policy=PolicyConfig(kind=GREEDY))
+        select_irs(a, [np.random.default_rng(0)])
         assert panels(a) == [0]
 
     def test_stickiness_overrides_omega(self):
         # on the argmax panel with streak < phi: stays even at omega = 1
-        a = initialized_agent(current=2, rewards=[1, 2, 7], streak=1)
         cfg = PolicyConfig(kind=CB, omega=1.0, phi=3)
+        a = initialized_agent(current=2, rewards=[1, 2, 7], streak=1, policy=cfg)
         rng = np.random.default_rng(0)
-        select_irs(a, cfg, rng)
+        select_irs(a, [rng])
         assert panels(a) == [2]
         state = rng.bit_generator.state
         assert state == np.random.default_rng(0).bit_generator.state  # no draw used
 
     def test_streak_at_phi_forces_decision(self):
-        a = initialized_agent(current=2, rewards=[1, 2, 7], streak=3)
         cfg = PolicyConfig(kind=CB, omega=0.0, phi=3)
+        a = initialized_agent(current=2, rewards=[1, 2, 7], streak=3, policy=cfg)
         rng = np.random.default_rng(0)
-        select_irs(a, cfg, rng)
+        select_irs(a, [rng])
         assert panels(a) == [2]  # argmax again
         assert rng.bit_generator.state != np.random.default_rng(0).bit_generator.state
 
     def test_uninitialized_rejected(self):
         with pytest.raises(ValueError, match="not initialized"):
-            select_irs(agents(), PolicyConfig(kind=CB), np.random.default_rng(0))
+            select_irs(agents(), [np.random.default_rng(0)])
 
     def test_exploration_rate_respected(self):
         cfg = PolicyConfig(kind=CB, omega=0.3, phi=1)
         trials = 4000
-        a = agents(*[(0, 1, 2)] * trials)
+        a = agents(*[(0, 1, 2)] * trials, policy=cfg)
         a.initialized = True
         a.slot[:] = a.starts + 1
         a.rewards[:] = np.tile([0, 9, 0], trials)
         a.unsat[:] = 5
-        select_irs(a, cfg, np.random.default_rng(11))
+        select_irs(a, [np.random.default_rng(11)])
         explored = np.count_nonzero(a.arms[a.slot] != 1)
         # explore picks uniformly among 3 arms, so P(leave argmax) = omega * 2/3
         assert abs(explored / trials - 0.2) < 0.02
@@ -150,14 +145,15 @@ class TestSelectIrs:
                 row[:] = rng.integers(0, 50, size=4)
         streak = rng.integers(0, 5, size=n)
         current = rng.integers(4, size=n)
-        cb, gr = agents(*[(0, 1, 2, 3)] * n), agents(*[(0, 1, 2, 3)] * n)
+        cb = agents(*[(0, 1, 2, 3)] * n, policy=PolicyConfig(kind=CB, omega=0.0, phi=1))
+        gr = agents(*[(0, 1, 2, 3)] * n, policy=PolicyConfig(kind=GREEDY))
         for a in (cb, gr):
             a.initialized = True
             a.slot[:] = a.starts + current
             a.rewards[:] = rewards.ravel()
             a.unsat[:] = streak
-        select_irs(cb, PolicyConfig(kind=CB, omega=0.0, phi=1), rng)
-        select_irs(gr, PolicyConfig(kind=GREEDY), rng)
+        select_irs(cb, [rng])
+        select_irs(gr, [rng])
         assert panels(cb) == panels(gr) == rewards.argmax(axis=1).tolist()
 
     def test_argmax_invariant_under_positive_scaling(self):
@@ -168,10 +164,10 @@ class TestSelectIrs:
         for _ in range(100):
             rewards = rng.integers(0, 30, size=5)
             for scale in (2, 7):
-                a = initialized_agent(range(5), 0, rewards, streak=9)
-                b = initialized_agent(range(5), 0, rewards * scale, streak=9)
-                select_irs(a, cfg, np.random.default_rng(0))
-                select_irs(b, cfg, np.random.default_rng(0))
+                a = initialized_agent(range(5), 0, rewards, streak=9, policy=cfg)
+                b = initialized_agent(range(5), 0, rewards * scale, streak=9, policy=cfg)
+                select_irs(a, [np.random.default_rng(0)])
+                select_irs(b, [np.random.default_rng(0)])
                 assert panels(a) == panels(b)
         two = agents((0, 1, 2), (3, 4, 5))
         values = np.array([1.0, 3.0, 3.0, 4.0, 5.0, 5.0])
@@ -227,12 +223,11 @@ def test_agent_records_read_the_flat_state():
 @given(outcomes=st.lists(st.booleans(), min_size=1, max_size=200), seed=st.integers(0, 2**31))
 def test_reward_monotone_and_conserved(outcomes, seed):
     rng = np.random.default_rng(seed)
-    a = agents((0, 1, 2, 3))
-    init_association(a, PolicyConfig(kind=GREEDY), None, rng)
-    cfg = PolicyConfig(kind=CB, omega=0.2, phi=2)
+    a = agents((0, 1, 2, 3), policy=PolicyConfig(kind=CB, omega=0.2, phi=2))
+    init_association(a, None, [rng])
     prev = a.rewards.copy()
     for sat in outcomes:
-        select_irs(a, cfg, rng)
+        select_irs(a, [rng])
         update(a, np.array([sat]))
         assert (a.rewards >= prev).all()  # never decreases
         prev = a.rewards.copy()
@@ -248,15 +243,15 @@ def test_two_armed_sanity_quick():
     fractions = []
     for seed in range(20):
         rng = np.random.default_rng(500 + seed)
-        a = agents((0, 1))
-        init_association(a, cfg, None, rng)
+        a = agents((0, 1), policy=cfg)
+        init_association(a, None, [rng])
         picks = []
         first = True
         for t in range(400):
             if first:
                 first = False
             else:
-                select_irs(a, cfg, rng)
+                select_irs(a, [rng])
             picks.append(panels(a)[0])
             update(a, np.array([rng.random() < (0.9 if picks[-1] == 0 else 0.1)]))
         fractions.append(np.mean(np.array(picks[199:400]) == 0))
