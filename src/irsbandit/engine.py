@@ -43,7 +43,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -236,37 +236,32 @@ class ChannelLanes:
     def __init__(self, envs, rngs):
         layout = _Layout(envs)
         self.offsets, self.arms = layout.offsets, layout.arms
-        sizes = [sum(env.blocks) for env in envs]
-        base = list(accumulate(sizes, initial=0))
-        self.gains = np.empty(base[-1])
-        self._draws = [
-            (rng, self.gains[b : b + n], env.blocks)
-            for rng, env, b, n in zip(rngs, envs, base, sizes)
-        ]
-        n_panels = [env.blocks[0] for env in envs]
-        panel_base = list(accumulate(n_panels, initial=0))
-        self._n_panels = panel_base[-1]
-        self._panel = _joined([_shifted(env.arms, pb) for env, pb in zip(envs, panel_base)])
+        self.gains = np.empty(sum(sum(env.blocks) for env in envs))
+        self._draws = []
+        panel, bs_at, ue_row, pair_panel, pair_eve = [], [], [], [], []
+        b = p = 0  # the lane's first gain and first chunk panel
+        for env, rng in zip(envs, rngs):
+            n_bs, n_ue, n_eve = env.blocks
+            self._draws.append((rng, self.gains[b : b + n_bs + n_ue + n_eve], env.blocks))
+            panel.append(_shifted(env.arms, p))
+            bs_at.append(b + np.arange(n_bs))
+            ue_row.append(b + n_bs + np.arange(env.n_agents))
+            pair_panel.append(p + np.arange(n_bs).repeat(env._eve_snr.shape[1]))
+            pair_eve.append(b + n_bs + n_ue + np.arange(n_eve))
+            b += n_bs + n_ue + n_eve
+            p += n_bs
+        self._n_panels = p
+        self._panel = _joined(panel)
+        self._bs_at = np.concatenate(bs_at)
+        self._ue_row = np.concatenate(ue_row)
+        self._pair_panel = np.concatenate(pair_panel)
+        self._pair_eve = np.concatenate(pair_eve)
+        self._pair_snr = _joined([env._eve_snr.ravel() for env in envs])
         self._budget_db = _joined([env._budget_db for env in envs])
         self._snr = _joined([env._snr for env in envs])
-        self._bs_at = np.concatenate(
-            [b + np.arange(n) for b, n in zip(base, n_panels)]
-        )
-        self._ue_row = np.concatenate(
-            [b + n + np.arange(env.n_agents) for env, b, n in zip(envs, base, n_panels)]
-        )
         n_ues = [env.n_agents for env in envs]
         self._ue_stride = np.repeat(n_ues, n_ues)
         self._threshold = np.repeat([env.rate_threshold for env in envs], n_ues)
-        n_eves = [env._eve_snr.shape[1] for env in envs]
-        self._pair_panel = np.concatenate(
-            [pb + np.arange(n).repeat(e) for pb, n, e in zip(panel_base, n_panels, n_eves)]
-        )
-        self._pair_eve = np.concatenate(
-            [b + env.blocks[0] + env.blocks[1] + np.arange(env.blocks[2])
-             for env, b in zip(envs, base)]
-        )
-        self._pair_snr = _joined([env._eve_snr.ravel() for env in envs])
 
     def draw(self) -> None:
         """Every lane's fading for the period, each from its own Generator."""
@@ -395,13 +390,13 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     fading_blocks = chunk[0].cfg.periods * envs[0].fading_blocks_per_period
     del envs  # lanes and agents hold all that is left to read
 
-    # runs of lanes with equal agent counts, so per-lane means are row means
-    runs = []
-    for l, n in enumerate(sizes):
-        if runs and runs[-1][4] == n:
-            runs[-1][1], runs[-1][3] = bounds[l + 1], l + 1
-        else:
-            runs.append([bounds[l], bounds[l + 1], l, l + 1, n])
+    # runs of lanes with equal agent counts, so per-lane means are row means:
+    # (first agent, end agent, first lane, end lane, agents per lane)
+    runs, l = [], 0
+    for n, group in groupby(sizes):
+        k = len(list(group))
+        runs.append((bounds[l], bounds[l + k], l, l + k, n))
+        l += k
     periods = chunk[0].cfg.periods
     satisfaction = np.empty((len(chunk), periods))
     mean_secrecy = np.empty((len(chunk), periods))

@@ -73,7 +73,7 @@ class Agents:
     def lane(self, l: int) -> Agents:
         """A copy of lane l's agents alone, as one lane with its slots from 0."""
         lo, hi = self.lanes[l], self.lanes[l + 1]
-        s_lo = self._start_list[lo] if hi > lo else 0
+        s_lo = self._start_list[lo]
         s_hi = s_lo + sum(self._size_list[lo:hi])
         offsets = np.append(self.starts[lo:hi], s_hi) - s_lo
         part = Agents(offsets, self.arms[s_lo:s_hi], self.policies[l : l + 1])
