@@ -340,7 +340,11 @@ def _kind(lane: Lane) -> type:
 
 
 def _period_floats(lane: Lane) -> int:
-    """Floats one period of the lane draws: its fading gains, or its outcome uniforms."""
+    """Floats one period of the lane draws: its fading gains, or its outcome uniforms.
+
+    Read from the config, so chunks are cut before any network is built and
+    no lane's set-up outlives its own chunk.
+    """
     if lane.environment is None:
         t = lane.cfg.topology
         cells = len(t.small_cell_offsets)
@@ -382,13 +386,13 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         )
         for lane, rng in zip(chunk, rngs)
     ]
-    lanes = _LANES[type(envs[0])](envs, rngs)
+    batch = _LANES[type(envs[0])](envs, rngs)
     policies = [lane.cfg.policy for lane in chunk]
     sizes = [env.n_agents for env in envs]
     bounds = list(accumulate(sizes, initial=0))
-    agents = policy.Agents(lanes.offsets, lanes.arms, policies, bounds)
+    agents = policy.Agents(batch.offsets, batch.arms, policies, bounds)
     fading_blocks = chunk[0].cfg.periods * envs[0].fading_blocks_per_period
-    del envs  # lanes and agents hold all that is left to read
+    del envs  # batch and agents hold all that is left to read
 
     # runs of lanes with equal agent counts, so per-lane means are row means:
     # (first agent, end agent, first lane, end lane, agents per lane)
@@ -406,13 +410,13 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         rates = [np.empty((periods, n)) for n in sizes]
     any_bandit = any(p.kind is PolicyKind.CONTEXTUAL_BANDIT for p in policies)
     for t in range(periods):
-        lanes.draw()
+        batch.draw()
         if t == 0:  # greedy starts at random whatever the signal
-            rssi = lanes.signal() if any_bandit else None
+            rssi = batch.signal() if any_bandit else None
             slot = policy.init_association(agents, rssi, rngs)
         else:
             slot = policy.select_irs(agents, rngs)
-        rate, satisfied, secrecy = lanes.outcomes(slot)
+        rate, satisfied, secrecy = batch.outcomes(slot)
         policy.update(agents, satisfied)
         for a_lo, a_hi, l_lo, l_hi, n in runs:
             if l_hi - l_lo == 1:  # the flat reductions round alike and cost less
@@ -423,7 +427,7 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
                 satisfaction[l_lo:l_hi, t] = hits / n
                 mean_secrecy[l_lo:l_hi, t] = secrecy[a_lo:a_hi].reshape(-1, n).mean(axis=1)
         if record:
-            arm = lanes.arms[slot]
+            arm = batch.arms[slot]
             for l, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
                 chosen[l][t] = arm[lo:hi]
                 sat_record[l][t] = satisfied[lo:hi]

@@ -170,10 +170,12 @@ def candidate_slots(
         # Only slots whose squared distance is within a relative margin of
         # the radius's square can pass; the margin covers the rounding of
         # dx*dx + dy*dy and of hypot many times over, and the floor keeps a
-        # square that underflows from excluding anything. The exact hypot
-        # then decides those slots, and gives every slot of a full-ring row.
+        # square that underflows from excluding anything; a square that
+        # overflows compares as inf. The exact hypot then decides those
+        # slots, and gives every slot of a full-ring row.
         bound = max(detection_radius * detection_radius * (1.0 + 1e-12), 1e-300)
-        near = dx * dx + dy * dy <= bound
+        with np.errstate(over="ignore"):
+            near = dx * dx + dy * dy <= bound
         d = np.empty(dx.shape)
         d[near] = elementwise(math.hypot, dx[near], dy[near])
         keep = near.copy()

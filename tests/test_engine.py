@@ -100,7 +100,7 @@ def first_period(cfg, seed):
     return res, (rate, satisfied, secrecy), agents
 
 
-class TestOnePeriod:
+class TestRunPeriod:
     """One association period: the engine's first period and its per-UE outcomes."""
 
     def run_one(self, rate_threshold, seed=7):

@@ -379,3 +379,26 @@ def test_build_network_matches_scalar_layout(
     _same_bits(topo.ue_xy, place_ues(cfg, topo, rng_scalar))
     assert rng_array.bit_generator.state == rng_scalar.bit_generator.state
     assert rng_array.random() == rng_scalar.random()
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e155])
+def test_candidate_slots_at_extreme_scales_match_scalar_selection(scale):
+    """The squared-distance pre-filter loses no slot when squares leave the
+    normal range: a layout shrunk to 1e-160 m (squares subnormal) or grown to
+    1e155 m (squares overflow), each radius exactly one panel's distance."""
+    cfg = TopologyConfig(
+        grid_side=200 * scale,
+        small_cell_offsets=((-50 * scale, 0.0), (50 * scale, 0.0)),
+        irs_radius=20 * scale,
+        eve_radius=25 * scale,
+        cluster_spread=35 * scale,
+    )
+    for seed in range(4):
+        topo = build_network(cfg, np.random.default_rng(seed))
+        _, ring_distances = reference_model.candidate_irs_distances(0, topo)
+        for radius in ring_distances:
+            arms, offsets, distances = candidate_slots(topo, radius)
+            for u in range(cfg.ue_count):
+                want = reference_model.candidate_irs_distances(u, topo, radius)
+                lo, hi = offsets[u], offsets[u + 1]
+                assert (arms[lo:hi].tolist(), distances[lo:hi].tolist()) == want
