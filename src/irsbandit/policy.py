@@ -163,11 +163,7 @@ def select_irs(agents: Agents, rngs) -> np.ndarray:
     if len(movers):
         chosen = best[movers]
         mover_list = movers.tolist()
-        bounds = (
-            [0, len(mover_list)]
-            if len(rngs) == 1
-            else movers.searchsorted(agents.lanes).tolist()
-        )
+        bounds = movers.searchsorted(agents.lanes).tolist()
         starts, sizes = agents._start_list, agents._size_list
         for cfg, rng, lo, hi in zip(agents.policies, rngs, bounds, bounds[1:]):
             if cfg.kind is PolicyKind.GREEDY:

@@ -414,6 +414,8 @@ class TestChunkTiming:
         assert len(chunks) == 12
         assert sum(m.startswith("chunk lanes=2 cells=2 ") for m in chunks) == 4
         walls = [float(m.rsplit(": ", 1)[1].split()[0]) for m in chunks]
+        # the computed cells: six bandit cells and each case's first greedy
+        # cell (sweep cells 6 and 9); their shares add up to the chunks' times
         computed = [c.wall_seconds for c in summary.cells if c.policy is PolicyKind.CONTEXTUAL_BANDIT]
         computed += [summary.cells[6].wall_seconds, summary.cells[9].wall_seconds]
         assert sum(computed) == pytest.approx(sum(walls), abs=0.01)
