@@ -405,9 +405,9 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     satisfaction = np.empty((len(chunk), periods))
     mean_secrecy = np.empty((len(chunk), periods))
     if record:
-        chosen = [np.empty((periods, n), dtype=np.int64) for n in sizes]
-        sat_record = [np.empty((periods, n), dtype=bool) for n in sizes]
-        rates = [np.empty((periods, n)) for n in sizes]
+        chosen = np.empty((periods, bounds[-1]), dtype=np.int64)
+        sat_record = np.empty((periods, bounds[-1]), dtype=bool)
+        rates = np.empty((periods, bounds[-1]))
     any_bandit = any(p.kind is PolicyKind.CONTEXTUAL_BANDIT for p in policies)
     for t in range(periods):
         batch.draw()
@@ -427,30 +427,35 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
                 satisfaction[l_lo:l_hi, t] = hits / n
                 mean_secrecy[l_lo:l_hi, t] = secrecy[a_lo:a_hi].reshape(-1, n).mean(axis=1)
         if record:
-            arm = batch.arms[slot]
-            for l, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                chosen[l][t] = arm[lo:hi]
-                sat_record[l][t] = satisfied[lo:hi]
-                rates[l][t] = rate[lo:hi]
+            chosen[t] = batch.arms[slot]
+            sat_record[t] = satisfied
+            rates[t] = rate
     wall = time.perf_counter() - start
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "chunk lanes=%d cells=%d periods=%d: %.3f s",
             len(chunk), len({lane.cfg for lane in chunk}), periods, wall,
         )
-    return [
-        ReplicationResult(
-            satisfaction=satisfaction[l],
-            mean_secrecy=mean_secrecy[l],
-            chosen=chosen[l] if record else None,
-            satisfied=sat_record[l] if record else None,
-            rates=rates[l] if record else None,
-            agents=(agents if len(chunk) == 1 else agents.lane(l)) if record else None,
-            fading_blocks=fading_blocks,
-            wall_seconds=wall / len(chunk),
+    results = []
+    for l, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if record:  # a lone lane's columns are the whole record, not a copy
+            columns = [np.ascontiguousarray(a[:, lo:hi]) for a in (chosen, sat_record, rates)]
+            lane_agents = agents if len(chunk) == 1 else agents.lane(l)
+        else:
+            columns, lane_agents = [None] * 3, None
+        results.append(
+            ReplicationResult(
+                satisfaction=satisfaction[l],
+                mean_secrecy=mean_secrecy[l],
+                chosen=columns[0],
+                satisfied=columns[1],
+                rates=columns[2],
+                agents=lane_agents,
+                fading_blocks=fading_blocks,
+                wall_seconds=wall / len(chunk),
+            )
         )
-        for l in range(len(chunk))
-    ]
+    return results
 
 
 def run_lanes(lanes, record: bool = False) -> list[ReplicationResult]:
