@@ -87,6 +87,11 @@ def fill_fading(draws, gains: np.ndarray) -> np.ndarray:
     return gains
 
 
+def fading_blocks(n_panels: int, n_ues: int, n_eves: int) -> tuple[int, int, int]:
+    """Sizes of one period's fading blocks, in draw order: BS->IRS, IRS->UE, IRS->eve."""
+    return n_panels, n_panels * n_ues, n_panels * n_eves
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """One block-fading draw of every link's power gain.
@@ -112,7 +117,7 @@ def draw_realization(
     engine holds each lane's period.
     """
     n_irs, n_ue, n_eve = len(topo.panel_xy), len(topo.ue_xy), len(topo.eve_xy)
-    blocks = (n_irs, n_irs * n_ue, n_irs * n_eve)
+    blocks = fading_blocks(n_irs, n_ue, n_eve)
     g = np.empty(sum(blocks))
     fill_fading([(rng, g, blocks)], g)
     return ChannelRealization(

@@ -158,8 +158,7 @@ class ChannelEnvironment:
         self._eve_snr = channel.snr_factors(
             channel.budgets_db(d_feed, panels, d_eve, params), params
         )
-        n_panels, n_eves = self._eve_snr.shape
-        self.blocks = (n_panels, n_panels * self.n_agents, n_panels * n_eves)
+        self.blocks = channel.fading_blocks(len(topo.panel_xy), self.n_agents, len(topo.eve_xy))
 
     def candidate_arms(self, u: int) -> tuple[int, ...]:
         return tuple(self.arms[self.offsets[u] : self.offsets[u + 1]].tolist())
@@ -348,7 +347,8 @@ def _period_floats(lane: Lane) -> int:
     if lane.environment is None:
         t = lane.cfg.topology
         cells = len(t.small_cell_offsets)
-        return cells * t.irs_per_cell * (1 + t.ue_count + cells * t.eavesdroppers_per_cell)
+        n_panels, n_eves = cells * t.irs_per_cell, cells * t.eavesdroppers_per_cell
+        return sum(channel.fading_blocks(n_panels, t.ue_count, n_eves))
     env = lane.environment
     return sum(env.blocks) if isinstance(env, ChannelEnvironment) else env.n_agents
 
@@ -386,6 +386,12 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         )
         for lane, rng in zip(chunk, rngs)
     ]
+    # the chunk was cut on block sizes read from the configs; the networks must agree
+    assert all(
+        sum(env.blocks) == _period_floats(lane)
+        for lane, env in zip(chunk, envs)
+        if lane.environment is None
+    ), "a network's fading blocks differ from its config's"
     batch = _LANES[type(envs[0])](envs, rngs)
     policies = [lane.cfg.policy for lane in chunk]
     sizes = [env.n_agents for env in envs]
@@ -419,13 +425,9 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         rate, satisfied, secrecy = batch.outcomes(slot)
         policy.update(agents, satisfied)
         for a_lo, a_hi, l_lo, l_hi, n in runs:
-            if l_hi - l_lo == 1:  # the flat reductions round alike and cost less
-                satisfaction[l_lo, t] = np.count_nonzero(satisfied[a_lo:a_hi]) / n
-                mean_secrecy[l_lo, t] = secrecy[a_lo:a_hi].mean()
-            else:
-                hits = np.count_nonzero(satisfied[a_lo:a_hi].reshape(-1, n), axis=1)
-                satisfaction[l_lo:l_hi, t] = hits / n
-                mean_secrecy[l_lo:l_hi, t] = secrecy[a_lo:a_hi].reshape(-1, n).mean(axis=1)
+            hits = np.count_nonzero(satisfied[a_lo:a_hi].reshape(-1, n), axis=1)
+            satisfaction[l_lo:l_hi, t] = hits / n
+            mean_secrecy[l_lo:l_hi, t] = secrecy[a_lo:a_hi].reshape(-1, n).mean(axis=1)
         if record:
             chosen[t] = batch.arms[slot]
             sat_record[t] = satisfied

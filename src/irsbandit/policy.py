@@ -39,13 +39,13 @@ class Agents:
     slot of agent u's current panel; unsat[u] counts periods since agent
     u's last satisfied one and is reset only by a satisfied period. arms[s]
     is the panel index of slot s within its lane. Lane l owns agents
-    lanes[l] to lanes[l + 1] - 1 and runs policies[l]; by default every
-    agent forms one lane under the default policy. phi[u] is agent u's
-    stickiness, 0 for greedy agents, which never stay put. Indexing or
-    iterating yields one AgentRecord per agent.
+    lanes[l] to lanes[l + 1] - 1, at least one, and runs policies[l]; by
+    default every agent forms one lane. phi[u] is agent u's stickiness, 0
+    for greedy agents, which never stay put. Indexing or iterating yields
+    one AgentRecord per agent.
     """
 
-    def __init__(self, offsets, arms, policies=(PolicyConfig(),), lanes=None):
+    def __init__(self, offsets, arms, policies, lanes=None):
         offsets = np.asarray(offsets, dtype=np.int64)
         self.arms = arms
         self.starts = offsets[:-1]
@@ -58,6 +58,8 @@ class Agents:
         self.lanes = [0, len(self.starts)] if lanes is None else list(lanes)
         if len(self.lanes) != len(self.policies) + 1:
             raise ValueError("need one policy per lane")
+        if (np.diff(self.lanes) < 1).any():
+            raise ValueError("every lane needs at least one agent")
         self.phi = np.repeat(
             [0 if p.kind is PolicyKind.GREEDY else p.phi for p in self.policies],
             np.diff(self.lanes),

@@ -75,6 +75,46 @@ def small_cfg(**overrides):
     return SimulationConfig(**defaults)
 
 
+class TestMeanSatisfaction:
+    """A period's satisfaction is the fraction of its lane's agents satisfied.
+
+    One-period Bernoulli runs whose arms satisfy always (1.0) or never (0.0).
+    """
+
+    def one_period(self, probs, n_agents, seed=0):
+        return run_replication(small_cfg(periods=1), seed, BernoulliEnvironment(probs, n_agents))
+
+    def test_half(self):
+        runs = [self.one_period((1.0, 0.0), 4, seed) for seed in range(20)]
+        for res in runs:
+            assert res.satisfaction[0] == np.count_nonzero(res.chosen[0] == 0) / 4
+        assert 0.5 in [res.satisfaction[0] for res in runs]
+
+    def test_all(self):
+        assert self.one_period((1.0,), 3).satisfaction[0] == 1.0
+
+    def test_none(self):
+        assert self.one_period((0.0,), 3).satisfaction[0] == 0.0
+
+    def test_lanes_of_one_chunk_reduce_apart(self):
+        cfg = small_cfg(periods=1)
+        probs = [(1.0,), (0.0,), (1.0,), (0.0, 0.0)]
+        lanes = [Lane(cfg, 0, BernoulliEnvironment(p, n)) for p, n in zip(probs, [3, 3, 2, 2])]
+        assert len(list(engine._chunks(lanes))) == 1
+        assert [res.satisfaction[0] for res in run_lanes(lanes)] == [1.0, 0.0, 1.0, 0.0]
+
+    def test_zero_ues_rejected(self):
+        with pytest.raises(ValueError, match="at least one agent"):
+            self.one_period((1.0,), 0)
+        cfg = small_cfg(periods=1)
+        lanes = [Lane(cfg, seed, BernoulliEnvironment((1.0,), 0)) for seed in range(3)]
+        with pytest.raises(ValueError, match="at least one agent"):
+            run_lanes(lanes)
+        lanes.insert(1, Lane(cfg, 0, BernoulliEnvironment((1.0,), 2)))
+        with pytest.raises(ValueError, match="at least one agent"):
+            run_lanes(lanes)
+
+
 def first_period(cfg, seed):
     """Period 1 of a replication driven step by step through ChannelLanes.
 

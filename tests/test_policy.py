@@ -217,6 +217,12 @@ def test_agent_records_read_the_flat_state():
         a[3]
     with pytest.raises(ValueError, match="at least one candidate"):
         agents((0, 1), ())
+    with pytest.raises(ValueError, match="at least one agent"):
+        Agents([0], np.empty(0, dtype=np.int64), [PolicyConfig()])
+    two = [PolicyConfig(), PolicyConfig(kind=GREEDY)]
+    with pytest.raises(ValueError, match="at least one agent"):
+        Agents([0, 2, 3], np.array([4, 7, 1]), two, lanes=[0, 0, 2])
+    assert Agents([0, 2, 3], np.array([4, 7, 1]), two, lanes=[0, 1, 2]).phi.tolist() == [2, 0]
 
 
 @settings(max_examples=60, deadline=None)
