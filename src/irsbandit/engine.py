@@ -424,10 +424,11 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
             slot = policy.select_irs(agents, rngs)
         rate, satisfied, secrecy = batch.outcomes(slot)
         policy.update(agents, satisfied)
+        # row sums over n, which is mean()'s own arithmetic, so every lane's
+        # means round as those of its agents alone
         for a_lo, a_hi, l_lo, l_hi, n in runs:
-            hits = np.count_nonzero(satisfied[a_lo:a_hi].reshape(-1, n), axis=1)
-            satisfaction[l_lo:l_hi, t] = hits / n
-            mean_secrecy[l_lo:l_hi, t] = secrecy[a_lo:a_hi].reshape(-1, n).mean(axis=1)
+            satisfaction[l_lo:l_hi, t] = satisfied[a_lo:a_hi].reshape(-1, n).sum(axis=1) / n
+            mean_secrecy[l_lo:l_hi, t] = secrecy[a_lo:a_hi].reshape(-1, n).sum(axis=1) / n
         if record:
             chosen[t] = batch.arms[slot]
             sat_record[t] = satisfied
