@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ChannelParams
-from .topology import NetworkTopology, elementwise
+from .topology import elementwise
 
 # below this the log-distance law is clamped to the reference distance
 MIN_PATH_DISTANCE_M = 1.0
@@ -90,41 +89,6 @@ def fill_fading(draws, gains: np.ndarray) -> np.ndarray:
 def fading_blocks(n_panels: int, n_ues: int, n_eves: int) -> tuple[int, int, int]:
     """Sizes of one period's fading blocks, in draw order: BS->IRS, IRS->UE, IRS->eve."""
     return n_panels, n_panels * n_ues, n_panels * n_eves
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One block-fading draw of every link's power gain.
-
-    g_bs_irs[i] covers the serving-BS leg of panel i and is shared by all
-    receivers behind that panel; g_irs_ue[i, u] and g_irs_eve[i, e] cover
-    the reflected legs.
-    """
-
-    g_bs_irs: np.ndarray
-    g_irs_ue: np.ndarray
-    g_irs_eve: np.ndarray
-
-
-def draw_realization(
-    topo: NetworkTopology, rng: np.random.Generator
-) -> ChannelRealization:
-    """Draw all link gains for one association period (one fading block).
-
-    Draw order is part of the determinism contract: BS->IRS first, then
-    IRS->UE, then IRS->eavesdropper (see fill_fading). The three arrays are
-    views of one flat buffer laid out in that order, row-major, as the
-    engine holds each lane's period.
-    """
-    n_irs, n_ue, n_eve = len(topo.panel_xy), len(topo.ue_xy), len(topo.eve_xy)
-    blocks = fading_blocks(n_irs, n_ue, n_eve)
-    g = np.empty(sum(blocks))
-    fill_fading([(rng, g, blocks)], g)
-    return ChannelRealization(
-        g_bs_irs=g[:n_irs],
-        g_irs_ue=g[n_irs : n_irs + blocks[1]].reshape(n_irs, n_ue),
-        g_irs_eve=g[n_irs + blocks[1] :].reshape(n_irs, n_eve),
-    )
 
 
 def budgets_db(

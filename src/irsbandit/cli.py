@@ -44,8 +44,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = _LOG_LEVELS.get(os.environ.get("IRSBANDIT_LOG", "warning").lower())
-    logging.basicConfig(level=level if level is not None else logging.WARNING)
+    name = os.environ.get("IRSBANDIT_LOG", "warning")
+    level = _LOG_LEVELS.get(name.lower())
+    if level is None:
+        allowed = ", ".join(_LOG_LEVELS)
+        print(f"error: IRSBANDIT_LOG: expected one of {allowed}, got {name!r}", file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level)
 
     args = build_parser().parse_args(argv)
     try:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from itertools import accumulate, groupby
@@ -49,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channel, policy
-from .config import DistributionCase, PolicyKind, SimulationConfig
+from .config import SimulationConfig
 from .topology import (
     NetworkTopology,
     build_network,
@@ -105,18 +106,16 @@ class ReplicationResult:
 
 @dataclass(frozen=True)
 class SatisfactionTrace:
-    """Per-iteration mean satisfaction aggregated over replications."""
+    """Per-iteration mean satisfaction aggregated over a cell's replications.
 
+    cfg is the cell's config: its policy, case, seeds and replication and
+    period counts are the trace's own.
+    """
+
+    cfg: SimulationConfig
     mean_satisfaction: np.ndarray
     ci95_halfwidth: np.ndarray
     mean_secrecy_rate: np.ndarray
-    policy: PolicyKind
-    case: DistributionCase
-    omega: float
-    phi: int
-    base_seed: int
-    replications: int
-    periods: int
     fading_blocks: int
     per_replication: np.ndarray
 
@@ -178,14 +177,18 @@ class BernoulliEnvironment:
     fading_blocks_per_period = 0
 
     def __init__(self, arm_probs, n_agents: int = 1):
-        self.arm_probs = tuple(float(p) for p in arm_probs)
-        if not self.arm_probs:
-            raise ValueError("need at least one arm")
+        self.arm_probs = np.fromiter(arm_probs, dtype=float)
+        if not len(self.arm_probs):
+            raise ValueError("arm_probs: need at least one arm")
+        for k, p in enumerate(self.arm_probs.tolist()):
+            if not 0.0 <= p <= 1.0:  # NaN fails the comparison too
+                raise ValueError(f"arm_probs[{k}]: must be within [0, 1], got {p!r}")
+        if not isinstance(n_agents, numbers.Integral) or n_agents < 0:
+            raise ValueError(f"n_agents: must be a non-negative integer, got {n_agents!r}")
         self.n_agents = n_agents
         n_arms = len(self.arm_probs)
         self.offsets = np.arange(n_agents + 1) * n_arms
         self.arms = np.tile(np.arange(n_arms, dtype=np.int64), n_agents)
-        self._probs = np.array(self.arm_probs)
 
     def candidate_arms(self, u: int) -> list[int]:
         return list(range(len(self.arm_probs)))
@@ -220,9 +223,9 @@ class _Layout:
 class ChannelLanes:
     """One period of a chunk of channel lanes, in whole-chunk array passes.
 
-    gains holds every lane's period back to back: lane l's gains start at
-    base[l], laid out as channel.draw_realization lays out one period
-    (BS->IRS, then IRS->UE and IRS->eve, row-major by panel). Panels are
+    gains holds every lane's period back to back. A lane's part is its
+    BS->IRS gains, then its IRS->UE and IRS->eve gains, each block row-major
+    by panel, as channel.fill_fading draws them. Panels are
     numbered across the chunk: lane l's panel i is chunk panel
     panel_base[l] + i, and _bs_at gives each chunk panel's BS->IRS gain.
     Every slot keeps its chunk panel, budget and SNR factor; every agent
@@ -311,7 +314,7 @@ class BernoulliLanes:
         self.offsets, self.arms = layout.offsets, layout.arms
         arm_base = list(accumulate((len(env.arm_probs) for env in envs), initial=0))
         self._arm = _joined([_shifted(env.arms, ab) for env, ab in zip(envs, arm_base)])
-        self._probs = _joined([env._probs for env in envs])
+        self._probs = _joined([env.arm_probs for env in envs])
         self._uniform = np.empty(layout.agents[-1])
         self._draws = [
             (rng, self._uniform[lo:hi])
@@ -414,12 +417,10 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         chosen = np.empty((periods, bounds[-1]), dtype=np.int64)
         sat_record = np.empty((periods, bounds[-1]), dtype=bool)
         rates = np.empty((periods, bounds[-1]))
-    any_bandit = any(p.kind is PolicyKind.CONTEXTUAL_BANDIT for p in policies)
     for t in range(periods):
         batch.draw()
-        if t == 0:  # greedy starts at random whatever the signal
-            rssi = batch.signal() if any_bandit else None
-            slot = policy.init_association(agents, rssi, rngs)
+        if t == 0:
+            slot = policy.init_association(agents, batch.signal(), rngs)
         else:
             slot = policy.select_irs(agents, rngs)
         rate, satisfied, secrecy = batch.outcomes(slot)
@@ -500,16 +501,10 @@ def _aggregate(cfg: SimulationConfig, results) -> SatisfactionTrace:
     else:
         halfwidth = np.zeros_like(mean)
     return SatisfactionTrace(
+        cfg=cfg,
         mean_satisfaction=mean,
         ci95_halfwidth=halfwidth,
         mean_secrecy_rate=per_rep_secrecy.mean(axis=0),
-        policy=cfg.policy.kind,
-        case=cfg.topology.distribution_case,
-        omega=cfg.policy.omega,
-        phi=cfg.policy.phi,
-        base_seed=cfg.base_seed,
-        replications=n_rep,
-        periods=cfg.periods,
         fading_blocks=sum(res.fading_blocks for res in results),
         per_replication=per_rep,
     )

@@ -71,8 +71,13 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for axis in _AXES:
-            if not getattr(self, axis):
+            values = getattr(self, axis)
+            if not values:
                 raise ConfigError(f"sweep.{axis}: must be non-empty")
+            for k, value in enumerate(values):
+                if value in values[:k]:
+                    shown = value.value if isinstance(value, enum.Enum) else value
+                    raise ConfigError(f"sweep.{axis}: duplicate value {shown!r}")
         for axis, name in (("omegas", "omega"), ("phis", "phi")):
             for value in getattr(self, axis):
                 try:
@@ -101,15 +106,12 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class CellSummary:
-    policy: PolicyKind
-    case: DistributionCase
-    omega: float
-    phi: int
+    """One sweep cell's final-window means; cfg is the cell's config."""
+
+    cfg: SimulationConfig
     final_mean_satisfaction: float
     final_mean_secrecy: float
     wall_seconds: float
-    seed_lo: int
-    seed_hi: int
 
 
 @dataclass(frozen=True)
@@ -374,11 +376,21 @@ def default_config_text() -> str:
 # trace emission
 
 
+def _labels(cfg: SimulationConfig) -> dict:
+    """A cell's sweep labels, as every output names them."""
+    return {
+        "policy": cfg.policy.kind.value,
+        "case": cfg.topology.distribution_case.value,
+        "omega": cfg.policy.omega,
+        "phi": cfg.policy.phi,
+    }
+
+
 def _csv_rows(trace: SatisfactionTrace):
-    for t in range(trace.periods):
+    labels = "{policy},{case},{omega:g},{phi}".format(**_labels(trace.cfg))
+    for t in range(trace.cfg.periods):
         yield (
-            f"{t + 1},{trace.policy.value},{trace.case.value},"
-            f"{trace.omega:g},{trace.phi},"
+            f"{t + 1},{labels},"
             f"{trace.mean_satisfaction[t]:.6f},"
             f"{trace.ci95_halfwidth[t]:.6f},"
             f"{trace.mean_secrecy_rate[t]:.6f}\n"
@@ -387,10 +399,7 @@ def _csv_rows(trace: SatisfactionTrace):
 
 def _json_cell(trace: SatisfactionTrace) -> dict:
     return {
-        "policy": trace.policy.value,
-        "case": trace.case.value,
-        "omega": trace.omega,
-        "phi": trace.phi,
+        **_labels(trace.cfg),
         "trace": [
             {
                 "iteration": t + 1,
@@ -398,7 +407,7 @@ def _json_cell(trace: SatisfactionTrace) -> dict:
                 "ci95_halfwidth": round(float(trace.ci95_halfwidth[t]), 6),
                 "mean_secrecy_rate": round(float(trace.mean_secrecy_rate[t]), 6),
             }
-            for t in range(trace.periods)
+            for t in range(trace.cfg.periods)
         ],
     }
 
@@ -446,16 +455,14 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
     Every cell reuses the same seed range (common random numbers), which
     pairs the bandit and greedy runs for the gap statistics. Cells whose
     configs differ only in policy fields the policy never reads (see
-    policy.effective_config) run once; the repeats copy that trace under
-    their own omega and phi labels. Every replication of every distinct
-    cell runs as one lane of a single engine.run_cells call, so lanes of
-    different cells share chunks. A computed cell's wall_seconds is its
+    policy.effective_config) run once; each repeat copies that trace under
+    its own config. Every replication of every distinct cell runs as one
+    lane of a single engine.run_cells call, so lanes of different cells
+    share chunks. A computed cell's wall_seconds is its
     lanes' share of their chunks' wall time; a copied cell's is the time
     the copy took.
     """
     window = min(FINAL_WINDOW, spec.base.periods)
-    traces = []
-    cells = []
     sweep = []
     first: dict[SimulationConfig, SimulationConfig] = {}  # effective cell -> first cell
     for cell in spec.sweep_cells():
@@ -464,54 +471,36 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
         sweep.append((cell, cfg, key))
         first.setdefault(key, cfg)
     computed = dict(zip(first, run_cells(first.values())))
-    for (kind, case, phi, omega), cfg, key in sweep:
-        if first[key] is cfg:
-            trace, wall = computed[key]
-        else:
+    traces = []
+    cells = {}  # sweep cell -> its summary
+    for cell, cfg, key in sweep:
+        trace, wall = computed[key]
+        if first[key] is not cfg:
             start = time.perf_counter()
-            trace = dataclasses.replace(computed[key][0], omega=omega, phi=phi)
+            trace = dataclasses.replace(trace, cfg=cfg)
             wall = time.perf_counter() - start
+        kind, case, phi, omega = cell
         log.info(
             "cell policy=%s case=%s phi=%d omega=%g: %.2f s",
             kind.value, case.value, phi, omega, wall,
         )
         traces.append(trace)
-        cells.append(
-            CellSummary(
-                policy=kind,
-                case=case,
-                omega=omega,
-                phi=phi,
-                final_mean_satisfaction=float(
-                    trace.mean_satisfaction[-window:].mean()
-                ),
-                final_mean_secrecy=float(trace.mean_secrecy_rate[-window:].mean()),
-                wall_seconds=wall,
-                seed_lo=cfg.base_seed,
-                seed_hi=cfg.base_seed + cfg.replications - 1,
-            )
+        cells[cell] = CellSummary(
+            cfg=cfg,
+            final_mean_satisfaction=float(trace.mean_satisfaction[-window:].mean()),
+            final_mean_secrecy=float(trace.mean_secrecy_rate[-window:].mean()),
+            wall_seconds=wall,
         )
 
-    gaps = []
-    by_key = {(c.policy, c.case, c.phi, c.omega): c for c in cells}
-    for case in spec.cases:
-        for phi in spec.phis:
-            for omega in spec.omegas:
-                cb = by_key.get((PolicyKind.CONTEXTUAL_BANDIT, case, phi, omega))
-                greedy = by_key.get((PolicyKind.GREEDY, case, phi, omega))
-                if cb and greedy:
-                    gaps.append(
-                        GapEntry(
-                            case=case,
-                            omega=omega,
-                            phi=phi,
-                            gap=cb.final_mean_satisfaction
-                            - greedy.final_mean_satisfaction,
-                        )
-                    )
+    gaps = []  # bandit cells in sweep order: cases, phis, omegas
+    for (kind, case, phi, omega), cb in cells.items():
+        greedy = cells.get((PolicyKind.GREEDY, case, phi, omega))
+        if kind is PolicyKind.CONTEXTUAL_BANDIT and greedy:
+            gap = cb.final_mean_satisfaction - greedy.final_mean_satisfaction
+            gaps.append(GapEntry(case=case, omega=omega, phi=phi, gap=gap))
 
     emit_trace(traces, spec.output_path, spec.format)
-    summary = RunSummary(cells=tuple(cells), gaps=tuple(gaps))
+    summary = RunSummary(cells=tuple(cells.values()), gaps=tuple(gaps))
     with open(summary_path(spec.output_path), "w", encoding="utf-8") as fh:
         json.dump(_summary_obj(summary), fh, indent=2)
         fh.write("\n")
@@ -522,15 +511,12 @@ def _summary_obj(summary: RunSummary) -> dict:
     return {
         "cells": [
             {
-                "policy": c.policy.value,
-                "case": c.case.value,
-                "omega": c.omega,
-                "phi": c.phi,
+                **_labels(c.cfg),
                 "final_mean_satisfaction": round(c.final_mean_satisfaction, 6),
                 "final_mean_secrecy": round(c.final_mean_secrecy, 6),
                 "wall_seconds": round(c.wall_seconds, 3),
-                "seed_lo": c.seed_lo,
-                "seed_hi": c.seed_hi,
+                "seed_lo": c.cfg.base_seed,
+                "seed_hi": c.cfg.base_seed + c.cfg.replications - 1,
             }
             for c in summary.cells
         ],
@@ -554,8 +540,8 @@ def format_summary(summary: RunSummary) -> str:
     ]
     for c in summary.cells:
         lines.append(
-            f"{c.policy.value:<8} {c.case.value:<10} {c.omega:>6g} {c.phi:>4d} "
-            f"{c.final_mean_satisfaction:>10.4f} {c.final_mean_secrecy:>8.3f} "
+            "{policy:<8} {case:<10} {omega:>6g} {phi:>4d} ".format(**_labels(c.cfg))
+            + f"{c.final_mean_satisfaction:>10.4f} {c.final_mean_secrecy:>8.3f} "
             f"{c.wall_seconds:>7.2f}"
         )
     for g in summary.gaps:

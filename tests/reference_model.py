@@ -1,22 +1,23 @@
 """Scalar reference model of the layout, the link formulas, the candidate
-sets, the policy and one replication.
+sets, the fading draw, the policy and one replication.
 
-The simulator works on whole arrays: (N, 2) positions, array link budgets
-and flat agent state. This module states the same rules one point, one
-link and one UE at a time, in plain Python floats, as the simulator first
-implemented them. Its replication loops evaluate each agent's link with
-these formulas and draw from the Generator in agent order. Tests run them
-next to the simulator and compare every output bit for bit.
+The simulator works on whole arrays: (N, 2) positions, array link budgets,
+flat agent state and one fading draw call per lane. This module states the
+same rules one point, one link and one UE at a time, in plain Python
+floats, as the simulator first implemented them, and draws each period's
+fading block by block. Its replication loops evaluate each agent's link
+with these formulas and draw from the Generator in agent order. Tests run
+them next to the simulator and compare every output bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from irsbandit import channel
 from irsbandit.channel import MIN_PATH_DISTANCE_M
 from irsbandit.config import ChannelParams, PolicyConfig, PolicyKind, SimulationConfig
 from irsbandit.topology import build_network
@@ -146,6 +147,36 @@ def candidate_irs_distances(
     return ring, distances
 
 
+class Fading(NamedTuple):
+    """One period's power gains: g_bs_irs[i], g_irs_ue[i, u] and g_irs_eve[i, e]."""
+
+    g_bs_irs: np.ndarray
+    g_irs_ue: np.ndarray
+    g_irs_eve: np.ndarray
+
+
+def _exponential_block(rng, shape) -> np.ndarray:
+    """One rng.exponential call of the shape, its exact zeros redrawn until none is left."""
+    g = rng.exponential(size=shape)
+    while not g.all():
+        zero = g == 0.0
+        g[zero] = rng.exponential(size=int(zero.sum()))
+    return g
+
+
+def draw_fading(topo, rng) -> Fading:
+    """One period's block fading, as the engine's determinism contract states it.
+
+    Three blocks in order, BS->IRS, IRS->UE and IRS->eve, each one
+    rng.exponential call whose exact zeros are redrawn before the next
+    block starts.
+    """
+    n_irs, n_ue, n_eve = len(topo.panel_xy), len(topo.ue_xy), len(topo.eve_xy)
+    g_bs_irs = _exponential_block(rng, (n_irs,))
+    g_irs_ue = _exponential_block(rng, (n_irs, n_ue))
+    return Fading(g_bs_irs, g_irs_ue, _exponential_block(rng, (n_irs, n_eve)))
+
+
 def argmax_lowest(values) -> int:
     """Index of the maximum; ties resolve to the lowest index."""
     return int(np.argmax(values))
@@ -272,7 +303,7 @@ def channel_replication(cfg: SimulationConfig, seed: int) -> ReferenceRun:
     ]
     run = _empty_run(cfg.periods, agents)
     for t in range(cfg.periods):
-        real = channel.draw_realization(topo, rng)
+        real = draw_fading(topo, rng)
         for u, agent in enumerate(agents):
             if agent.initialized:
                 arm = select_irs(agent, cfg.policy, rng)

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsbandit.channel import (
-    ChannelRealization,
     _fading_matrix,
     budgets_db,
-    draw_realization,
     fill_fading,
     path_losses_db,
     sample_fading,
@@ -268,16 +266,6 @@ class TestSecrecyRate:
 
 
 class TestRealization:
-    def test_shapes_and_positivity(self):
-        topo = build_network(TopologyConfig(), np.random.default_rng(1))
-        real = draw_realization(topo, np.random.default_rng(1))
-        assert real.g_bs_irs.shape == (16,)
-        assert real.g_irs_ue.shape == (16, 20)
-        assert real.g_irs_eve.shape == (16, 4)
-        assert (real.g_bs_irs > 0).all()
-        assert (real.g_irs_ue > 0).all()
-        assert (real.g_irs_eve > 0).all()
-
     def test_pure_functions_no_hidden_state(self):
         p = ChannelParams()
         args = ((0, 0), (3, 4), (6, 8), 0.5, 2.0, p)

@@ -104,3 +104,18 @@ def test_unwritable_output_exits_nonzero(tmp_path, capsys):
     cfg = write_config(tmp_path, out="missing/dir/traces.csv")
     assert main(["--config", str(cfg)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_unknown_log_level_exits_nonzero(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("IRSBANDIT_LOG", "verbose")
+    cfg = write_config(tmp_path)
+    assert main(["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: IRSBANDIT_LOG: expected one of debug, info, warning, quiet, got 'verbose'\n"
+    )
+    assert not (tmp_path / "traces.csv").exists()
+
+
+def test_log_level_is_case_insensitive(tmp_path, monkeypatch):
+    monkeypatch.setenv("IRSBANDIT_LOG", "QUIET")
+    assert main(["--config", str(write_config(tmp_path))]) == 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from irsbandit import channel, engine
+from irsbandit import engine
 from irsbandit.config import (
     ChannelParams,
     DistributionCase,
@@ -113,6 +113,28 @@ class TestMeanSatisfaction:
         lanes.insert(1, Lane(cfg, 0, BernoulliEnvironment((1.0,), 2)))
         with pytest.raises(ValueError, match="at least one agent"):
             run_lanes(lanes)
+
+    @pytest.mark.parametrize(
+        "probs, n_agents, key",
+        [
+            ((1.5, 0.2), 2, r"arm_probs\[0\]"),
+            ((0.2, float("nan")), 2, r"arm_probs\[1\]"),
+            ((0.2, -0.1), 2, r"arm_probs\[1\]"),
+            ((0.5, float("inf")), 1, r"arm_probs\[1\]"),
+            ((), 1, "arm_probs"),
+            ((0.5,), -1, "n_agents"),
+            ((0.5,), 2.5, "n_agents"),
+        ],
+        ids=["above-one", "nan", "negative", "inf", "no-arms", "negative-agents", "fraction"],
+    )
+    def test_invalid_environment_rejected_at_construction(self, probs, n_agents, key):
+        with pytest.raises(ValueError, match=rf"^{key}: "):
+            BernoulliEnvironment(probs, n_agents)
+
+    def test_probabilities_held_as_one_float_array(self):
+        env = BernoulliEnvironment([0, 1, 0.5], np.int64(2))
+        assert env.arm_probs.dtype == np.float64 and env.arm_probs.tolist() == [0.0, 1.0, 0.5]
+        assert env.n_agents == 2 and env.candidate_arms(1) == [0, 1, 2]
 
 
 def first_period(cfg, seed):
@@ -249,7 +271,7 @@ class TestRunMonteCarlo:
         assert (trace.mean_satisfaction >= 0).all()
         assert (trace.mean_satisfaction <= 1).all()
         assert (trace.ci95_halfwidth >= 0).all()
-        assert trace.periods == 25 and trace.replications == 4
+        assert trace.cfg.periods == 25 and trace.cfg.replications == 4
 
     def test_budget_accounting(self):
         trace = run_monte_carlo(small_cfg(periods=20, replications=3))
@@ -286,11 +308,7 @@ class TestRunMonteCarlo:
             topology=TopologyConfig(distribution_case=DistributionCase.CLUSTERED),
             policy=PolicyConfig(kind=PolicyKind.GREEDY, omega=0.25, phi=4),
         )
-        trace = run_monte_carlo(cfg)
-        assert trace.policy is PolicyKind.GREEDY
-        assert trace.case is DistributionCase.CLUSTERED
-        assert trace.omega == 0.25 and trace.phi == 4
-        assert trace.base_seed == cfg.base_seed
+        assert run_monte_carlo(cfg).cfg is cfg
 
 
 class TestConfigValidation:
@@ -339,10 +357,10 @@ def test_environment_matches_scalar_channel_bit_for_bit(
 ):
     """The per-replication budgets reproduce the scalar channel functions exactly.
 
-    The lane's fading is channel.draw_realization's, in its layout; signal
-    covers every slot at once; outcomes is called once per candidate rank
-    k, each UE on its k-th candidate (or its last one), so every (UE,
-    candidate) pair is evaluated.
+    The lane's fading is reference_model.draw_fading's, in its block
+    order; signal covers every slot at once; outcomes is called once per
+    candidate rank k, each UE on its k-th candidate (or its last one), so
+    every (UE, candidate) pair is evaluated.
     """
     rng = np.random.default_rng(seed)
     topo = build_network(
@@ -364,7 +382,7 @@ def test_environment_matches_scalar_channel_bit_for_bit(
     )
     env = ChannelEnvironment(topo, params, threshold, detection_radius)
     twin = copy.deepcopy(rng)
-    real = channel.draw_realization(topo, twin)
+    real = reference_model.draw_fading(topo, twin)
     lanes = ChannelLanes([env], [rng])
     lanes.draw()
     flat = np.concatenate([real.g_bs_irs, real.g_irs_ue.ravel(), real.g_irs_eve.ravel()])

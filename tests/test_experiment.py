@@ -188,6 +188,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"sweep\.policies: must be non-empty"):
             parse_config("[sweep]\npolicies =\n")
 
+    @pytest.mark.parametrize(
+        "axis, values, shown",
+        [
+            ("policies", "cb, greedy, cb", "'cb'"),
+            ("cases", "clustered, CLUSTERED", "'clustered'"),
+            ("phis", "1, 1", "1"),
+            ("omegas", "0.1, 0.2, 0.10", "0.1"),
+        ],
+    )
+    def test_duplicate_sweep_value_rejected(self, axis, values, shown):
+        with pytest.raises(ConfigError, match=rf"^sweep\.{axis}: duplicate value {shown}$"):
+            parse_config(f"[sweep]\n{axis} = {values}\n")
+
     def test_json_alternative(self):
         text = json.dumps(
             {
@@ -323,14 +336,14 @@ class TestRunExperiment:
         lines = (tmp_path / "traces.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 5  # header + 2 cells x 5 periods
         assert len(summary.cells) == 2
-        assert {c.policy for c in summary.cells} == {
+        assert {c.cfg.policy.kind for c in summary.cells} == {
             PolicyKind.CONTEXTUAL_BANDIT,
             PolicyKind.GREEDY,
         }
 
     def test_gap_matches_cells(self, tmp_path):
         summary = run_experiment(self.spec(tmp_path))
-        by_policy = {c.policy: c for c in summary.cells}
+        by_policy = {c.cfg.policy.kind: c for c in summary.cells}
         assert len(summary.gaps) == 1
         assert summary.gaps[0].gap == pytest.approx(
             by_policy[PolicyKind.CONTEXTUAL_BANDIT].final_mean_satisfaction
@@ -355,7 +368,7 @@ class TestRunExperiment:
 
     def test_common_seeds_across_cells(self, tmp_path):
         summary = run_experiment(self.spec(tmp_path))
-        assert len({(c.seed_lo, c.seed_hi) for c in summary.cells}) == 1
+        assert len({(c.cfg.base_seed, c.cfg.replications) for c in summary.cells}) == 1
 
 
 class TestSweepDedup:
@@ -416,6 +429,8 @@ class TestChunkTiming:
         walls = [float(m.rsplit(": ", 1)[1].split()[0]) for m in chunks]
         # the computed cells: six bandit cells and each case's first greedy
         # cell (sweep cells 6 and 9); their shares add up to the chunks' times
-        computed = [c.wall_seconds for c in summary.cells if c.policy is PolicyKind.CONTEXTUAL_BANDIT]
+        computed = [
+            c.wall_seconds for c in summary.cells if c.cfg.policy.kind is PolicyKind.CONTEXTUAL_BANDIT
+        ]
         computed += [summary.cells[6].wall_seconds, summary.cells[9].wall_seconds]
         assert sum(computed) == pytest.approx(sum(walls), abs=0.01)

@@ -1,14 +1,18 @@
 """Golden determinism digests.
 
 The first three digests were recorded before the per-replication link
-budgets and the sweep deduplication landed, the last two before the period
-loop was batched over agents. None may be re-frozen to match a code change:
+budgets and the sweep deduplication landed, the next two before the period
+loop was batched over agents, and the two default-sweep JSON digests before
+traces and cell summaries held their cell's config in place of copied
+labels. None may be re-frozen to match a code change:
 any change here is a change to the random-stream layout or to the output
 bytes, and must be deliberate and recorded in CHANGES.md.
 """
 
 import dataclasses
 import hashlib
+import json
+import pathlib
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from irsbandit.config import (
     TopologyConfig,
 )
 from irsbandit.engine import BernoulliEnvironment, run_monte_carlo, run_replication
-from irsbandit.experiment import ExperimentSpec, run_experiment
+from irsbandit.experiment import ExperimentSpec, OutputFormat, run_experiment, summary_path
 
 DEFAULT_SWEEP_CSV_SHA256 = (
     "15c9ad8203478fa7c3cd6566717e83be181bebae2d5926f1b5519551046f373e"
@@ -36,6 +40,13 @@ GREEDY_CLUSTERED_SHA256 = (
 )
 ONE_AGENT_BERNOULLI_SHA256 = (
     "5d1ea466fbb15e8da44c717252725b00503211f982e2c3631fac76d0d5a4a946"
+)
+DEFAULT_SWEEP_JSON_SHA256 = (
+    "fde3cdd0091353dad9142846b4a4acaaba79bd8128c8c3a9041b32696e508e93"
+)
+# of the summary with every wall_seconds key removed, re-dumped with indent=2
+DEFAULT_SWEEP_SUMMARY_SHA256 = (
+    "97c4d0504561679635be1b90c265808433a3e8ea7422ec2f85a813abf43f8aec"
 )
 
 # Four cells with 16 panels each and 2 eavesdroppers per cell; detection
@@ -92,6 +103,21 @@ def test_default_sweep_csv_digest(tmp_path):
     )
     run_experiment(spec)
     assert _sha256(out.read_bytes()) == DEFAULT_SWEEP_CSV_SHA256
+
+
+def test_default_sweep_json_and_summary_digests(tmp_path):
+    out = tmp_path / "traces.json"
+    spec = ExperimentSpec(
+        base=dataclasses.replace(SimulationConfig(), replications=2),
+        output_path=str(out),
+        format=OutputFormat.JSON,
+    )
+    run_experiment(spec)
+    assert _sha256(out.read_bytes()) == DEFAULT_SWEEP_JSON_SHA256
+    summary = json.loads(pathlib.Path(summary_path(str(out))).read_text())
+    for cell in summary["cells"]:
+        del cell["wall_seconds"]
+    assert _sha256(json.dumps(summary, indent=2).encode()) == DEFAULT_SWEEP_SUMMARY_SHA256
 
 
 def test_dense_clustered_trace_digests():
