@@ -9,16 +9,17 @@ arm-selection frequency.
 
 Chain semantics (pinned, shared with the simulator's determinism contract):
   * one decision and one outcome per period, single agent, arms {0, 1}
-  * period 1: no signal context exists, so the initial arm is one uniform
-    integer draw
-  * later periods, in this exact draw order:
-      1. stickiness check (no draw): if the current arm's accumulated reward
-         ties the maximum and the consecutive-unsatisfied counter is < phi,
-         stay on it;
-      2. otherwise draw u ~ U[0,1): if u < omega re-associate with a uniform
-         random arm (one integer draw), else take the argmax-reward arm,
-         ties to the lowest index;
-      3. outcome draw: u ~ U[0,1) satisfied iff u < p[arm].
+  * every period draws three uniforms on [0, 1), in this order, whatever
+    the agent does: the outcome uniform u_o, then u1 and u2
+  * period 1: no signal context exists, so the initial arm is
+    floor(u2 * n_arms)
+  * later periods:
+      1. stickiness check: if the current arm's accumulated reward ties the
+         maximum and the consecutive-unsatisfied counter is < phi, stay on
+         it;
+      2. otherwise, if u1 < omega, re-associate with arm floor(u2 * n_arms),
+         else take the argmax-reward arm, ties to the lowest index;
+  * outcome: satisfied iff u_o < p[arm].
   * satisfied: reward[arm] += 1 and counter := 0; unsatisfied: counter += 1.
     The counter is reset only by a satisfied period, never by re-association.
 
@@ -46,19 +47,20 @@ def run_chain(seed, probs, omega, phi, periods):
     rewards = [0] * n_arms
     choices = np.empty(periods, dtype=np.int64)
 
-    current = int(rng.integers(n_arms))
+    current = None
     streak = 0
     for t in range(periods):
-        if t > 0:
-            if rewards[current] == max(rewards) and streak < phi:
-                arm = current
-            elif rng.random() < omega:
-                arm = int(rng.integers(n_arms))
-            else:
-                arm = max(range(n_arms), key=lambda a: (rewards[a], -a))
-            current = arm
+        u_outcome, u1, u2 = rng.random(), rng.random(), rng.random()
+        if current is None:
+            current = int(u2 * n_arms)
+        elif rewards[current] == max(rewards) and streak < phi:
+            pass
+        elif u1 < omega:
+            current = int(u2 * n_arms)
+        else:
+            current = max(range(n_arms), key=lambda a: (rewards[a], -a))
         choices[t] = current
-        satisfied = rng.random() < probs[current]
+        satisfied = u_outcome < probs[current]
         if satisfied:
             rewards[current] += 1
             streak = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -37,12 +38,17 @@ def _finite(value) -> bool:
     return True
 
 
-def _require_finite(cfg) -> None:
-    """Reject NaN and +-inf in every float field, nested tuples included."""
+def _check_numbers(cfg) -> None:
+    """Reject NaN and +-inf in every float field, nested tuples included, and
+    a bool, a float or any other non-integral value in every int field."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if not _finite(value):
             raise ValueError(f"{f.name}: must be finite, got {value!r}")
+        if f.type == "int" and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        ):
+            raise ValueError(f"{f.name}: must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,7 @@ class TopologyConfig:
     detection_radius: float | None = None  # optional cap on candidate IRS distance
 
     def __post_init__(self):
-        _require_finite(self)
+        _check_numbers(self)
         if self.grid_side <= 0:
             raise ValueError("grid_side: must be positive")
         if self.small_cell_count < 1:
@@ -116,7 +122,7 @@ class ChannelParams:
     noise_power_db: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self)
+        _check_numbers(self)
         if self.pathloss_exponent < 2:
             raise ValueError("pathloss_exponent: must be at least 2")
         if self.irs_gain_db < 0:
@@ -132,7 +138,7 @@ class PolicyConfig:
     phi: int = 2
 
     def __post_init__(self):
-        _require_finite(self)
+        _check_numbers(self)
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError("omega: must be within [0, 1]")
         if self.phi < 1:
@@ -154,7 +160,7 @@ class SimulationConfig:
     enforce_channel_budget: bool = True
 
     def __post_init__(self):
-        _require_finite(self)
+        _check_numbers(self)
         if self.base_seed < 0:
             raise ValueError("base_seed: must be non-negative")
         if self.rate_threshold <= 0:

@@ -8,26 +8,31 @@ matters.
 
 Lanes run in lock step, in chunks. The lanes of a chunk advance period by
 period together, their slots and agents concatenated into one flat layout
-(policy.Agents), so every step that draws nothing (the RSSI and its argmax,
-stickiness, link evaluation with its logarithms, the reward update) runs
-once per chunk rather than once per lane. Chunks are cut in lane order: a
-chunk holds lanes of one environment kind and one period count whose
-per-period draws total at most CHUNK_FLOATS floats, and a lane larger than
-that runs alone.
+(policy.Agents), so every step after the draws (the RSSI and its argmax,
+the decisions, link evaluation with its logarithms, the reward update)
+runs once per chunk rather than once per lane. Chunks are cut in lane
+order: a chunk holds lanes of one environment kind and one period count
+whose per-period draws total at most CHUNK_FLOATS floats, and a lane larger
+than that runs alone.
 
-Determinism contract: each lane has one stream, drawn in this order:
+Determinism contract: each lane has one stream, and every draw it makes
+has a size fixed by the lane's shape (I panels, U agents, E
+eavesdroppers), never by what the agents did. In order:
   1. topology build (eavesdropper angles), then UE placement;
-  2. per period: one block-fading realization (BS->IRS, IRS->UE, IRS->eve),
-     drawn in that order, each block's exact zeros redrawn before the next
-     block starts (channel.fill_fading); then the decisions, agent by agent
-     in UE order, each consuming only the draws its policy needs (see
-     policy module); then the link evaluation, which draws nothing.
-The abstract plug-in environment has no realization; after the period's
-decisions it draws every agent's Bernoulli outcome as one block of
-uniforms, one per agent in UE order. With one agent this is the stream of
-one outcome draw per decision; with several agents the outcome draws used
-to interleave with the decisions, so multi-agent Bernoulli runs changed
-when the period loop was batched over agents.
+  2. per period t = 1..T:
+     a. the environment block. A channel lane draws I + I*U + I*E Exp(1)
+        gains: BS->IRS, then IRS->UE, then IRS->eve, each block's exact
+        zeros redrawn before the next block starts (channel.fill_fading).
+        A Bernoulli lane draws U uniforms, one per agent in agent order;
+        they are read after the decisions: agent u is satisfied iff its
+        uniform is below its arm's probability;
+     b. the policy block: U x 2 uniforms, row-major, one row (u1, u2) per
+        agent in agent order, drawn every period whatever the policy (see
+        the policy module for how the decisions read it);
+     then the decisions, the link evaluation and the update, which draw
+     nothing.
+So for a given seed every policy sees the same fading in every period:
+bandit and greedy lanes share exact common random numbers.
 Batching lanes draws nothing and lanes share no stream, so every lane's
 results are those it gives when run alone, whatever runs beside it and
 whatever the chunk size.
@@ -64,8 +69,9 @@ log = logging.getLogger("irsbandit")
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 # Most floats one period of a chunk draws, summed over its lanes. A default
-# lane draws 400 (16 panels x (1 BS + 20 UE + 4 eve) gains), so about 80
-# default lanes share a chunk; a lane above the bound runs alone.
+# lane draws 440 (16 panels x (1 BS + 20 UE + 4 eve) gains, then 20 x 2
+# policy uniforms), so about 74 default lanes share a chunk; a lane above
+# the bound runs alone.
 CHUNK_FLOATS = 2**15
 
 
@@ -170,8 +176,9 @@ class BernoulliEnvironment:
     oracles. There is no geometry, so no signal context exists and the
     warm start degenerates to a uniform random arm; every agent's
     candidates are all arms. A period's outcomes are one block of uniform
-    draws, one per agent in agent order, taken after every decision of the
-    period. The reported rate is 1.0 or 0.0 and secrecy is always 0.
+    draws, one per agent in agent order, drawn at the start of the period
+    and read after its decisions. The reported rate is 1.0 or 0.0 and
+    secrecy is always 0.
     """
 
     fading_blocks_per_period = 0
@@ -292,22 +299,24 @@ class ChannelLanes:
         g_ue = gains[self._ue_row + self.arms[slot] * self._ue_stride]
         snr = self._snr[slot] * g_bs[panel] * g_ue
         rate = elementwise(math.log2, 1.0 + snr)
-        # The strongest eavesdropper's rate depends on the panel alone, and
-        # only panels some agent is on are read.
+        # The strongest eavesdropper's rate, log2(1 + its SNR), depends on
+        # the panel alone, and only panels some agent is on are read.
         used = np.zeros(self._n_panels, dtype=bool)
         used[panel] = True
         pair = np.flatnonzero(used[self._pair_panel])
         pair_panel = self._pair_panel[pair]
         eve = self._pair_snr[pair] * g_bs[pair_panel] * gains[self._pair_eve[pair]]
-        eve += 1.0
+        eve_snr = np.zeros(self._n_panels)
+        np.maximum.at(eve_snr, pair_panel, eve)
+        on = np.flatnonzero(used)
         r_eve = np.zeros(self._n_panels)
-        np.maximum.at(r_eve, pair_panel, elementwise(math.log2, eve))
+        r_eve[on] = elementwise(math.log2, 1.0 + eve_snr[on])
         secrecy = np.maximum(rate - r_eve[panel], 0.0)
         return rate, rate >= self._threshold, secrecy
 
 
 class BernoulliLanes:
-    """One period of a chunk of Bernoulli lanes: one block of uniforms per lane."""
+    """One period of a chunk of Bernoulli lanes: one block of outcome uniforms per lane."""
 
     def __init__(self, envs, rngs):
         layout = _Layout(envs)
@@ -322,14 +331,14 @@ class BernoulliLanes:
         ]
 
     def draw(self) -> None:
-        """No realization: the outcomes draw after the decisions."""
+        """Every lane's outcome uniforms for the period, each from its own Generator."""
+        for rng, out in self._draws:
+            rng.random(out=out)
 
     def signal(self) -> None:
         return None
 
     def outcomes(self, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        for rng, out in self._draws:
-            rng.random(out=out)
         satisfied = self._uniform < self._probs[self._arm[slot]]
         return satisfied.astype(float), satisfied, np.zeros(len(slot))
 
@@ -342,18 +351,21 @@ def _kind(lane: Lane) -> type:
 
 
 def _period_floats(lane: Lane) -> int:
-    """Floats one period of the lane draws: its fading gains, or its outcome uniforms.
+    """Floats one period of the lane draws: its environment block (fading
+    gains, or outcome uniforms), then its policy block of 2 per agent.
 
     Read from the config, so chunks are cut before any network is built and
     no lane's set-up outlives its own chunk.
     """
-    if lane.environment is None:
+    env = lane.environment
+    if env is None:
         t = lane.cfg.topology
         cells = len(t.small_cell_offsets)
         n_panels, n_eves = cells * t.irs_per_cell, cells * t.eavesdroppers_per_cell
-        return sum(channel.fading_blocks(n_panels, t.ue_count, n_eves))
-    env = lane.environment
-    return sum(env.blocks) if isinstance(env, ChannelEnvironment) else env.n_agents
+        return sum(channel.fading_blocks(n_panels, t.ue_count, n_eves)) + 2 * t.ue_count
+    if isinstance(env, ChannelEnvironment):
+        return sum(env.blocks) + 2 * env.n_agents
+    return 3 * env.n_agents
 
 
 def _chunks(lanes):
@@ -391,17 +403,16 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     ]
     # the chunk was cut on block sizes read from the configs; the networks must agree
     assert all(
-        sum(env.blocks) == _period_floats(lane)
+        sum(env.blocks) + 2 * env.n_agents == _period_floats(lane)
         for lane, env in zip(chunk, envs)
         if lane.environment is None
-    ), "a network's fading blocks differ from its config's"
+    ), "a network's period draws differ from its config's"
     batch = _LANES[type(envs[0])](envs, rngs)
-    policies = [lane.cfg.policy for lane in chunk]
     sizes = [env.n_agents for env in envs]
-    bounds = list(accumulate(sizes, initial=0))
-    agents = policy.Agents(batch.offsets, batch.arms, policies, bounds)
     fading_blocks = chunk[0].cfg.periods * envs[0].fading_blocks_per_period
-    del envs  # batch and agents hold all that is left to read
+    del envs  # batch holds all that is left to read
+    bounds = list(accumulate(sizes, initial=0))
+    agents = policy.Agents(batch.offsets, batch.arms, [lane.cfg.policy for lane in chunk], bounds)
 
     # runs of lanes with equal agent counts, so per-lane means are row means:
     # (first agent, end agent, first lane, end lane, agents per lane)
@@ -410,6 +421,9 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         k = len(list(group))
         runs.append((bounds[l], bounds[l + k], l, l + k, n))
         l += k
+    # the policy block: one (u1, u2) row per agent, each lane's rows from its stream
+    uniform = np.empty((bounds[-1], 2))
+    policy_draws = [(rng, uniform[lo:hi]) for rng, lo, hi in zip(rngs, bounds, bounds[1:])]
     periods = chunk[0].cfg.periods
     satisfaction = np.empty((len(chunk), periods))
     mean_secrecy = np.empty((len(chunk), periods))
@@ -419,10 +433,12 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         rates = np.empty((periods, bounds[-1]))
     for t in range(periods):
         batch.draw()
+        for rng, out in policy_draws:
+            rng.random(out=out)
         if t == 0:
-            slot = policy.init_association(agents, batch.signal(), rngs)
+            slot = policy.init_association(agents, batch.signal(), uniform)
         else:
-            slot = policy.select_irs(agents, rngs)
+            slot = policy.select_irs(agents, uniform)
         rate, satisfied, secrecy = batch.outcomes(slot)
         policy.update(agents, satisfied)
         # row sums over n, which is mean()'s own arithmetic, so every lane's

@@ -8,10 +8,12 @@ Rewards are integer counters of satisfied periods, one per candidate panel.
 Every agent's candidates occupy a contiguous run of slots in one flat
 layout shared with the environment: agent u owns slots offsets[u] to
 offsets[u + 1] - 1, in its candidate order. A lane is one replication: a
-contiguous run of agents with one policy config and one Generator. The
-rules act on every agent of every lane at once; only the random draws run
-agent by agent, lane by lane, each from its lane's Generator in agent
-order, so each lane consumes the stream a per-agent loop would.
+contiguous run of agents with one policy config. The rules act on every
+agent of every lane at once and draw nothing: each decision reads a
+uniform block with one row (u1, u2) per agent, which the engine draws
+every period (see its determinism contract). u1 < omega decides
+exploration; starts[u] + floor(u2 * sizes[u]) is the uniform random slot
+of agent u, for exploring and for a random start.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ class Agents:
     u's last satisfied one and is reset only by a satisfied period. arms[s]
     is the panel index of slot s within its lane. Lane l owns agents
     lanes[l] to lanes[l + 1] - 1, at least one, and runs policies[l]; by
-    default every agent forms one lane. phi[u] is agent u's stickiness, 0
-    for greedy agents, which never stay put. Indexing or iterating yields
-    one AgentRecord per agent.
+    default every agent forms one lane. phi[u] and omega[u] are agent u's
+    stickiness and exploration rate, both 0 for greedy agents, which never
+    stay put and never explore. Indexing or iterating yields one
+    AgentRecord per agent.
     """
 
     def __init__(self, offsets, arms, policies, lanes=None):
@@ -60,10 +63,12 @@ class Agents:
             raise ValueError("need one policy per lane")
         if (np.diff(self.lanes) < 1).any():
             raise ValueError("every lane needs at least one agent")
-        self.phi = np.repeat(
-            [0 if p.kind is PolicyKind.GREEDY else p.phi for p in self.policies],
-            np.diff(self.lanes),
-        )
+        lane_sizes = np.diff(self.lanes)
+        bandit = np.repeat([p.kind is not PolicyKind.GREEDY for p in self.policies], lane_sizes)
+        self.phi = bandit * np.repeat([p.phi for p in self.policies], lane_sizes)
+        self.omega = bandit * np.repeat([p.omega for p in self.policies], lane_sizes)
+        # every agent's candidate count when all are equal, else 0
+        self.width = int(self.sizes[0]) if (self.sizes == self.sizes[0]).all() else 0
         self.rewards = np.zeros(len(arms), dtype=np.int64)
         self.slot = np.full(len(self.starts), -1, dtype=np.int64)
         self.unsat = np.zeros(len(self.starts), dtype=np.int64)
@@ -108,75 +113,68 @@ def effective_config(cfg: PolicyConfig) -> PolicyConfig:
     return cfg
 
 
-def segment_argmax(values: np.ndarray, agents: Agents):
-    """Per agent: the slot of its largest value, ties to the lowest slot, and that value."""
+def segment_argmax(values: np.ndarray, agents: Agents) -> np.ndarray:
+    """Per agent: the slot of its largest value, ties to the lowest slot."""
+    if agents.width:  # one row of values per agent
+        return agents.starts + values.reshape(-1, agents.width).argmax(axis=1)
     top = np.maximum.reduceat(values, agents.starts)
-    hits = np.flatnonzero(values == np.repeat(top, agents.sizes))
-    return hits[hits.searchsorted(agents.starts)], top
+    hits = (values == np.repeat(top, agents.sizes)).nonzero()[0]
+    return hits[hits.searchsorted(agents.starts)]
 
 
-def init_association(agents: Agents, rssi, rngs) -> np.ndarray:
+def uniform_slots(starts: np.ndarray, sizes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """starts + floor(u * sizes): for u in [0, 1), a uniform slot of each segment.
+
+    The product rounds below sizes even at the largest double below 1, so
+    the slot never leaves its segment.
+    """
+    return starts + (u * sizes).astype(np.int64)
+
+
+def init_association(agents: Agents, rssi, uniform: np.ndarray) -> np.ndarray:
     """First-period association; sets and returns every agent's slot.
 
     The bandit starts on the candidate with the strongest RSSI (ties to
-    the lowest index); the greedy baseline starts on a uniform random
-    candidate, one integer draw per agent in agent order from its lane's
-    Generator (rngs[l] for lane l). When no signal context exists (rssi is
-    None, as in abstract plug-in environments) the bandit also starts
-    uniformly at random. Re-initialization is an error.
+    the lowest index); the greedy baseline starts on agent u's uniform
+    random candidate, chosen by uniform[u, 1]. When no signal context
+    exists (rssi is None, as in abstract plug-in environments) the bandit
+    also starts on that random candidate. Re-initialization is an error.
     """
     if agents.initialized:
         raise ValueError("agents are already initialized")
-    if rssi is None:
-        slot = agents.starts.copy()
-    else:
+    slot = uniform_slots(agents.starts, agents.sizes, uniform[:, 1])
+    if rssi is not None:
         rssi = np.asarray(rssi, dtype=float)
         if rssi.shape != agents.rewards.shape:
             raise ValueError("rssi vector must align with the candidate slots")
-        slot = segment_argmax(rssi, agents)[0]
-    starts, sizes = agents._start_list, agents._size_list
-    for cfg, rng, lo, hi in zip(agents.policies, rngs, agents.lanes, agents.lanes[1:]):
-        if rssi is None or cfg.kind is PolicyKind.GREEDY:
-            integers = rng.integers
-            for u in range(lo, hi):
-                slot[u] = starts[u] + int(integers(sizes[u]))
+        strongest = segment_argmax(rssi, agents)
+        for cfg, lo, hi in zip(agents.policies, agents.lanes, agents.lanes[1:]):
+            if cfg.kind is not PolicyKind.GREEDY:
+                slot[lo:hi] = strongest[lo:hi]
     agents.slot = slot
     agents.unsat[:] = 0
     agents.initialized = True
     return slot
 
 
-def select_irs(agents: Agents, rngs) -> np.ndarray:
+def select_irs(agents: Agents, uniform: np.ndarray) -> np.ndarray:
     """One re-association decision per agent; sets and returns every slot.
 
     Bandit: an agent whose current panel's accumulated reward ties its
     maximum and whose consecutive-unsatisfied counter is below phi stays
-    put (no draw). Each other agent, in agent order, draws u ~ U[0,1) from
-    its lane's Generator (rngs[l] for lane l): u < omega explores a uniform
-    random candidate (one integer draw), else it exploits the argmax
-    accumulated reward, ties to the lowest index. Greedy: always exploit,
-    no stickiness, no exploration, no draws.
+    put. Every other agent u with uniform[u, 0] < omega explores its
+    uniform random candidate, chosen by uniform[u, 1]; the rest exploit
+    the argmax accumulated reward, ties to the lowest index. Greedy:
+    always exploit (phi and omega are 0).
     """
     if not agents.initialized:
         raise ValueError("agents are not initialized")
-    best, top = segment_argmax(agents.rewards, agents)
-    slot = agents.slot
-    movers = np.flatnonzero((agents.rewards[slot] != top) | (agents.unsat >= agents.phi))
-    if len(movers):
-        chosen = best[movers]
-        mover_list = movers.tolist()
-        bounds = movers.searchsorted(agents.lanes).tolist()
-        starts, sizes = agents._start_list, agents._size_list
-        for cfg, rng, lo, hi in zip(agents.policies, rngs, bounds, bounds[1:]):
-            if cfg.kind is PolicyKind.GREEDY:
-                continue
-            omega = cfg.omega
-            random, integers = rng.random, rng.integers
-            for k in range(lo, hi):
-                if random() < omega:
-                    u = mover_list[k]
-                    chosen[k] = starts[u] + int(integers(sizes[u]))
-        slot[movers] = chosen
+    rewards, slot = agents.rewards, agents.slot
+    best = segment_argmax(rewards, agents)
+    move = (rewards[slot] != rewards[best]) | (agents.unsat >= agents.phi)
+    explore = move & (uniform[:, 0] < agents.omega)
+    pick = uniform_slots(agents.starts, agents.sizes, uniform[:, 1])
+    np.copyto(slot, np.where(explore, pick, best), where=move)
     return slot
 
 

@@ -5,9 +5,11 @@ The simulator works on whole arrays: (N, 2) positions, array link budgets,
 flat agent state and one fading draw call per lane. This module states the
 same rules one point, one link and one UE at a time, in plain Python
 floats, as the simulator first implemented them, and draws each period's
-fading block by block. Its replication loops evaluate each agent's link
-with these formulas and draw from the Generator in agent order. Tests run
-them next to the simulator and compare every output bit for bit.
+fading block by block. Its replication loops draw each period's
+environment block and then its policy block of one (u1, u2) row per
+agent, and evaluate each agent's decision and link with these formulas,
+agent by agent. Tests run them next to the simulator and compare every
+output bit for bit.
 """
 
 from __future__ import annotations
@@ -165,7 +167,8 @@ def _exponential_block(rng, shape) -> np.ndarray:
 
 
 def draw_fading(topo, rng) -> Fading:
-    """One period's block fading, as the engine's determinism contract states it.
+    """One period's block fading, a channel lane's environment block in the
+    engine's determinism contract.
 
     Three blocks in order, BS->IRS, IRS->UE and IRS->eve, each one
     rng.exponential call whose exact zeros are redrawn before the next
@@ -206,25 +209,29 @@ class AgentState:
         return self.candidate_irs.index(irs_index)
 
 
-def init_association(agent: AgentState, cfg: PolicyConfig, rssi, rng) -> int:
-    """Strongest RSSI for the bandit (ties low), else one uniform integer draw."""
+def _uniform_local(agent: AgentState, u2: float) -> int:
+    """The candidate u2 picks uniformly: floor(u2 * n) of n candidates."""
+    return math.floor(u2 * len(agent.candidate_irs))
+
+
+def init_association(agent: AgentState, cfg: PolicyConfig, rssi, u2: float) -> int:
+    """Strongest RSSI for the bandit (ties low), else the candidate u2 picks."""
     if agent.initialized:
         raise ValueError("agent is already initialized")
     if cfg.kind is PolicyKind.CONTEXTUAL_BANDIT and rssi is not None:
         local = argmax_lowest(np.asarray(rssi, dtype=float))
     else:
-        local = int(rng.integers(len(agent.candidate_irs)))
+        local = _uniform_local(agent, u2)
     agent.current_irs = agent.candidate_irs[local]
     agent.consecutive_unsatisfied = 0
     agent.initialized = True
     return agent.current_irs
 
 
-def select_irs(agent: AgentState, cfg: PolicyConfig, rng) -> int:
-    """Stay if sticky (no draw); else explore with probability omega, or exploit."""
+def select_irs(agent: AgentState, cfg: PolicyConfig, u1: float, u2: float) -> int:
+    """Stay if sticky; else explore the candidate u2 picks if u1 < omega, or exploit."""
     if not agent.initialized:
         raise ValueError("agent is not initialized")
-    n = len(agent.candidate_irs)
     if cfg.kind is PolicyKind.GREEDY:
         local = argmax_lowest(agent.rewards)
     else:
@@ -232,8 +239,8 @@ def select_irs(agent: AgentState, cfg: PolicyConfig, rng) -> int:
         on_argmax = agent.rewards[cur] == agent.rewards.max()
         if on_argmax and agent.consecutive_unsatisfied < cfg.phi:
             return agent.current_irs
-        if rng.random() < cfg.omega:
-            local = int(rng.integers(n))
+        if u1 < cfg.omega:
+            local = _uniform_local(agent, u2)
         else:
             local = argmax_lowest(agent.rewards)
     agent.current_irs = agent.candidate_irs[local]
@@ -278,18 +285,21 @@ def _rssi(topo, params, u, arm, real) -> float:
 
 
 def _link(topo, params, u, arm, real):
-    """Rate and secrecy of UE u through panel arm, from the scalar formulas."""
+    """Rate and secrecy of UE u through panel arm, from the scalar formulas.
+
+    The strongest eavesdropper's rate is that of the largest eavesdropper SNR.
+    """
     bs, irs, ue = _points(topo, u, arm)
     g1 = float(real.g_bs_irs[arm])
     rate = achievable_rate(cascaded_snr(bs, irs, ue, g1, float(real.g_irs_ue[arm, u]), params))
-    r_eve = max(
+    eve_snr = max(
         (
-            achievable_rate(cascaded_snr(bs, irs, eve, g1, float(g2), params))
+            cascaded_snr(bs, irs, eve, g1, float(g2), params)
             for eve, g2 in zip(topo.eve_xy.tolist(), real.g_irs_eve[arm])
         ),
         default=0.0,
     )
-    return rate, secrecy_rate(rate, r_eve)
+    return rate, secrecy_rate(rate, achievable_rate(eve_snr))
 
 
 def channel_replication(cfg: SimulationConfig, seed: int) -> ReferenceRun:
@@ -304,12 +314,13 @@ def channel_replication(cfg: SimulationConfig, seed: int) -> ReferenceRun:
     run = _empty_run(cfg.periods, agents)
     for t in range(cfg.periods):
         real = draw_fading(topo, rng)
-        for u, agent in enumerate(agents):
+        uniforms = rng.random((len(agents), 2)).tolist()
+        for u, (agent, (u1, u2)) in enumerate(zip(agents, uniforms)):
             if agent.initialized:
-                arm = select_irs(agent, cfg.policy, rng)
+                arm = select_irs(agent, cfg.policy, u1, u2)
             else:
                 rssi = [_rssi(topo, cfg.channel, u, i, real) for i in agent.candidate_irs]
-                arm = init_association(agent, cfg.policy, rssi, rng)
+                arm = init_association(agent, cfg.policy, rssi, u2)
             rate, secrecy = _link(topo, cfg.channel, u, arm, real)
             satisfied = rate >= cfg.rate_threshold
             update(agent, satisfied)
@@ -321,18 +332,20 @@ def channel_replication(cfg: SimulationConfig, seed: int) -> ReferenceRun:
 def bernoulli_replication(
     cfg: SimulationConfig, seed: int, arm_probs, n_agents: int
 ) -> ReferenceRun:
-    """Fixed-probability arms: every agent decides, then one block of outcome draws."""
+    """Fixed-probability arms: each period draws one outcome uniform per agent,
+    then the policy block; every agent decides, then reads its outcome."""
     rng = np.random.default_rng(seed)
     agents = [AgentState(tuple(range(len(arm_probs)))) for _ in range(n_agents)]
     run = _empty_run(cfg.periods, agents)
     for t in range(cfg.periods):
-        arms = [
-            select_irs(agent, cfg.policy, rng)
-            if agent.initialized
-            else init_association(agent, cfg.policy, None, rng)
-            for agent in agents
-        ]
         draws = rng.random(n_agents).tolist()
+        uniforms = rng.random((n_agents, 2)).tolist()
+        arms = [
+            select_irs(agent, cfg.policy, u1, u2)
+            if agent.initialized
+            else init_association(agent, cfg.policy, None, u2)
+            for agent, (u1, u2) in zip(agents, uniforms)
+        ]
         for u, (agent, arm, draw) in enumerate(zip(agents, arms, draws)):
             satisfied = draw < arm_probs[arm]
             update(agent, satisfied)

@@ -140,10 +140,10 @@ class TestMeanSatisfaction:
 def first_period(cfg, seed):
     """Period 1 of a replication driven step by step through ChannelLanes.
 
-    The engine's period protocol, restated: the lane's fading, the warm
-    start, the batched link evaluation, the update. Returns the replication
-    result of run_replication for the same period, the per-UE outcomes and
-    the agents.
+    The engine's period protocol, restated: the lane's fading, its policy
+    block, the warm start, the batched link evaluation, the update. Returns
+    the replication result of run_replication for the same period, the
+    per-UE outcomes and the agents.
     """
     rng = np.random.default_rng(seed)
     topo = build_network(cfg.topology, rng)
@@ -153,7 +153,7 @@ def first_period(cfg, seed):
     lanes = ChannelLanes([env], [rng])
     agents = Agents(env.offsets, env.arms, [cfg.policy])
     lanes.draw()
-    slot = init_association(agents, lanes.signal(), [rng])
+    slot = init_association(agents, lanes.signal(), rng.random((len(agents), 2)))
     rate, satisfied, secrecy = lanes.outcomes(slot)
     update(agents, satisfied)
     res = run_replication(dataclasses.replace(cfg, periods=1), seed)
@@ -337,6 +337,30 @@ class TestConfigValidation:
             ChannelParams(irs_gain_db=-1.0)
 
 
+INT_FIELDS = [
+    (cls, f.name)
+    for cls in (TopologyConfig, ChannelParams, PolicyConfig, SimulationConfig)
+    for f in dataclasses.fields(cls)
+    if f.type == "int"
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"], ids=["fraction", "float", "bool", "str"])
+@pytest.mark.parametrize("cls, key", INT_FIELDS, ids=[f"{c.__name__}.{k}" for c, k in INT_FIELDS])
+def test_integer_fields_reject_non_integers(cls, key, value):
+    extra = {"enforce_channel_budget": False} if cls is SimulationConfig else {}
+    with pytest.raises(ValueError, match=rf"^{key}: must be an integer, got {value!r}$"):
+        cls(**{key: value}, **extra)
+    assert cls(**{key: np.int64(2)}, **extra) is not None  # numpy integers are integers
+
+
+def test_every_int_field_is_checked():
+    assert {k for _, k in INT_FIELDS} == {
+        "small_cell_count", "irs_per_cell", "eavesdroppers_per_cell", "ue_count",
+        "cluster_size", "phi", "base_seed", "periods", "replications", "channel_budget",
+    }
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -489,10 +513,11 @@ def test_engine_matches_reference_chain_bit_for_bit(
     agents = Agents(env.offsets, env.arms, [cfg.policy])
     for t in range(cfg.periods):
         lanes.draw()
+        uniform = rng.random((len(agents), 2))
         if t == 0:
-            slot = init_association(agents, lanes.signal(), [rng])
+            slot = init_association(agents, lanes.signal(), uniform)
         else:
-            slot = select_irs(agents, [rng])
+            slot = select_irs(agents, uniform)
         _, satisfied, secrecy = lanes.outcomes(slot)
         update(agents, satisfied)
         _assert_same_bits(secrecy, want.secrecy[t])
@@ -525,6 +550,68 @@ def test_bernoulli_engine_matches_reference_chains(
     if n_agents == 1 and kind is CB:
         chain = two_armed_oracle.run_chain(seed, probs, omega, phi, cfg.periods)
         _assert_same_bits(got.chosen[:, 0], chain)
+
+
+@pytest.mark.parametrize("kind", list(PolicyKind))
+@pytest.mark.parametrize("seed", [0, 77, 2**32 - 1])
+def test_lane_stream_is_geometry_then_fixed_blocks(monkeypatch, kind, seed):
+    """A lane's Generator ends where geometry, then T x (environment block +
+    U x 2 policy uniforms), drawn directly, leave a fresh one, whatever the
+    policy did."""
+    cfg = small_cfg(
+        topology=TopologyConfig(eavesdroppers_per_cell=3, detection_radius=25.0),
+        policy=PolicyConfig(kind=kind, omega=0.5, phi=1),
+        periods=9,
+    )
+    twin = np.random.default_rng(seed)
+    topo = build_network(cfg.topology, twin)
+    n_panels, n_ues, n_eves = len(topo.panel_xy), len(topo.ue_xy), len(topo.eve_xy)
+    probs = (0.9, 0.2, 0.5)
+    bernoulli_twin = np.random.default_rng(seed)
+    for _ in range(cfg.periods):
+        twin.standard_exponential(n_panels + n_panels * n_ues + n_panels * n_eves)
+        twin.random((n_ues, 2))
+        bernoulli_twin.random(5)
+        bernoulli_twin.random((5, 2))
+    made, make = [], np.random.default_rng
+
+    def recording(s):  # keeps every Generator the engine makes
+        made.append(make(s))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    run_replication(cfg, seed)
+    run_replication(cfg, seed, BernoulliEnvironment(probs, n_agents=5))
+    assert made[0].bit_generator.state == twin.bit_generator.state
+    assert made[1].bit_generator.state == bernoulli_twin.bit_generator.state
+
+
+def test_every_policy_reads_the_same_fading(monkeypatch):
+    """Lanes on one seed see bit-identical gains in every period, whatever
+    their policies choose: exact common random numbers."""
+    seen = []
+    draw = ChannelLanes.draw
+
+    def spy(self):
+        draw(self)
+        seen.append(self.gains.copy())
+
+    monkeypatch.setattr(ChannelLanes, "draw", spy)
+    cfg = small_cfg(periods=25)
+    policies = [
+        PolicyConfig(kind=CB, omega=0.1, phi=2),
+        PolicyConfig(kind=PolicyKind.GREEDY),
+        PolicyConfig(kind=CB, omega=1.0, phi=1),
+    ]
+    lanes = [Lane(dataclasses.replace(cfg, policy=p), 31) for p in policies]
+    assert len(list(engine._chunks(lanes))) == 1
+    results = run_lanes(lanes, record=True)
+    assert len(seen) == cfg.periods
+    for gains in seen:
+        parts = gains.reshape(len(lanes), -1)
+        assert all(part.tobytes() == parts[0].tobytes() for part in parts[1:])
+    chosen = [res.chosen for res in results]
+    assert not np.array_equal(chosen[0], chosen[1]) and not np.array_equal(chosen[0], chosen[2])
 
 
 channel_lanes = st.builds(

@@ -1,12 +1,11 @@
 """Golden determinism digests.
 
-The first three digests were recorded before the per-replication link
-budgets and the sweep deduplication landed, the next two before the period
-loop was batched over agents, and the two default-sweep JSON digests before
-traces and cell summaries held their cell's config in place of copied
-labels. None may be re-frozen to match a code change:
-any change here is a change to the random-stream layout or to the output
-bytes, and must be deliberate and recorded in CHANGES.md.
+All seven digests were recorded when every period of a lane came to draw
+fixed-size blocks (its environment block, then one (u1, u2) row per
+agent), which changed the random-stream layout deliberately. None may be
+re-frozen to match a code change: any change here is a change to the
+random-stream layout or to the output bytes, and must be deliberate and
+recorded in CHANGES.md.
 """
 
 import dataclasses
@@ -27,26 +26,26 @@ from irsbandit.engine import BernoulliEnvironment, run_monte_carlo, run_replicat
 from irsbandit.experiment import ExperimentSpec, OutputFormat, run_experiment, summary_path
 
 DEFAULT_SWEEP_CSV_SHA256 = (
-    "15c9ad8203478fa7c3cd6566717e83be181bebae2d5926f1b5519551046f373e"
+    "3c015e64f27544f60289b5a097e64e5d6821b2e864279bc4eaa54eb4727b8bec"
 )
 DENSE_PER_REPLICATION_SHA256 = (
-    "fdb847a1723dcc3e176ac6fb249a9d6b0fd017cd309ada339e5088d6d6d2210c"
+    "7abde05e39b9a184bd8cf5a9127bc839031655d7c6ba3ab93d5e1d9dcc8d1de2"
 )
 DENSE_MEAN_SECRECY_SHA256 = (
-    "fd935f201fccb51771bbe1783106b0babbdb1615d321d20518bc833d758968af"
+    "5b4ee3acb531867e38da133b6bc3e573ce6affe721e7ee83237a82921d1f40e4"
 )
 GREEDY_CLUSTERED_SHA256 = (
-    "2a34e8caf3194a7cd1495e1c65baca6eaab7bdb14f08dd2e4e54699acece1d92"
+    "87e746ec8318f0d28e30f79ef20eb921f9b3fad20f818c6d68ae4618cb39ddb7"
 )
 ONE_AGENT_BERNOULLI_SHA256 = (
-    "5d1ea466fbb15e8da44c717252725b00503211f982e2c3631fac76d0d5a4a946"
+    "8c0c297730808114698b4e0fccd648f39af4bef6d4d06f5775ddfc17c1af9cd2"
 )
 DEFAULT_SWEEP_JSON_SHA256 = (
-    "fde3cdd0091353dad9142846b4a4acaaba79bd8128c8c3a9041b32696e508e93"
+    "651836721b4913cf89b44b0d6aef3116abc48140dee4433a0e6f81e354843490"
 )
 # of the summary with every wall_seconds key removed, re-dumped with indent=2
 DEFAULT_SWEEP_SUMMARY_SHA256 = (
-    "97c4d0504561679635be1b90c265808433a3e8ea7422ec2f85a813abf43f8aec"
+    "bef5c5c682986adc51b84690ffc5d16f208ba5e9ce99bd8799b16a931c0e9301"
 )
 
 # Four cells with 16 panels each and 2 eavesdroppers per cell; detection

@@ -11,6 +11,7 @@ from irsbandit.policy import (
     init_association,
     segment_argmax,
     select_irs,
+    uniform_slots,
     update,
 )
 
@@ -44,44 +45,54 @@ def panels(a):
     return a.arms[a.slot].tolist()
 
 
+def block(a, u1=0.5, u2=0.0):
+    """A policy block of one (u1, u2) row per agent, every row alike."""
+    return np.tile([u1, u2], (len(a), 1))
+
+
+LAST_BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest uniform a Generator draws
+
+
 class TestInitAssociation:
     def test_cb_takes_strongest_rssi(self):
         a = agents()
-        slot = init_association(a, [-70.0, -60.0, -80.0], [np.random.default_rng(0)])
+        slot = init_association(a, [-70.0, -60.0, -80.0], block(a, u2=0.9))
         assert a.arms[slot].tolist() == [1]
         assert a.initialized and a[0].current_irs == 1
         # every agent picks within its own segment
         b = agents((0, 1, 2), (3, 4), (5,), (6, 7, 8))
         rssi = [-70.0, -60.0, -80.0, -50.0, -55.0, -99.0, -90.0, -91.0, -10.0]
-        init_association(b, rssi, [np.random.default_rng(0)])
+        init_association(b, rssi, block(b, u2=0.0))
         assert panels(b) == [1, 3, 5, 8]
 
     def test_cb_rssi_tie_goes_low(self):
         a = agents((5, 9), (2, 3, 4))
-        init_association(a, [-60.0, -60.0, -1.0, 0.0, 0.0], [np.random.default_rng(0)])
+        init_association(a, [-60.0, -60.0, -1.0, 0.0, 0.0], block(a, u2=0.9))
         assert panels(a) == [5, 3]
 
-    def test_greedy_golden_draw(self):
-        # documented draw: default_rng(123).integers(8) == 0, frozen once
-        a = agents(tuple(range(10, 18)), policy=PolicyConfig(kind=GREEDY))
-        init_association(a, None, [np.random.default_rng(123)])
-        assert panels(a) == [10]
+    def test_greedy_starts_where_u2_points(self):
+        # floor(u2 * 8) of 8 candidates, whether or not a signal exists
+        for rssi in (None, [0.0] * 7 + [9.0]):
+            for u2, want in ((0.0, 10), (0.3, 12), (0.9999, 17), (LAST_BELOW_ONE, 17)):
+                a = agents(tuple(range(10, 18)), policy=PolicyConfig(kind=GREEDY))
+                init_association(a, rssi, block(a, u1=0.0, u2=u2))
+                assert panels(a) == [want]
 
     def test_reinitialization_rejected(self):
         a = initialized_agent()
         with pytest.raises(ValueError, match="already initialized"):
-            init_association(a, [0.0, 0.0, 0.0], [np.random.default_rng(0)])
+            init_association(a, [0.0, 0.0, 0.0], block(a))
 
     def test_misaligned_rssi_rejected(self):
         a = agents((1, 2))
         with pytest.raises(ValueError, match="align"):
-            init_association(a, [0.0, 0.0, 0.0], [np.random.default_rng(0)])
+            init_association(a, [0.0, 0.0, 0.0], block(a))
 
     def test_cb_without_signal_context_draws_uniformly(self):
         counts = np.zeros(3)
         for seed in range(300):
             a = agents()
-            init_association(a, None, [np.random.default_rng(seed)])
+            init_association(a, None, np.random.default_rng(seed).random((1, 2)))
             counts[panels(a)[0]] += 1
         assert counts.min() > 60  # roughly uniform across 3 arms
 
@@ -91,35 +102,34 @@ class TestSelectIrs:
         cfg = PolicyConfig(kind=CB, omega=0.0, phi=1)
         a = initialized_agent(current=1, rewards=[5, 2, 9], policy=cfg)
         a.unsat[0] = 1  # current not argmax anyway
-        select_irs(a, [np.random.default_rng(0)])
+        select_irs(a, block(a, u1=0.0))
         assert panels(a) == [2]
 
     def test_greedy_tie_goes_low(self):
         a = initialized_agent(current=2, rewards=[4, 4, 1], policy=PolicyConfig(kind=GREEDY))
-        select_irs(a, [np.random.default_rng(0)])
+        select_irs(a, block(a, u1=0.0, u2=0.9))  # greedy never explores
         assert panels(a) == [0]
 
     def test_stickiness_overrides_omega(self):
         # on the argmax panel with streak < phi: stays even at omega = 1
         cfg = PolicyConfig(kind=CB, omega=1.0, phi=3)
         a = initialized_agent(current=2, rewards=[1, 2, 7], streak=1, policy=cfg)
-        rng = np.random.default_rng(0)
-        select_irs(a, [rng])
+        select_irs(a, block(a, u1=0.0, u2=0.0))
         assert panels(a) == [2]
-        state = rng.bit_generator.state
-        assert state == np.random.default_rng(0).bit_generator.state  # no draw used
 
     def test_streak_at_phi_forces_decision(self):
         cfg = PolicyConfig(kind=CB, omega=0.0, phi=3)
         a = initialized_agent(current=2, rewards=[1, 2, 7], streak=3, policy=cfg)
-        rng = np.random.default_rng(0)
-        select_irs(a, [rng])
+        select_irs(a, block(a, u1=0.0, u2=0.0))
         assert panels(a) == [2]  # argmax again
-        assert rng.bit_generator.state != np.random.default_rng(0).bit_generator.state
+        cfg = PolicyConfig(kind=CB, omega=1.0, phi=3)
+        a = initialized_agent(current=2, rewards=[1, 2, 7], streak=3, policy=cfg)
+        select_irs(a, block(a, u1=0.0, u2=0.0))
+        assert panels(a) == [0]  # explored where u2 points
 
     def test_uninitialized_rejected(self):
         with pytest.raises(ValueError, match="not initialized"):
-            select_irs(agents(), [np.random.default_rng(0)])
+            select_irs(agents(), block(agents()))
 
     def test_exploration_rate_respected(self):
         cfg = PolicyConfig(kind=CB, omega=0.3, phi=1)
@@ -129,7 +139,7 @@ class TestSelectIrs:
         a.slot[:] = a.starts + 1
         a.rewards[:] = np.tile([0, 9, 0], trials)
         a.unsat[:] = 5
-        select_irs(a, [np.random.default_rng(11)])
+        select_irs(a, np.random.default_rng(11).random((trials, 2)))
         explored = np.count_nonzero(a.arms[a.slot] != 1)
         # explore picks uniformly among 3 arms, so P(leave argmax) = omega * 2/3
         assert abs(explored / trials - 0.2) < 0.02
@@ -152,8 +162,9 @@ class TestSelectIrs:
             a.slot[:] = a.starts + current
             a.rewards[:] = rewards.ravel()
             a.unsat[:] = streak
-        select_irs(cb, [rng])
-        select_irs(gr, [rng])
+        uniform = rng.random((n, 2))
+        select_irs(cb, uniform)
+        select_irs(gr, uniform)
         assert panels(cb) == panels(gr) == rewards.argmax(axis=1).tolist()
 
     def test_argmax_invariant_under_positive_scaling(self):
@@ -166,14 +177,22 @@ class TestSelectIrs:
             for scale in (2, 7):
                 a = initialized_agent(range(5), 0, rewards, streak=9, policy=cfg)
                 b = initialized_agent(range(5), 0, rewards * scale, streak=9, policy=cfg)
-                select_irs(a, [np.random.default_rng(0)])
-                select_irs(b, [np.random.default_rng(0)])
+                select_irs(a, block(a))
+                select_irs(b, block(b))
                 assert panels(a) == panels(b)
         two = agents((0, 1, 2), (3, 4, 5))
         values = np.array([1.0, 3.0, 3.0, 4.0, 5.0, 5.0])
-        low = segment_argmax(values, two)[0]
-        high = segment_argmax(values * 2.0, two)[0]
+        low = segment_argmax(values, two)
+        high = segment_argmax(values * 2.0, two)
         assert low.tolist() == high.tolist() == [1, 4]
+
+
+def test_largest_uniform_picks_the_last_slot():
+    # u2 * n rounds below n at the largest uniform, for every n, powers of two included
+    sizes = np.arange(1, 4097)
+    picked = uniform_slots(np.zeros_like(sizes), sizes, np.full(len(sizes), LAST_BELOW_ONE))
+    assert (picked < sizes).all() and (picked == sizes - 1).all()
+    assert uniform_slots(np.array([5]), np.array([4096]), np.array([0.0])).tolist() == [5]
 
 
 class TestUpdate:
@@ -222,7 +241,8 @@ def test_agent_records_read_the_flat_state():
     two = [PolicyConfig(), PolicyConfig(kind=GREEDY)]
     with pytest.raises(ValueError, match="at least one agent"):
         Agents([0, 2, 3], np.array([4, 7, 1]), two, lanes=[0, 0, 2])
-    assert Agents([0, 2, 3], np.array([4, 7, 1]), two, lanes=[0, 1, 2]).phi.tolist() == [2, 0]
+    mixed = Agents([0, 2, 3], np.array([4, 7, 1]), two, lanes=[0, 1, 2])
+    assert mixed.phi.tolist() == [2, 0] and mixed.omega.tolist() == [0.1, 0.0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,10 +250,10 @@ def test_agent_records_read_the_flat_state():
 def test_reward_monotone_and_conserved(outcomes, seed):
     rng = np.random.default_rng(seed)
     a = agents((0, 1, 2, 3), policy=PolicyConfig(kind=CB, omega=0.2, phi=2))
-    init_association(a, None, [rng])
+    init_association(a, None, rng.random((1, 2)))
     prev = a.rewards.copy()
     for sat in outcomes:
-        select_irs(a, [rng])
+        select_irs(a, rng.random((1, 2)))
         update(a, np.array([sat]))
         assert (a.rewards >= prev).all()  # never decreases
         prev = a.rewards.copy()
@@ -250,14 +270,14 @@ def test_two_armed_sanity_quick():
     for seed in range(20):
         rng = np.random.default_rng(500 + seed)
         a = agents((0, 1), policy=cfg)
-        init_association(a, None, [rng])
+        init_association(a, None, rng.random((1, 2)))
         picks = []
         first = True
         for t in range(400):
             if first:
                 first = False
             else:
-                select_irs(a, [rng])
+                select_irs(a, rng.random((1, 2)))
             picks.append(panels(a)[0])
             update(a, np.array([rng.random() < (0.9 if picks[-1] == 0 else 0.1)]))
         fractions.append(np.mean(np.array(picks[199:400]) == 0))
