@@ -3,16 +3,15 @@
 
 Criteria 1-5 of tests/test_acceptance.py are each decided on one
 100-replication estimate per cell, at base seed 12345. This script runs the
-same six default-protocol cells at N base seeds and computes every
-criterion's statistics with the test module's own helpers and bounds. Base
-seed k is FIRST + k * STRIDE; a cell's replications use seeds base ..
-base + replications - 1, so a stride of at least the replication count
-keeps the seed ranges disjoint. It prints one line per base seed, then, per
-criterion, the mean and sd of each statistic over the seeds and the pass
-rate.
+same six default-protocol cells at N base seeds, 12345 + 1000k for
+k = 0 .. N - 1, and decides every criterion with the test module's own
+criterion functions. A cell's replications use seeds base ..
+base + replications - 1, so the seed ranges of the base seeds are disjoint.
+It prints one line per base seed, then, per criterion, the mean and sd of
+each statistic over the seeds and the pass rate.
 
 Usage:
-    PYTHONPATH=src python scripts/acceptance_spread.py [--seeds N] [--first S] [--stride K]
+    PYTHONPATH=src python scripts/acceptance_spread.py [--seeds N]
 """
 
 import argparse
@@ -25,50 +24,25 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import test_acceptance as acc  # noqa: E402
 
-
-def criteria(runs):
-    """Criterion -> (passed, {statistic: value}), as tests/test_acceptance.py decides it."""
-    gap, lo, _ = acc.paired_gap_ci(runs["cb_r2"][0], runs["gr_r"][0])
-    runtime = runs["cb_r2"][1] + runs["gr_r"][1]
-    f1, f2, f4 = (acc.final_window_mean(runs[k][0]) for k in ("cb_r1", "cb_r2", "cb_r4"))
-    trace = runs["cb_r2"][0]
-    rise = float(trace.mean_satisfaction[99]) - float(trace.mean_satisfaction[9])
-    penalty = f2 - acc.final_window_mean(runs["cb_c2"][0])
-    _, lo_c, _ = acc.paired_gap_ci(runs["cb_c2"][0], runs["gr_c"][0])
-    cb, greedy = runs["cb_c2"][0].mean_satisfaction, runs["gr_c"][0].mean_satisfaction
-    gap_25 = float((cb[5:25] - greedy[5:25]).mean())
-    gap_100 = float((cb[80:100] - greedy[80:100]).mean())
-    drift = abs(gap_25 - gap_100)
-    return {
-        1: (lo > 0.0 and runtime < 60.0, {"gap": gap, "ci_lo": lo, "runtime_s": runtime}),
-        2: (
-            (f4 - f2) >= -0.01 and (f2 - f1) >= -0.01,
-            {"phi2-phi1": f2 - f1, "phi4-phi2": f4 - f2},
-        ),
-        3: (rise >= 0.02, {"diff": rise}),
-        4: (penalty >= 0.02 and lo_c > 0.0, {"penalty": penalty, "ci_lo": lo_c}),
-        5: (drift <= 0.1, {"drift": drift}),
-    }
+FIRST_SEED = 12345
+SEED_STRIDE = 1000  # above the default 100 replications per cell
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=16)
-    ap.add_argument("--first", type=int, default=12345)
-    ap.add_argument("--stride", type=int, default=1000)
     args = ap.parse_args()
-    replications = acc._cell_cfg(*acc.CELLS["cb_r2"]).replications
-    if args.stride < replications:
-        ap.error(f"--stride must be at least {replications} for disjoint seed ranges")
+    if args.seeds < 1:
+        ap.error("--seeds must be at least 1")
 
     verdicts = []
     for k in range(args.seeds):
-        base = args.first + k * args.stride
+        base = FIRST_SEED + k * SEED_STRIDE
         runs = {
             name: acc._timed_trace(dataclasses.replace(acc._cell_cfg(*cell), base_seed=base))
             for name, cell in acc.CELLS.items()
         }
-        verdict = criteria(runs)
+        verdict = {c: decide(runs) for c, decide in acc.CRITERIA.items()}
         verdicts.append(verdict)
         print(f"seed {base}: " + "  ".join(
             f"{c}:{'PASS' if ok else 'FAIL'} "
@@ -76,8 +50,8 @@ def main():
             for c, (ok, stats) in verdict.items()
         ), flush=True)
 
-    print(f"\n{args.seeds} base seeds, {args.first} + {args.stride}k")
-    for c in verdicts[0]:
+    print(f"\n{args.seeds} base seeds, {FIRST_SEED} + {SEED_STRIDE}k")
+    for c in acc.CRITERIA:
         parts = []
         for name in verdicts[0][c][1]:
             values = [v[c][1][name] for v in verdicts]

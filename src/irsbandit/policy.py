@@ -42,7 +42,8 @@ class Agents:
     u's last satisfied one and is reset only by a satisfied period. arms[s]
     is the panel index of slot s within its lane. Lane l owns agents
     lanes[l] to lanes[l + 1] - 1, at least one, and runs policies[l]; by
-    default every agent forms one lane. phi[u] and omega[u] are agent u's
+    default every agent forms one lane. bandit[u] is False for the agents
+    of greedy lanes. phi[u] and omega[u] are agent u's
     stickiness and exploration rate, both 0 for greedy agents, which never
     stay put and never explore. Indexing or iterating yields one
     AgentRecord per agent.
@@ -55,8 +56,6 @@ class Agents:
         self.sizes = np.diff(offsets)
         if (self.sizes < 1).any():
             raise ValueError("every agent needs at least one candidate panel")
-        self._start_list = self.starts.tolist()
-        self._size_list = self.sizes.tolist()
         self.policies = tuple(policies)
         self.lanes = [0, len(self.starts)] if lanes is None else list(lanes)
         if len(self.lanes) != len(self.policies) + 1:
@@ -64,9 +63,11 @@ class Agents:
         if (np.diff(self.lanes) < 1).any():
             raise ValueError("every lane needs at least one agent")
         lane_sizes = np.diff(self.lanes)
-        bandit = np.repeat([p.kind is not PolicyKind.GREEDY for p in self.policies], lane_sizes)
-        self.phi = bandit * np.repeat([p.phi for p in self.policies], lane_sizes)
-        self.omega = bandit * np.repeat([p.omega for p in self.policies], lane_sizes)
+        self.bandit = np.repeat(
+            [p.kind is not PolicyKind.GREEDY for p in self.policies], lane_sizes
+        )
+        self.phi = self.bandit * np.repeat([p.phi for p in self.policies], lane_sizes)
+        self.omega = self.bandit * np.repeat([p.omega for p in self.policies], lane_sizes)
         # every agent's candidate count when all are equal, else 0
         self.width = int(self.sizes[0]) if (self.sizes == self.sizes[0]).all() else 0
         self.rewards = np.zeros(len(arms), dtype=np.int64)
@@ -80,8 +81,8 @@ class Agents:
     def lane(self, l: int) -> Agents:
         """A copy of lane l's agents alone, as one lane with its slots from 0."""
         lo, hi = self.lanes[l], self.lanes[l + 1]
-        s_lo = self._start_list[lo]
-        s_hi = s_lo + sum(self._size_list[lo:hi])
+        s_lo = int(self.starts[lo])
+        s_hi = int(self.starts[hi - 1] + self.sizes[hi - 1])
         offsets = np.append(self.starts[lo:hi], s_hi) - s_lo
         part = Agents(offsets, self.arms[s_lo:s_hi], self.policies[l : l + 1])
         part.rewards = self.rewards[s_lo:s_hi].copy()
@@ -92,8 +93,8 @@ class Agents:
 
     def __getitem__(self, u: int) -> AgentRecord:
         u = range(len(self))[u]
-        lo = self._start_list[u]
-        hi = lo + self._size_list[u]
+        lo = int(self.starts[u])
+        hi = lo + int(self.sizes[u])
         return AgentRecord(
             candidate_irs=tuple(self.arms[lo:hi].tolist()),
             rewards=self.rewards[lo:hi],
@@ -147,10 +148,7 @@ def init_association(agents: Agents, rssi, uniform: np.ndarray) -> np.ndarray:
         rssi = np.asarray(rssi, dtype=float)
         if rssi.shape != agents.rewards.shape:
             raise ValueError("rssi vector must align with the candidate slots")
-        strongest = segment_argmax(rssi, agents)
-        for cfg, lo, hi in zip(agents.policies, agents.lanes, agents.lanes[1:]):
-            if cfg.kind is not PolicyKind.GREEDY:
-                slot[lo:hi] = strongest[lo:hi]
+        slot = np.where(agents.bandit, segment_argmax(rssi, agents), slot)
     agents.slot = slot
     agents.unsat[:] = 0
     agents.initialized = True

@@ -102,68 +102,103 @@ def report(criterion, ok, detail):
     return ok
 
 
-def test_criterion_1_cb_beats_greedy_case1(runs):
+# Criteria 1-5: each takes the runs of CELLS and returns (passed,
+# {statistic: value}); the tests below and scripts/acceptance_spread.py
+# both decide through them.
+
+
+def criterion_1(runs):
     cb, cb_time = runs["cb_r2"]
     greedy, gr_time = runs["gr_r"]
     gap, lo, hi = paired_gap_ci(cb, greedy)
     runtime = cb_time + gr_time
     ok = lo > 0.0 and runtime < 60.0
-    assert report(
-        "1 cb-beats-greedy-case1",
-        ok,
-        f"gap={gap:.4f} CI=({lo:.4f}, {hi:.4f}), runtime={runtime:.1f}s",
-    )
+    return ok, {"gap": gap, "ci_lo": lo, "ci_hi": hi, "runtime_s": runtime}
 
 
-def test_criterion_2_phi_trend_case1(runs):
+def criterion_2(runs):
     f1 = final_window_mean(runs["cb_r1"][0])
     f2 = final_window_mean(runs["cb_r2"][0])
     f4 = final_window_mean(runs["cb_r4"][0])
     ok = (f4 - f2) >= -0.01 and (f2 - f1) >= -0.01
-    assert report(
-        "2 phi-trend-case1",
-        ok,
-        f"phi1={f1:.4f} phi2={f2:.4f} phi4={f4:.4f}",
-    )
+    return ok, {"phi1": f1, "phi2": f2, "phi4": f4, "phi2-phi1": f2 - f1, "phi4-phi2": f4 - f2}
 
 
-def test_criterion_3_learning_trend_case1(runs):
+def criterion_3(runs):
     trace = runs["cb_r2"][0]
     s10 = float(trace.mean_satisfaction[9])
     s100 = float(trace.mean_satisfaction[99])
     ok = (s100 - s10) >= 0.02
-    assert report(
-        "3 learning-trend-case1",
-        ok,
-        f"iter10={s10:.4f} iter100={s100:.4f} diff={s100 - s10:.4f} (need >= 0.02)",
-    )
+    return ok, {"iter10": s10, "iter100": s100, "diff": s100 - s10}
 
 
-def test_criterion_4_clustering_penalty(runs):
+def criterion_4(runs):
     case1 = final_window_mean(runs["cb_r2"][0])
     case2 = final_window_mean(runs["cb_c2"][0])
     gap, lo, hi = paired_gap_ci(runs["cb_c2"][0], runs["gr_c"][0])
     penalty = case1 - case2
     ok = penalty >= 0.02 and lo > 0.0
-    assert report(
-        "4 clustering-penalty-case2",
-        ok,
-        f"case1={case1:.4f} case2={case2:.4f} penalty={penalty:.4f}, "
-        f"case2 gap CI=({lo:.4f}, {hi:.4f})",
-    )
+    return ok, {"case1": case1, "case2": case2, "penalty": penalty, "ci_lo": lo, "ci_hi": hi}
 
 
-def test_criterion_5_gap_stability_case2(runs):
+def criterion_5(runs):
     cb = runs["cb_c2"][0].mean_satisfaction
     greedy = runs["gr_c"][0].mean_satisfaction
     gap_25 = float((cb[5:25] - greedy[5:25]).mean())
     gap_100 = float((cb[80:100] - greedy[80:100]).mean())
     drift = abs(gap_25 - gap_100)
     ok = drift <= 0.1
+    return ok, {"gap_25": gap_25, "gap_100": gap_100, "drift": drift}
+
+
+CRITERIA = {1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4, 5: criterion_5}
+
+
+def test_criterion_1_cb_beats_greedy_case1(runs):
+    ok, s = criterion_1(runs)
+    assert report(
+        "1 cb-beats-greedy-case1",
+        ok,
+        f"gap={s['gap']:.4f} CI=({s['ci_lo']:.4f}, {s['ci_hi']:.4f}), "
+        f"runtime={s['runtime_s']:.1f}s",
+    )
+
+
+def test_criterion_2_phi_trend_case1(runs):
+    ok, s = criterion_2(runs)
+    assert report(
+        "2 phi-trend-case1",
+        ok,
+        f"phi1={s['phi1']:.4f} phi2={s['phi2']:.4f} phi4={s['phi4']:.4f}",
+    )
+
+
+def test_criterion_3_learning_trend_case1(runs):
+    ok, s = criterion_3(runs)
+    assert report(
+        "3 learning-trend-case1",
+        ok,
+        f"iter10={s['iter10']:.4f} iter100={s['iter100']:.4f} diff={s['diff']:.4f} "
+        "(need >= 0.02)",
+    )
+
+
+def test_criterion_4_clustering_penalty(runs):
+    ok, s = criterion_4(runs)
+    assert report(
+        "4 clustering-penalty-case2",
+        ok,
+        f"case1={s['case1']:.4f} case2={s['case2']:.4f} penalty={s['penalty']:.4f}, "
+        f"case2 gap CI=({s['ci_lo']:.4f}, {s['ci_hi']:.4f})",
+    )
+
+
+def test_criterion_5_gap_stability_case2(runs):
+    ok, s = criterion_5(runs)
     assert report(
         "5 gap-stability-case2",
         ok,
-        f"gap@25={gap_25:.4f} gap@100={gap_100:.4f} drift={drift:.4f}",
+        f"gap@25={s['gap_25']:.4f} gap@100={s['gap_100']:.4f} drift={s['drift']:.4f}",
     )
 
 
