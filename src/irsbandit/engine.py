@@ -1,10 +1,9 @@
 """Monte-Carlo simulation loop.
 
 A lane is one replication: a (config, seed) pair, optionally with its own
-environment. Each lane owns its topology, agents and Generator,
-default_rng(seed). The replications of a cell are lanes with seeds
-base_seed + i and aggregate by plain averaging, so their order never
-matters.
+environment. Each lane owns its agents and draws from default_rng(seed).
+The replications of a cell are lanes with seeds base_seed + i and
+aggregate by plain averaging, so their order never matters.
 
 Lanes run in lock step, in chunks. The lanes of a chunk advance period by
 period together, their slots and agents concatenated into one flat layout
@@ -15,15 +14,22 @@ order: a chunk holds lanes of one environment kind and one period count
 whose per-period draws total at most CHUNK_FLOATS floats, and a lane larger
 than that runs alone.
 
-Determinism contract: each lane has one stream, and every draw it makes
-has a size fixed by the lane's shape (I panels, U agents, E
+Within a chunk, lanes whose draws and environment are equal by
+construction form one stream: channel lanes with equal topology, channel
+parameters, rate threshold and seed, or plug-in lanes with the same
+environment object and seed. Lanes in one stream differ only in policy,
+and the policy draws nothing, so the stream's Generator, network, fading
+and policy block are made once and every lane of the stream reads them.
+
+Determinism contract: each stream has one Generator, and every draw it
+makes has a size fixed by the stream's shape (I panels, U agents, E
 eavesdroppers), never by what the agents did. In order:
   1. topology build (eavesdropper angles), then UE placement;
   2. per period t = 1..T:
-     a. the environment block. A channel lane draws I + I*U + I*E Exp(1)
+     a. the environment block. A channel stream draws I + I*U + I*E Exp(1)
         gains: BS->IRS, then IRS->UE, then IRS->eve, each block's exact
         zeros redrawn before the next block starts (channel.fill_fading).
-        A Bernoulli lane draws U uniforms, one per agent in agent order;
+        A Bernoulli stream draws U uniforms, one per agent in agent order;
         they are read after the decisions: agent u is satisfied iff its
         uniform is below its arm's probability;
      b. the policy block: U x 2 uniforms, row-major, one row (u1, u2) per
@@ -32,13 +38,13 @@ eavesdroppers), never by what the agents did. In order:
      then the decisions, the link evaluation and the update, which draw
      nothing.
 So for a given seed every policy sees the same fading in every period:
-bandit and greedy lanes share exact common random numbers.
-Batching lanes draws nothing and lanes share no stream, so every lane's
-results are those it gives when run alone, whatever runs beside it and
-whatever the chunk size.
+bandit and greedy lanes share exact common random numbers. A lane alone
+is a stream of its own, and lanes whose draws are equal by construction
+draw them once, so every lane's results are those it gives when run
+alone, whatever runs beside it and whatever the chunk size.
 
 The channel environment computes every link's deterministic budget once per
-lane, when it is built after step 1; periods only combine those budgets
+stream, when it is built after step 1; periods only combine those budgets
 with the fading gains. That precompute draws nothing either.
 """
 
@@ -68,10 +74,14 @@ log = logging.getLogger("irsbandit")
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
-# Most floats one period of a chunk draws, summed over its lanes. A default
-# lane draws 440 (16 panels x (1 BS + 20 UE + 4 eve) gains, then 20 x 2
-# policy uniforms), so about 74 default lanes share a chunk; a lane above
-# the bound runs alone.
+# Most floats one period of a chunk's lanes would draw alone, summed over
+# its lanes. A default lane draws 440 (16 panels x (1 BS + 20 UE + 4 eve)
+# gains, then 20 x 2 policy uniforms), so about 74 default lanes share a
+# chunk; a lane above the bound runs alone. Per-lane state (each lane's
+# slots, agents and budgets) grows with this sum, so the bound caps a
+# chunk's peak memory. What a chunk draws is at most the sum: lanes that
+# share a stream draw once, so the sweep's bandit and greedy lanes on one
+# seed draw a fraction of it.
 CHUNK_FLOATS = 2**15
 
 
@@ -213,67 +223,83 @@ def _shifted(a: np.ndarray, k: int) -> np.ndarray:
 class _Layout:
     """Where each lane of a chunk sits in the concatenated agents and slots.
 
-    Lane l owns agents agents[l] to agents[l + 1] - 1 and slots slots[l]
-    to slots[l + 1] - 1; offsets is the chunk's flat slot layout.
+    envs holds one environment per stream and stream[l] names lane l's, by
+    default one stream per lane in order. Lane l owns agents agents[l] to
+    agents[l + 1] - 1 and slots slots[l] to slots[l + 1] - 1; offsets is
+    the chunk's flat slot layout. Stream s owns rows stream_rows[s] to
+    stream_rows[s + 1] - 1 of a block drawn per agent, and agent u reads
+    row rows[u]; rows is None when every lane is its own stream, so the
+    rows are the agents.
     """
 
-    def __init__(self, envs):
-        self.agents = list(accumulate((env.n_agents for env in envs), initial=0))
-        self.slots = list(accumulate((len(env.arms) for env in envs), initial=0))
+    def __init__(self, envs, stream=None):
+        self.stream = range(len(envs)) if stream is None else stream
+        lanes = [envs[s] for s in self.stream]
+        self.agents = list(accumulate((env.n_agents for env in lanes), initial=0))
+        self.slots = list(accumulate((len(env.arms) for env in lanes), initial=0))
         self.offsets = np.concatenate(
-            [env.offsets[:-1] + base for env, base in zip(envs, self.slots)]
+            [env.offsets[:-1] + base for env, base in zip(lanes, self.slots)]
             + [self.slots[-1:]]
         )
-        self.arms = _joined([env.arms for env in envs])
+        self.arms = _joined([env.arms for env in lanes])
+        self.stream_rows = list(accumulate((env.n_agents for env in envs), initial=0))
+        self.rows = None
+        if len(lanes) > len(envs):
+            rows = self.stream_rows
+            self.rows = np.concatenate([np.arange(rows[s], rows[s + 1]) for s in self.stream])
 
 
 class ChannelLanes:
     """One period of a chunk of channel lanes, in whole-chunk array passes.
 
-    gains holds every lane's period back to back. A lane's part is its
-    BS->IRS gains, then its IRS->UE and IRS->eve gains, each block row-major
-    by panel, as channel.fill_fading draws them. Panels are
-    numbered across the chunk: lane l's panel i is chunk panel
-    panel_base[l] + i, and _bs_at gives each chunk panel's BS->IRS gain.
-    Every slot keeps its chunk panel, budget and SNR factor; every agent
-    the position of its first IRS->UE gain, its lane's UE count (the row
-    stride of that block) and its rate threshold; every (panel,
-    eavesdropper) pair its chunk panel, its IRS->eve gain's position and
-    its SNR factor.
+    envs and rngs hold one environment and Generator per stream, and
+    layout (by default one lane per stream) places the lanes on them.
+    gains holds every stream's period back to back. A stream's part is its
+    BS->IRS gains, then its IRS->UE and IRS->eve gains, each block
+    row-major by panel, as channel.fill_fading draws them. Panels are numbered across the
+    streams: stream s's panel i is chunk panel panel_base[s] + i, and
+    _bs_at gives each chunk panel's BS->IRS gain. Every lane's slot keeps
+    its chunk panel, budget and SNR factor; every lane's agent the
+    position of its first IRS->UE gain in its stream's part, its stream's
+    UE count (the row stride of that block) and its rate threshold; every
+    stream's (panel, eavesdropper) pair its chunk panel, its IRS->eve
+    gain's position and its SNR factor. So lanes that share a stream read
+    the same gains, and each eavesdropper rate is taken once per stream.
     """
 
-    def __init__(self, envs, rngs):
-        layout = _Layout(envs)
+    def __init__(self, envs, rngs, layout=None):
+        layout = layout or _Layout(envs)
         self.offsets, self.arms = layout.offsets, layout.arms
         self.gains = np.empty(sum(sum(env.blocks) for env in envs))
         self._draws = []
-        panel, bs_at, ue_row, pair_panel, pair_eve = [], [], [], [], []
-        b = p = 0  # the lane's first gain and first chunk panel
+        bs_at, pair_panel, pair_eve, ue_base, panel_base = [], [], [], [], []
+        b = p = 0  # the stream's first gain and first chunk panel
         for env, rng in zip(envs, rngs):
             n_bs, n_ue, n_eve = env.blocks
             self._draws.append((rng, self.gains[b : b + n_bs + n_ue + n_eve], env.blocks))
-            panel.append(_shifted(env.arms, p))
             bs_at.append(b + np.arange(n_bs))
-            ue_row.append(b + n_bs + np.arange(env.n_agents))
             pair_panel.append(p + np.arange(n_bs).repeat(env._eve_snr.shape[1]))
             pair_eve.append(b + n_bs + n_ue + np.arange(n_eve))
+            ue_base.append(b + n_bs)
+            panel_base.append(p)
             b += n_bs + n_ue + n_eve
             p += n_bs
         self._n_panels = p
-        self._panel = _joined(panel)
         self._bs_at = np.concatenate(bs_at)
-        self._ue_row = np.concatenate(ue_row)
         self._pair_panel = np.concatenate(pair_panel)
         self._pair_eve = np.concatenate(pair_eve)
         self._pair_snr = _joined([env._eve_snr.ravel() for env in envs])
-        self._budget_db = _joined([env._budget_db for env in envs])
-        self._snr = _joined([env._snr for env in envs])
-        n_ues = [env.n_agents for env in envs]
+        lanes = [(envs[s], s) for s in layout.stream]
+        self._panel = _joined([_shifted(env.arms, panel_base[s]) for env, s in lanes])
+        self._ue_row = np.concatenate([ue_base[s] + np.arange(env.n_agents) for env, s in lanes])
+        self._budget_db = _joined([env._budget_db for env, _ in lanes])
+        self._snr = _joined([env._snr for env, _ in lanes])
+        n_ues = [env.n_agents for env, _ in lanes]
         self._ue_stride = np.repeat(n_ues, n_ues)
-        self._threshold = np.repeat([env.rate_threshold for env in envs], n_ues)
+        self._threshold = np.repeat([env.rate_threshold for env, _ in lanes], n_ues)
 
     def draw(self) -> None:
-        """Every lane's fading for the period, each from its own Generator."""
+        """Every stream's fading for the period, each from its own Generator."""
         channel.fill_fading(self._draws, self.gains)
 
     def signal(self) -> np.ndarray:
@@ -316,22 +342,24 @@ class ChannelLanes:
 
 
 class BernoulliLanes:
-    """One period of a chunk of Bernoulli lanes: one block of outcome uniforms per lane."""
+    """One period of a chunk of Bernoulli lanes: one block of outcome uniforms per stream.
 
-    def __init__(self, envs, rngs):
-        layout = _Layout(envs)
-        self.offsets, self.arms = layout.offsets, layout.arms
+    envs, rngs and layout are as for ChannelLanes; each lane's agents read
+    their stream's uniforms through the layout's rows.
+    """
+
+    def __init__(self, envs, rngs, layout=None):
+        layout = layout or _Layout(envs)
+        self.offsets, self.arms, self._rows = layout.offsets, layout.arms, layout.rows
         arm_base = list(accumulate((len(env.arm_probs) for env in envs), initial=0))
-        self._arm = _joined([_shifted(env.arms, ab) for env, ab in zip(envs, arm_base)])
+        self._arm = _joined([_shifted(envs[s].arms, arm_base[s]) for s in layout.stream])
         self._probs = _joined([env.arm_probs for env in envs])
-        self._uniform = np.empty(layout.agents[-1])
-        self._draws = [
-            (rng, self._uniform[lo:hi])
-            for rng, lo, hi in zip(rngs, layout.agents, layout.agents[1:])
-        ]
+        rows = layout.stream_rows
+        self._uniform = np.empty(rows[-1])
+        self._draws = [(rng, self._uniform[lo:hi]) for rng, lo, hi in zip(rngs, rows, rows[1:])]
 
     def draw(self) -> None:
-        """Every lane's outcome uniforms for the period, each from its own Generator."""
+        """Every stream's outcome uniforms for the period, each from its own Generator."""
         for rng, out in self._draws:
             rng.random(out=out)
 
@@ -339,7 +367,8 @@ class BernoulliLanes:
         return None
 
     def outcomes(self, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        satisfied = self._uniform < self._probs[self._arm[slot]]
+        uniform = self._uniform if self._rows is None else self._uniform[self._rows]
+        satisfied = uniform < self._probs[self._arm[slot]]
         return satisfied.astype(float), satisfied, np.zeros(len(slot))
 
 
@@ -386,10 +415,30 @@ def _chunks(lanes):
         yield chunk
 
 
+def _stream_key(lane: Lane):
+    """What decides a lane's draws and environment; lanes with equal keys share them."""
+    if lane.environment is not None:
+        return lane.environment, lane.seed
+    cfg = lane.cfg
+    return cfg.topology, cfg.channel, cfg.rate_threshold, lane.seed
+
+
+def _streams(chunk: list[Lane]) -> tuple[list[Lane], list[int]]:
+    """Each stream's first lane, and each lane's stream, numbered in order of first lane."""
+    index, streams, stream = {}, [], []
+    for lane in chunk:
+        s = index.setdefault(_stream_key(lane), len(streams))
+        if s == len(streams):
+            streams.append(lane)
+        stream.append(s)
+    return streams, stream
+
+
 def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     """Run the lanes of one chunk in lock step; one result per lane."""
     start = time.perf_counter()
-    rngs = [np.random.default_rng(lane.seed) for lane in chunk]
+    streams, stream = _streams(chunk)
+    rngs = [np.random.default_rng(lane.seed) for lane in streams]
     envs = [
         lane.environment
         if lane.environment is not None
@@ -399,31 +448,35 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
             lane.cfg.rate_threshold,
             lane.cfg.topology.detection_radius,
         )
-        for lane, rng in zip(chunk, rngs)
+        for lane, rng in zip(streams, rngs)
     ]
     # the chunk was cut on block sizes read from the configs; the networks must agree
     assert all(
         sum(env.blocks) + 2 * env.n_agents == _period_floats(lane)
-        for lane, env in zip(chunk, envs)
+        for lane, env in zip(streams, envs)
         if lane.environment is None
     ), "a network's period draws differ from its config's"
-    batch = _LANES[type(envs[0])](envs, rngs)
-    sizes = [env.n_agents for env in envs]
+    layout = _Layout(envs, stream)
+    batch = _LANES[type(envs[0])](envs, rngs, layout)
     fading_blocks = chunk[0].cfg.periods * envs[0].fading_blocks_per_period
-    del envs  # batch holds all that is left to read
-    bounds = list(accumulate(sizes, initial=0))
-    agents = policy.Agents(batch.offsets, batch.arms, [lane.cfg.policy for lane in chunk], bounds)
+    bounds, rows, stream_rows = layout.agents, layout.rows, layout.stream_rows
+    agents = policy.Agents(layout.offsets, layout.arms, [lane.cfg.policy for lane in chunk], bounds)
+    del envs, layout  # batch and agents hold all that is left to read
 
     # runs of lanes with equal agent counts, so per-lane means are row means:
     # (first agent, end agent, first lane, end lane, agents per lane)
     runs, l = [], 0
-    for n, group in groupby(sizes):
+    for n, group in groupby(np.diff(bounds).tolist()):
         k = len(list(group))
         runs.append((bounds[l], bounds[l + k], l, l + k, n))
         l += k
-    # the policy block: one (u1, u2) row per agent, each lane's rows from its stream
-    uniform = np.empty((bounds[-1], 2))
-    policy_draws = [(rng, uniform[lo:hi]) for rng, lo, hi in zip(rngs, bounds, bounds[1:])]
+    # the policy block: one (u1, u2) row per stream agent, each stream's rows
+    # from its Generator; the agents read it through rows
+    drawn = np.empty((stream_rows[-1], 2))
+    uniform = drawn if rows is None else np.empty((bounds[-1], 2))
+    policy_draws = [
+        (rng, drawn[lo:hi]) for rng, lo, hi in zip(rngs, stream_rows, stream_rows[1:])
+    ]
     periods = chunk[0].cfg.periods
     satisfaction = np.empty((len(chunk), periods))
     mean_secrecy = np.empty((len(chunk), periods))
@@ -435,6 +488,8 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         batch.draw()
         for rng, out in policy_draws:
             rng.random(out=out)
+        if rows is not None:
+            np.take(drawn, rows, axis=0, out=uniform)
         if t == 0:
             slot = policy.init_association(agents, batch.signal(), uniform)
         else:
@@ -453,8 +508,8 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     wall = time.perf_counter() - start
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "chunk lanes=%d cells=%d periods=%d: %.3f s",
-            len(chunk), len({lane.cfg for lane in chunk}), periods, wall,
+            "chunk lanes=%d cells=%d streams=%d periods=%d: %.3f s",
+            len(chunk), len({lane.cfg for lane in chunk}), len(streams), periods, wall,
         )
     results = []
     for l, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
@@ -530,17 +585,21 @@ def run_cells(cfgs) -> list[tuple[SatisfactionTrace, float]]:
     """Every cell's trace and wall seconds, all replications of all cells run as lanes.
 
     Cell c's replication i is the lane (cfgs[c], cfgs[c].base_seed + i).
+    The lanes run replication-major, replication i of every cell and then
+    replication i + 1, so cells on one seed range that differ only in
+    policy put the lanes that share a stream side by side in a chunk.
     A cell's wall seconds are its lanes' shares of their chunks' wall time.
     """
     cfgs = list(cfgs)
-    results = iter(
-        run_lanes(Lane(cfg, cfg.base_seed + i) for cfg in cfgs for i in range(cfg.replications))
-    )
-    cells = []
-    for cfg in cfgs:
-        mine = [next(results) for _ in range(cfg.replications)]
-        cells.append((_aggregate(cfg, mine), sum(res.wall_seconds for res in mine)))
-    return cells
+    depth = max((cfg.replications for cfg in cfgs), default=0)
+    order = [(c, i) for i in range(depth) for c, cfg in enumerate(cfgs) if i < cfg.replications]
+    results = run_lanes(Lane(cfgs[c], cfgs[c].base_seed + i) for c, i in order)
+    mine = [[] for _ in cfgs]
+    for (c, _), res in zip(order, results):
+        mine[c].append(res)
+    return [
+        (_aggregate(cfg, res), sum(r.wall_seconds for r in res)) for cfg, res in zip(cfgs, mine)
+    ]
 
 
 def run_monte_carlo(cfg: SimulationConfig) -> SatisfactionTrace:

@@ -116,9 +116,9 @@ class CellSummary:
 
 @dataclass(frozen=True)
 class GapEntry:
-    case: DistributionCase
-    omega: float
-    phi: int
+    """One bandit cell against its greedy twin; cfg is the bandit cell's config."""
+
+    cfg: SimulationConfig
     gap: float  # bandit final mean minus greedy final mean
 
 
@@ -497,7 +497,7 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
         greedy = cells.get((PolicyKind.GREEDY, case, phi, omega))
         if kind is PolicyKind.CONTEXTUAL_BANDIT and greedy:
             gap = cb.final_mean_satisfaction - greedy.final_mean_satisfaction
-            gaps.append(GapEntry(case=case, omega=omega, phi=phi, gap=gap))
+            gaps.append(GapEntry(cfg=cb.cfg, gap=gap))
 
     emit_trace(traces, spec.output_path, spec.format)
     summary = RunSummary(cells=tuple(cells.values()), gaps=tuple(gaps))
@@ -522,9 +522,7 @@ def _summary_obj(summary: RunSummary) -> dict:
         ],
         "gaps": [
             {
-                "case": g.case.value,
-                "omega": g.omega,
-                "phi": g.phi,
+                **{k: v for k, v in _labels(g.cfg).items() if k != "policy"},
                 "gap": round(g.gap, 6),
             }
             for g in summary.gaps
@@ -546,6 +544,7 @@ def format_summary(summary: RunSummary) -> str:
         )
     for g in summary.gaps:
         lines.append(
-            f"gap[{g.case.value}, omega={g.omega:g}, phi={g.phi}] = {g.gap:+.4f}"
+            "gap[{case}, omega={omega:g}, phi={phi}] = ".format(**_labels(g.cfg))
+            + f"{g.gap:+.4f}"
         )
     return "\n".join(lines)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from irsbandit import engine
+from irsbandit import channel, engine
 from irsbandit.config import (
     ChannelParams,
     DistributionCase,
@@ -552,6 +552,18 @@ def test_bernoulli_engine_matches_reference_chains(
         _assert_same_bits(got.chosen[:, 0], chain)
 
 
+def _record_generators(monkeypatch) -> list:
+    """Keep every Generator the engine makes from now on, in order, in the returned list."""
+    made, make = [], np.random.default_rng
+
+    def recording(s):
+        made.append(make(s))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return made
+
+
 @pytest.mark.parametrize("kind", list(PolicyKind))
 @pytest.mark.parametrize("seed", [0, 77, 2**32 - 1])
 def test_lane_stream_is_geometry_then_fixed_blocks(monkeypatch, kind, seed):
@@ -573,13 +585,7 @@ def test_lane_stream_is_geometry_then_fixed_blocks(monkeypatch, kind, seed):
         twin.random((n_ues, 2))
         bernoulli_twin.random(5)
         bernoulli_twin.random((5, 2))
-    made, make = [], np.random.default_rng
-
-    def recording(s):  # keeps every Generator the engine makes
-        made.append(make(s))
-        return made[-1]
-
-    monkeypatch.setattr(np.random, "default_rng", recording)
+    made = _record_generators(monkeypatch)
     run_replication(cfg, seed)
     run_replication(cfg, seed, BernoulliEnvironment(probs, n_agents=5))
     assert made[0].bit_generator.state == twin.bit_generator.state
@@ -587,16 +593,9 @@ def test_lane_stream_is_geometry_then_fixed_blocks(monkeypatch, kind, seed):
 
 
 def test_every_policy_reads_the_same_fading(monkeypatch):
-    """Lanes on one seed see bit-identical gains in every period, whatever
-    their policies choose: exact common random numbers."""
-    seen = []
-    draw = ChannelLanes.draw
-
-    def spy(self):
-        draw(self)
-        seen.append(self.gains.copy())
-
-    monkeypatch.setattr(ChannelLanes, "draw", spy)
+    """Lanes on one seed that differ only in policy form one stream: one
+    Generator draws one fading block and one policy block per period for
+    all of them, and each lane's results are bit for bit its one-lane run's."""
     cfg = small_cfg(periods=25)
     policies = [
         PolicyConfig(kind=CB, omega=0.1, phi=2),
@@ -605,13 +604,57 @@ def test_every_policy_reads_the_same_fading(monkeypatch):
     ]
     lanes = [Lane(dataclasses.replace(cfg, policy=p), 31) for p in policies]
     assert len(list(engine._chunks(lanes))) == 1
+    made = _record_generators(monkeypatch)
+    alone = [run_replication(*lane) for lane in lanes]
+    seen = []
+    draw = ChannelLanes.draw
+
+    def spy(self):
+        draw(self)
+        seen.append(self.gains.copy())
+
+    monkeypatch.setattr(ChannelLanes, "draw", spy)
     results = run_lanes(lanes, record=True)
-    assert len(seen) == cfg.periods
-    for gains in seen:
-        parts = gains.reshape(len(lanes), -1)
-        assert all(part.tobytes() == parts[0].tobytes() for part in parts[1:])
+    assert len(made) == len(lanes) + 1
+    # the chunk's one Generator ends where a lane's own run leaves it
+    assert made[-1].bit_generator.state == made[0].bit_generator.state
+    topo = build_network(cfg.topology, np.random.default_rng(31))
+    block = sum(channel.fading_blocks(len(topo.panel_xy), len(topo.ue_xy), len(topo.eve_xy)))
+    assert [len(gains) for gains in seen] == [block] * cfg.periods
+    for res, want in zip(results, alone, strict=True):
+        for name in ("chosen", "satisfied", "rates", "satisfaction", "mean_secrecy"):
+            _assert_same_bits(getattr(res, name), getattr(want, name))
     chosen = [res.chosen for res in results]
     assert not np.array_equal(chosen[0], chosen[1]) and not np.array_equal(chosen[0], chosen[2])
+
+
+def test_one_generator_per_stream(monkeypatch):
+    """A chunk makes one Generator per distinct stream. Lanes on one seed
+    share it only when their topology, channel and rate threshold (or their
+    environment object) are equal; a different case, detection radius,
+    channel or threshold makes a stream of its own."""
+    cfg = small_cfg(periods=3)
+    greedy = PolicyConfig(kind=PolicyKind.GREEDY)
+    clustered = dataclasses.replace(cfg.topology, distribution_case=DistributionCase.CLUSTERED)
+    variants = [
+        cfg,
+        dataclasses.replace(cfg, topology=clustered),
+        dataclasses.replace(cfg, topology=TopologyConfig(detection_radius=30.0)),
+        dataclasses.replace(cfg, channel=ChannelParams(pathloss_exponent=2.5)),
+        dataclasses.replace(cfg, rate_threshold=2.0),
+    ]
+    lanes = [Lane(v, 9) for v in variants]
+    lanes += [Lane(dataclasses.replace(v, policy=greedy), 9) for v in variants]
+    lanes += [Lane(cfg, 10)]
+    env = BernoulliEnvironment((0.2, 0.7), n_agents=3)
+    bernoulli = [Lane(cfg, 9, env), Lane(dataclasses.replace(cfg, policy=greedy), 9, env)]
+    bernoulli += [Lane(cfg, 10, env)]
+    assert [len(chunk) for chunk in engine._chunks(lanes + bernoulli)] == [11, 3]
+    made = _record_generators(monkeypatch)
+    got = run_lanes(lanes + bernoulli)
+    assert len(made) == 6 + 2
+    for lane, res in zip(lanes + bernoulli, got, strict=True):
+        _assert_same_bits(res.satisfaction, run_replication(*lane).satisfaction)
 
 
 channel_lanes = st.builds(
@@ -657,17 +700,7 @@ bernoulli_lanes = st.builds(
 LANE_PERIODS = 8
 
 
-@pytest.mark.parametrize("chunk_floats", [1, 3, math.inf])
-@settings(max_examples=25, deadline=None)
-@given(lanes=st.lists(st.one_of(channel_lanes, bernoulli_lanes), min_size=1, max_size=6))
-def test_lanes_in_chunks_match_one_lane_runs(chunk_floats, lanes):
-    """Every lane of a chunk gives, bit for bit, what it gives run alone.
-
-    Lanes mix policies, placements, detection radii, eavesdropper counts
-    and sizes; Bernoulli lanes join the list and chunk with each other.
-    Unbounded chunks put every run of same-kind lanes in one chunk; a
-    bound of 1 or 3 floats runs every channel lane alone.
-    """
+def _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes):
     alone = [run_replication(*lane) for lane in lanes]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "CHUNK_FLOATS", chunk_floats)
@@ -693,6 +726,52 @@ def test_lanes_in_chunks_match_one_lane_runs(chunk_floats, lanes):
             assert record.candidate_irs == agent.candidate_irs
             assert record.current_irs == agent.current_irs
             assert record.consecutive_unsatisfied == agent.consecutive_unsatisfied
+
+
+@pytest.mark.parametrize("chunk_floats", [1, 3, math.inf])
+@settings(max_examples=25, deadline=None)
+@given(lanes=st.lists(st.one_of(channel_lanes, bernoulli_lanes), min_size=1, max_size=6))
+def test_lanes_in_chunks_match_one_lane_runs(chunk_floats, lanes):
+    """Every lane of a chunk gives, bit for bit, what it gives run alone.
+
+    Lanes mix policies, placements, detection radii, eavesdropper counts
+    and sizes; Bernoulli lanes join the list and chunk with each other.
+    Unbounded chunks put every run of same-kind lanes in one chunk; a
+    bound of 1 or 3 floats runs every channel lane alone.
+    """
+    _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes)
+
+
+OTHER_POLICIES = [
+    PolicyConfig(kind=PolicyKind.GREEDY),
+    PolicyConfig(kind=CB, omega=0.0, phi=1),
+    PolicyConfig(kind=CB, omega=1.0, phi=4),
+    PolicyConfig(kind=CB, omega=0.3, phi=2),
+]
+
+
+@st.composite
+def sharing_lanes(draw):
+    """Lanes on seeds from a small pool, each cloned under one to three other
+    policies (a Bernoulli clone keeps its environment object), shuffled."""
+    lanes = []
+    for lane in draw(st.lists(st.one_of(channel_lanes, bernoulli_lanes), min_size=1, max_size=3)):
+        lane = lane._replace(seed=draw(st.sampled_from([3, 4])))
+        clones = draw(st.lists(st.sampled_from(OTHER_POLICIES), min_size=1, max_size=3))
+        lanes.append(lane)
+        lanes += [lane._replace(cfg=dataclasses.replace(lane.cfg, policy=p)) for p in clones]
+    return draw(st.permutations(lanes))
+
+
+@pytest.mark.parametrize("chunk_floats", [200, math.inf])
+@settings(max_examples=25, deadline=None)
+@given(lanes=sharing_lanes())
+def test_lanes_sharing_streams_match_one_lane_runs(chunk_floats, lanes):
+    """Lanes that share a stream in a chunk still give, bit for bit, what
+    each gives run alone; unbounded chunks hold every run of same-kind lanes."""
+    keys = [engine._stream_key(lane) for lane in lanes]
+    assert len(set(keys)) < len(keys)
+    _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes)
 
 
 TOPOLOGY_FIELDS = {f.name for f in dataclasses.fields(TopologyConfig)}

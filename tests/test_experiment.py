@@ -417,15 +417,20 @@ class TestChunkTiming:
         with caplog.at_level(logging.DEBUG, logger="irsbandit"):
             run_experiment(spec)
         chunks = [r.getMessage() for r in caplog.records if r.getMessage().startswith("chunk ")]
-        assert len(chunks) == 1 and chunks[0].startswith("chunk lanes=24 cells=8 periods=4: ")
+        # 3 seeds x 2 cases: the lanes of a case and seed share one stream
+        assert len(chunks) == 1
+        assert chunks[0].startswith("chunk lanes=24 cells=8 streams=6 periods=4: ")
 
         caplog.clear()
         monkeypatch.setattr(engine, "CHUNK_FLOATS", 1000)  # two default lanes per chunk
         with caplog.at_level(logging.DEBUG, logger="irsbandit"):
             summary = run_experiment(spec)
         chunks = [r.getMessage() for r in caplog.records if r.getMessage().startswith("chunk ")]
+        # lanes run replication-major, so each chunk pairs two cells on one
+        # seed; per seed, two of its four chunks pair cells of one case
         assert len(chunks) == 12
-        assert sum(m.startswith("chunk lanes=2 cells=2 ") for m in chunks) == 4
+        assert all(m.startswith("chunk lanes=2 cells=2 streams=") for m in chunks)
+        assert sum(m.startswith("chunk lanes=2 cells=2 streams=1 ") for m in chunks) == 6
         walls = [float(m.rsplit(": ", 1)[1].split()[0]) for m in chunks]
         # the computed cells: six bandit cells and each case's first greedy
         # cell (sweep cells 6 and 9); their shares add up to the chunks' times
