@@ -70,13 +70,8 @@ def main(argv=None) -> int:
     }
     try:
         spec = parse_config(text, overrides)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         summary = run_experiment(spec)
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,8 @@
 
 All configs are frozen; construction validates the cheap field invariants,
 and every error message starts with the offending field's name ("field:
-message") so the config parser can prefix the section.
+message") so the config parser can prefix the section; a check across
+sections names the key in full ("section.field: message").
 Cross-cutting checks that belong to an operation's error contract (grid fit,
 cluster divisibility) are enforced where the operation runs.
 """
@@ -179,3 +180,9 @@ class SimulationConfig:
                 "channel_budget: periods * replications exceeds it; "
                 "raise the budget or disable enforcement"
             )
+        # The strongest link's SNR factor, panel irs_radius from its cell and 1 m from
+        # the receiver, must stay below 1e300, which leaves room for two fading gains.
+        p, d_feed = self.channel, max(self.topology.irs_radius, 1.0)
+        peak_db = p.tx_power_db + p.irs_gain_db - 2 * p.ref_loss_db - p.noise_power_db
+        if not peak_db - 10 * p.pathloss_exponent * math.log10(d_feed) <= 3000.0:
+            raise ValueError("channel.tx_power_db: the largest linear SNR factor exceeds 1e300")

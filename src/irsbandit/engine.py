@@ -249,6 +249,19 @@ class _Layout:
             self.rows = np.concatenate([np.arange(rows[s], rows[s + 1]) for s in self.stream])
 
 
+def _log2_cutoff(threshold: float) -> float:
+    """The least double c with math.log2(c) >= threshold; inf when none is finite.
+
+    math.log2 never decreases, so math.log2(x) >= threshold iff x >= c.
+    """
+    c = 2.0**threshold if threshold < 1024 else math.inf  # 2.0**1024 overflows
+    while math.log2(c) < threshold:
+        c = math.nextafter(c, math.inf)
+    while math.log2(below := math.nextafter(c, 0.0)) >= threshold:
+        c = below
+    return c
+
+
 class ChannelLanes:
     """One period of a chunk of channel lanes, in whole-chunk array passes.
 
@@ -261,10 +274,11 @@ class ChannelLanes:
     _bs_at gives each chunk panel's BS->IRS gain. Every lane's slot keeps
     its chunk panel, budget and SNR factor; every lane's agent the
     position of its first IRS->UE gain in its stream's part, its stream's
-    UE count (the row stride of that block) and its rate threshold; every
-    stream's (panel, eavesdropper) pair its chunk panel, its IRS->eve
-    gain's position and its SNR factor. So lanes that share a stream read
-    the same gains, and each eavesdropper rate is taken once per stream.
+    UE count (the row stride of that block) and its lane's satisfaction
+    cutoff (_log2_cutoff); every stream's (panel, eavesdropper) pair, panel
+    by panel, its chunk panel, its IRS->eve gain's position and its SNR
+    factor. So lanes that share a stream read the same gains, and each
+    chunk panel's strongest eavesdropper is one reduceat over its pairs.
     """
 
     def __init__(self, envs, rngs, layout=None):
@@ -284,11 +298,12 @@ class ChannelLanes:
             panel_base.append(p)
             b += n_bs + n_ue + n_eve
             p += n_bs
-        self._n_panels = p
         self._bs_at = np.concatenate(bs_at)
         self._pair_panel = np.concatenate(pair_panel)
         self._pair_eve = np.concatenate(pair_eve)
         self._pair_snr = _joined([env._eve_snr.ravel() for env in envs])
+        # the panels with eavesdroppers, and where each one's pairs start
+        self._eve_panel, self._eve_start = np.unique(self._pair_panel, return_index=True)
         lanes = [(envs[s], s) for s in layout.stream]
         self._panel = _joined([_shifted(env.arms, panel_base[s]) for env, s in lanes])
         self._ue_row = np.concatenate([ue_base[s] + np.arange(env.n_agents) for env, s in lanes])
@@ -296,7 +311,7 @@ class ChannelLanes:
         self._snr = _joined([env._snr for env, _ in lanes])
         n_ues = [env.n_agents for env, _ in lanes]
         self._ue_stride = np.repeat(n_ues, n_ues)
-        self._threshold = np.repeat([env.rate_threshold for env, _ in lanes], n_ues)
+        self._cutoff = np.repeat([_log2_cutoff(env.rate_threshold) for env, _ in lanes], n_ues)
 
     def draw(self) -> None:
         """Every stream's fading for the period, each from its own Generator."""
@@ -317,28 +332,28 @@ class ChannelLanes:
         rssi += self._budget_db
         return rssi
 
-    def outcomes(self, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every agent's rate, satisfaction and report-only secrecy on its slot's panel."""
+    def outcomes(self, slot: np.ndarray, rates: bool = True):
+        """Every agent's rate (None unless rates), satisfaction and report-only secrecy.
+
+        Satisfied iff 1 + snr reaches the cutoff. As math.log2 never decreases,
+        secrecy, [log2(1 + snr) - log2(1 + the panel's strongest eve snr)]+, is
+        0 unless 1 + snr exceeds 1 + eve snr, and only there takes a log2.
+        """
         gains = self.gains
         g_bs = gains[self._bs_at]
         panel = self._panel[slot]
         g_ue = gains[self._ue_row + self.arms[slot] * self._ue_stride]
-        snr = self._snr[slot] * g_bs[panel] * g_ue
-        rate = elementwise(math.log2, 1.0 + snr)
-        # The strongest eavesdropper's rate, log2(1 + its SNR), depends on
-        # the panel alone, and only panels some agent is on are read.
-        used = np.zeros(self._n_panels, dtype=bool)
-        used[panel] = True
-        pair = np.flatnonzero(used[self._pair_panel])
-        pair_panel = self._pair_panel[pair]
-        eve = self._pair_snr[pair] * g_bs[pair_panel] * gains[self._pair_eve[pair]]
-        eve_snr = np.zeros(self._n_panels)
-        np.maximum.at(eve_snr, pair_panel, eve)
-        on = np.flatnonzero(used)
-        r_eve = np.zeros(self._n_panels)
-        r_eve[on] = elementwise(math.log2, 1.0 + eve_snr[on])
-        secrecy = np.maximum(rate - r_eve[panel], 0.0)
-        return rate, rate >= self._threshold, secrecy
+        power = 1.0 + self._snr[slot] * g_bs[panel] * g_ue
+        eve = self._pair_snr * g_bs[self._pair_panel] * gains[self._pair_eve]
+        eve_snr = np.zeros(len(g_bs))
+        eve_snr[self._eve_panel] = np.maximum.reduceat(eve, self._eve_start)
+        eve_power = 1.0 + eve_snr[panel]
+        leak = np.flatnonzero(power > eve_power)
+        rate = elementwise(math.log2, power) if rates else None
+        r_leak = rate[leak] if rates else elementwise(math.log2, power[leak])
+        secrecy = np.zeros(len(slot))
+        secrecy[leak] = r_leak - elementwise(math.log2, eve_power[leak])
+        return rate, power >= self._cutoff, secrecy
 
 
 class BernoulliLanes:
@@ -366,10 +381,10 @@ class BernoulliLanes:
     def signal(self) -> None:
         return None
 
-    def outcomes(self, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def outcomes(self, slot: np.ndarray, rates: bool = True):
         uniform = self._uniform if self._rows is None else self._uniform[self._rows]
         satisfied = uniform < self._probs[self._arm[slot]]
-        return satisfied.astype(float), satisfied, np.zeros(len(slot))
+        return satisfied.astype(float) if rates else None, satisfied, np.zeros(len(slot))
 
 
 _LANES = {ChannelEnvironment: ChannelLanes, BernoulliEnvironment: BernoulliLanes}
@@ -494,7 +509,7 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
             slot = policy.init_association(agents, batch.signal(), uniform)
         else:
             slot = policy.select_irs(agents, uniform)
-        rate, satisfied, secrecy = batch.outcomes(slot)
+        rate, satisfied, secrecy = batch.outcomes(slot, rates=record)
         policy.update(agents, satisfied)
         # row sums over n, which is mean()'s own arithmetic, so every lane's
         # means round as those of its agents alone

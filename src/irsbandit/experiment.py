@@ -34,10 +34,8 @@ log = logging.getLogger("irsbandit")
 
 FINAL_WINDOW = 20  # iterations averaged for "final" statistics
 
-CSV_HEADER = (
-    "iteration,policy,case,omega,phi,"
-    "mean_satisfaction,ci95_halfwidth,mean_secrecy_rate"
-)
+_COLUMNS = ("mean_satisfaction", "ci95_halfwidth", "mean_secrecy_rate")  # per iteration
+CSV_HEADER = "iteration,policy,case,omega,phi," + ",".join(_COLUMNS)
 
 _AXES = ("policies", "cases", "phis", "omegas")
 
@@ -314,8 +312,9 @@ def _build(section: str, cls, **fields):
     """cls(**fields), with a failed field check reported as section.field."""
     try:
         return cls(**fields)
-    except ValueError as exc:  # config messages start with "field: "
-        raise ConfigError(f"{section}.{exc}") from None
+    except ValueError as exc:  # "field: ...", or "section.field: ..." across sections
+        named = "." in str(exc).partition(":")[0]
+        raise ConfigError(str(exc) if named else f"{section}.{exc}") from None
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentSpec:
@@ -386,28 +385,24 @@ def _labels(cfg: SimulationConfig) -> dict:
     }
 
 
+def _rows(trace: SatisfactionTrace):
+    """(iteration, *its _COLUMNS values) per period, the values as Python floats:
+    np.float64 formats and rounds through float's methods, only more slowly."""
+    return zip(range(1, trace.cfg.periods + 1), *(getattr(trace, c).tolist() for c in _COLUMNS))
+
+
 def _csv_rows(trace: SatisfactionTrace):
     labels = "{policy},{case},{omega:g},{phi}".format(**_labels(trace.cfg))
-    for t in range(trace.cfg.periods):
-        yield (
-            f"{t + 1},{labels},"
-            f"{trace.mean_satisfaction[t]:.6f},"
-            f"{trace.ci95_halfwidth[t]:.6f},"
-            f"{trace.mean_secrecy_rate[t]:.6f}\n"
-        )
+    for t, sat, ci, secrecy in _rows(trace):
+        yield f"{t},{labels},{sat:.6f},{ci:.6f},{secrecy:.6f}\n"
 
 
 def _json_cell(trace: SatisfactionTrace) -> dict:
     return {
         **_labels(trace.cfg),
         "trace": [
-            {
-                "iteration": t + 1,
-                "mean_satisfaction": round(float(trace.mean_satisfaction[t]), 6),
-                "ci95_halfwidth": round(float(trace.ci95_halfwidth[t]), 6),
-                "mean_secrecy_rate": round(float(trace.mean_secrecy_rate[t]), 6),
-            }
-            for t in range(trace.cfg.periods)
+            {"iteration": t, **{c: round(v, 6) for c, v in zip(_COLUMNS, values)}}
+            for t, *values in _rows(trace)
         ],
     }
 

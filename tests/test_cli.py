@@ -59,15 +59,21 @@ def test_validation_error_exits_nonzero(tmp_path, capsys):
             "experiment.channel_budget",
         ),
         (None, ["--out", ""], "output.path"),
+        (
+            "[channel]\ntx_power_db = 3070\n[experiment]\nreplications = 1\n",
+            [],
+            "channel.tx_power_db",
+        ),
     ],
-    ids=["config-seed", "seed", "periods", "replications", "out"],
+    ids=["config-seed", "seed", "periods", "replications", "out", "snr-overflow"],
 )
 def test_invalid_value_exits_nonzero_naming_section_and_key(
     tmp_path, capsys, text, flags, key
 ):
     cfg = write_config(tmp_path, text=text)
     assert main(["--config", str(cfg), *flags]) == 1
-    assert f"error: {key}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {key}: " in err and "Traceback" not in err
 
 
 def test_flag_overrides_apply(tmp_path):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,82 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ChannelParams(irs_gain_db=-1.0)
 
+    @pytest.mark.parametrize(
+        "channel, topology",
+        [
+            (ChannelParams(tx_power_db=3070.0), TopologyConfig()),
+            (ChannelParams(irs_gain_db=3100.0), TopologyConfig()),
+            (ChannelParams(noise_power_db=-3000.0), TopologyConfig()),
+            (ChannelParams(ref_loss_db=-1500.0), TopologyConfig()),
+            (ChannelParams(tx_power_db=1e308, irs_gain_db=1e308), TopologyConfig()),
+            # a 0.5 m ring leaves the feed hop at the 1 m clamp
+            (ChannelParams(tx_power_db=2940.0), TopologyConfig(irs_radius=0.5, eve_radius=1.0)),
+        ],
+    )
+    def test_snr_factor_that_could_overflow_rejected(self, channel, topology):
+        """Every budget beyond 10^300 is rejected by name; before the check, a
+        budget beyond about 10^308 raised OverflowError from pow in the run."""
+        with pytest.raises(ValueError, match=r"^channel\.tx_power_db: "):
+            SimulationConfig(channel=channel, topology=topology)
+
+    def test_strongest_accepted_budget_gives_finite_outcomes(self):
+        # 10^(2999/10) at the strongest link, just inside the 1e300 bound
+        tx = 5.0 + 2999.0 - (66.0 - 22.0 * math.log10(20.0))
+        cfg = small_cfg(channel=ChannelParams(tx_power_db=tx), periods=3, replications=1)
+        res = run_replication(cfg, seed=3)
+        assert np.isfinite(res.rates).all() and np.isfinite(res.mean_secrecy).all()
+        assert res.satisfied.all()
+
+
+THRESHOLDS = [1e-12, 0.5, 1.0, 2.0, 10.0, 1023.5, 1024.0, 1e6]
+
+
+def _steps(x: float, n: int, toward: float) -> list[float]:
+    out = []
+    for _ in range(n):
+        x = math.nextafter(x, toward)
+        out.append(x)
+    return out
+
+
+def _check_cutoff(threshold: float, xs: np.ndarray) -> None:
+    """engine._log2_cutoff is the least double whose math.log2 reaches threshold."""
+    c = engine._log2_cutoff(threshold)
+    assert (c == math.inf) == (math.log2(sys.float_info.max) < threshold)
+    if c < math.inf:
+        assert math.log2(c) >= threshold > math.log2(math.nextafter(c, 0.0))
+        xs = [*xs.tolist(), c, *_steps(c, 64, 0.0), *_steps(c, 64, math.inf)]
+    for x in xs:
+        assert (x >= c) == (math.log2(x) >= threshold), (threshold, x)
+
+
+def _log_uniform(seed: int, n: int) -> np.ndarray:
+    """n doubles log-uniform in [1, 1e300], the range of 1 + snr."""
+    return 10.0 ** np.random.default_rng(seed).uniform(0.0, 300.0, n)
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+def test_log2_cutoff_at_listed_thresholds(threshold):
+    _check_cutoff(threshold, _log_uniform(0, 2000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(threshold=st.floats(min_value=0.0, max_value=1100.0, exclude_min=True))
+def test_log2_cutoff_at_any_threshold(threshold):
+    _check_cutoff(threshold, _log_uniform(1, 64))
+
+
+def test_log2_never_decreases():
+    """Secrecy is [log2(x) - log2(y)]+ with x = 1 + snr, y = 1 + eve snr, and
+    the engine takes it as 0 without a log2 wherever x <= y."""
+    x = _log_uniform(2, 20_000)
+    pairs = list(zip(x.tolist(), np.sort(x).tolist()))
+    for a in [*x[:200].tolist(), 1.0, 2.0, sys.float_info.max]:
+        pairs += [(a, a)] + [(b, a) for b in _steps(a, 32, 0.0)]
+    for a, b in pairs:
+        lo, hi = min(a, b), max(a, b)
+        assert math.log2(lo) - math.log2(hi) <= 0.0
+
 
 INT_FIELDS = [
     (cls, f.name)
@@ -449,6 +526,32 @@ def test_environment_matches_scalar_channel_bit_for_bit(
             assert got_sat == (rate >= threshold)
             expected_secrecy = reference_model.secrecy_rate(rate, r_eve)
             assert float(got_secrecy).hex() == float(expected_secrecy).hex()
+
+
+def test_outcomes_without_rates_match_outcomes_with_them():
+    """Without rates, outcomes takes no rate but the same satisfaction and
+    secrecy, bit for bit, also in a chunk whose streams have no, one or two
+    eavesdroppers per cell (panels without one read an eavesdropper SNR of 0)."""
+    envs, rngs = [], []
+    for seed, n_eves in [(5, 0), (6, 2), (7, 1), (8, 0)]:
+        rng = np.random.default_rng(seed)
+        topo = build_network(TopologyConfig(eavesdroppers_per_cell=n_eves), rng)
+        envs.append(ChannelEnvironment(topo, ChannelParams(), 1.0))
+        rngs.append(rng)
+    lanes = ChannelLanes(envs, rngs)
+    sizes = np.diff(lanes.offsets)
+    leaked = 0
+    for k in range(4):
+        lanes.draw()
+        slot = lanes.offsets[:-1] + np.minimum(k, sizes - 1)
+        rate, satisfied, secrecy = lanes.outcomes(slot)
+        none, light_satisfied, light_secrecy = lanes.outcomes(slot, rates=False)
+        assert none is None
+        _assert_same_bits(light_satisfied, satisfied)
+        _assert_same_bits(light_secrecy, secrecy)
+        _assert_same_bits(satisfied, rate >= 1.0)
+        leaked += np.count_nonzero(secrecy)
+    assert 0 < leaked < 4 * len(slot)
 
 
 def _assert_same_bits(got, want):

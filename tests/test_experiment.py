@@ -312,6 +312,27 @@ class TestEmitTrace:
         }
         assert record["iteration"] == 1
 
+    def test_values_at_rounding_ties_and_extremes(self, tmp_path):
+        """Every written value is formatted as its np.float64 would be: CSV
+        fields as format(v, ".6f"), JSON values as round(float(v), 6)."""
+        edges = np.array([0.0, -0.0, 5e-7, 2.5e-7, 0.9999995, 1.0, 1e300])
+        cfg = SimulationConfig(periods=len(edges), replications=1)
+        columns = [edges, np.roll(edges, 2), np.roll(edges, 4)]
+        trace = engine.SatisfactionTrace(cfg, *columns, 0, columns[0][None])
+        emit_trace(trace, str(tmp_path / "out.csv"))
+        emit_trace(trace, str(tmp_path / "out.json"), OutputFormat.JSON)
+        rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        records = json.loads((tmp_path / "out.json").read_text())[0]["trace"]
+        names = CSV_HEADER.split(",")[5:]
+        assert len(rows) == len(records) == len(edges)
+        for t, (row, record) in enumerate(zip(rows, records)):
+            want = [column[t] for column in columns]
+            assert row.split(",")[5:] == [format(v, ".6f") for v in want]
+            assert record == {"iteration": t + 1, **{
+                name: round(float(v), 6) for name, v in zip(names, want)
+            }}
+        assert rows[1].split(",")[5] == "-0.000000" and records[1]["mean_satisfaction"] == 0.0
+
     def test_rerun_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
