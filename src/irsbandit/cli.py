@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -23,6 +24,7 @@ _LOG_LEVELS = {
 }
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simulate",

@@ -277,8 +277,10 @@ class ChannelLanes:
     UE count (the row stride of that block) and its lane's satisfaction
     cutoff (_log2_cutoff); every stream's (panel, eavesdropper) pair, panel
     by panel, its chunk panel, its IRS->eve gain's position and its SNR
-    factor. So lanes that share a stream read the same gains, and each
-    chunk panel's strongest eavesdropper is one reduceat over its pairs.
+    factor; a stream without eavesdroppers holds one pair per panel with
+    SNR factor 0 instead. So lanes that share a stream read the same gains,
+    and the strongest eavesdropper of every chunk panel is one reduceat
+    over its pairs, 0 on a panel without one.
     """
 
     def __init__(self, envs, rngs, layout=None):
@@ -286,14 +288,20 @@ class ChannelLanes:
         self.offsets, self.arms = layout.offsets, layout.arms
         self.gains = np.empty(sum(sum(env.blocks) for env in envs))
         self._draws = []
-        bs_at, pair_panel, pair_eve, ue_base, panel_base = [], [], [], [], []
+        bs_at, pair_panel, pair_eve, pair_snr, ue_base, panel_base = [], [], [], [], [], []
         b = p = 0  # the stream's first gain and first chunk panel
         for env, rng in zip(envs, rngs):
             n_bs, n_ue, n_eve = env.blocks
             self._draws.append((rng, self.gains[b : b + n_bs + n_ue + n_eve], env.blocks))
             bs_at.append(b + np.arange(n_bs))
-            pair_panel.append(p + np.arange(n_bs).repeat(env._eve_snr.shape[1]))
-            pair_eve.append(b + n_bs + n_ue + np.arange(n_eve))
+            snr = env._eve_snr
+            if n_eve:
+                pair_eve.append(b + n_bs + n_ue + np.arange(n_eve))
+            else:  # one pair per panel with SNR factor 0: its panel reads 0
+                snr = np.zeros((n_bs, 1))
+                pair_eve.append(np.full(n_bs, b))
+            pair_panel.append(p + np.arange(n_bs).repeat(snr.shape[1]))
+            pair_snr.append(snr.ravel())
             ue_base.append(b + n_bs)
             panel_base.append(p)
             b += n_bs + n_ue + n_eve
@@ -301,9 +309,9 @@ class ChannelLanes:
         self._bs_at = np.concatenate(bs_at)
         self._pair_panel = np.concatenate(pair_panel)
         self._pair_eve = np.concatenate(pair_eve)
-        self._pair_snr = _joined([env._eve_snr.ravel() for env in envs])
-        # the panels with eavesdroppers, and where each one's pairs start
-        self._eve_panel, self._eve_start = np.unique(self._pair_panel, return_index=True)
+        self._pair_snr = _joined(pair_snr)
+        # where each chunk panel's pairs start; every panel has at least one
+        self._eve_start = np.flatnonzero(np.diff(self._pair_panel, prepend=-1))
         lanes = [(envs[s], s) for s in layout.stream]
         self._panel = _joined([_shifted(env.arms, panel_base[s]) for env, s in lanes])
         self._ue_row = np.concatenate([ue_base[s] + np.arange(env.n_agents) for env, s in lanes])
@@ -345,10 +353,8 @@ class ChannelLanes:
         g_ue = gains[self._ue_row + self.arms[slot] * self._ue_stride]
         power = 1.0 + self._snr[slot] * g_bs[panel] * g_ue
         eve = self._pair_snr * g_bs[self._pair_panel] * gains[self._pair_eve]
-        eve_snr = np.zeros(len(g_bs))
-        eve_snr[self._eve_panel] = np.maximum.reduceat(eve, self._eve_start)
-        eve_power = 1.0 + eve_snr[panel]
-        leak = np.flatnonzero(power > eve_power)
+        eve_power = 1.0 + np.maximum.reduceat(eve, self._eve_start)[panel]
+        leak = (power > eve_power).nonzero()[0]
         rate = elementwise(math.log2, power) if rates else None
         r_leak = rate[leak] if rates else elementwise(math.log2, power[leak])
         secrecy = np.zeros(len(slot))
@@ -480,8 +486,8 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
 
     # runs of lanes with equal agent counts, so per-lane means are row means:
     # (first agent, end agent, first lane, end lane, agents per lane)
-    runs, l = [], 0
-    for n, group in groupby(np.diff(bounds).tolist()):
+    lane_sizes, runs, l = np.diff(bounds), [], 0
+    for n, group in groupby(lane_sizes.tolist()):
         k = len(list(group))
         runs.append((bounds[l], bounds[l + k], l, l + k, n))
         l += k
@@ -493,8 +499,9 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         (rng, drawn[lo:hi]) for rng, lo, hi in zip(rngs, stream_rows, stream_rows[1:])
     ]
     periods = chunk[0].cfg.periods
-    satisfaction = np.empty((len(chunk), periods))
-    mean_secrecy = np.empty((len(chunk), periods))
+    # per period, each lane's satisfied count and secrecy sum; row t is contiguous
+    sat_sum = np.empty((periods, len(chunk)))
+    secrecy_sum = np.empty((periods, len(chunk)))
     if record:
         chosen = np.empty((periods, bounds[-1]), dtype=np.int64)
         sat_record = np.empty((periods, bounds[-1]), dtype=bool)
@@ -511,15 +518,18 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
             slot = policy.select_irs(agents, uniform)
         rate, satisfied, secrecy = batch.outcomes(slot, rates=record)
         policy.update(agents, satisfied)
-        # row sums over n, which is mean()'s own arithmetic, so every lane's
-        # means round as those of its agents alone
+        # row sums, each through the add.reduce loop sum() runs over a lane's
+        # agents alone; a count of bools is exact in a double
         for a_lo, a_hi, l_lo, l_hi, n in runs:
-            satisfaction[l_lo:l_hi, t] = satisfied[a_lo:a_hi].reshape(-1, n).sum(axis=1) / n
-            mean_secrecy[l_lo:l_hi, t] = secrecy[a_lo:a_hi].reshape(-1, n).sum(axis=1) / n
+            np.add.reduce(satisfied[a_lo:a_hi].reshape(-1, n), axis=1, out=sat_sum[t, l_lo:l_hi])
+            np.add.reduce(secrecy[a_lo:a_hi].reshape(-1, n), axis=1, out=secrecy_sum[t, l_lo:l_hi])
         if record:
             chosen[t] = batch.arms[slot]
             sat_record[t] = satisfied
             rates[t] = rate
+    # sum / n, one rounding as in mean(), then one C-contiguous row per lane
+    satisfaction = np.ascontiguousarray((sat_sum / lane_sizes).T)
+    mean_secrecy = np.ascontiguousarray((secrecy_sum / lane_sizes).T)
     wall = time.perf_counter() - start
     if log.isEnabledFor(logging.DEBUG):
         log.debug(

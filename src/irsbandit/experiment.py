@@ -386,15 +386,9 @@ def _labels(cfg: SimulationConfig) -> dict:
 
 
 def _rows(trace: SatisfactionTrace):
-    """(iteration, *its _COLUMNS values) per period, the values as Python floats:
-    np.float64 formats and rounds through float's methods, only more slowly."""
-    return zip(range(1, trace.cfg.periods + 1), *(getattr(trace, c).tolist() for c in _COLUMNS))
-
-
-def _csv_rows(trace: SatisfactionTrace):
-    labels = "{policy},{case},{omega:g},{phi}".format(**_labels(trace.cfg))
-    for t, sat, ci, secrecy in _rows(trace):
-        yield f"{t},{labels},{sat:.6f},{ci:.6f},{secrecy:.6f}\n"
+    """Its _COLUMNS values per period, as Python floats: np.float64 formats and
+    rounds through float's methods, only more slowly."""
+    return zip(*(getattr(trace, c)[: trace.cfg.periods].tolist() for c in _COLUMNS))
 
 
 def _json_cell(trace: SatisfactionTrace) -> dict:
@@ -402,7 +396,7 @@ def _json_cell(trace: SatisfactionTrace) -> dict:
         **_labels(trace.cfg),
         "trace": [
             {"iteration": t, **{c: round(v, 6) for c, v in zip(_COLUMNS, values)}}
-            for t, *values in _rows(trace)
+            for t, values in enumerate(_rows(trace), 1)
         ],
     }
 
@@ -413,30 +407,29 @@ def emit_trace(traces, path: str, format: OutputFormat = OutputFormat.CSV) -> No
     CSV columns are exactly iteration,policy,case,omega,phi,
     mean_satisfaction,ci95_halfwidth,mean_secrecy_rate with means at six
     decimal places; rows follow sweep order then iteration, so reruns of
-    the same spec are byte-identical. CSV rows stream to the file cell by
-    cell.
+    the same spec are byte-identical. CSV rows go to the file one cell at a
+    time; traces that share their arrays (copies under another config)
+    format the numbers once.
     """
-    if isinstance(traces, SatisfactionTrace):
-        traces = [traces]
+    traces = [traces] if isinstance(traces, SatisfactionTrace) else list(traces)
     with open(path, "w", encoding="utf-8") as fh:
         if format is OutputFormat.CSV:
             fh.write(CSV_HEADER + "\n")
+            # the arrays a trace reads -> its rows' numeric fields; the list keeps
+            # every trace alive, so no id is reused within the call
+            numbers = {}
             for trace in traces:
-                fh.writelines(_csv_rows(trace))
+                key = (trace.cfg.periods, *(id(getattr(trace, c)) for c in _COLUMNS))
+                if key not in numbers:
+                    numbers[key] = ["%.6f,%.6f,%.6f\n" % row for row in _rows(trace)]
+                labels = "{policy},{case},{omega:g},{phi}".format(**_labels(trace.cfg))
+                fh.write("".join([f"{t},{labels},{row}" for t, row in enumerate(numbers[key], 1)]))
         else:
             fh.write(json.dumps([_json_cell(t) for t in traces], indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # sweep runner
-
-
-def _cell_config(base: SimulationConfig, kind, case, phi, omega) -> SimulationConfig:
-    return dataclasses.replace(
-        base,
-        topology=dataclasses.replace(base.topology, distribution_case=case),
-        policy=PolicyConfig(kind=kind, omega=omega, phi=phi),
-    )
 
 
 def summary_path(output_path: str) -> str:
@@ -448,21 +441,29 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
     """Run every sweep cell, write the trace file and a summary JSON.
 
     Every cell reuses the same seed range (common random numbers), which
-    pairs the bandit and greedy runs for the gap statistics. Cells whose
-    configs differ only in policy fields the policy never reads (see
-    policy.effective_config) run once; each repeat copies that trace under
-    its own config. Every replication of every distinct cell runs as one
-    lane of a single engine.run_cells call, so lanes of different cells
-    share chunks. A computed cell's wall_seconds is its
-    lanes' share of their chunks' wall time; a copied cell's is the time
-    the copy took.
+    pairs the bandit and greedy runs for the gap statistics. A cell's config
+    is the base with the cell's case and policy, each case's topology built
+    once. Cells with the same case and the same policy.effective_config (so
+    differing only in policy fields the policy never reads) run once; each
+    repeat copies that trace under its own config. Every replication of
+    every distinct cell runs as one lane of a single engine.run_cells call,
+    so lanes of different cells share chunks. A computed cell's
+    wall_seconds is its lanes' share of their chunks' wall time; a copied
+    cell's is the time the copy took.
     """
-    window = min(FINAL_WINDOW, spec.base.periods)
+    base = spec.base
+    window = min(FINAL_WINDOW, base.periods)
+    topologies = {
+        case: dataclasses.replace(base.topology, distribution_case=case) for case in spec.cases
+    }
     sweep = []
-    first: dict[SimulationConfig, SimulationConfig] = {}  # effective cell -> first cell
+    first = {}  # (case, effective policy) -> its first cell's config
     for cell in spec.sweep_cells():
-        cfg = _cell_config(spec.base, *cell)
-        key = dataclasses.replace(cfg, policy=effective_config(cfg.policy))
+        kind, case, phi, omega = cell
+        cfg = dataclasses.replace(
+            base, topology=topologies[case], policy=PolicyConfig(kind=kind, omega=omega, phi=phi)
+        )
+        key = case, effective_config(cfg.policy)
         sweep.append((cell, cfg, key))
         first.setdefault(key, cfg)
     computed = dict(zip(first, run_cells(first.values())))
@@ -497,8 +498,7 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
     emit_trace(traces, spec.output_path, spec.format)
     summary = RunSummary(cells=tuple(cells.values()), gaps=tuple(gaps))
     with open(summary_path(spec.output_path), "w", encoding="utf-8") as fh:
-        json.dump(_summary_obj(summary), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(_summary_obj(summary), indent=2) + "\n")
     return summary
 
 

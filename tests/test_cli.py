@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from irsbandit.cli import main
+from irsbandit.cli import build_parser, main
 
 CONFIG = """
 [experiment]
@@ -95,6 +95,22 @@ def test_flag_overrides_apply(tmp_path):
     summary = json.loads((tmp_path / "override.summary.json").read_text())
     assert summary["cells"][0]["seed_lo"] == 7
     assert summary["cells"][0]["seed_hi"] == 8
+
+
+def test_cached_parser_keeps_calls_independent(tmp_path):
+    """One parser serves every call, yet a flag of one call never reaches the next."""
+    assert build_parser() is build_parser()
+    flagged = write_config(tmp_path, name="flagged.cfg", out="flagged.csv")
+    flags = ["--seed", "7", "--periods", "3", "--replications", "1"]
+    assert main(["--config", str(flagged), *flags]) == 0
+    plain = write_config(tmp_path, name="plain.cfg", out="plain.csv")
+    assert main(["--config", str(plain)]) == 0
+    # 2 cells; seeds and periods from each run's own flags or config
+    for name, periods, seeds in (("flagged", 3, (7, 7)), ("plain", 4, (42, 43))):
+        rows = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * periods
+        cells = json.loads((tmp_path / f"{name}.summary.json").read_text())["cells"]
+        assert [(c["seed_lo"], c["seed_hi"]) for c in cells] == [seeds] * 2
 
 
 def test_rerun_byte_identical(tmp_path):

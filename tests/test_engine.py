@@ -554,6 +554,42 @@ def test_outcomes_without_rates_match_outcomes_with_them():
     assert 0 < leaked < 4 * len(slot)
 
 
+def test_lane_means_are_the_records_means():
+    """Each lane's per-period satisfaction is its record's row mean, bit for bit,
+    and both series are its one-lane run's: in a chunk of 1, 20, 20 and 3
+    agents (three runs of equal-size lanes) and in a chunk whose channel
+    lanes share streams of 20 and of 7 UEs. The series are C-contiguous rows."""
+    cfg = small_cfg(periods=6)
+    bernoulli = [
+        Lane(cfg, 3 + k, BernoulliEnvironment((0.3, 0.6, 0.9), n))
+        for k, n in enumerate([1, 20, 20, 3])
+    ]
+    channel_lanes = [
+        Lane(
+            small_cfg(
+                periods=6,
+                topology=TopologyConfig(ue_count=ues),
+                policy=PolicyConfig(kind=kind, phi=phi),
+            ),
+            seed,
+        )
+        for seed, ues in ((11, 20), (12, 7))
+        for kind, phi in ((CB, 1), (PolicyKind.GREEDY, 1), (CB, 4))
+    ]
+    assert len(engine._streams(channel_lanes)[0]) == 2
+    for lanes in (bernoulli, channel_lanes):
+        assert len(list(engine._chunks(lanes))) == 1
+        light = run_lanes(lanes)
+        for lane, res, lean in zip(lanes, run_lanes(lanes, record=True), light):
+            alone = run_replication(*lane)
+            _assert_same_bits(res.satisfaction, res.satisfied.mean(axis=1))
+            for series in ("satisfaction", "mean_secrecy"):
+                got = getattr(res, series)
+                assert got.flags.c_contiguous and got.dtype == np.float64
+                _assert_same_bits(got, getattr(alone, series))
+                _assert_same_bits(getattr(lean, series), got)
+
+
 def _assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()

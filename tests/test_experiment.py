@@ -333,6 +333,47 @@ class TestEmitTrace:
             }}
         assert rows[1].split(",")[5] == "-0.000000" and records[1]["mean_satisfaction"] == 0.0
 
+    def test_copied_trace_keeps_its_labels_and_the_same_numbers(self, tmp_path):
+        """A copy under another config shares its source's arrays: its rows carry
+        its own labels and periods and the same numbers, and both files read as
+        they do when the copy's arrays are its own."""
+        edges = np.array([0.0, -0.0, 5e-7, 2.5e-7, 0.9999995, 1.0, 1e300])
+        cfg = SimulationConfig(periods=len(edges), replications=1)
+        columns = [edges, np.roll(edges, 2), np.roll(edges, 4)]
+        trace = engine.SatisfactionTrace(cfg, *columns, 0, columns[0][None])
+        other = dataclasses.replace(
+            cfg,
+            topology=TopologyConfig(distribution_case=DistributionCase.CLUSTERED),
+            policy=PolicyConfig(kind=PolicyKind.GREEDY, omega=0.25, phi=4),
+        )
+        flipped = [c[::-1] for c in columns]  # another trace of as many periods
+        traces = [
+            trace,
+            dataclasses.replace(trace, cfg=other),
+            engine.SatisfactionTrace(cfg, *flipped, 0, flipped[0][None]),
+            dataclasses.replace(trace, cfg=dataclasses.replace(other, periods=3)),
+        ]
+        apart = [
+            dataclasses.replace(t, **{c: getattr(t, c).copy() for c in CSV_HEADER.split(",")[5:]})
+            for t in traces
+        ]
+        for kind in OutputFormat:
+            shared, own = tmp_path / f"shared.{kind.value}", tmp_path / f"own.{kind.value}"
+            emit_trace(traces, str(shared), kind)
+            emit_trace(apart, str(own), kind)
+            assert shared.read_bytes() == own.read_bytes()
+        rows = (tmp_path / "shared.csv").read_text().splitlines()[1:]
+        bandit, greedy = ("cb", "random", "0.1", "2"), ("greedy", "clustered", "0.25", "4")
+        cells = [
+            (bandit, columns, 7), (greedy, columns, 7), (bandit, flipped, 7), (greedy, columns, 3)
+        ]
+        want = [
+            [str(t + 1), *labels, *(format(np.float64(c[t]), ".6f") for c in numbers)]
+            for labels, numbers, periods in cells
+            for t in range(periods)
+        ]
+        assert [row.split(",") for row in rows] == want
+
     def test_rerun_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -427,6 +468,24 @@ class TestSweepDedup:
         assert (tmp_path / "dedup.csv").read_bytes() == (
             tmp_path / "every_cell.csv"
         ).read_bytes()
+
+
+    def test_cell_configs_are_the_base_with_the_cells_case_and_policy(self, tmp_path):
+        base = dataclasses.replace(SimulationConfig(), periods=3, replications=1)
+        spec = ExperimentSpec(
+            base=base, phis=(1, 2), omegas=(0.1, 0.3), output_path=str(tmp_path / "cfg.csv")
+        )
+        want = [
+            dataclasses.replace(
+                base,
+                topology=dataclasses.replace(base.topology, distribution_case=case),
+                policy=PolicyConfig(kind=kind, omega=omega, phi=phi),
+            )
+            for kind, case, phi, omega in spec.sweep_cells()
+        ]
+        got = [cell.cfg for cell in run_experiment(spec).cells]
+        assert got == want
+        assert [hash(cfg) for cfg in got] == [hash(cfg) for cfg in want]
 
 
 class TestChunkTiming:
