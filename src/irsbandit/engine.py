@@ -11,15 +11,17 @@ period together, their slots and agents concatenated into one flat layout
 the decisions, link evaluation with its logarithms, the reward update)
 runs once per chunk rather than once per lane. Chunks are cut in lane
 order: a chunk holds lanes of one environment kind and one period count
-whose per-period draws total at most CHUNK_FLOATS floats, and a lane larger
-than that runs alone.
+whose per-period draws total at most CHUNK_FLOATS floats. A run of adjacent
+lanes on one stream is never cut apart, and a run larger than the bound
+runs alone.
 
 Within a chunk, lanes whose draws and environment are equal by
 construction form one stream: channel lanes with equal topology, channel
-parameters, rate threshold and seed, or plug-in lanes with the same
-environment object and seed. Lanes in one stream differ only in policy,
-and the policy draws nothing, so the stream's Generator, network, fading
-and policy block are made once and every lane of the stream reads them.
+parameters, rate threshold, period count and seed, or plug-in lanes with
+the same environment object, period count and seed. Lanes in one stream
+differ only in policy, and the policy draws nothing, so the stream's
+Generator, network, fading, policy block and slot state are made once and
+every lane of the stream reads them.
 
 Determinism contract: each stream has one Generator, and every draw it
 makes has a size fixed by the stream's shape (I panels, U agents, E
@@ -77,11 +79,13 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # Most floats one period of a chunk's lanes would draw alone, summed over
 # its lanes. A default lane draws 440 (16 panels x (1 BS + 20 UE + 4 eve)
 # gains, then 20 x 2 policy uniforms), so about 74 default lanes share a
-# chunk; a lane above the bound runs alone. Per-lane state (each lane's
-# slots, agents and budgets) grows with this sum, so the bound caps a
-# chunk's peak memory. What a chunk draws is at most the sum: lanes that
-# share a stream draw once, so the sweep's bandit and greedy lanes on one
-# seed draw a fraction of it.
+# chunk (72 in the default sweep, which never cuts its runs of 4 lanes on
+# one stream); a run above the bound runs alone. Per-lane state (each
+# lane's agents and reward counters) grows with this sum, and per-stream
+# state (the draws, each stream slot's panel, budget and SNR factor) at
+# most with it, so the bound caps a chunk's peak memory. Lanes that share
+# a stream draw and hold its state once, so the sweep's bandit and greedy
+# lanes on one seed hold a fraction of it.
 CHUNK_FLOATS = 2**15
 
 
@@ -269,18 +273,22 @@ class ChannelLanes:
     layout (by default one lane per stream) places the lanes on them.
     gains holds every stream's period back to back. A stream's part is its
     BS->IRS gains, then its IRS->UE and IRS->eve gains, each block
-    row-major by panel, as channel.fill_fading draws them. Panels are numbered across the
-    streams: stream s's panel i is chunk panel panel_base[s] + i, and
-    _bs_at gives each chunk panel's BS->IRS gain. Every lane's slot keeps
-    its chunk panel, budget and SNR factor; every lane's agent the
-    position of its first IRS->UE gain in its stream's part, its stream's
-    UE count (the row stride of that block) and its lane's satisfaction
-    cutoff (_log2_cutoff); every stream's (panel, eavesdropper) pair, panel
-    by panel, its chunk panel, its IRS->eve gain's position and its SNR
-    factor; a stream without eavesdroppers holds one pair per panel with
-    SNR factor 0 instead. So lanes that share a stream read the same gains,
-    and the strongest eavesdropper of every chunk panel is one reduceat
-    over its pairs, 0 on a panel without one.
+    row-major by panel, as channel.fill_fading draws them. Panels are
+    numbered across the streams: stream s's panel i is chunk panel
+    panel_base[s] + i, and _bs_at gives each chunk panel's BS->IRS gain.
+    Slot state is per stream: every stream slot (the streams' slots end to
+    end, a lone stream's arrays uncopied) keeps its chunk panel, budget and
+    SNR factor, and a lane's agent finds its stream slot at its lane slot
+    + _shift[agent] (_shift is None when every lane is its own stream).
+    Every agent keeps its stream's UE count (the row stride of the IRS->UE
+    block), _ue_row, where _ue_row + p * stride is its gain through chunk
+    panel p, and its lane's satisfaction cutoff (_log2_cutoff). Every
+    stream's (panel, eavesdropper) pair, panel by panel, keeps its chunk
+    panel, its IRS->eve gain's position and its SNR factor; a stream
+    without eavesdroppers holds one pair per panel with SNR factor 0
+    instead. So lanes that share a stream read the same gains and slot
+    state, and the strongest eavesdropper of every chunk panel is one
+    reduceat over its pairs, 0 on a panel without one.
     """
 
     def __init__(self, envs, rngs, layout=None):
@@ -288,7 +296,7 @@ class ChannelLanes:
         self.offsets, self.arms = layout.offsets, layout.arms
         self.gains = np.empty(sum(sum(env.blocks) for env in envs))
         self._draws = []
-        bs_at, pair_panel, pair_eve, pair_snr, ue_base, panel_base = [], [], [], [], [], []
+        bs_at, pair_panel, pair_eve, pair_snr, ue_row, panel_base = [], [], [], [], [], []
         b = p = 0  # the stream's first gain and first chunk panel
         for env, rng in zip(envs, rngs):
             n_bs, n_ue, n_eve = env.blocks
@@ -302,7 +310,7 @@ class ChannelLanes:
                 pair_eve.append(np.full(n_bs, b))
             pair_panel.append(p + np.arange(n_bs).repeat(snr.shape[1]))
             pair_snr.append(snr.ravel())
-            ue_base.append(b + n_bs)
+            ue_row.append(b + n_bs - p * env.n_agents + np.arange(env.n_agents))
             panel_base.append(p)
             b += n_bs + n_ue + n_eve
             p += n_bs
@@ -312,26 +320,34 @@ class ChannelLanes:
         self._pair_snr = _joined(pair_snr)
         # where each chunk panel's pairs start; every panel has at least one
         self._eve_start = np.flatnonzero(np.diff(self._pair_panel, prepend=-1))
-        lanes = [(envs[s], s) for s in layout.stream]
-        self._panel = _joined([_shifted(env.arms, panel_base[s]) for env, s in lanes])
-        self._ue_row = np.concatenate([ue_base[s] + np.arange(env.n_agents) for env, s in lanes])
-        self._budget_db = _joined([env._budget_db for env, _ in lanes])
-        self._snr = _joined([env._snr for env, _ in lanes])
-        n_ues = [env.n_agents for env, _ in lanes]
-        self._ue_stride = np.repeat(n_ues, n_ues)
-        self._cutoff = np.repeat([_log2_cutoff(env.rate_threshold) for env, _ in lanes], n_ues)
+        self._panel = _joined([_shifted(env.arms, q) for env, q in zip(envs, panel_base)])
+        self._budget_db = _joined([env._budget_db for env in envs])
+        self._snr = _joined([env._snr for env in envs])
+        n_ues = [env.n_agents for env in envs]
+        self._stream_ue = np.concatenate(ue_row), np.repeat(n_ues, n_ues)
+        cutoff = np.repeat([_log2_cutoff(env.rate_threshold) for env in envs], n_ues)
+        per_agent = (*self._stream_ue, cutoff)
+        self._stream_offsets, self._rows, self._shift = layout.offsets, layout.rows, None
+        if layout.rows is not None:  # each lane agent reads its stream agent's
+            per_agent = [a[layout.rows] for a in per_agent]
+            streams = _Layout(envs)
+            self._stream_offsets = streams.offsets
+            shift = [streams.slots[s] - lo for s, lo in zip(layout.stream, layout.slots)]
+            self._shift = np.repeat(shift, np.diff(layout.agents))
+        self._ue_row, self._ue_stride, self._cutoff = per_agent
 
     def draw(self) -> None:
         """Every stream's fading for the period, each from its own Generator."""
         channel.fill_fading(self._draws, self.gains)
 
-    def signal(self) -> np.ndarray:
-        """Warm-start context: this period's RSSI through every slot's panel."""
+    def rssi(self) -> np.ndarray:
+        """This period's RSSI through every stream slot's panel: one log10 per slot."""
         # built in place, so no more than two slot-sized arrays live at once
-        sizes = np.diff(self.offsets)
-        at = np.repeat(self._ue_stride, sizes)
-        at *= self.arms
-        at += np.repeat(self._ue_row, sizes)
+        sizes = np.diff(self._stream_offsets)
+        ue_row, stride = self._stream_ue
+        at = np.repeat(stride, sizes)
+        at *= self._panel
+        at += np.repeat(ue_row, sizes)
         gain = self.gains[at]
         del at
         gain *= self.gains[self._bs_at][self._panel]
@@ -339,6 +355,18 @@ class ChannelLanes:
         rssi *= 10.0
         rssi += self._budget_db
         return rssi
+
+    def strongest(self, agents: policy.Segments) -> np.ndarray:
+        """Warm start: every agent's slot of strongest RSSI, ties to the lowest slot.
+
+        agents segments the lanes' slots; each lane agent reads its stream agent's argmax.
+        """
+        if self._shift is None:
+            return policy.segment_argmax(self.rssi(), agents)
+        best = policy.segment_argmax(self.rssi(), policy.Segments(self._stream_offsets))
+        best = best[self._rows]
+        best -= self._shift
+        return best
 
     def outcomes(self, slot: np.ndarray, rates: bool = True):
         """Every agent's rate (None unless rates), satisfaction and report-only secrecy.
@@ -349,16 +377,19 @@ class ChannelLanes:
         """
         gains = self.gains
         g_bs = gains[self._bs_at]
+        if self._shift is not None:
+            slot = slot + self._shift  # the stream slots
         panel = self._panel[slot]
-        g_ue = gains[self._ue_row + self.arms[slot] * self._ue_stride]
+        g_ue = gains[self._ue_row + panel * self._ue_stride]
         power = 1.0 + self._snr[slot] * g_bs[panel] * g_ue
         eve = self._pair_snr * g_bs[self._pair_panel] * gains[self._pair_eve]
         eve_power = 1.0 + np.maximum.reduceat(eve, self._eve_start)[panel]
         leak = (power > eve_power).nonzero()[0]
         rate = elementwise(math.log2, power) if rates else None
-        r_leak = rate[leak] if rates else elementwise(math.log2, power[leak])
+        # the leaking agents' log2(1 + snr) and log2(1 + eve snr), in one call
+        logs = elementwise(math.log2, np.concatenate((power[leak], eve_power[leak])))
         secrecy = np.zeros(len(slot))
-        secrecy[leak] = r_leak - elementwise(math.log2, eve_power[leak])
+        secrecy[leak] = logs[: len(leak)] - logs[len(leak) :]
         return rate, power >= self._cutoff, secrecy
 
 
@@ -384,7 +415,7 @@ class BernoulliLanes:
         for rng, out in self._draws:
             rng.random(out=out)
 
-    def signal(self) -> None:
+    def strongest(self, agents) -> None:
         return None
 
     def outcomes(self, slot: np.ndarray, rates: bool = True):
@@ -419,29 +450,36 @@ def _period_floats(lane: Lane) -> int:
 
 
 def _chunks(lanes):
-    """Cut lanes, in order, into chunks of one kind and period count within CHUNK_FLOATS."""
+    """Cut lanes, in order, into chunks of one kind and period count within CHUNK_FLOATS.
+
+    Adjacent lanes on one stream are never cut apart: the cut falls before
+    their run, and a run above the bound runs alone.
+    """
     chunk, floats = [], 0
-    for lane in lanes:
-        n = _period_floats(lane)
+    for _, run in groupby(lanes, key=_stream_key):
+        run = list(run)
+        n = sum(map(_period_floats, run))
         if chunk and (
-            floats + n > CHUNK_FLOATS
-            or _kind(lane) is not _kind(chunk[0])
-            or lane.cfg.periods != chunk[0].cfg.periods
+            floats + n <= CHUNK_FLOATS
+            and _kind(run[0]) is _kind(chunk[0])
+            and run[0].cfg.periods == chunk[0].cfg.periods
         ):
+            chunk += run
+            floats += n
+            continue
+        if chunk:
             yield chunk
-            chunk, floats = [], 0
-        chunk.append(lane)
-        floats += n
+        chunk, floats = run, n  # the run's own list: no second list outlives it
     if chunk:
         yield chunk
 
 
 def _stream_key(lane: Lane):
     """What decides a lane's draws and environment; lanes with equal keys share them."""
-    if lane.environment is not None:
-        return lane.environment, lane.seed
     cfg = lane.cfg
-    return cfg.topology, cfg.channel, cfg.rate_threshold, lane.seed
+    if lane.environment is not None:
+        return lane.environment, cfg.periods, lane.seed
+    return cfg.topology, cfg.channel, cfg.rate_threshold, cfg.periods, lane.seed
 
 
 def _streams(chunk: list[Lane]) -> tuple[list[Lane], list[int]]:
@@ -453,6 +491,18 @@ def _streams(chunk: list[Lane]) -> tuple[list[Lane], list[int]]:
             streams.append(lane)
         stream.append(s)
     return streams, stream
+
+
+def _size_runs(bounds: list[int], sizes: list[int]) -> list[tuple[slice, slice, int]]:
+    """Runs of lanes with equal agent counts (lane l has sizes[l] agents, from
+    bounds[l]), so per-lane sums are row sums: (its agents, its lanes, agents
+    per lane) each, the first two as slices."""
+    runs, l = [], 0
+    for n, group in groupby(sizes):
+        k = len(list(group))
+        runs.append((slice(bounds[l], bounds[l + k]), slice(l, l + k), n))
+        l += k
+    return runs
 
 
 def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
@@ -484,13 +534,8 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     agents = policy.Agents(layout.offsets, layout.arms, [lane.cfg.policy for lane in chunk], bounds)
     del envs, layout  # batch and agents hold all that is left to read
 
-    # runs of lanes with equal agent counts, so per-lane means are row means:
-    # (first agent, end agent, first lane, end lane, agents per lane)
-    lane_sizes, runs, l = np.diff(bounds), [], 0
-    for n, group in groupby(lane_sizes.tolist()):
-        k = len(list(group))
-        runs.append((bounds[l], bounds[l + k], l, l + k, n))
-        l += k
+    lane_sizes = np.diff(bounds)
+    runs = _size_runs(bounds, lane_sizes.tolist())
     # the policy block: one (u1, u2) row per stream agent, each stream's rows
     # from its Generator; the agents read it through rows
     drawn = np.empty((stream_rows[-1], 2))
@@ -499,9 +544,10 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         (rng, drawn[lo:hi]) for rng, lo, hi in zip(rngs, stream_rows, stream_rows[1:])
     ]
     periods = chunk[0].cfg.periods
-    # per period, each lane's satisfied count and secrecy sum; row t is contiguous
-    sat_sum = np.empty((periods, len(chunk)))
-    secrecy_sum = np.empty((periods, len(chunk)))
+    # per lane and period, its satisfied count and secrecy sum, made means
+    # after the last period; each lane's row is C-contiguous
+    satisfaction = np.empty((len(chunk), periods))
+    mean_secrecy = np.empty((len(chunk), periods))
     if record:
         chosen = np.empty((periods, bounds[-1]), dtype=np.int64)
         sat_record = np.empty((periods, bounds[-1]), dtype=bool)
@@ -513,23 +559,23 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         if rows is not None:
             np.take(drawn, rows, axis=0, out=uniform)
         if t == 0:
-            slot = policy.init_association(agents, batch.signal(), uniform)
+            slot = policy.init_association(agents, batch.strongest(agents), uniform)
         else:
             slot = policy.select_irs(agents, uniform)
         rate, satisfied, secrecy = batch.outcomes(slot, rates=record)
         policy.update(agents, satisfied)
         # row sums, each through the add.reduce loop sum() runs over a lane's
         # agents alone; a count of bools is exact in a double
-        for a_lo, a_hi, l_lo, l_hi, n in runs:
-            np.add.reduce(satisfied[a_lo:a_hi].reshape(-1, n), axis=1, out=sat_sum[t, l_lo:l_hi])
-            np.add.reduce(secrecy[a_lo:a_hi].reshape(-1, n), axis=1, out=secrecy_sum[t, l_lo:l_hi])
+        for a, run, n in runs:
+            np.add.reduce(satisfied[a].reshape(-1, n), axis=1, out=satisfaction[run, t])
+            np.add.reduce(secrecy[a].reshape(-1, n), axis=1, out=mean_secrecy[run, t])
         if record:
             chosen[t] = batch.arms[slot]
             sat_record[t] = satisfied
             rates[t] = rate
-    # sum / n, one rounding as in mean(), then one C-contiguous row per lane
-    satisfaction = np.ascontiguousarray((sat_sum / lane_sizes).T)
-    mean_secrecy = np.ascontiguousarray((secrecy_sum / lane_sizes).T)
+    # sum / n in place, one rounding as in mean()
+    satisfaction /= lane_sizes[:, None]
+    mean_secrecy /= lane_sizes[:, None]
     wall = time.perf_counter() - start
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
@@ -611,13 +657,18 @@ def run_cells(cfgs) -> list[tuple[SatisfactionTrace, float]]:
 
     Cell c's replication i is the lane (cfgs[c], cfgs[c].base_seed + i).
     The lanes run replication-major, replication i of every cell and then
-    replication i + 1, so cells on one seed range that differ only in
-    policy put the lanes that share a stream side by side in a chunk.
+    replication i + 1, and within a replication the cells sharing a stream
+    (cells on one seed range that differ only in policy) run side by side,
+    in order of their first cell, so no chunk cut falls between them.
     A cell's wall seconds are its lanes' shares of their chunks' wall time.
     """
     cfgs = list(cfgs)
     depth = max((cfg.replications for cfg in cfgs), default=0)
-    order = [(c, i) for i in range(depth) for c, cfg in enumerate(cfgs) if i < cfg.replications]
+    by_stream = {}  # the stream key of a cell's first lane -> its cells, in order
+    for c, cfg in enumerate(cfgs):
+        by_stream.setdefault(_stream_key(Lane(cfg, cfg.base_seed)), []).append(c)
+    cells = [c for run in by_stream.values() for c in run]
+    order = [(c, i) for i in range(depth) for c in cells if i < cfgs[c].replications]
     results = run_lanes(Lane(cfgs[c], cfgs[c].base_seed + i) for c, i in order)
     mine = [[] for _ in cfgs]
     for (c, _), res in zip(order, results):

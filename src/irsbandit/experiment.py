@@ -408,22 +408,23 @@ def emit_trace(traces, path: str, format: OutputFormat = OutputFormat.CSV) -> No
     mean_satisfaction,ci95_halfwidth,mean_secrecy_rate with means at six
     decimal places; rows follow sweep order then iteration, so reruns of
     the same spec are byte-identical. CSV rows go to the file one cell at a
-    time; traces that share their arrays (copies under another config)
-    format the numbers once.
+    time, and only the last cell's formatted numbers are kept: a trace
+    that shares its arrays with the one before it (a copy under another
+    config) formats nothing.
     """
     traces = [traces] if isinstance(traces, SatisfactionTrace) else list(traces)
     with open(path, "w", encoding="utf-8") as fh:
         if format is OutputFormat.CSV:
             fh.write(CSV_HEADER + "\n")
-            # the arrays a trace reads -> its rows' numeric fields; the list keeps
-            # every trace alive, so no id is reused within the call
-            numbers = {}
+            # the arrays the last trace read, and its rows' numeric fields; the
+            # list keeps every trace alive, so no id is reused within the call
+            last = numbers = None
             for trace in traces:
                 key = (trace.cfg.periods, *(id(getattr(trace, c)) for c in _COLUMNS))
-                if key not in numbers:
-                    numbers[key] = ["%.6f,%.6f,%.6f\n" % row for row in _rows(trace)]
+                if key != last:
+                    last, numbers = key, ["%.6f,%.6f,%.6f\n" % row for row in _rows(trace)]
                 labels = "{policy},{case},{omega:g},{phi}".format(**_labels(trace.cfg))
-                fh.write("".join([f"{t},{labels},{row}" for t, row in enumerate(numbers[key], 1)]))
+                fh.write("".join([f"{t},{labels},{row}" for t, row in enumerate(numbers, 1)]))
         else:
             fh.write(json.dumps([_json_cell(t) for t in traces], indent=2) + "\n")
 

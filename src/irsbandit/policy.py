@@ -34,8 +34,22 @@ class AgentRecord(NamedTuple):
     consecutive_unsatisfied: int
 
 
-class Agents:
-    """Bandit memory of every agent of one or more lanes.
+class Segments:
+    """Slot runs: segment u is sizes[u] >= 1 slots from starts[u]; width is
+    every segment's size when all are equal, else 0."""
+
+    def __init__(self, offsets):
+        offsets = np.asarray(offsets, dtype=np.int64)
+        self.starts = offsets[:-1]
+        self.sizes = np.diff(offsets)
+        if (self.sizes < 1).any():
+            raise ValueError("every agent needs at least one candidate panel")
+        equal = len(self.sizes) and (self.sizes == self.sizes[0]).all()
+        self.width = int(self.sizes[0]) if equal else 0
+
+
+class Agents(Segments):
+    """Bandit memory of every agent of one or more lanes, each agent a segment of slots.
 
     rewards[s] counts the satisfied periods of slot s; slot[u] is the flat
     slot of agent u's current panel; unsat[u] counts periods since agent
@@ -50,12 +64,8 @@ class Agents:
     """
 
     def __init__(self, offsets, arms, policies, lanes=None):
-        offsets = np.asarray(offsets, dtype=np.int64)
+        super().__init__(offsets)
         self.arms = arms
-        self.starts = offsets[:-1]
-        self.sizes = np.diff(offsets)
-        if (self.sizes < 1).any():
-            raise ValueError("every agent needs at least one candidate panel")
         self.policies = tuple(policies)
         self.lanes = [0, len(self.starts)] if lanes is None else list(lanes)
         if len(self.lanes) != len(self.policies) + 1:
@@ -68,8 +78,6 @@ class Agents:
         )
         self.phi = self.bandit * np.repeat([p.phi for p in self.policies], lane_sizes)
         self.omega = self.bandit * np.repeat([p.omega for p in self.policies], lane_sizes)
-        # every agent's candidate count when all are equal, else 0
-        self.width = int(self.sizes[0]) if (self.sizes == self.sizes[0]).all() else 0
         self.rewards = np.zeros(len(arms), dtype=np.int64)
         self.slot = np.full(len(self.starts), -1, dtype=np.int64)
         self.unsat = np.zeros(len(self.starts), dtype=np.int64)
@@ -114,8 +122,8 @@ def effective_config(cfg: PolicyConfig) -> PolicyConfig:
     return cfg
 
 
-def segment_argmax(values: np.ndarray, agents: Agents) -> np.ndarray:
-    """Per agent: the slot of its largest value, ties to the lowest slot."""
+def segment_argmax(values: np.ndarray, agents: Segments) -> np.ndarray:
+    """Per segment: the slot of its largest value, ties to the lowest slot."""
     if agents.width:  # one row of values per agent
         return agents.starts + values.reshape(-1, agents.width).argmax(axis=1)
     top = np.maximum.reduceat(values, agents.starts)
@@ -132,23 +140,27 @@ def uniform_slots(starts: np.ndarray, sizes: np.ndarray, u: np.ndarray) -> np.nd
     return starts + (u * sizes).astype(np.int64)
 
 
-def init_association(agents: Agents, rssi, uniform: np.ndarray) -> np.ndarray:
+def init_association(agents: Agents, strongest, uniform: np.ndarray) -> np.ndarray:
     """First-period association; sets and returns every agent's slot.
 
-    The bandit starts on the candidate with the strongest RSSI (ties to
-    the lowest index); the greedy baseline starts on agent u's uniform
-    random candidate, chosen by uniform[u, 1]. When no signal context
-    exists (rssi is None, as in abstract plug-in environments) the bandit
-    also starts on that random candidate. Re-initialization is an error.
+    The bandit starts on strongest[u], agent u's slot of strongest RSSI
+    (the environment's warm start, ties to the lowest slot); the greedy
+    baseline starts on agent u's uniform random candidate, chosen by
+    uniform[u, 1]. When no signal context exists (strongest is None, as in
+    abstract plug-in environments) the bandit also starts on that random
+    candidate. Re-initialization is an error, and so is a strongest slot
+    that is missing or outside its agent's candidates.
     """
     if agents.initialized:
         raise ValueError("agents are already initialized")
     slot = uniform_slots(agents.starts, agents.sizes, uniform[:, 1])
-    if rssi is not None:
-        rssi = np.asarray(rssi, dtype=float)
-        if rssi.shape != agents.rewards.shape:
-            raise ValueError("rssi vector must align with the candidate slots")
-        slot = np.where(agents.bandit, segment_argmax(rssi, agents), slot)
+    if strongest is not None:
+        strongest = np.asarray(strongest)
+        if strongest.shape != slot.shape or (
+            (strongest < agents.starts) | (strongest >= agents.starts + agents.sizes)
+        ).any():
+            raise ValueError("strongest slots must align with the agents' candidate slots")
+        slot = np.where(agents.bandit, strongest, slot)
     agents.slot = slot
     agents.unsat[:] = 0
     agents.initialized = True

@@ -237,8 +237,8 @@ class TestRssi:
         env = ChannelEnvironment(topo, ChannelParams(), rate_threshold=1.0)
         lanes = ChannelLanes([env], [rng])
         lanes.draw()
-        signal = lanes.signal()  # one entry per slot; UE 0's come first
-        assert math.isclose(signal[env.offsets[0]], -6.4650184599, abs_tol=1e-9)
+        rssi = lanes.rssi()  # one entry per slot; UE 0's come first
+        assert math.isclose(rssi[env.offsets[0]], -6.4650184599, abs_tol=1e-9)
 
 
 class TestSecrecyRate:

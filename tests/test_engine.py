@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from irsbandit import channel, engine
+from irsbandit import channel, engine, policy
 from irsbandit.config import (
     ChannelParams,
     DistributionCase,
@@ -154,7 +154,7 @@ def first_period(cfg, seed):
     lanes = ChannelLanes([env], [rng])
     agents = Agents(env.offsets, env.arms, [cfg.policy])
     lanes.draw()
-    slot = init_association(agents, lanes.signal(), rng.random((len(agents), 2)))
+    slot = init_association(agents, lanes.strongest(agents), rng.random((len(agents), 2)))
     rate, satisfied, secrecy = lanes.outcomes(slot)
     update(agents, satisfied)
     res = run_replication(dataclasses.replace(cfg, periods=1), seed)
@@ -459,7 +459,7 @@ def test_environment_matches_scalar_channel_bit_for_bit(
     """The per-replication budgets reproduce the scalar channel functions exactly.
 
     The lane's fading is reference_model.draw_fading's, in its block
-    order; signal covers every slot at once; outcomes is called once per
+    order; rssi covers every slot at once; outcomes is called once per
     candidate rank k, each UE on its k-th candidate (or its last one), so
     every (UE, candidate) pair is evaluated.
     """
@@ -489,7 +489,7 @@ def test_environment_matches_scalar_channel_bit_for_bit(
     flat = np.concatenate([real.g_bs_irs, real.g_irs_ue.ravel(), real.g_irs_eve.ravel()])
     _assert_same_bits(lanes.gains, flat)
     assert rng.bit_generator.state == twin.bit_generator.state
-    rssi = lanes.signal()
+    rssi = lanes.rssi()
     sizes = np.diff(env.offsets)
     outcomes = [
         lanes.outcomes(env.offsets[:-1] + np.minimum(k, sizes - 1))
@@ -590,6 +590,82 @@ def test_lane_means_are_the_records_means():
                 _assert_same_bits(getattr(lean, series), got)
 
 
+def _stream_envs(n_streams, topology=TopologyConfig(detection_radius=25.0)):
+    """One ChannelEnvironment and Generator per seed 1..n_streams; UE 0 of the
+    first sits on its serving cell's base station, equidistant from the
+    ring's panels at 0 and pi, so two of its candidate slots have equal budgets."""
+    envs, rngs = [], []
+    for seed in range(1, n_streams + 1):
+        rng = np.random.default_rng(seed)
+        topo = build_network(topology, rng)
+        if seed == 1:
+            topo.ue_xy[0] = topo.cell_xy[0]
+        envs.append(ChannelEnvironment(topo, ChannelParams(), 1.0, topology.detection_radius))
+        rngs.append(rng)
+    return envs, rngs
+
+
+@pytest.mark.parametrize("stream", [None, [0, 1, 0, 2, 1, 0], [0, 0, 0]])
+def test_warm_start_is_each_lanes_one_lane_argmax(stream):
+    """strongest() gives every lane's agent segment_argmax of its one-lane
+    rssi(), and rssi() every stream slot's one-lane RSSI bit for bit: in
+    chunks of lone streams, of shared and lone streams, and of one stream
+    shared by every lane, with candidate counts that differ between agents.
+    An exact tie, made by giving two slots of equal budget equal gains,
+    goes to the lower slot."""
+    envs, rngs = _stream_envs(3 if stream is None else max(stream) + 1)
+    layout = engine._Layout(envs, stream)
+    lanes = ChannelLanes(envs, rngs, layout)
+    policies = [PolicyConfig()] * len(layout.stream)
+    agents = Agents(layout.offsets, layout.arms, policies, layout.agents)
+    assert agents.width == 0
+    lanes.draw()
+    # the tie: UE 0 of stream 0, at its cell's centre, on two ring panels of equal budget
+    env = envs[0]
+    first = list(range(env.offsets[0], env.offsets[1]))
+    budget = env._budget_db
+    a, b = next((a, b) for a in first for b in first if a < b and budget[a] == budget[b])
+    n_bs = env.blocks[0]
+    for s in (a, b):
+        lanes.gains[env.arms[s]] = 1e3  # BS->IRS
+        lanes.gains[n_bs + env.arms[s] * env.n_agents] = 1e3  # IRS->UE 0
+    parts = np.cumsum([0] + [sum(e.blocks) for e in envs])
+    alone, want = [], []
+    for env, lo, hi in zip(envs, parts, parts[1:]):
+        one = ChannelLanes([env], [None])
+        one.gains[:] = lanes.gains[lo:hi]
+        alone.append(one.rssi())
+        one_lane = Agents(env.offsets, env.arms, [PolicyConfig()])
+        want.append(policy.segment_argmax(alone[-1], one_lane))
+    assert alone[0][a] == alone[0][b] == alone[0][first].max()
+    assert want[0][0] == a
+    _assert_same_bits(lanes.rssi(), np.concatenate(alone))
+    best = lanes.strongest(agents)
+    for l, s in enumerate(layout.stream):
+        lo, hi = layout.agents[l], layout.agents[l + 1]
+        _assert_same_bits(best[lo:hi] - layout.slots[l], want[s])
+    init_association(agents, best, np.zeros((len(agents), 2)))  # aligned with every lane
+
+
+def test_lanes_on_one_stream_hold_its_slot_state_once():
+    """k lanes on one stream hold each slot's chunk panel, budget and SNR
+    factor at the stream's slot count: a lone stream's own arrays, uncopied;
+    two streams' arrays end to end, however many lanes read them."""
+    envs, rngs = _stream_envs(2)
+    k = 4
+    lanes = ChannelLanes(envs[:1], rngs[:1], engine._Layout(envs[:1], [0] * k))
+    assert len(lanes.offsets) == k * envs[0].n_agents + 1
+    assert len(lanes.arms) == k * len(envs[0].arms)
+    assert lanes._panel is envs[0].arms
+    assert lanes._budget_db is envs[0]._budget_db
+    assert lanes._snr is envs[0]._snr
+    both = ChannelLanes(envs, rngs, engine._Layout(envs, [0, 1] * k))
+    n = sum(len(env.arms) for env in envs)
+    assert [len(a) for a in (both._panel, both._budget_db, both._snr)] == [n] * 3
+    alone = ChannelLanes(envs, rngs)  # every lane its own stream: no shift at all
+    assert alone._shift is None and both._shift is not None
+
+
 def _assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -654,7 +730,7 @@ def test_engine_matches_reference_chain_bit_for_bit(
         lanes.draw()
         uniform = rng.random((len(agents), 2))
         if t == 0:
-            slot = init_association(agents, lanes.signal(), uniform)
+            slot = init_association(agents, lanes.strongest(agents), uniform)
         else:
             slot = select_irs(agents, uniform)
         _, satisfied, secrecy = lanes.outcomes(slot)

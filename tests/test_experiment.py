@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import pathlib
@@ -47,6 +48,12 @@ format = {format}
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# traces.csv of the default sweep (12 cells x 100 periods x 100 replications),
+# as scripts/run_default_sweep.py writes it
+FULL_DEFAULT_SWEEP_CSV_SHA256 = (
+    "91dda44cd4232fea3ae2511f2d0e0e243f0f6ed3b048447e874bf5494238b814"
+)
 
 
 def config_keys(text):
@@ -374,6 +381,34 @@ class TestEmitTrace:
         ]
         assert [row.split(",") for row in rows] == want
 
+    def test_copies_out_of_order_write_the_same_bytes(self, tmp_path, monkeypatch):
+        """Only the last trace's numbers are kept formatted: a copy right after
+        its source formats nothing, one further on formats again, and in any
+        order the bytes are those of traces that share no arrays."""
+        a, b = tiny_trace(seed=1), tiny_trace(seed=2)
+        greedy = PolicyConfig(kind=PolicyKind.GREEDY)
+        clustered = TopologyConfig(distribution_case=DistributionCase.CLUSTERED)
+        traces = [
+            a,
+            dataclasses.replace(a, cfg=dataclasses.replace(a.cfg, policy=greedy)),
+            b,
+            dataclasses.replace(b, cfg=dataclasses.replace(b.cfg, topology=clustered)),
+        ]
+        formatted = []
+        rows = experiment._rows
+        monkeypatch.setattr(experiment, "_rows", lambda t: formatted.append(t) or rows(t))
+        orders = [(traces, 2), (traces[::-1], 2), ([traces[i] for i in (0, 2, 1, 3)], 4)]
+        for order, formats in orders:
+            columns = CSV_HEADER.split(",")[5:]
+            apart = [
+                dataclasses.replace(t, **{c: getattr(t, c).copy() for c in columns}) for t in order
+            ]
+            emit_trace(apart, str(tmp_path / "apart.csv"))
+            formatted.clear()
+            emit_trace(order, str(tmp_path / "shared.csv"))
+            assert len(formatted) == formats
+            assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "apart.csv").read_bytes()
+
     def test_rerun_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -506,11 +541,10 @@ class TestChunkTiming:
         with caplog.at_level(logging.DEBUG, logger="irsbandit"):
             summary = run_experiment(spec)
         chunks = [r.getMessage() for r in caplog.records if r.getMessage().startswith("chunk ")]
-        # lanes run replication-major, so each chunk pairs two cells on one
-        # seed; per seed, two of its four chunks pair cells of one case
-        assert len(chunks) == 12
-        assert all(m.startswith("chunk lanes=2 cells=2 streams=") for m in chunks)
-        assert sum(m.startswith("chunk lanes=2 cells=2 streams=1 ") for m in chunks) == 6
+        # lanes run replication-major and by stream, and no cut splits a stream:
+        # the four lanes of a case and seed, above the bound, run as one chunk
+        assert len(chunks) == 6
+        assert all(m.startswith("chunk lanes=4 cells=4 streams=1 ") for m in chunks)
         walls = [float(m.rsplit(": ", 1)[1].split()[0]) for m in chunks]
         # the computed cells: six bandit cells and each case's first greedy
         # cell (sweep cells 6 and 9); their shares add up to the chunks' times
@@ -519,3 +553,25 @@ class TestChunkTiming:
         ]
         computed += [summary.cells[6].wall_seconds, summary.cells[9].wall_seconds]
         assert sum(computed) == pytest.approx(sum(walls), abs=0.01)
+
+
+def test_default_sweep_builds_one_stream_per_case_and_seed(tmp_path, monkeypatch):
+    """The default sweep's lanes build exactly 2 cases x 100 seeds = 200
+    streams: lanes run by stream within each replication and no chunk cut
+    falls between two lanes on one stream. Its traces keep their bytes."""
+    chunks = []
+    cut = engine._chunks
+
+    def recording(lanes):
+        for chunk in cut(lanes):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(engine, "_chunks", recording)
+    out = tmp_path / "traces.csv"
+    spec = dataclasses.replace(parse_config(default_config_text()), output_path=str(out))
+    run_experiment(spec)
+    assert sum(len(engine._streams(chunk)[0]) for chunk in chunks) == 200
+    for before, after in zip(chunks, chunks[1:]):
+        assert engine._stream_key(before[-1]) != engine._stream_key(after[0])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FULL_DEFAULT_SWEEP_CSV_SHA256

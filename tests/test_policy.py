@@ -54,39 +54,50 @@ LAST_BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest uniform a Generator draws
 
 
 class TestInitAssociation:
+    """The warm start an environment hands over is segment_argmax of its RSSI."""
+
     def test_cb_takes_strongest_rssi(self):
         a = agents()
-        slot = init_association(a, [-70.0, -60.0, -80.0], block(a, u2=0.9))
+        strongest = segment_argmax(np.array([-70.0, -60.0, -80.0]), a)
+        slot = init_association(a, strongest, block(a, u2=0.9))
         assert a.arms[slot].tolist() == [1]
         assert a.initialized and a[0].current_irs == 1
         # every agent picks within its own segment
         b = agents((0, 1, 2), (3, 4), (5,), (6, 7, 8))
-        rssi = [-70.0, -60.0, -80.0, -50.0, -55.0, -99.0, -90.0, -91.0, -10.0]
-        init_association(b, rssi, block(b, u2=0.0))
+        rssi = np.array([-70.0, -60.0, -80.0, -50.0, -55.0, -99.0, -90.0, -91.0, -10.0])
+        init_association(b, segment_argmax(rssi, b), block(b, u2=0.0))
         assert panels(b) == [1, 3, 5, 8]
 
     def test_cb_rssi_tie_goes_low(self):
         a = agents((5, 9), (2, 3, 4))
-        init_association(a, [-60.0, -60.0, -1.0, 0.0, 0.0], block(a, u2=0.9))
+        rssi = np.array([-60.0, -60.0, -1.0, 0.0, 0.0])
+        init_association(a, segment_argmax(rssi, a), block(a, u2=0.9))
         assert panels(a) == [5, 3]
 
     def test_greedy_starts_where_u2_points(self):
         # floor(u2 * 8) of 8 candidates, whether or not a signal exists
-        for rssi in (None, [0.0] * 7 + [9.0]):
+        for rssi in (None, np.array([0.0] * 7 + [9.0])):
             for u2, want in ((0.0, 10), (0.3, 12), (0.9999, 17), (LAST_BELOW_ONE, 17)):
                 a = agents(tuple(range(10, 18)), policy=PolicyConfig(kind=GREEDY))
-                init_association(a, rssi, block(a, u1=0.0, u2=u2))
+                strongest = None if rssi is None else segment_argmax(rssi, a)
+                init_association(a, strongest, block(a, u1=0.0, u2=u2))
                 assert panels(a) == [want]
 
     def test_reinitialization_rejected(self):
         a = initialized_agent()
         with pytest.raises(ValueError, match="already initialized"):
-            init_association(a, [0.0, 0.0, 0.0], block(a))
+            init_association(a, [0], block(a))
 
-    def test_misaligned_rssi_rejected(self):
-        a = agents((1, 2))
+    @pytest.mark.parametrize(
+        "strongest",
+        [[0], [0, 1, 2], [2, 2], [0, 1], [-1, 2], [1, 3]],
+        ids=["short", "long", "past-first-agent", "before-last-agent", "negative", "past-end"],
+    )
+    def test_misaligned_strongest_slots_rejected(self, strongest):
+        a = agents((1, 2), (3,))  # agent 0 owns slots 0 and 1, agent 1 slot 2
         with pytest.raises(ValueError, match="align"):
-            init_association(a, [0.0, 0.0, 0.0], block(a))
+            init_association(a, strongest, block(a))
+        assert not a.initialized
 
     def test_cb_without_signal_context_draws_uniformly(self):
         counts = np.zeros(3)
