@@ -6,14 +6,14 @@ fade and carries nothing, so only cascaded links exist. All functions are
 pure; randomness enters only through an explicit Generator.
 
 path_losses_db, budgets_db and snr_factors apply the link formulas to
-whole arrays of hop lengths, with log10 and pow taken element by element
-from math (topology.elementwise), so every element matches the one-link
-formula evaluated in Python floats bit for bit.
+whole arrays of hop lengths, with log10 (through topology.elementwise) and
+pow taken element by element from math, so every element matches the
+one-link formula evaluated in Python floats bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 
 import numpy as np
@@ -104,5 +104,12 @@ def budgets_db(
 
 
 def snr_factors(budget: np.ndarray, p: ChannelParams) -> np.ndarray:
-    """Pre-fading linear SNR of every budget: 10^((budget - noise)/10), to scale by g1 * g2."""
-    return elementwise(functools.partial(pow, 10.0), (budget - p.noise_power_db) / 10.0)
+    """Pre-fading linear SNR of every budget: 10^((budget - noise)/10), to scale by g1 * g2.
+
+    math.pow is mapped over a repeated base, with no call layer between; it
+    gives the bits of 10.0 ** x wherever that is finite, and SimulationConfig
+    rejects (as channel.tx_power_db) any channel whose factor could overflow.
+    """
+    x = (budget - p.noise_power_db) / 10.0
+    out = np.fromiter(map(math.pow, itertools.repeat(10.0), x.ravel().data), float, x.size)
+    return out if x.ndim == 1 else out.reshape(x.shape)

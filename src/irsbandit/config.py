@@ -126,6 +126,8 @@ class ChannelParams:
         _check_numbers(self)
         if self.pathloss_exponent < 2:
             raise ValueError("pathloss_exponent: must be at least 2")
+        if 10.0 * self.pathloss_exponent == math.inf:  # inf * log10(1 m) is NaN
+            raise ValueError("pathloss_exponent: too large, 10 times it overflows")
         if self.irs_gain_db < 0:
             raise ValueError("irs_gain_db: must be non-negative")
 

@@ -47,7 +47,10 @@ alone, whatever runs beside it and whatever the chunk size.
 
 The channel environment computes every link's deterministic budget once per
 stream, when it is built after step 1; periods only combine those budgets
-with the fading gains. That precompute draws nothing either.
+with the fading gains. That precompute draws nothing either. The warm start
+on period 1 screens every stream slot's RSSI with np.log10 and takes the
+exact math.log10 RSSI only of the slots that may be their UE's strongest
+(ChannelLanes.strongest), so it picks the slots the exact RSSI would.
 """
 
 from __future__ import annotations
@@ -340,30 +343,75 @@ class ChannelLanes:
         """Every stream's fading for the period, each from its own Generator."""
         channel.fill_fading(self._draws, self.gains)
 
-    def rssi(self) -> np.ndarray:
-        """This period's RSSI through every stream slot's panel: one log10 per slot."""
+    def _gain(self, slots=None) -> np.ndarray:
+        """This period's g_bs * g_ue of every stream slot, or of the stream slots given."""
         # built in place, so no more than two slot-sized arrays live at once
-        sizes = np.diff(self._stream_offsets)
         ue_row, stride = self._stream_ue
-        at = np.repeat(stride, sizes)
-        at *= self._panel
-        at += np.repeat(ue_row, sizes)
+        if slots is None:
+            sizes = np.diff(self._stream_offsets)
+            panel = self._panel
+            at = np.repeat(stride, sizes)
+            at *= panel
+            at += np.repeat(ue_row, sizes)
+        else:
+            agent = self._stream_offsets.searchsorted(slots, "right") - 1
+            panel = self._panel[slots]
+            at = stride[agent]
+            at *= panel
+            at += ue_row[agent]
         gain = self.gains[at]
         del at
-        gain *= self.gains[self._bs_at][self._panel]
-        rssi = elementwise(math.log10, gain)
+        gain *= self.gains[self._bs_at][panel]
+        return gain
+
+    def rssi(self, slots=None) -> np.ndarray:
+        """This period's exact RSSI of every stream slot, or of the sorted stream
+        slots given: one math.log10 per slot."""
+        rssi = elementwise(math.log10, self._gain(slots))
         rssi *= 10.0
-        rssi += self._budget_db
+        rssi += self._budget_db if slots is None else self._budget_db[slots]
         return rssi
 
     def strongest(self, agents: policy.Segments) -> np.ndarray:
         """Warm start: every agent's slot of strongest RSSI, ties to the lowest slot.
 
-        agents segments the lanes' slots; each lane agent reads its stream agent's argmax.
+        agents segments the lanes' slots; each lane agent reads its stream
+        agent's argmax, the one segment_argmax(rssi()) gives. np.log10 screens
+        every stream slot: only the slots within a margin of their agent's
+        approximate maximum can hold its exact maximum. An agent left with one
+        slot takes it; when some agent keeps more, rssi(kept) decides among
+        them. With no finite margin (an RSSI of -inf) every slot is exact.
         """
+        streams = agents if self._shift is None else policy.Segments(self._stream_offsets)
+        approx = self._gain()
+        # Margin: with u = 2**-53 and np.log10 within k ulps of math.log10
+        # (k = 2 over 1M products of two Exp(1) draws, numpy 2.4 on x86-64), a
+        # slot's screened RSSI and its exact fl(fl(10 * log10 g) + b) differ by
+        # at most (2k + 3) * u * (A + R), A and R bounding |10 log10 g| and the
+        # |RSSI| over the chunk. An agent's exact maximum thus screens within
+        # twice that of its approximate one; 2**-40 * (A + R) covers it and the
+        # rounding of top - margin for any k up to 2000 (all is 0 if A + R = 0).
+        a = 10.0 * max(abs(math.log10(approx.min())), abs(math.log10(approx.max())))
+        np.log10(approx, out=approx)
+        approx *= 10.0
+        approx += self._budget_db
+        margin = 2.0**-40 * (a + max(approx.max(), -approx.min()))
+        if margin < math.inf:
+            top = np.maximum.reduceat(approx, streams.starts)
+            top -= margin
+            # approx - floor >= 0 iff approx >= floor; subtracting in place
+            # frees the repeated floors before the mask is built
+            approx -= np.repeat(top, streams.sizes)
+            best = (approx >= 0.0).nonzero()[0]  # each agent keeps its approximate maximum
+            del approx
+            if len(best) > len(streams.starts):  # some agent kept more: exact RSSI decides
+                within = policy.Segments(np.append(best.searchsorted(streams.starts), len(best)))
+                best = best[policy.segment_argmax(self.rssi(best), within)]
+        else:  # an RSSI of -inf: no error bound, every slot exact
+            del approx
+            best = policy.segment_argmax(self.rssi(), streams)
         if self._shift is None:
-            return policy.segment_argmax(self.rssi(), agents)
-        best = policy.segment_argmax(self.rssi(), policy.Segments(self._stream_offsets))
+            return best
         best = best[self._rows]
         best -= self._shift
         return best
@@ -380,15 +428,21 @@ class ChannelLanes:
         if self._shift is not None:
             slot = slot + self._shift  # the stream slots
         panel = self._panel[slot]
-        g_ue = gains[self._ue_row + panel * self._ue_stride]
-        power = 1.0 + self._snr[slot] * g_bs[panel] * g_ue
-        eve = self._pair_snr * g_bs[self._pair_panel] * gains[self._pair_eve]
-        eve_power = 1.0 + np.maximum.reduceat(eve, self._eve_start)[panel]
+        power = self._snr[slot]  # 1 + snr * g_bs * g_ue, in place in that order
+        power *= g_bs[panel]
+        power *= gains[self._ue_row + panel * self._ue_stride]
+        power += 1.0
+        eve = self._pair_snr * g_bs[self._pair_panel]
+        eve *= gains[self._pair_eve]
+        eve_power = np.maximum.reduceat(eve, self._eve_start)[panel]
+        eve_power += 1.0
+        del slot, panel, g_bs, eve  # freed before the logarithms
         leak = (power > eve_power).nonzero()[0]
         rate = elementwise(math.log2, power) if rates else None
         # the leaking agents' log2(1 + snr) and log2(1 + eve snr), in one call
         logs = elementwise(math.log2, np.concatenate((power[leak], eve_power[leak])))
-        secrecy = np.zeros(len(slot))
+        del eve_power
+        secrecy = np.zeros(len(power))
         secrecy[leak] = logs[: len(leak)] - logs[len(leak) :]
         return rate, power >= self._cutoff, secrecy
 

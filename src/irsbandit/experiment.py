@@ -29,6 +29,7 @@ from .config import (
 )
 from .engine import SatisfactionTrace, run_cells
 from .policy import effective_config
+from .topology import small_cells
 
 log = logging.getLogger("irsbandit")
 
@@ -84,6 +85,10 @@ class ExperimentSpec:
                     message = str(exc).partition(": ")[2]
                     raise ConfigError(f"sweep.{axis}: {message}") from None
         topo = self.base.topology
+        try:
+            small_cells(topo)
+        except ValueError as exc:  # "small_cell_offsets: ..."
+            raise ConfigError(f"topology.{exc}") from None
         clustered = DistributionCase.CLUSTERED in self.cases
         if clustered and topo.ue_count % topo.cluster_size:
             raise ConfigError(

@@ -55,7 +55,7 @@ class NetworkTopology:
 def elementwise(f, a: np.ndarray, *more: np.ndarray) -> np.ndarray:
     """f applied to each element of equally shaped arrays, as a float array.
 
-    Exists for math's hypot, cos, sin, log10, log2 and pow, whose numpy
+    Exists for math's hypot, cos, sin, log10 and log2, whose numpy
     counterparts may round differently in the last bit. The arrays reach
     map as memoryviews, so no list of Python floats is ever held. A call
     with one array builds no list of views and a 1-D one no reshape:
@@ -79,14 +79,11 @@ def _on_circles(centers: np.ndarray, radius: float, angles: np.ndarray) -> np.nd
     return np.stack([x.ravel(), y.ravel()], axis=1)
 
 
-def build_topology(cfg: TopologyConfig, rng: np.random.Generator) -> NetworkTopology:
-    """Construct small cell, IRS and eavesdropper positions (UEs placed separately).
+def small_cells(cfg: TopologyConfig) -> np.ndarray:
+    """Small cell i at grid center + small_cell_offsets[i], as an (N, 2) array.
 
-    Small cell i sits at grid center + small_cell_offsets[i]; panel k of a
-    cell sits at angle 2*pi*k/irs_per_cell on the irs_radius circle.
-    Eavesdropper angles are one (cells, eavesdroppers_per_cell) block of
-    uniform draws. Raises ValueError for offsets that push a small cell or
-    any part of its IRS ring outside the grid.
+    Raises ValueError for offsets that push a small cell or any part of its
+    IRS ring outside the grid.
     """
     side = cfg.grid_side
     cells = side / 2.0 + np.array(cfg.small_cell_offsets, dtype=float)
@@ -98,14 +95,25 @@ def build_topology(cfg: TopologyConfig, rng: np.random.Generator) -> NetworkTopo
             f"small_cell_offsets: small cell {i} at ({x}, {y}) "
             f"leaves the grid or its IRS ring does"
         )
+    return cells
 
+
+def build_topology(cfg: TopologyConfig, rng: np.random.Generator) -> NetworkTopology:
+    """Construct small cell, IRS and eavesdropper positions (UEs placed separately).
+
+    Small cells sit as small_cells places them, or it raises; panel k of a
+    cell sits at angle 2*pi*k/irs_per_cell on the irs_radius circle.
+    Eavesdropper angles are one (cells, eavesdroppers_per_cell) block of
+    uniform draws.
+    """
+    cells = small_cells(cfg)
     n = cfg.irs_per_cell
     angles = 2.0 * math.pi * np.arange(n) / n
     eve_angles = rng.uniform(
         0.0, 2.0 * math.pi, size=(len(cells), cfg.eavesdroppers_per_cell)
     )
     return NetworkTopology(
-        grid_side=side,
+        grid_side=cfg.grid_side,
         cell_xy=cells,
         panel_xy=_on_circles(cells, cfg.irs_radius, angles),
         panel_cell=np.repeat(np.arange(len(cells)), n),
@@ -132,7 +140,9 @@ def place_ues(
         )
     n_clusters = cfg.ue_count // cfg.cluster_size
     centers = rng.uniform(0.0, side, size=(n_clusters, 2))
-    offsets = rng.normal(0.0, cfg.cluster_spread, size=(n_clusters, cfg.cluster_size, 2))
+    # + 0.0 makes a spread of -0.0 the 0.0 that numpy's normal accepts
+    spread = cfg.cluster_spread + 0.0
+    offsets = rng.normal(0.0, spread, size=(n_clusters, cfg.cluster_size, 2))
     return np.clip(centers[:, None, :] + offsets, 0.0, side).reshape(-1, 2)
 
 
@@ -143,8 +153,24 @@ def build_network(cfg: TopologyConfig, rng: np.random.Generator) -> NetworkTopol
 
 
 def serving_cells(xy: np.ndarray, topo: NetworkTopology) -> np.ndarray:
-    """Nearest small cell of each (N, 2) point; ties go to the lowest index."""
-    return distances(xy[:, None], topo.cell_xy).argmin(axis=1)
+    """Nearest small cell of each (N, 2) point; ties go to the lowest index.
+
+    Squared distances screen the cells as in candidate_slots: a cell whose
+    square is within the relative margin (or the floor) of its row's least
+    square may be nearest by hypot, and no other can. A row with one such
+    cell takes it, its least square; math.hypot decides the rows with more.
+    """
+    dx = xy[:, 0:1] - topo.cell_xy[:, 0]
+    dy = xy[:, 1:2] - topo.cell_xy[:, 1]
+    with np.errstate(over="ignore"):
+        square = dx * dx + dy * dy
+        best = square.argmin(axis=1)
+        bound = square[np.arange(len(best)), best] * (1.0 + 1e-12)
+    near = square <= np.maximum(bound, 1e-300)[:, None]
+    if np.count_nonzero(near) > len(best):
+        tied = np.count_nonzero(near, axis=1) > 1
+        best[tied] = elementwise(math.hypot, dx[tied], dy[tied]).argmin(axis=1)
+    return best
 
 
 def candidate_slots(
@@ -161,8 +187,9 @@ def candidate_slots(
     every UE keeps at least one arm.
     """
     ring = topo.rings[serving_cells(topo.ue_xy, topo)]
-    dx = topo.panel_xy[ring, 0] - topo.ue_xy[:, 0:1]
-    dy = topo.panel_xy[ring, 1] - topo.ue_xy[:, 1:2]
+    px, py = np.ascontiguousarray(topo.panel_xy.T)
+    dx = px.take(ring) - topo.ue_xy[:, 0:1]
+    dy = py.take(ring) - topo.ue_xy[:, 1:2]
     if detection_radius is None:
         d = elementwise(math.hypot, dx, dy)
         keep = np.ones(d.shape, dtype=bool)

@@ -13,7 +13,8 @@ from irsbandit.channel import (
     sample_fading,
     snr_factors,
 )
-from irsbandit.config import ChannelParams, TopologyConfig
+from irsbandit.config import ChannelParams, SimulationConfig, TopologyConfig
+from irsbandit.experiment import ConfigError, parse_config
 from irsbandit.topology import build_network
 from reference_model import (
     achievable_rate,
@@ -307,3 +308,52 @@ def test_array_budgets_match_scalar_functions_bit_for_bit(
         assert got_pl[j].hex() == path_loss_db(d, exponent, ref_loss_db).hex()
         assert got_budget[j].hex() == budget.hex()
         assert got_snr[j].hex() == snr_factor(budget, p).hex()
+
+
+def test_snr_factors_are_pow_bit_for_bit_into_the_underflow_range():
+    """snr_factors gives pow(10.0, x) of every exponent x = (budget - noise)/10,
+    bit for bit, over a sweep of x in [-330, 308]: normal results, subnormal
+    ones below 10**-308 and zeros below about 10**-324. A 2-D budget keeps
+    its shape."""
+    p = ChannelParams(noise_power_db=-7.25)
+    rng = np.random.default_rng(2024)
+    exponents = np.concatenate(
+        [
+            np.linspace(-330.0, 308.0, 200_001),
+            rng.uniform(-330.0, 308.0, 200_000),
+            rng.uniform(-325.0, -308.0, 50_000),  # 10**x subnormal or 0
+        ]
+    )
+    budget = 10.0 * exponents + p.noise_power_db
+    got = snr_factors(budget, p)
+    want = [pow(10.0, (b - p.noise_power_db) / 10.0) for b in budget.tolist()]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert (got == 0.0).any() and ((got > 0.0) & (got < 2.2250738585072014e-308)).any()
+    block = budget[:12].reshape(3, 4)
+    assert snr_factors(block, p).tobytes() == got[:12].tobytes()
+    assert snr_factors(block, p).shape == (3, 4)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[channel]\ntx_power_db = 3100\n",
+        "[channel]\nirs_gain_db = 1e308\ntx_power_db = 1e308\n",
+        "[channel]\nnoise_power_db = -3000\n",
+    ],
+)
+def test_snr_overflow_rejected_before_any_pow(text, monkeypatch):
+    """A channel whose SNR factor could overflow is rejected as
+    channel.tx_power_db while the config is read, before any pow runs; left
+    to pow, such a factor overflows."""
+    calls = []
+    real_pow = math.pow
+    monkeypatch.setattr(math, "pow", lambda x, y: calls.append(y) or real_pow(x, y))
+    with pytest.raises(ConfigError, match=r"^channel\.tx_power_db: "):
+        parse_config(text)
+    with pytest.raises(ValueError, match=r"^channel\.tx_power_db: "):
+        SimulationConfig(channel=ChannelParams(tx_power_db=3100.0))
+    assert calls == []
+    with pytest.raises(OverflowError):
+        snr_factors(np.array([3100.0 + 5.0]), ChannelParams())
+    assert calls

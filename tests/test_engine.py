@@ -337,6 +337,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ChannelParams(irs_gain_db=-1.0)
 
+    def test_path_loss_exponent_whose_tenfold_overflows_rejected(self):
+        """10 * n = inf would make the path loss at the 1 m clamp inf * 0 = NaN."""
+        ChannelParams(pathloss_exponent=1.7e307)
+        with pytest.raises(ValueError, match=r"^pathloss_exponent: "):
+            ChannelParams(pathloss_exponent=1e308)
+
     @pytest.mark.parametrize(
         "channel, topology",
         [
@@ -645,6 +651,187 @@ def test_warm_start_is_each_lanes_one_lane_argmax(stream):
         lo, hi = layout.agents[l], layout.agents[l + 1]
         _assert_same_bits(best[lo:hi] - layout.slots[l], want[s])
     init_association(agents, best, np.zeros((len(agents), 2)))  # aligned with every lane
+
+
+def _ulp_walk(start: float, n: int, budget: float):
+    """n consecutive doubles from start, each with the RSSI rssi() takes at
+    budget (math.log10) and the one the screen reads (np.log10 over an array)."""
+    gains = (np.float64(start).view(np.int64) + np.arange(n)).view(np.float64)
+    exact = np.array([10.0 * math.log10(g) + budget for g in gains.tolist()])
+    approx = np.log10(gains)
+    approx *= 10.0
+    approx += budget
+    return gains, exact, approx
+
+
+def _near_tie_gains(budget: float) -> dict:
+    """Gains for a lower and a higher slot of equal budget, and which of the
+    two must win, by a fixed walk over 4096 consecutive doubles from 1.7."""
+    gains, exact, approx = _ulp_walk(1.7, 4096, budget)
+    cases = {"equal gains": (gains[0], gains[0], 0)}
+    # an exact tie the screen reads as a gap, upward
+    tie = ((exact[:-1] == exact[1:]) & (approx[:-1] < approx[1:])).nonzero()[0]
+    if len(tie):
+        i = tie[0]
+        cases["exact tie, screen prefers the higher slot"] = (gains[i], gains[i + 1], 0)
+    # a one-ulp gap the screen does not see
+    gap = ((exact[1:] == np.nextafter(exact[:-1], np.inf)) & (approx[:-1] == approx[1:]))
+    if gap.any():
+        i = gap.nonzero()[0][0]
+        cases["one-ulp gap, higher slot wins"] = (gains[i], gains[i + 1], 1)
+        cases["one-ulp gap, lower slot wins"] = (gains[i + 1], gains[i], 0)
+    return cases
+
+
+NEAR_TIES = [
+    "equal gains",
+    "exact tie, screen prefers the higher slot",
+    "one-ulp gap, higher slot wins",
+    "one-ulp gap, lower slot wins",
+]
+
+
+@pytest.mark.parametrize("stream", [None, [0, 0]], ids=["lone", "shared"])
+@pytest.mark.parametrize("case", NEAR_TIES)
+def test_warm_start_decides_near_ties_by_the_exact_rssi(case, stream):
+    """UE 0 sits on its cell's base station, so two of its slots share one
+    budget; their gains make the two strongest RSSIs an exact tie, a tie
+    that np.log10 reads as a gap, or a one-ulp gap that np.log10 does not
+    see. strongest() picks what segment_argmax(rssi()) and the scalar
+    reference_model.rssi_db pick: the larger exact RSSI, ties to the lower
+    slot, in a lone stream and in two lanes sharing it."""
+    rng = np.random.default_rng(1)
+    topo = build_network(TopologyConfig(detection_radius=25.0), rng)
+    topo.ue_xy[0] = topo.cell_xy[0]
+    params = ChannelParams()
+    env = ChannelEnvironment(topo, params, 1.0, 25.0)
+    layout = engine._Layout([env], stream)
+    lanes = ChannelLanes([env], [rng], layout)
+    lanes.draw()
+    first = range(env.offsets[0], env.offsets[1])
+    budget = env._budget_db
+    a, b = next((a, b) for a in first for b in first if a < b and budget[a] == budget[b])
+    cases = _near_tie_gains(float(budget[a]))
+    if case not in cases:
+        pytest.skip("np.log10 and math.log10 agree on every gain walked")
+    g_a, g_b, winner = cases[case]
+    n_bs = env.blocks[0]
+    for s in first:  # UE 0's other candidates sit far below
+        lanes.gains[n_bs + env.arms[s] * env.n_agents] = 1e-6
+    for s, g in ((a, g_a), (b, g_b)):
+        lanes.gains[env.arms[s]] = 1.0  # BS->IRS
+        lanes.gains[n_bs + env.arms[s] * env.n_agents] = g  # IRS->UE 0
+
+    exact = lanes.rssi()
+    low, high = sorted([exact[a], exact[b]])
+    assert high == (np.nextafter(low, np.inf) if case.startswith("one-ulp") else low)
+    want = policy.segment_argmax(exact, policy.Segments(env.offsets))
+    assert want[0] == (a, b)[winner]
+    ue = topo.ue_xy[0].tolist()
+    reference = [
+        reference_model.rssi_db(
+            topo.cell_xy[topo.panel_cell[arm]].tolist(), topo.panel_xy[arm].tolist(), ue,
+            float(lanes.gains[arm]), float(lanes.gains[n_bs + arm * env.n_agents]), params,
+        )
+        for arm in env.arms[first.start : first.stop].tolist()
+    ]
+    assert first.start + reference_model.argmax_lowest(reference) == want[0]
+    policies = [PolicyConfig()] * len(layout.stream)
+    agents = Agents(layout.offsets, layout.arms, policies, layout.agents)
+    best = lanes.strongest(agents)
+    for l in range(len(layout.stream)):
+        _assert_same_bits(best[layout.agents[l] : layout.agents[l + 1]] - layout.slots[l], want)
+
+
+@pytest.mark.parametrize("ref_losses", [(1e308,), (0.0, 1e308)], ids=["all", "one-stream"])
+def test_warm_start_with_rssi_of_minus_inf_is_exact(ref_losses):
+    """A reference loss of 1e308 dB makes every budget of its stream -inf, so
+    every RSSI there is -inf and the screen has no finite margin: strongest()
+    still gives segment_argmax(rssi()), each such agent's first slot, also
+    for a finite stream in the same chunk."""
+    envs, rngs = [], []
+    for seed, ref_loss in enumerate(ref_losses):
+        rng = np.random.default_rng(seed)
+        topo = build_network(TopologyConfig(), rng)
+        params = ChannelParams(ref_loss_db=ref_loss)
+        with np.errstate(over="ignore"):
+            envs.append(ChannelEnvironment(topo, params, 1.0))
+        rngs.append(rng)
+    assert envs[-1]._budget_db.max() == -math.inf
+    lanes = ChannelLanes(envs, rngs)
+    lanes.draw()
+    policies = [PolicyConfig()] * len(envs)
+    agents = Agents(lanes.offsets, lanes.arms, policies, engine._Layout(envs).agents)
+    best = lanes.strongest(agents)
+    _assert_same_bits(best, policy.segment_argmax(lanes.rssi(), agents))
+    last = envs[-1]
+    assert (best[-last.n_agents :] == lanes.offsets[-last.n_agents - 1 : -1]).all()
+
+
+DENSE_OFFSETS = ((-50.0, -50.0), (50.0, -50.0), (-50.0, 50.0), (50.0, 50.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_panels=st.integers(min_value=16, max_value=32),
+    detection_radius=st.floats(min_value=5.0, max_value=45.0),
+    spread=st.floats(min_value=0.0, max_value=20.0),
+    stream=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=5),
+    tie=st.booleans(),
+)
+def test_screened_warm_start_is_the_exact_argmax_on_dense_rings(
+    seed, n_panels, detection_radius, spread, stream, tie
+):
+    """On dense rings (16-32 panels per cell) with clustered UEs and a
+    detection radius, every lane agent's strongest() slot is its stream
+    agent's segment_argmax of the exact rssi(), in chunks whose lanes share
+    streams; with tie, UE 0 of the first stream sits on a base station and
+    two of its equal-budget slots get equal gains, an exact tie."""
+    ids = {}
+    stream = [ids.setdefault(s, len(ids)) for s in stream]
+    topology = TopologyConfig(
+        small_cell_offsets=DENSE_OFFSETS,
+        small_cell_count=4,
+        irs_per_cell=n_panels,
+        eavesdroppers_per_cell=1,
+        ue_count=40,
+        distribution_case=DistributionCase.CLUSTERED,
+        cluster_size=10,
+        cluster_spread=spread,
+        detection_radius=detection_radius,
+    )
+    envs, rngs = [], []
+    for k in range(len(ids)):
+        rng = np.random.default_rng([seed, k])
+        topo = build_network(topology, rng)
+        if tie and k == 0:
+            topo.ue_xy[0] = topo.cell_xy[0]
+        envs.append(ChannelEnvironment(topo, ChannelParams(), 1.0, detection_radius))
+        rngs.append(rng)
+    layout = engine._Layout(envs, stream)
+    lanes = ChannelLanes(envs, rngs, layout)
+    lanes.draw()
+    if tie:
+        env, n_bs = envs[0], envs[0].blocks[0]
+        first = range(env.offsets[0], env.offsets[1])
+        pair = next(
+            ((a, b) for a in first for b in first
+             if a < b and env._budget_db[a] == env._budget_db[b]),
+            None,
+        )
+        event(f"tie made: {pair is not None}")
+        for s in pair or ():
+            lanes.gains[env.arms[s]] = 1e3
+            lanes.gains[n_bs + env.arms[s] * env.n_agents] = 1e3
+    streams = engine._Layout(envs)
+    want = policy.segment_argmax(lanes.rssi(), policy.Segments(streams.offsets))
+    agents = Agents(layout.offsets, layout.arms, [PolicyConfig()] * len(stream), layout.agents)
+    best = lanes.strongest(agents)
+    rows = streams.agents
+    for l, s in enumerate(stream):
+        got = best[layout.agents[l] : layout.agents[l + 1]] - layout.slots[l]
+        _assert_same_bits(got, want[rows[s] : rows[s + 1]] - streams.slots[s])
 
 
 def test_lanes_on_one_stream_hold_its_slot_state_once():

@@ -6,6 +6,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsbandit import experiment
 from irsbandit.config import (
@@ -242,6 +244,73 @@ class TestParseConfig:
     def test_non_finite_float_rejected_and_named(self, section, key, value):
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: must be finite"):
             parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+_FLOATS = st.one_of(
+    st.floats(min_value=-50.0, max_value=250.0).map(repr),
+    st.sampled_from(["0", "1e-9", "nan", "inf", "-1e309", "1e308"]),
+)
+_INTS = st.integers(min_value=-2, max_value=60).map(str)
+
+
+def _listed(values):
+    return st.lists(values, max_size=3).map(", ".join)
+
+
+# raw text for every key type: mostly well-formed, often out of range
+_RAW = {
+    "int": _INTS,
+    "float": _FLOATS,
+    "bool": st.sampled_from(["true", "false", "yes", "0", "maybe"]),
+    "float | None": st.one_of(st.just("none"), _FLOATS),
+    "str": st.text(alphabet="ab./_-", max_size=6),
+    "OutputFormat": st.sampled_from(["csv", "json", "xml"]),
+    "tuple[tuple[float, float], ...]": _listed(st.tuples(_FLOATS, _FLOATS).map(" ".join)),
+    "tuple[PolicyKind, ...]": _listed(st.sampled_from(["cb", "greedy", "ucb"])),
+    "tuple[DistributionCase, ...]": _listed(st.sampled_from(["random", "clustered", "grid"])),
+    "tuple[int, ...]": _listed(_INTS),
+    "tuple[float, ...]": _listed(_FLOATS),
+}
+
+
+@st.composite
+def config_texts(draw):
+    """Config text setting a few keys of the schema, each to a raw value of its type."""
+    keys = draw(st.lists(st.sampled_from(DEFAULT_KEYS), max_size=6, unique=True))
+    sections = {}
+    for section, key in keys:
+        raw = draw(_RAW[experiment._SECTIONS[section][1][key].type])
+        sections.setdefault(section, []).append(f"{key} = {raw}")
+    return "".join(
+        f"[{section}]\n" + "\n".join(lines) + "\n" for section, lines in sections.items()
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=config_texts())
+def test_every_config_text_runs_or_is_rejected_by_key(text):
+    """Text that parse_config accepts runs every sweep cell for one period,
+    with satisfaction in [0, 1]; text it rejects raises ConfigError whose
+    message starts with the section.key at fault."""
+    try:
+        spec = parse_config(text)
+    except ConfigError as exc:
+        named = str(exc).partition(": ")[0]
+        assert tuple(named.split(".")) in DEFAULT_KEYS, str(exc)
+        return
+    cfgs = [
+        dataclasses.replace(
+            spec.base,
+            topology=dataclasses.replace(spec.base.topology, distribution_case=case),
+            policy=PolicyConfig(kind=kind, omega=omega, phi=phi),
+            periods=1,
+            replications=1,
+        )
+        for kind, case, phi, omega in spec.sweep_cells()
+    ]
+    for trace, _ in engine.run_cells(cfgs):
+        assert 0.0 <= trace.mean_satisfaction[0] <= 1.0
+        assert np.isfinite(trace.mean_secrecy_rate).all()
 
 
 @pytest.mark.parametrize(

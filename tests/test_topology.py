@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from irsbandit.config import DistributionCase, TopologyConfig
 from irsbandit.topology import (
+    NetworkTopology,
     build_network,
     build_topology,
     candidate_slots,
@@ -402,3 +403,139 @@ def test_candidate_slots_at_extreme_scales_match_scalar_selection(scale):
                 want = reference_model.candidate_irs_distances(u, topo, radius)
                 lo, hi = offsets[u], offsets[u + 1]
                 assert (arms[lo:hi].tolist(), distances[lo:hi].tolist()) == want
+
+
+def _cells_only(cell_xy) -> NetworkTopology:
+    """A topology of the given small cells and nothing else: all serving_cells reads."""
+    return NetworkTopology(
+        grid_side=1.0,
+        cell_xy=np.array(cell_xy, dtype=float),
+        panel_xy=np.empty((0, 2)),
+        panel_cell=np.empty(0, dtype=np.int64),
+        eve_xy=np.empty((0, 2)),
+    )
+
+
+def _nearest_by_hypot(xy, topo) -> list[int]:
+    return distances(xy[:, None], topo.cell_xy).argmin(axis=1).tolist()
+
+
+def _ulp(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# Powers of two, so that scaled points on a bisector stay exactly on it: about
+# 1, 3e-160 (squares subnormal), 9e-171 (squares 0) and 1e155 (squares inf).
+SCALES = (1.0, 2.0**-530, 2.0**-565, 2.0**515)
+
+# (cells, points, expected cell of each point or None where only hypot says):
+# points on a bisector (ties go to the lower index), one ulp off it, on a
+# cell centre, and offsets whose squares underflow or overflow.
+SERVING_CASES = {
+    f"bisector-{scale:.0e}": (
+        [(50 * scale, 100 * scale), (150 * scale, 100 * scale)],
+        [
+            ((100 * scale, 37 * scale), 0),
+            ((100 * scale, 100 * scale), 0),
+            ((100 * scale, -63 * scale), 0),
+            ((_ulp(100 * scale, -1), 37 * scale), None),
+            ((_ulp(100 * scale, 1), 37 * scale), None),
+            ((_ulp(100 * scale, -1), 100 * scale), 0),
+            ((_ulp(100 * scale, 1), 100 * scale), 1),
+        ],
+    )
+    for scale in SCALES
+} | {
+    f"centres-{scale:.0e}": (
+        [(50 * scale, 100 * scale), (150 * scale, 100 * scale),
+         (100 * scale, 150 * scale), (100 * scale, 50 * scale)],
+        [
+            ((100 * scale, 100 * scale), 0),  # four ways equidistant
+            ((50 * scale, 100 * scale), 0),
+            ((150 * scale, 100 * scale), 1),
+            ((100 * scale, 150 * scale), 2),
+            ((100 * scale, 50 * scale), 3),
+            ((_ulp(150 * scale, 1), 100 * scale), 1),
+            ((100 * scale, _ulp(50 * scale, -1)), 3),
+        ],
+    )
+    for scale in SCALES
+} | {
+    "underflow": (
+        [(0.0, 0.0), (1e-300, 0.0), (0.0, 1e-300)],
+        [
+            ((5e-324, 0.0), 0),
+            ((5e-301, 0.0), 0),  # squares of both offsets underflow to 0
+            ((5e-301, 5e-301), 0),
+            ((_ulp(5e-301, 1), 0.0), 1),
+            ((1e-300, 1e-300), None),
+            ((-1e-310, 0.0), 0),
+            ((0.0, 1e-300), 2),
+        ],
+    ),
+    # the rounded squares order two cells against their hypot distances
+    "squares-misordered": (
+        [(60.78808382102325, 62.94631010669735), (7.487357064741498, 87.18582783265478),
+         (52.794939827946834, 74.38393376394754)],
+        [((0.0, 0.0), 0)],
+    ),
+    "squares-misordered-2": (
+        [(52.794939827946834, 74.38393376394754), (67.46973606158966, 61.384932918553304)],
+        [((0.0, 0.0), 1)],
+    ),
+    # 1.2e-162 squared rounds to 0, 1.6e-162 squared to the least subnormal
+    "squares-misordered-subnormal": (
+        [(1.2e-162, 1.2e-162), (1.6e-162, 0.0)],
+        [((0.0, 0.0), 1)],
+    ),
+    "overflow": (
+        [(-1e155, 0.0), (1e155, 0.0), (0.0, 1e300)],
+        [
+            ((0.0, 0.0), 0),  # both squares overflow to inf
+            ((_ulp(0.0, 1), 0.0), None),
+            ((1e154, 0.0), 1),
+            ((0.0, 1e300), 2),
+            ((0.0, 6e299), 2),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("cells, points", SERVING_CASES.values(), ids=SERVING_CASES.keys())
+def test_serving_cells_match_hypot_argmin(cells, points):
+    """The squared-distance screen gives the argmin of math.hypot distances
+    for every point, ties to the lowest index, at every scale."""
+    topo = _cells_only(cells)
+    xy = np.array([p for p, _ in points])
+    got = serving_cells(xy, topo).tolist()
+    assert got == _nearest_by_hypot(xy, topo)
+    for g, (_, want) in zip(got, points):
+        assert want is None or g == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    exponent=st.integers(min_value=-320, max_value=300),
+    cells=st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=6
+    ),
+    picks=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2), st.integers(-2, 2)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_serving_cells_at_midpoints_match_hypot_argmin(exponent, cells, picks):
+    """Midpoints of two cells, each coordinate moved 0-2 ulps, on a lattice of
+    cells scaled by 10**exponent: the screen agrees with math.hypot's argmin."""
+    scale = 10.0**exponent
+    cell_xy = [(x * scale, y * scale) for x, y in cells]
+    points = []
+    for i, j, kx, ky in picks:
+        (ax, ay), (bx, by) = cell_xy[i % len(cells)], cell_xy[j % len(cells)]
+        points.append((_ulp(ax / 2 + bx / 2, kx), _ulp(ay / 2 + by / 2, ky)))
+    topo = _cells_only(cell_xy)
+    xy = np.array(points)
+    assert serving_cells(xy, topo).tolist() == _nearest_by_hypot(xy, topo)
