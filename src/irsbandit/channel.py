@@ -31,58 +31,22 @@ def path_losses_db(d: np.ndarray, p: ChannelParams) -> np.ndarray:
     return p.ref_loss_db + 10.0 * p.pathloss_exponent * log_d
 
 
-def sample_fading(rng: np.random.Generator) -> float:
-    """One Rayleigh power gain: a positive Exp(1) draw from a size-1 fading block."""
-    return float(_fading_matrix(rng, (1,))[0])
-
-
-def _fading_matrix(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    g = rng.exponential(size=shape)
-    while not g.all():  # redraw exact zeros; almost never taken
-        zero = g == 0.0
-        g[zero] = rng.exponential(size=int(zero.sum()))
-    return g
-
-
-class _Replay:
-    """Generator stand-in: serves already drawn Exp(1) variates, then continues rng.
-
-    A Generator's exponentials form one sequence however the draws are
-    split into calls, so replaying the drawn ones first and drawing only
-    the shortfall reproduces the stream of separate calls exactly.
-    """
-
-    def __init__(self, drawn: np.ndarray, rng: np.random.Generator):
-        self._drawn = drawn
-        self._rng = rng
-
-    def exponential(self, size):
-        n = math.prod(size) if isinstance(size, tuple) else size
-        head, self._drawn = self._drawn[:n], self._drawn[n:]
-        tail = self._rng.standard_exponential(n - len(head))
-        return np.concatenate([head, tail]).reshape(size)
-
-
 def fill_fading(draws, gains: np.ndarray) -> np.ndarray:
-    """One period's fading for each (rng, out, blocks) of draws; returns gains.
+    """One period's fading for each (rng, out) of draws; returns gains.
 
-    Every out is a 1-D view into gains, filled with consecutive fading
-    blocks of the sizes in blocks, from its own Generator. The result and
-    the stream each Generator is left at are those of one _fading_matrix
-    call per block, in order, each redrawing its exact zeros before the
-    next block starts. When no zero is drawn, which is almost always, that
-    is one draw call per Generator and a single zero check over gains.
+    Every out is a 1-D view into gains, filled with Exp(1) power gains by
+    one draw call on its own Generator. A single check over gains spots
+    exact zeros, which almost never occur; each out holding one then
+    redraws its zeros from its own Generator, in position order, until
+    none is left.
     """
-    for rng, out, _ in draws:
+    for rng, out in draws:
         rng.standard_exponential(out=out)
     if not gains.all():
-        for rng, out, blocks in draws:
-            if not out.all():
-                replay = _Replay(out.copy(), rng)
-                pos = 0
-                for n in blocks:
-                    out[pos : pos + n] = _fading_matrix(replay, (n,))
-                    pos += n
+        for rng, out in draws:
+            while not out.all():
+                zero = out == 0.0
+                out[zero] = rng.standard_exponential(np.count_nonzero(zero))
     return gains
 
 

@@ -29,8 +29,9 @@ eavesdroppers), never by what the agents did. In order:
   1. topology build (eavesdropper angles), then UE placement;
   2. per period t = 1..T:
      a. the environment block. A channel stream draws I + I*U + I*E Exp(1)
-        gains: BS->IRS, then IRS->UE, then IRS->eve, each block's exact
-        zeros redrawn before the next block starts (channel.fill_fading).
+        gains in one call: BS->IRS, then IRS->UE, then IRS->eve. Exact
+        zeros anywhere in it are then redrawn, in position order, until
+        none is left (channel.fill_fading).
         A Bernoulli stream draws U uniforms, one per agent in agent order;
         they are read after the decisions: agent u is satisfied iff its
         uniform is below its arm's probability;
@@ -182,9 +183,6 @@ class ChannelEnvironment:
         )
         self.blocks = channel.fading_blocks(len(topo.panel_xy), self.n_agents, len(topo.eve_xy))
 
-    def candidate_arms(self, u: int) -> tuple[int, ...]:
-        return tuple(self.arms[self.offsets[u] : self.offsets[u + 1]].tolist())
-
 
 class BernoulliEnvironment:
     """Abstract plug-in: each arm satisfies with a fixed probability.
@@ -276,9 +274,10 @@ class ChannelLanes:
     layout (by default one lane per stream) places the lanes on them.
     gains holds every stream's period back to back. A stream's part is its
     BS->IRS gains, then its IRS->UE and IRS->eve gains, each block
-    row-major by panel, as channel.fill_fading draws them. Panels are
-    numbered across the streams: stream s's panel i is chunk panel
-    panel_base[s] + i, and _bs_at gives each chunk panel's BS->IRS gain.
+    row-major by panel: one draw from the stream's Generator, as
+    channel.fill_fading makes it. Panels are numbered across the streams:
+    stream s's panel i is chunk panel panel_base[s] + i, and _bs_at gives
+    each chunk panel's BS->IRS gain.
     Slot state is per stream: every stream slot (the streams' slots end to
     end, a lone stream's arrays uncopied) keeps its chunk panel, budget and
     SNR factor, and a lane's agent finds its stream slot at its lane slot
@@ -303,7 +302,7 @@ class ChannelLanes:
         b = p = 0  # the stream's first gain and first chunk panel
         for env, rng in zip(envs, rngs):
             n_bs, n_ue, n_eve = env.blocks
-            self._draws.append((rng, self.gains[b : b + n_bs + n_ue + n_eve], env.blocks))
+            self._draws.append((rng, self.gains[b : b + n_bs + n_ue + n_eve]))
             bs_at.append(b + np.arange(n_bs))
             snr = env._eve_snr
             if n_eve:

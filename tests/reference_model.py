@@ -157,27 +157,21 @@ class Fading(NamedTuple):
     g_irs_eve: np.ndarray
 
 
-def _exponential_block(rng, shape) -> np.ndarray:
-    """One rng.exponential call of the shape, its exact zeros redrawn until none is left."""
-    g = rng.exponential(size=shape)
-    while not g.all():
-        zero = g == 0.0
-        g[zero] = rng.exponential(size=int(zero.sum()))
-    return g
-
-
 def draw_fading(topo, rng) -> Fading:
     """One period's block fading, a channel lane's environment block in the
     engine's determinism contract.
 
-    Three blocks in order, BS->IRS, IRS->UE and IRS->eve, each one
-    rng.exponential call whose exact zeros are redrawn before the next
-    block starts.
+    One rng.exponential call of I + I*U + I*E gains, BS->IRS, then IRS->UE,
+    then IRS->eve; its exact zeros are redrawn, in position order, until
+    none is left, and only then is it split into the three blocks.
     """
     n_irs, n_ue, n_eve = len(topo.panel_xy), len(topo.ue_xy), len(topo.eve_xy)
-    g_bs_irs = _exponential_block(rng, (n_irs,))
-    g_irs_ue = _exponential_block(rng, (n_irs, n_ue))
-    return Fading(g_bs_irs, g_irs_ue, _exponential_block(rng, (n_irs, n_eve)))
+    g = rng.exponential(size=n_irs * (1 + n_ue + n_eve))
+    while not g.all():
+        zero = g == 0.0
+        g[zero] = rng.exponential(size=int(zero.sum()))
+    g_bs_irs, g_irs_ue, g_irs_eve = np.split(g, [n_irs, n_irs * (1 + n_ue)])
+    return Fading(g_bs_irs, g_irs_ue.reshape(n_irs, n_ue), g_irs_eve.reshape(n_irs, n_eve))
 
 
 def argmax_lowest(values) -> int:

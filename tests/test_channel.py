@@ -1,18 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsbandit.channel import (
-    _fading_matrix,
-    budgets_db,
-    fill_fading,
-    path_losses_db,
-    sample_fading,
-    snr_factors,
-)
+from irsbandit.channel import budgets_db, fill_fading, path_losses_db, snr_factors
 from irsbandit.config import ChannelParams, SimulationConfig, TopologyConfig
 from irsbandit.experiment import ConfigError, parse_config
 from irsbandit.topology import build_network
@@ -20,6 +14,7 @@ from reference_model import (
     achievable_rate,
     budget_db,
     cascaded_snr,
+    draw_fading,
     feed_db,
     path_loss_db,
     rssi_db,
@@ -57,26 +52,28 @@ class TestPathLoss:
         assert path_loss_db(d1, n, 0.0) <= path_loss_db(d2, n, 0.0)
 
 
+def fading(rng, n: int) -> np.ndarray:
+    """n Rayleigh power gains from rng, drawn as one stream's fading."""
+    out = np.empty(n)
+    return fill_fading([(rng, out)], out)
+
+
 class TestFading:
     def test_strictly_positive(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_fading(rng) > 0 for _ in range(1000))
+        assert fading(np.random.default_rng(0), 1000).all()
 
     def test_unit_mean_and_variance(self):
-        rng = np.random.default_rng(42)
-        draws = np.array([sample_fading(rng) for _ in range(100_000)])
+        draws = fading(np.random.default_rng(42), 100_000)
         assert abs(draws.mean() - 1.0) < 0.01
         assert abs(draws.var() - 1.0) < 0.05
 
     def test_same_seed_same_sequence(self):
-        a = [sample_fading(np.random.default_rng(5)) for _ in range(1)]
-        b = [sample_fading(np.random.default_rng(5)) for _ in range(1)]
-        assert a == b
-        ra = np.random.default_rng(6)
-        rb = np.random.default_rng(6)
-        assert [sample_fading(ra) for _ in range(50)] == [
-            sample_fading(rb) for _ in range(50)
-        ]
+        """One call or several, a seed's gains are one sequence."""
+        ra, rb = np.random.default_rng(6), np.random.default_rng(6)
+        whole = fading(ra, 50)
+        parts = np.concatenate([fading(rb, n) for n in (1, 20, 0, 29)])
+        assert whole.tobytes() == parts.tobytes()
+        assert ra.bit_generator.state == rb.bit_generator.state
 
 
 class TestCascadedSnr:
@@ -148,7 +145,7 @@ class Scripted:
         return out.copy()
 
     def exponential(self, size):
-        return self._take(math.prod(size) if isinstance(size, tuple) else size).reshape(size)
+        return self._take(size)
 
     def standard_exponential(self, size=None, out=None):
         if out is None:
@@ -157,49 +154,97 @@ class Scripted:
         return out
 
 
+def _network(n_panels: int, n_ues: int, n_eves: int) -> SimpleNamespace:
+    """Node counts as reference_model.draw_fading reads them from a network."""
+    return SimpleNamespace(
+        panel_xy=np.empty((n_panels, 2)), ue_xy=np.empty((n_ues, 2)), eve_xy=np.empty((n_eves, 2))
+    )
+
+
+def _reference_fading(shape, rng) -> np.ndarray:
+    """reference_model.draw_fading's gains of a (panels, UEs, eavesdroppers)
+    network, flat in the engine's order: BS->IRS, IRS->UE, IRS->eve."""
+    real = draw_fading(_network(*shape), rng)
+    return np.concatenate([real.g_bs_irs, real.g_irs_ue.ravel(), real.g_irs_eve.ravel()])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    blocks=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=4),
+    shape=st.tuples(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+    ),
     values=st.lists(
         st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=5.0)),
         min_size=60,
         max_size=60,
     ),
 )
-def test_fill_fading_matches_one_fading_matrix_per_block(blocks, values):
-    """Exact zeros are redrawn block by block, as separate draws would.
-
-    One draw call fills every block; when it holds a zero, the variates are
-    replayed through _fading_matrix block by block and only the shortfall
-    is drawn, so both the gains and the stream consumed match one
-    _fading_matrix call per block.
-    """
+def test_fill_fading_matches_the_reference_draw(shape, values):
+    """Exact zeros anywhere in a stream's block are redrawn, in position
+    order, until none is left: the gains and the stream consumed are those
+    of reference_model.draw_fading."""
     values[40:] = [1.0] * 20  # no zero can outlast the script
     want_rng = Scripted(values)
     try:
-        want = np.concatenate([_fading_matrix(want_rng, (n,)) for n in blocks])
+        want = _reference_fading(shape, want_rng)
     except AssertionError:  # more zeros than the script covers
         return
     got_rng = Scripted(values)
-    got = np.empty(sum(blocks))
-    fill_fading([(got_rng, got, blocks)], got)
+    got = fading(got_rng, len(want))
     assert got.tobytes() == want.tobytes()
     assert got_rng.used == want_rng.used
     assert got.all()
 
 
-def test_fill_fading_lanes_draw_from_their_own_streams():
-    """Two lanes in one buffer; the second's zero is redrawn from its own stream."""
-    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-    scripted = [0.5, 0.0, 1.5, 2.0, 0.25]
-    gains = np.empty(29)
-    draws = [(rng, gains[:25], (5, 15, 5)), (Scripted(scripted), gains[25:], (2, 2))]
+# A (2 panels, 2 UEs, 1 eavesdropper) block: BS->IRS gains at 0-1, IRS->UE
+# at 2-5, IRS->eve at 6-7; the script's values from position 8 on are redraws.
+_DRAWN = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+
+
+@pytest.mark.parametrize(
+    "zeros, redraws, want, used",
+    [
+        ([0], [9.0], [9.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], 9),
+        ([3], [9.0], [1.0, 2.0, 3.0, 9.0, 5.0, 6.0, 7.0, 8.0], 9),
+        ([7], [9.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0], 9),
+        ([1, 4, 6], [9.0, 10.0, 11.0], [1.0, 9.0, 3.0, 4.0, 10.0, 6.0, 11.0, 8.0], 11),
+        ([0, 5], [0.0, 9.0, 10.0], [10.0, 2.0, 3.0, 4.0, 5.0, 9.0, 7.0, 8.0], 11),
+    ],
+    ids=["bs-irs", "irs-ue", "irs-eve", "every-block", "redraw-is-zero"],
+)
+def test_fill_fading_redraws_zeros_in_position_order(zeros, redraws, want, used):
+    """Zeros in each block, and a redraw that is itself 0.0, against the
+    values worked by hand and against the reference draw."""
+    drawn = [0.0 if k in zeros else v for k, v in enumerate(_DRAWN)]
+    script = drawn + redraws + [99.0]  # the last value is never reached
+    ref_rng, rng = Scripted(script), Scripted(script)
+    assert _reference_fading((2, 2, 1), ref_rng).tolist() == want
+    assert fading(rng, 8).tolist() == want
+    assert rng.used == ref_rng.used == used
+
+
+def test_fill_fading_streams_redraw_from_their_own_generators():
+    """Three streams in one buffer: each redraws its own zeros from its own
+    Generator and leaves it where the reference draw leaves it."""
+    shapes = [(2, 2, 1), (1, 3, 0), (3, 2, 2)]
+    scripts = [
+        [0.5, 0.0, 1.5, 2.0, 0.25, 3.0, 0.0, 1.0, 0.0, 4.0, 5.0, 6.0],
+        [0.0, 7.0, 8.0, 9.0, 0.0, 10.0, 11.0],
+    ]
+    rngs = [Scripted(v) for v in scripts] + [np.random.default_rng(8)]
+    twins = [Scripted(v) for v in scripts] + [np.random.default_rng(8)]
+    sizes = [p * (1 + u + e) for p, u, e in shapes]
+    bounds = np.cumsum([0] + sizes)
+    gains = np.empty(bounds[-1])
+    draws = [(rng, gains[lo:hi]) for rng, lo, hi in zip(rngs, bounds, bounds[1:])]
     fill_fading(draws, gains)
-    want = np.concatenate([_fading_matrix(twin, (n,)) for n in (5, 15, 5)])
-    assert gains[:25].tobytes() == want.tobytes()
-    assert rng.bit_generator.state == twin.bit_generator.state
-    assert gains[25:].tolist() == [0.5, 1.5, 2.0, 0.25]
-    assert draws[1][0].used == 5
+    want = np.concatenate([_reference_fading(s, twin) for s, twin in zip(shapes, twins)])
+    assert gains.tobytes() == want.tobytes()
+    assert gains[:12].tolist() == [0.5, 5.0, 1.5, 2.0, 0.25, 3.0, 4.0, 1.0, 10.0, 7.0, 8.0, 9.0]
+    assert [rng.used for rng in rngs[:2]] == [twin.used for twin in twins[:2]] == [11, 6]
+    assert rngs[2].bit_generator.state == twins[2].bit_generator.state
 
 
 class TestRssi:

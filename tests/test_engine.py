@@ -369,6 +369,31 @@ class TestConfigValidation:
         assert np.isfinite(res.rates).all() and np.isfinite(res.mean_secrecy).all()
         assert res.satisfied.all()
 
+    @pytest.mark.parametrize(
+        "channel, topology",
+        [
+            (ChannelParams(ref_loss_db=1e308), TopologyConfig()),
+            (ChannelParams(tx_power_db=-1e308, noise_power_db=1e308), TopologyConfig()),
+            (ChannelParams(pathloss_exponent=1e307), TopologyConfig()),
+            # only the IRS -> eavesdropper hops, up to about 1e20 m, overflow
+            (ChannelParams(pathloss_exponent=1e306), TopologyConfig(eve_radius=1e20)),
+        ],
+    )
+    def test_config_whose_weakest_link_is_dead_rejected(self, channel, topology):
+        """A link budget that is not finite down to its SNR exponent is
+        rejected by name; left to the run, numpy overflows to -inf with a
+        RuntimeWarning and the link is dead."""
+        with pytest.raises(ValueError, match=r"^channel\.ref_loss_db: "):
+            SimulationConfig(channel=channel, topology=topology)
+
+    @pytest.mark.filterwarnings("error")
+    def test_weakest_link_bound_skips_absent_eavesdroppers(self):
+        topology = TopologyConfig(eve_radius=1e20, eavesdroppers_per_cell=0)
+        channel = ChannelParams(pathloss_exponent=1e306)
+        cfg = small_cfg(channel=channel, topology=topology, periods=2, replications=1)
+        res = run_replication(cfg, seed=3)
+        assert not res.satisfied.any() and (res.mean_secrecy == 0.0).all()
+
 
 THRESHOLDS = [1e-12, 0.5, 1.0, 2.0, 10.0, 1023.5, 1024.0, 1e6]
 
@@ -502,10 +527,9 @@ def test_environment_matches_scalar_channel_bit_for_bit(
         for k in range(sizes.max())
     ]
     for u, ue in enumerate(topo.ue_xy.tolist()):
-        arms = env.candidate_arms(u)
+        arms = env.arms[env.offsets[u] : env.offsets[u + 1]].tolist()
         want_arms, _ = reference_model.candidate_irs_distances(u, topo, detection_radius)
-        assert list(arms) == want_arms
-        assert env.arms[env.offsets[u] : env.offsets[u + 1]].tolist() == list(arms)
+        assert arms == want_arms
         for k, i in enumerate(arms):
             bs = topo.cell_xy[topo.panel_cell[i]].tolist()
             irs = topo.panel_xy[i].tolist()

@@ -286,12 +286,13 @@ def config_texts(draw):
     )
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=150, deadline=None)
 @given(text=config_texts())
 def test_every_config_text_runs_or_is_rejected_by_key(text):
     """Text that parse_config accepts runs every sweep cell for one period,
-    with satisfaction in [0, 1]; text it rejects raises ConfigError whose
-    message starts with the section.key at fault."""
+    without a warning and with satisfaction in [0, 1]; text it rejects raises
+    ConfigError whose message starts with the section.key at fault."""
     try:
         spec = parse_config(text)
     except ConfigError as exc:
