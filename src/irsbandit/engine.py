@@ -124,7 +124,6 @@ class ReplicationResult:
     satisfied: np.ndarray | None
     rates: np.ndarray | None
     agents: policy.Agents | None
-    fading_blocks: int
     wall_seconds: float
 
 
@@ -133,7 +132,8 @@ class SatisfactionTrace:
     """Per-iteration mean satisfaction aggregated over a cell's replications.
 
     cfg is the cell's config: its policy, case, seeds and replication and
-    period counts are the trace's own.
+    period counts are the trace's own. fading_blocks counts the periods'
+    fading blocks, one per period of every replication.
     """
 
     cfg: SimulationConfig
@@ -159,9 +159,10 @@ class ChannelEnvironment:
     Slots are the agents' flat layout: UE u's k-th candidate sits at slot
     offsets[u] + k, and arms[s] is the panel index of slot s. blocks gives
     the sizes of one period's fading blocks: BS->IRS, IRS->UE, IRS->eve.
+    A budget that is not finite is rejected as channel.ref_loss_db, the key
+    SimulationConfig names for it, so every RSSI the warm start reads is
+    finite.
     """
-
-    fading_blocks_per_period = 1
 
     def __init__(
         self,
@@ -174,13 +175,15 @@ class ChannelEnvironment:
         self.n_agents = len(topo.ue_xy)
         self.arms, self.offsets, d_rx = candidate_slots(topo, detection_radius)
         d_feed = distances(topo.cell_xy[topo.panel_cell], topo.panel_xy)
-        self._budget_db = channel.budgets_db(d_feed, self.arms, d_rx, params)
-        self._snr = channel.snr_factors(self._budget_db, params)
         d_eve = distances(topo.panel_xy[:, None], topo.eve_xy)
         panels = np.arange(len(topo.panel_xy))[:, None]
-        self._eve_snr = channel.snr_factors(
-            channel.budgets_db(d_feed, panels, d_eve, params), params
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+            self._budget_db = channel.budgets_db(d_feed, self.arms, d_rx, params)
+            eve_db = channel.budgets_db(d_feed, panels, d_eve, params)
+        if not (np.isfinite(self._budget_db).all() and np.isfinite(eve_db).all()):
+            raise ValueError("channel.ref_loss_db: a link budget is not finite")
+        self._snr = channel.snr_factors(self._budget_db, params)
+        self._eve_snr = channel.snr_factors(eve_db, params)
         self.blocks = channel.fading_blocks(len(topo.panel_xy), self.n_agents, len(topo.eve_xy))
 
 
@@ -195,8 +198,6 @@ class BernoulliEnvironment:
     and read after its decisions. The reported rate is 1.0 or 0.0 and
     secrecy is always 0.
     """
-
-    fading_blocks_per_period = 0
 
     def __init__(self, arm_probs, n_agents: int = 1):
         self.arm_probs = np.fromiter(arm_probs, dtype=float)
@@ -225,6 +226,13 @@ def _shifted(a: np.ndarray, k: int) -> np.ndarray:
     return a + k if k else a
 
 
+def _slot_layout(envs) -> tuple[list[int], np.ndarray]:
+    """Each environment's first slot, and the flat offsets of their agents end to end."""
+    slots = list(accumulate((len(env.arms) for env in envs), initial=0))
+    parts = [env.offsets[:-1] + base for env, base in zip(envs, slots)]
+    return slots, np.concatenate(parts + [slots[-1:]])
+
+
 class _Layout:
     """Where each lane of a chunk sits in the concatenated agents and slots.
 
@@ -233,25 +241,27 @@ class _Layout:
     agents[l + 1] - 1 and slots slots[l] to slots[l + 1] - 1; offsets is
     the chunk's flat slot layout. Stream s owns rows stream_rows[s] to
     stream_rows[s + 1] - 1 of a block drawn per agent, and agent u reads
-    row rows[u]; rows is None when every lane is its own stream, so the
-    rows are the agents.
+    row rows[u]; stream_offsets is the flat slot layout of the streams'
+    agents end to end, and a lane agent's slot + shift[agent] is its stream
+    slot. When every lane is its own stream, rows and shift are None and
+    stream_offsets is offsets: the rows are the agents and the stream slots
+    the lane slots.
     """
 
     def __init__(self, envs, stream=None):
         self.stream = range(len(envs)) if stream is None else stream
         lanes = [envs[s] for s in self.stream]
         self.agents = list(accumulate((env.n_agents for env in lanes), initial=0))
-        self.slots = list(accumulate((len(env.arms) for env in lanes), initial=0))
-        self.offsets = np.concatenate(
-            [env.offsets[:-1] + base for env, base in zip(lanes, self.slots)]
-            + [self.slots[-1:]]
-        )
+        self.slots, self.offsets = _slot_layout(lanes)
         self.arms = _joined([env.arms for env in lanes])
         self.stream_rows = list(accumulate((env.n_agents for env in envs), initial=0))
-        self.rows = None
+        self.stream_offsets, self.rows, self.shift = self.offsets, None, None
         if len(lanes) > len(envs):
             rows = self.stream_rows
             self.rows = np.concatenate([np.arange(rows[s], rows[s + 1]) for s in self.stream])
+            stream_slots, self.stream_offsets = _slot_layout(envs)
+            shift = [stream_slots[s] - lo for s, lo in zip(self.stream, self.slots)]
+            self.shift = np.repeat(shift, np.diff(self.agents))
 
 
 def _log2_cutoff(threshold: float) -> float:
@@ -329,46 +339,35 @@ class ChannelLanes:
         self._stream_ue = np.concatenate(ue_row), np.repeat(n_ues, n_ues)
         cutoff = np.repeat([_log2_cutoff(env.rate_threshold) for env in envs], n_ues)
         per_agent = (*self._stream_ue, cutoff)
-        self._stream_offsets, self._rows, self._shift = layout.offsets, layout.rows, None
+        self._stream_offsets = layout.stream_offsets
+        self._rows, self._shift = layout.rows, layout.shift
         if layout.rows is not None:  # each lane agent reads its stream agent's
             per_agent = [a[layout.rows] for a in per_agent]
-            streams = _Layout(envs)
-            self._stream_offsets = streams.offsets
-            shift = [streams.slots[s] - lo for s, lo in zip(layout.stream, layout.slots)]
-            self._shift = np.repeat(shift, np.diff(layout.agents))
         self._ue_row, self._ue_stride, self._cutoff = per_agent
 
     def draw(self) -> None:
         """Every stream's fading for the period, each from its own Generator."""
         channel.fill_fading(self._draws, self.gains)
 
-    def _gain(self, slots=None) -> np.ndarray:
-        """This period's g_bs * g_ue of every stream slot, or of the stream slots given."""
+    def _gain(self) -> np.ndarray:
+        """This period's g_bs * g_ue of every stream slot."""
         # built in place, so no more than two slot-sized arrays live at once
         ue_row, stride = self._stream_ue
-        if slots is None:
-            sizes = np.diff(self._stream_offsets)
-            panel = self._panel
-            at = np.repeat(stride, sizes)
-            at *= panel
-            at += np.repeat(ue_row, sizes)
-        else:
-            agent = self._stream_offsets.searchsorted(slots, "right") - 1
-            panel = self._panel[slots]
-            at = stride[agent]
-            at *= panel
-            at += ue_row[agent]
+        sizes = np.diff(self._stream_offsets)
+        at = np.repeat(stride, sizes)
+        at *= self._panel
+        at += np.repeat(ue_row, sizes)
         gain = self.gains[at]
         del at
-        gain *= self.gains[self._bs_at][panel]
+        gain *= self.gains[self._bs_at][self._panel]
         return gain
 
-    def rssi(self, slots=None) -> np.ndarray:
-        """This period's exact RSSI of every stream slot, or of the sorted stream
-        slots given: one math.log10 per slot."""
-        rssi = elementwise(math.log10, self._gain(slots))
+    def rssi(self, slots=slice(None)) -> np.ndarray:
+        """This period's exact RSSI of every stream slot, or of the stream slots
+        given: one math.log10 per slot returned."""
+        rssi = elementwise(math.log10, self._gain()[slots])
         rssi *= 10.0
-        rssi += self._budget_db if slots is None else self._budget_db[slots]
+        rssi += self._budget_db[slots]
         return rssi
 
     def strongest(self, agents: policy.Segments) -> np.ndarray:
@@ -379,7 +378,8 @@ class ChannelLanes:
         every stream slot: only the slots within a margin of their agent's
         approximate maximum can hold its exact maximum. An agent left with one
         slot takes it; when some agent keeps more, rssi(kept) decides among
-        them. With no finite margin (an RSSI of -inf) every slot is exact.
+        them. Every RSSI is finite (ChannelEnvironment rejects a budget that is
+        not, and every gain is positive), so the margin is too.
         """
         streams = agents if self._shift is None else policy.Segments(self._stream_offsets)
         approx = self._gain()
@@ -395,20 +395,16 @@ class ChannelLanes:
         approx *= 10.0
         approx += self._budget_db
         margin = 2.0**-40 * (a + max(approx.max(), -approx.min()))
-        if margin < math.inf:
-            top = np.maximum.reduceat(approx, streams.starts)
-            top -= margin
-            # approx - floor >= 0 iff approx >= floor; subtracting in place
-            # frees the repeated floors before the mask is built
-            approx -= np.repeat(top, streams.sizes)
-            best = (approx >= 0.0).nonzero()[0]  # each agent keeps its approximate maximum
-            del approx
-            if len(best) > len(streams.starts):  # some agent kept more: exact RSSI decides
-                within = policy.Segments(np.append(best.searchsorted(streams.starts), len(best)))
-                best = best[policy.segment_argmax(self.rssi(best), within)]
-        else:  # an RSSI of -inf: no error bound, every slot exact
-            del approx
-            best = policy.segment_argmax(self.rssi(), streams)
+        top = np.maximum.reduceat(approx, streams.starts)
+        top -= margin
+        # approx - floor >= 0 iff approx >= floor; subtracting in place
+        # frees the repeated floors before the mask is built
+        approx -= np.repeat(top, streams.sizes)
+        best = (approx >= 0.0).nonzero()[0]  # each agent keeps its approximate maximum
+        del approx
+        if len(best) > len(streams.starts):  # some agent kept more: exact RSSI decides
+            within = policy.Segments(np.append(best.searchsorted(streams.starts), len(best)))
+            best = best[policy.segment_argmax(self.rssi(best), within)]
         if self._shift is None:
             return best
         best = best[self._rows]
@@ -582,7 +578,6 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     ), "a network's period draws differ from its config's"
     layout = _Layout(envs, stream)
     batch = _LANES[type(envs[0])](envs, rngs, layout)
-    fading_blocks = chunk[0].cfg.periods * envs[0].fading_blocks_per_period
     bounds, rows, stream_rows = layout.agents, layout.rows, layout.stream_rows
     agents = policy.Agents(layout.offsets, layout.arms, [lane.cfg.policy for lane in chunk], bounds)
     del envs, layout  # batch and agents hold all that is left to read
@@ -650,7 +645,6 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
                 satisfied=columns[1],
                 rates=columns[2],
                 agents=lane_agents,
-                fading_blocks=fading_blocks,
                 wall_seconds=wall / len(chunk),
             )
         )
@@ -700,7 +694,7 @@ def _aggregate(cfg: SimulationConfig, results) -> SatisfactionTrace:
         mean_satisfaction=mean,
         ci95_halfwidth=halfwidth,
         mean_secrecy_rate=per_rep_secrecy.mean(axis=0),
-        fading_blocks=sum(res.fading_blocks for res in results),
+        fading_blocks=cfg.periods * n_rep,
         per_replication=per_rep,
     )
 

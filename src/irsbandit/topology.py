@@ -182,35 +182,32 @@ def candidate_slots(
     global panel index and distances[s] its panel-to-UE distance, the one
     the detection-radius filter compared (also the IRS -> UE hop length).
     A UE's candidates are its serving cell's ring (see serving_cells), in
-    panel order; when detection_radius is set, panels farther than that are
-    dropped, and if that would empty the set the full ring stands in, so
-    every UE keeps at least one arm.
+    panel order, without the panels farther than detection_radius (None
+    keeps every panel); if that would empty the set the full ring stands
+    in, so every UE keeps at least one arm.
     """
+    radius = math.inf if detection_radius is None else detection_radius
     ring = topo.rings[serving_cells(topo.ue_xy, topo)]
     px, py = np.ascontiguousarray(topo.panel_xy.T)
     dx = px.take(ring) - topo.ue_xy[:, 0:1]
     dy = py.take(ring) - topo.ue_xy[:, 1:2]
-    if detection_radius is None:
-        d = elementwise(math.hypot, dx, dy)
-        keep = np.ones(d.shape, dtype=bool)
-    else:
-        # Only slots whose squared distance is within a relative margin of
-        # the radius's square can pass; the margin covers the rounding of
-        # dx*dx + dy*dy and of hypot many times over, and the floor keeps a
-        # square that underflows from excluding anything; a square that
-        # overflows compares as inf. The exact hypot then decides those
-        # slots, and gives every slot of a full-ring row.
-        bound = max(detection_radius * detection_radius * (1.0 + 1e-12), 1e-300)
-        with np.errstate(over="ignore"):
-            near = dx * dx + dy * dy <= bound
-        d = np.empty(dx.shape)
-        d[near] = elementwise(math.hypot, dx[near], dy[near])
-        keep = near.copy()
-        keep[near] = d[near] <= detection_radius
-        full = ~keep.any(axis=1)
-        rest = full[:, None] & ~near
-        d[rest] = elementwise(math.hypot, dx[rest], dy[rest])
-        keep[full] = True
+    # Only slots whose squared distance is within a relative margin of the
+    # radius's square can pass; the margin covers the rounding of dx*dx +
+    # dy*dy and of hypot many times over, and the floor keeps a square that
+    # underflows from excluding anything; a square that overflows compares
+    # as inf, so with no radius every slot passes. The exact hypot then
+    # decides those slots, and gives every slot of a full-ring row.
+    bound = max(radius * radius * (1.0 + 1e-12), 1e-300)
+    with np.errstate(over="ignore"):
+        near = dx * dx + dy * dy <= bound
+    d = np.empty(dx.shape)
+    d[near] = elementwise(math.hypot, dx[near], dy[near])
+    keep = near.copy()
+    keep[near] = d[near] <= radius
+    full = ~keep.any(axis=1)
+    rest = full[:, None] & ~near
+    d[rest] = elementwise(math.hypot, dx[rest], dy[rest])
+    keep[full] = True
     offsets = np.zeros(len(ring) + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(keep, axis=1), out=offsets[1:])
     return ring[keep], offsets, d[keep]

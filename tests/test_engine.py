@@ -239,7 +239,6 @@ class TestRunReplication:
             s = res.satisfaction
             assert (np.diff(s) >= 0).all()
             assert s[-1] == 1.0
-            assert res.fading_blocks == 0  # abstract env draws no blocks
 
     def test_threshold_monotone_on_realized_rates(self):
         cfg = small_cfg(periods=30, replications=1)
@@ -669,7 +668,10 @@ def test_warm_start_is_each_lanes_one_lane_argmax(stream):
         want.append(policy.segment_argmax(alone[-1], one_lane))
     assert alone[0][a] == alone[0][b] == alone[0][first].max()
     assert want[0][0] == a
-    _assert_same_bits(lanes.rssi(), np.concatenate(alone))
+    every = lanes.rssi()
+    _assert_same_bits(every, np.concatenate(alone))
+    some = np.arange(len(every))[::-7]  # any stream slots, in any order
+    _assert_same_bits(lanes.rssi(some), every[some])
     best = lanes.strongest(agents)
     for l, s in enumerate(layout.stream):
         lo, hi = layout.agents[l], layout.agents[l + 1]
@@ -767,29 +769,39 @@ def test_warm_start_decides_near_ties_by_the_exact_rssi(case, stream):
         _assert_same_bits(best[layout.agents[l] : layout.agents[l + 1]] - layout.slots[l], want)
 
 
-@pytest.mark.parametrize("ref_losses", [(1e308,), (0.0, 1e308)], ids=["all", "one-stream"])
-def test_warm_start_with_rssi_of_minus_inf_is_exact(ref_losses):
-    """A reference loss of 1e308 dB makes every budget of its stream -inf, so
-    every RSSI there is -inf and the screen has no finite margin: strongest()
-    still gives segment_argmax(rssi()), each such agent's first slot, also
-    for a finite stream in the same chunk."""
-    envs, rngs = [], []
-    for seed, ref_loss in enumerate(ref_losses):
-        rng = np.random.default_rng(seed)
-        topo = build_network(TopologyConfig(), rng)
-        params = ChannelParams(ref_loss_db=ref_loss)
-        with np.errstate(over="ignore"):
-            envs.append(ChannelEnvironment(topo, params, 1.0))
-        rngs.append(rng)
-    assert envs[-1]._budget_db.max() == -math.inf
-    lanes = ChannelLanes(envs, rngs)
-    lanes.draw()
-    policies = [PolicyConfig()] * len(envs)
-    agents = Agents(lanes.offsets, lanes.arms, policies, engine._Layout(envs).agents)
-    best = lanes.strongest(agents)
-    _assert_same_bits(best, policy.segment_argmax(lanes.rssi(), agents))
-    last = envs[-1]
-    assert (best[-last.n_agents :] == lanes.offsets[-last.n_agents - 1 : -1]).all()
+@pytest.mark.parametrize(
+    "params, far",
+    [
+        (ChannelParams(ref_loss_db=1e308), None),
+        # a path loss exponent of 1e306 overflows only hops beyond about 1e17 m
+        (ChannelParams(pathloss_exponent=1e306), "eve"),
+        (ChannelParams(pathloss_exponent=1e306), "ue"),
+    ],
+    ids=["every budget", "eavesdropper budgets only", "UE budgets only"],
+)
+@pytest.mark.filterwarnings("error")
+def test_environment_whose_budget_is_not_finite_rejected(params, far):
+    """A budget of -inf, on every link or only on the eavesdropper or the UE
+    links, is rejected by the key SimulationConfig names, without a numpy
+    warning, so the warm start never reads an RSSI of -inf."""
+    topo = build_network(TopologyConfig(), np.random.default_rng(0))
+    if far == "eve":
+        topo = dataclasses.replace(topo, eve_xy=topo.eve_xy + 1e20)
+    elif far == "ue":
+        topo.ue_xy[0] = 1e20  # served by its nearest cell, 1e20 m from its ring
+    with pytest.raises(ValueError, match=r"^channel\.ref_loss_db: "):
+        ChannelEnvironment(topo, params, 1.0)
+
+
+def test_lane_with_a_prebuilt_channel_environment_is_sized_like_its_config():
+    """A lane carrying its own ChannelEnvironment draws as many floats per
+    period as the lane that builds it from the config, so chunks are cut alike."""
+    cfg = small_cfg()
+    topo = build_network(cfg.topology, np.random.default_rng(cfg.base_seed))
+    env = ChannelEnvironment(topo, cfg.channel, cfg.rate_threshold)
+    built = engine._period_floats(Lane(cfg, cfg.base_seed))
+    assert engine._period_floats(Lane(cfg, cfg.base_seed, env)) == built
+    assert built == sum(env.blocks) + 2 * env.n_agents
 
 
 DENSE_OFFSETS = ((-50.0, -50.0), (50.0, -50.0), (-50.0, 50.0), (50.0, 50.0))
@@ -1144,7 +1156,6 @@ def _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes):
         for r in (res, light):
             _assert_same_bits(r.satisfaction, want.satisfaction)
             _assert_same_bits(r.mean_secrecy, want.mean_secrecy)
-            assert r.fading_blocks == want.fading_blocks
         assert light.chosen is None and light.agents is None
         assert len(res.agents) == len(want.agents)
         for record, agent in zip(res.agents, want.agents, strict=True):

@@ -386,7 +386,8 @@ def test_build_network_matches_scalar_layout(
 def test_candidate_slots_at_extreme_scales_match_scalar_selection(scale):
     """The squared-distance pre-filter loses no slot when squares leave the
     normal range: a layout shrunk to 1e-160 m (squares subnormal) or grown to
-    1e155 m (squares overflow), each radius exactly one panel's distance."""
+    1e155 m (squares overflow), each radius exactly one panel's distance, and
+    no radius, whose screen must pass every slot."""
     cfg = TopologyConfig(
         grid_side=200 * scale,
         small_cell_offsets=((-50 * scale, 0.0), (50 * scale, 0.0)),
@@ -397,7 +398,7 @@ def test_candidate_slots_at_extreme_scales_match_scalar_selection(scale):
     for seed in range(4):
         topo = build_network(cfg, np.random.default_rng(seed))
         _, ring_distances = reference_model.candidate_irs_distances(0, topo)
-        for radius in ring_distances:
+        for radius in [*ring_distances, None]:
             arms, offsets, distances = candidate_slots(topo, radius)
             for u in range(cfg.ue_count):
                 want = reference_model.candidate_irs_distances(u, topo, radius)
