@@ -50,9 +50,9 @@ def fill_fading(draws, gains: np.ndarray) -> np.ndarray:
     return gains
 
 
-def fading_blocks(n_panels: int, n_ues: int, n_eves: int) -> tuple[int, int, int]:
+def fading_blocks(n_panels: int, n_slots: int, n_eves: int) -> tuple[int, int, int]:
     """Sizes of one period's fading blocks, in draw order: BS->IRS, IRS->UE, IRS->eve."""
-    return n_panels, n_panels * n_ues, n_panels * n_eves
+    return n_panels, n_slots, n_panels * n_eves
 
 
 def budgets_db(

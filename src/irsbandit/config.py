@@ -188,11 +188,12 @@ class SimulationConfig:
         peak_db = p.tx_power_db + p.irs_gain_db - 2 * p.ref_loss_db - p.noise_power_db
         if not peak_db - 10 * p.pathloss_exponent * math.log10(d_feed) <= 3000.0:
             raise ValueError("channel.tx_power_db: the largest linear SNR factor exceeds 1e300")
-        # The weakest link's budget, in channel.budgets_db's order, must stay finite down
-        # to its SNR exponent. Panels and UEs lie in the grid and eavesdroppers within
-        # eve_radius of a cell in it, so with a relative margin for the rounding of the
-        # positions, irs_radius bounds every feed and the grid's diagonal plus eve_radius
-        # every UE and eavesdropper hop.
+        # Every link's budget, in channel.budgets_db's order, must lie within 2**1022 dB
+        # (see engine.ChannelLanes.strongest) and stay finite down to its SNR exponent.
+        # No hop loses less than ref_loss_db; panels and UEs lie in the grid and
+        # eavesdroppers within eve_radius of a cell in it, so with a relative margin for
+        # the rounding of the positions, irs_radius bounds every feed and the grid's
+        # diagonal plus eve_radius every UE and eavesdropper hop.
         t, slack = self.topology, 1.0 + 2.0**-20
         d_rx = math.hypot(t.grid_side, t.grid_side) * slack
         if t.eavesdroppers_per_cell:
@@ -204,5 +205,7 @@ class SimulationConfig:
             - (p.ref_loss_db + n10 * math.log10(max(t.irs_radius * slack, 1.0)))
             - (p.ref_loss_db + n10 * math.log10(max(d_rx, 1.0)))
         )
-        if not math.isfinite((floor_db - p.noise_power_db) / 10.0):
-            raise ValueError("channel.ref_loss_db: the weakest link's budget is not finite")
+        ceiling_db = p.tx_power_db + p.irs_gain_db - p.ref_loss_db - p.ref_loss_db
+        exponent = (floor_db - p.noise_power_db) / 10.0
+        if not (-(2.0**1022) <= floor_db and ceiling_db <= 2.0**1022 and math.isfinite(exponent)):
+            raise ValueError("channel.ref_loss_db: a link budget is not within 2**1022 dB")

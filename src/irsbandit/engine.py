@@ -24,14 +24,14 @@ Generator, network, fading, policy block and slot state are made once and
 every lane of the stream reads them.
 
 Determinism contract: each stream has one Generator, and every draw it
-makes has a size fixed by the stream's shape (I panels, U agents, E
-eavesdroppers), never by what the agents did. In order:
+makes has a size fixed by the stream's shape after step 1 (I panels, U
+agents, S slots, E eavesdroppers), never by what the agents did. In order:
   1. topology build (eavesdropper angles), then UE placement;
   2. per period t = 1..T:
-     a. the environment block. A channel stream draws I + I*U + I*E Exp(1)
-        gains in one call: BS->IRS, then IRS->UE, then IRS->eve. Exact
-        zeros anywhere in it are then redrawn, in position order, until
-        none is left (channel.fill_fading).
+     a. the environment block. A channel stream draws I + S + I*E Exp(1)
+        gains in one call: BS->IRS, IRS->UE in slot order, then IRS->eve
+        row-major by panel. Exact zeros anywhere in it are then redrawn,
+        in position order, until none is left (channel.fill_fading).
         A Bernoulli stream draws U uniforms, one per agent in agent order;
         they are read after the decisions: agent u is satisfied iff its
         uniform is below its arm's probability;
@@ -80,16 +80,17 @@ log = logging.getLogger("irsbandit")
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
-# Most floats one period of a chunk's lanes would draw alone, summed over
-# its lanes. A default lane draws 440 (16 panels x (1 BS + 20 UE + 4 eve)
-# gains, then 20 x 2 policy uniforms), so about 74 default lanes share a
-# chunk (72 in the default sweep, which never cuts its runs of 4 lanes on
-# one stream); a run above the bound runs alone. Per-lane state (each
-# lane's agents and reward counters) grows with this sum, and per-stream
-# state (the draws, each stream slot's panel, budget and SNR factor) at
-# most with it, so the bound caps a chunk's peak memory. Lanes that share
-# a stream draw and hold its state once, so the sweep's bandit and greedy
-# lanes on one seed hold a fraction of it.
+# Most floats one period of a chunk's lanes may draw alone, summed over its
+# lanes. A default lane draws 16 + 160 + 64 gains and 40 policy uniforms, and
+# is cut on the bound 16 x (1 BS + 20 UE + 4 eve) + 40 = 440 (_period_floats),
+# so about 74 default lanes share a chunk (72 in the default sweep, which
+# never cuts its runs of 4 lanes on one stream); a run above the bound runs
+# alone. Per-lane state (each lane's agents and reward counters) grows with
+# this sum, and per-stream state (the draws, each stream slot's panel,
+# budget, SNR factor and gain position) at most with it, so the bound caps a
+# chunk's peak memory. Lanes that share a stream draw and hold its state
+# once, so the sweep's bandit and greedy lanes on one seed hold a fraction
+# of it.
 CHUNK_FLOATS = 2**15
 
 
@@ -158,10 +159,10 @@ class ChannelEnvironment:
 
     Slots are the agents' flat layout: UE u's k-th candidate sits at slot
     offsets[u] + k, and arms[s] is the panel index of slot s. blocks gives
-    the sizes of one period's fading blocks: BS->IRS, IRS->UE, IRS->eve.
-    A budget that is not finite is rejected as channel.ref_loss_db, the key
-    SimulationConfig names for it, so every RSSI the warm start reads is
-    finite.
+    the sizes of one period's fading blocks: BS->IRS, IRS->UE (one per
+    slot), IRS->eve. A budget that is not within 2**1022 dB is rejected as
+    channel.ref_loss_db, the key SimulationConfig names for it, so the warm
+    start's screen never overflows (see ChannelLanes.strongest).
     """
 
     def __init__(
@@ -180,11 +181,11 @@ class ChannelEnvironment:
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
             self._budget_db = channel.budgets_db(d_feed, self.arms, d_rx, params)
             eve_db = channel.budgets_db(d_feed, panels, d_eve, params)
-        if not (np.isfinite(self._budget_db).all() and np.isfinite(eve_db).all()):
-            raise ValueError("channel.ref_loss_db: a link budget is not finite")
+        if not all((abs(b) <= 2.0**1022).all() for b in (self._budget_db, eve_db)):  # NaN fails too
+            raise ValueError("channel.ref_loss_db: a link budget is not within 2**1022 dB")
         self._snr = channel.snr_factors(self._budget_db, params)
         self._eve_snr = channel.snr_factors(eve_db, params)
-        self.blocks = channel.fading_blocks(len(topo.panel_xy), self.n_agents, len(topo.eve_xy))
+        self.blocks = channel.fading_blocks(len(topo.panel_xy), len(self.arms), len(topo.eve_xy))
 
 
 class BernoulliEnvironment:
@@ -283,24 +284,23 @@ class ChannelLanes:
     envs and rngs hold one environment and Generator per stream, and
     layout (by default one lane per stream) places the lanes on them.
     gains holds every stream's period back to back. A stream's part is its
-    BS->IRS gains, then its IRS->UE and IRS->eve gains, each block
-    row-major by panel: one draw from the stream's Generator, as
-    channel.fill_fading makes it. Panels are numbered across the streams:
-    stream s's panel i is chunk panel panel_base[s] + i, and _bs_at gives
-    each chunk panel's BS->IRS gain.
+    BS->IRS gains, panel by panel, then one IRS->UE gain per stream slot, in
+    slot order, then its IRS->eve gains, row-major by panel: one draw from
+    the stream's Generator, as channel.fill_fading makes it. Panels are
+    numbered across the streams: stream s's panel i is chunk panel
+    panel_base[s] + i, and _bs_at gives each chunk panel's BS->IRS gain.
     Slot state is per stream: every stream slot (the streams' slots end to
-    end, a lone stream's arrays uncopied) keeps its chunk panel, budget and
-    SNR factor, and a lane's agent finds its stream slot at its lane slot
-    + _shift[agent] (_shift is None when every lane is its own stream).
-    Every agent keeps its stream's UE count (the row stride of the IRS->UE
-    block), _ue_row, where _ue_row + p * stride is its gain through chunk
-    panel p, and its lane's satisfaction cutoff (_log2_cutoff). Every
-    stream's (panel, eavesdropper) pair, panel by panel, keeps its chunk
-    panel, its IRS->eve gain's position and its SNR factor; a stream
-    without eavesdroppers holds one pair per panel with SNR factor 0
-    instead. So lanes that share a stream read the same gains and slot
-    state, and the strongest eavesdropper of every chunk panel is one
-    reduceat over its pairs, 0 on a panel without one.
+    end, a lone stream's arrays uncopied) keeps its chunk panel, budget,
+    SNR factor and the position of its IRS->UE gain (_ue_at), and a lane's
+    agent finds its stream slot at its lane slot + _shift[agent] (_shift is
+    None when every lane is its own stream). Every agent keeps its lane's
+    satisfaction cutoff (_log2_cutoff). Every stream's (panel, eavesdropper)
+    pair, panel by panel, keeps its chunk panel, its IRS->eve gain's
+    position and its SNR factor; a stream without eavesdroppers holds one
+    pair per panel with SNR factor 0 instead. So lanes that share a stream
+    read the same gains and slot state, and the strongest eavesdropper of
+    every chunk panel is one reduceat over its pairs, 0 on a panel without
+    one.
     """
 
     def __init__(self, envs, rngs, layout=None):
@@ -308,12 +308,13 @@ class ChannelLanes:
         self.offsets, self.arms = layout.offsets, layout.arms
         self.gains = np.empty(sum(sum(env.blocks) for env in envs))
         self._draws = []
-        bs_at, pair_panel, pair_eve, pair_snr, ue_row, panel_base = [], [], [], [], [], []
+        bs_at, ue_at, pair_panel, pair_eve, pair_snr, panel_base = [], [], [], [], [], []
         b = p = 0  # the stream's first gain and first chunk panel
         for env, rng in zip(envs, rngs):
             n_bs, n_ue, n_eve = env.blocks
             self._draws.append((rng, self.gains[b : b + n_bs + n_ue + n_eve]))
             bs_at.append(b + np.arange(n_bs))
+            ue_at.append(b + n_bs + np.arange(n_ue))
             snr = env._eve_snr
             if n_eve:
                 pair_eve.append(b + n_bs + n_ue + np.arange(n_eve))
@@ -322,11 +323,11 @@ class ChannelLanes:
                 pair_eve.append(np.full(n_bs, b))
             pair_panel.append(p + np.arange(n_bs).repeat(snr.shape[1]))
             pair_snr.append(snr.ravel())
-            ue_row.append(b + n_bs - p * env.n_agents + np.arange(env.n_agents))
             panel_base.append(p)
             b += n_bs + n_ue + n_eve
             p += n_bs
         self._bs_at = np.concatenate(bs_at)
+        self._ue_at = np.concatenate(ue_at)
         self._pair_panel = np.concatenate(pair_panel)
         self._pair_eve = np.concatenate(pair_eve)
         self._pair_snr = _joined(pair_snr)
@@ -335,15 +336,10 @@ class ChannelLanes:
         self._panel = _joined([_shifted(env.arms, q) for env, q in zip(envs, panel_base)])
         self._budget_db = _joined([env._budget_db for env in envs])
         self._snr = _joined([env._snr for env in envs])
-        n_ues = [env.n_agents for env in envs]
-        self._stream_ue = np.concatenate(ue_row), np.repeat(n_ues, n_ues)
-        cutoff = np.repeat([_log2_cutoff(env.rate_threshold) for env in envs], n_ues)
-        per_agent = (*self._stream_ue, cutoff)
+        cutoffs = [_log2_cutoff(env.rate_threshold) for env in envs]
+        self._cutoff = np.repeat([cutoffs[s] for s in layout.stream], np.diff(layout.agents))
         self._stream_offsets = layout.stream_offsets
         self._rows, self._shift = layout.rows, layout.shift
-        if layout.rows is not None:  # each lane agent reads its stream agent's
-            per_agent = [a[layout.rows] for a in per_agent]
-        self._ue_row, self._ue_stride, self._cutoff = per_agent
 
     def draw(self) -> None:
         """Every stream's fading for the period, each from its own Generator."""
@@ -351,14 +347,7 @@ class ChannelLanes:
 
     def _gain(self) -> np.ndarray:
         """This period's g_bs * g_ue of every stream slot."""
-        # built in place, so no more than two slot-sized arrays live at once
-        ue_row, stride = self._stream_ue
-        sizes = np.diff(self._stream_offsets)
-        at = np.repeat(stride, sizes)
-        at *= self._panel
-        at += np.repeat(ue_row, sizes)
-        gain = self.gains[at]
-        del at
+        gain = self.gains[self._ue_at]
         gain *= self.gains[self._bs_at][self._panel]
         return gain
 
@@ -390,6 +379,9 @@ class ChannelLanes:
         # |RSSI| over the chunk. An agent's exact maximum thus screens within
         # twice that of its approximate one; 2**-40 * (A + R) covers it and the
         # rounding of top - margin for any k up to 2000 (all is 0 if A + R = 0).
+        # Nothing overflows: budgets are within 2**1022 dB (ChannelEnvironment) and
+        # A < 3240, so R < 2**1022 + 2A, margin < 2**983, and top - margin and
+        # approx - top are below 2R + margin < 2**1023.1 < 2**1024 in magnitude.
         a = 10.0 * max(abs(math.log10(approx.min())), abs(math.log10(approx.max())))
         np.log10(approx, out=approx)
         approx *= 10.0
@@ -425,7 +417,7 @@ class ChannelLanes:
         panel = self._panel[slot]
         power = self._snr[slot]  # 1 + snr * g_bs * g_ue, in place in that order
         power *= g_bs[panel]
-        power *= gains[self._ue_row + panel * self._ue_stride]
+        power *= gains[self._ue_at[slot]]
         power += 1.0
         eve = self._pair_snr * g_bs[self._pair_panel]
         eve *= gains[self._pair_eve]
@@ -481,21 +473,24 @@ def _kind(lane: Lane) -> type:
 
 
 def _period_floats(lane: Lane) -> int:
-    """Floats one period of the lane draws: its environment block (fading
-    gains, or outcome uniforms), then its policy block of 2 per agent.
+    """Most floats one period of the lane may draw: its environment block
+    (fading gains, or outcome uniforms), then its policy block of 2 per agent.
 
-    Read from the config, so chunks are cut before any network is built and
-    no lane's set-up outlives its own chunk.
+    A channel lane counts every UE on every panel, I + I*U + I*E gains, read
+    from the config (or alike from its own ChannelEnvironment), so chunks are
+    cut before any network is built and no lane's set-up outlives its chunk.
     """
     env = lane.environment
     if env is None:
         t = lane.cfg.topology
         cells = len(t.small_cell_offsets)
-        n_panels, n_eves = cells * t.irs_per_cell, cells * t.eavesdroppers_per_cell
-        return sum(channel.fading_blocks(n_panels, t.ue_count, n_eves)) + 2 * t.ue_count
-    if isinstance(env, ChannelEnvironment):
-        return sum(env.blocks) + 2 * env.n_agents
-    return 3 * env.n_agents
+        n_panels, n_ues = cells * t.irs_per_cell, t.ue_count
+        n_pairs = n_panels * cells * t.eavesdroppers_per_cell
+    elif isinstance(env, ChannelEnvironment):
+        (n_panels, _, n_pairs), n_ues = env.blocks, env.n_agents
+    else:
+        return 3 * env.n_agents
+    return n_panels * (1 + n_ues) + n_pairs + 2 * n_ues
 
 
 def _chunks(lanes):
@@ -570,12 +565,12 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         )
         for lane, rng in zip(streams, rngs)
     ]
-    # the chunk was cut on block sizes read from the configs; the networks must agree
+    # the chunk was cut on bounds read from the configs; no network may draw more
     assert all(
-        sum(env.blocks) + 2 * env.n_agents == _period_floats(lane)
+        sum(env.blocks) + 2 * env.n_agents <= _period_floats(lane)
         for lane, env in zip(streams, envs)
         if lane.environment is None
-    ), "a network's period draws differ from its config's"
+    ), "a network's period draws exceed its config's bound"
     layout = _Layout(envs, stream)
     batch = _LANES[type(envs[0])](envs, rngs, layout)
     bounds, rows, stream_rows = layout.agents, layout.rows, layout.stream_rows

@@ -150,28 +150,32 @@ def candidate_irs_distances(
 
 
 class Fading(NamedTuple):
-    """One period's power gains: g_bs_irs[i], g_irs_ue[i, u] and g_irs_eve[i, e]."""
+    """One period's power gains: g_bs_irs[i], g_irs_ue[i, u] for every
+    candidate panel i of UE u, and g_irs_eve[i, e]."""
 
     g_bs_irs: np.ndarray
-    g_irs_ue: np.ndarray
+    g_irs_ue: dict
     g_irs_eve: np.ndarray
 
 
-def draw_fading(topo, rng) -> Fading:
+def draw_fading(topo, candidates, rng) -> Fading:
     """One period's block fading, a channel lane's environment block in the
-    engine's determinism contract.
+    engine's determinism contract; candidates[u] lists UE u's candidate panels.
 
-    One rng.exponential call of I + I*U + I*E gains, BS->IRS, then IRS->UE,
-    then IRS->eve; its exact zeros are redrawn, in position order, until
-    none is left, and only then is it split into the three blocks.
+    One rng.exponential call of I + S + I*E gains, S the number of (UE,
+    candidate panel) pairs: BS->IRS, then one IRS->UE gain per pair, UE by
+    UE and each UE's panels in listed order, then IRS->eve; its exact zeros
+    are redrawn, in position order, until none is left, and only then is it
+    split into the three blocks.
     """
-    n_irs, n_ue, n_eve = len(topo.panel_xy), len(topo.ue_xy), len(topo.eve_xy)
-    g = rng.exponential(size=n_irs * (1 + n_ue + n_eve))
+    n_irs, n_eve = len(topo.panel_xy), len(topo.eve_xy)
+    pairs = [(i, u) for u, panels in enumerate(candidates) for i in panels]
+    g = rng.exponential(size=n_irs + len(pairs) + n_irs * n_eve)
     while not g.all():
         zero = g == 0.0
         g[zero] = rng.exponential(size=int(zero.sum()))
-    g_bs_irs, g_irs_ue, g_irs_eve = np.split(g, [n_irs, n_irs * (1 + n_ue)])
-    return Fading(g_bs_irs, g_irs_ue.reshape(n_irs, n_ue), g_irs_eve.reshape(n_irs, n_eve))
+    g_bs_irs, g_irs_ue, g_irs_eve = np.split(g, [n_irs, n_irs + len(pairs)])
+    return Fading(g_bs_irs, dict(zip(pairs, g_irs_ue.tolist())), g_irs_eve.reshape(n_irs, n_eve))
 
 
 def argmax_lowest(values) -> int:
@@ -307,7 +311,7 @@ def channel_replication(cfg: SimulationConfig, seed: int) -> ReferenceRun:
     ]
     run = _empty_run(cfg.periods, agents)
     for t in range(cfg.periods):
-        real = draw_fading(topo, rng)
+        real = draw_fading(topo, [agent.candidate_irs for agent in agents], rng)
         uniforms = rng.random((len(agents), 2)).tolist()
         for u, (agent, (u1, u2)) in enumerate(zip(agents, uniforms)):
             if agent.initialized:

@@ -154,18 +154,20 @@ class Scripted:
         return out
 
 
-def _network(n_panels: int, n_ues: int, n_eves: int) -> SimpleNamespace:
+def _network(n_panels: int, n_eves: int) -> SimpleNamespace:
     """Node counts as reference_model.draw_fading reads them from a network."""
-    return SimpleNamespace(
-        panel_xy=np.empty((n_panels, 2)), ue_xy=np.empty((n_ues, 2)), eve_xy=np.empty((n_eves, 2))
-    )
+    return SimpleNamespace(panel_xy=np.empty((n_panels, 2)), eve_xy=np.empty((n_eves, 2)))
 
 
 def _reference_fading(shape, rng) -> np.ndarray:
     """reference_model.draw_fading's gains of a (panels, UEs, eavesdroppers)
-    network, flat in the engine's order: BS->IRS, IRS->UE, IRS->eve."""
-    real = draw_fading(_network(*shape), rng)
-    return np.concatenate([real.g_bs_irs, real.g_irs_ue.ravel(), real.g_irs_eve.ravel()])
+    network whose every UE holds every panel, flat in the engine's order:
+    BS->IRS, IRS->UE by (UE, candidate panel) pair, IRS->eve."""
+    n_panels, n_ues, n_eves = shape
+    real = draw_fading(_network(n_panels, n_eves), [range(n_panels)] * n_ues, rng)
+    return np.concatenate(
+        [real.g_bs_irs, list(real.g_irs_ue.values()), real.g_irs_eve.ravel()]
+    )
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -385,6 +386,41 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"^channel\.ref_loss_db: "):
             SimulationConfig(channel=channel, topology=topology)
 
+    @pytest.mark.parametrize(
+        "inside, outside",
+        [
+            ({"ref_loss_db": 2.0**1021}, {"ref_loss_db": 8.988465674311579e307}),
+            ({"ref_loss_db": 2.0**1021}, {"ref_loss_db": math.nextafter(2.0**1021, math.inf)}),
+            (
+                dict.fromkeys(("tx_power_db", "noise_power_db"), 2.0**1022),
+                dict.fromkeys(("tx_power_db", "noise_power_db"), math.nextafter(2.0**1022, 1e308)),
+            ),
+        ],
+        ids=["about -2**1023 dB", "one ulp below -2**1022 dB", "one ulp above 2**1022 dB"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_budget_beyond_2_to_the_1022_db_rejected(self, inside, outside):
+        """A finite budget beyond 2**1022 dB in magnitude is rejected by name;
+        left to the run, the warm start's screen overflowed subtracting its
+        margin. Every budget at 2**1022 dB, just inside, runs without a warning."""
+        with pytest.raises(ValueError, match=r"^channel\.ref_loss_db: "):
+            SimulationConfig(channel=ChannelParams(**outside), periods=2, replications=1)
+        cfg = small_cfg(channel=ChannelParams(**inside), periods=2, replications=1)
+        res = run_replication(cfg, seed=3)
+        assert np.isfinite(res.rates).all() and np.isfinite(res.mean_secrecy).all()
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"rate_threshold": 0.0}, "rate_threshold: must be positive"),
+            ({"rate_threshold": -1.0}, "rate_threshold: must be positive"),
+            ({"replications": 0}, "replications: must be at least 1"),
+        ],
+    )
+    def test_out_of_range_experiment_value_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimulationConfig(**changes)
+
     @pytest.mark.filterwarnings("error")
     def test_weakest_link_bound_skips_absent_eavesdroppers(self):
         topology = TopologyConfig(eve_radius=1e20, eavesdroppers_per_cell=0)
@@ -513,10 +549,14 @@ def test_environment_matches_scalar_channel_bit_for_bit(
     )
     env = ChannelEnvironment(topo, params, threshold, detection_radius)
     twin = copy.deepcopy(rng)
-    real = reference_model.draw_fading(topo, twin)
+    candidates = [
+        reference_model.candidate_irs_distances(u, topo, detection_radius)[0]
+        for u in range(n_ues)
+    ]
+    real = reference_model.draw_fading(topo, candidates, twin)
     lanes = ChannelLanes([env], [rng])
     lanes.draw()
-    flat = np.concatenate([real.g_bs_irs, real.g_irs_ue.ravel(), real.g_irs_eve.ravel()])
+    flat = np.concatenate([real.g_bs_irs, list(real.g_irs_ue.values()), real.g_irs_eve.ravel()])
     _assert_same_bits(lanes.gains, flat)
     assert rng.bit_generator.state == twin.bit_generator.state
     rssi = lanes.rssi()
@@ -657,7 +697,7 @@ def test_warm_start_is_each_lanes_one_lane_argmax(stream):
     n_bs = env.blocks[0]
     for s in (a, b):
         lanes.gains[env.arms[s]] = 1e3  # BS->IRS
-        lanes.gains[n_bs + env.arms[s] * env.n_agents] = 1e3  # IRS->UE 0
+        lanes.gains[n_bs + s] = 1e3  # IRS->UE of slot s
     parts = np.cumsum([0] + [sum(e.blocks) for e in envs])
     alone, want = [], []
     for env, lo, hi in zip(envs, parts, parts[1:]):
@@ -743,10 +783,10 @@ def test_warm_start_decides_near_ties_by_the_exact_rssi(case, stream):
     g_a, g_b, winner = cases[case]
     n_bs = env.blocks[0]
     for s in first:  # UE 0's other candidates sit far below
-        lanes.gains[n_bs + env.arms[s] * env.n_agents] = 1e-6
+        lanes.gains[n_bs + s] = 1e-6
     for s, g in ((a, g_a), (b, g_b)):
         lanes.gains[env.arms[s]] = 1.0  # BS->IRS
-        lanes.gains[n_bs + env.arms[s] * env.n_agents] = g  # IRS->UE 0
+        lanes.gains[n_bs + s] = g  # IRS->UE of slot s
 
     exact = lanes.rssi()
     low, high = sorted([exact[a], exact[b]])
@@ -757,9 +797,9 @@ def test_warm_start_decides_near_ties_by_the_exact_rssi(case, stream):
     reference = [
         reference_model.rssi_db(
             topo.cell_xy[topo.panel_cell[arm]].tolist(), topo.panel_xy[arm].tolist(), ue,
-            float(lanes.gains[arm]), float(lanes.gains[n_bs + arm * env.n_agents]), params,
+            float(lanes.gains[arm]), float(lanes.gains[n_bs + s]), params,
         )
-        for arm in env.arms[first.start : first.stop].tolist()
+        for s, arm in zip(first, env.arms[first.start : first.stop].tolist())
     ]
     assert first.start + reference_model.argmax_lowest(reference) == want[0]
     policies = [PolicyConfig()] * len(layout.stream)
@@ -773,17 +813,19 @@ def test_warm_start_decides_near_ties_by_the_exact_rssi(case, stream):
     "params, far",
     [
         (ChannelParams(ref_loss_db=1e308), None),
+        (ChannelParams(ref_loss_db=2.0**1022), None),  # finite, about -2**1023 dB
         # a path loss exponent of 1e306 overflows only hops beyond about 1e17 m
         (ChannelParams(pathloss_exponent=1e306), "eve"),
         (ChannelParams(pathloss_exponent=1e306), "ue"),
     ],
-    ids=["every budget", "eavesdropper budgets only", "UE budgets only"],
+    ids=["every budget", "every budget finite", "eavesdropper budgets only", "UE budgets only"],
 )
 @pytest.mark.filterwarnings("error")
 def test_environment_whose_budget_is_not_finite_rejected(params, far):
     """A budget of -inf, on every link or only on the eavesdropper or the UE
-    links, is rejected by the key SimulationConfig names, without a numpy
-    warning, so the warm start never reads an RSSI of -inf."""
+    links, or a finite one beyond 2**1022 dB, is rejected by the key
+    SimulationConfig names, without a numpy warning, so the warm start never
+    reads an RSSI of -inf nor overflows in its screen."""
     topo = build_network(TopologyConfig(), np.random.default_rng(0))
     if far == "eve":
         topo = dataclasses.replace(topo, eve_xy=topo.eve_xy + 1e20)
@@ -794,14 +836,18 @@ def test_environment_whose_budget_is_not_finite_rejected(params, far):
 
 
 def test_lane_with_a_prebuilt_channel_environment_is_sized_like_its_config():
-    """A lane carrying its own ChannelEnvironment draws as many floats per
-    period as the lane that builds it from the config, so chunks are cut alike."""
+    """A lane carrying its own ChannelEnvironment is bounded, per period, like
+    the lane that builds it from the config, so chunks are cut alike: every
+    UE on every panel, I + I*U + I*E gains and 2U uniforms, at least what it
+    draws."""
     cfg = small_cfg()
     topo = build_network(cfg.topology, np.random.default_rng(cfg.base_seed))
     env = ChannelEnvironment(topo, cfg.channel, cfg.rate_threshold)
     built = engine._period_floats(Lane(cfg, cfg.base_seed))
     assert engine._period_floats(Lane(cfg, cfg.base_seed, env)) == built
-    assert built == sum(env.blocks) + 2 * env.n_agents
+    n_panels, n_ues, n_eves = len(topo.panel_xy), len(topo.ue_xy), len(topo.eve_xy)
+    assert built == n_panels * (1 + n_ues + n_eves) + 2 * n_ues
+    assert env.blocks[1] < n_panels * n_ues
 
 
 DENSE_OFFSETS = ((-50.0, -50.0), (50.0, -50.0), (-50.0, 50.0), (50.0, 50.0))
@@ -859,7 +905,7 @@ def test_screened_warm_start_is_the_exact_argmax_on_dense_rings(
         event(f"tie made: {pair is not None}")
         for s in pair or ():
             lanes.gains[env.arms[s]] = 1e3
-            lanes.gains[n_bs + env.arms[s] * env.n_agents] = 1e3
+            lanes.gains[n_bs + s] = 1e3
     streams = engine._Layout(envs)
     want = policy.segment_argmax(lanes.rssi(), policy.Segments(streams.offsets))
     agents = Agents(layout.offsets, layout.arms, [PolicyConfig()] * len(stream), layout.agents)
@@ -990,6 +1036,14 @@ def test_bernoulli_engine_matches_reference_chains(
         _assert_same_bits(got.chosen[:, 0], chain)
 
 
+def _slot_count(topo, detection_radius) -> int:
+    """How many (UE, candidate panel) slots the reference model gives topo."""
+    return sum(
+        len(reference_model.candidate_irs_distances(u, topo, detection_radius)[0])
+        for u in range(len(topo.ue_xy))
+    )
+
+
 def _record_generators(monkeypatch) -> list:
     """Keep every Generator the engine makes from now on, in order, in the returned list."""
     made, make = [], np.random.default_rng
@@ -1007,7 +1061,8 @@ def _record_generators(monkeypatch) -> list:
 def test_lane_stream_is_geometry_then_fixed_blocks(monkeypatch, kind, seed):
     """A lane's Generator ends where geometry, then T x (environment block +
     U x 2 policy uniforms), drawn directly, leave a fresh one, whatever the
-    policy did."""
+    policy did: a channel lane's block is I + S + I*E gains, S its UEs'
+    candidate panels counted by the reference model."""
     cfg = small_cfg(
         topology=TopologyConfig(eavesdroppers_per_cell=3, detection_radius=25.0),
         policy=PolicyConfig(kind=kind, omega=0.5, phi=1),
@@ -1016,10 +1071,11 @@ def test_lane_stream_is_geometry_then_fixed_blocks(monkeypatch, kind, seed):
     twin = np.random.default_rng(seed)
     topo = build_network(cfg.topology, twin)
     n_panels, n_ues, n_eves = len(topo.panel_xy), len(topo.ue_xy), len(topo.eve_xy)
+    n_slots = _slot_count(topo, cfg.topology.detection_radius)
     probs = (0.9, 0.2, 0.5)
     bernoulli_twin = np.random.default_rng(seed)
     for _ in range(cfg.periods):
-        twin.standard_exponential(n_panels + n_panels * n_ues + n_panels * n_eves)
+        twin.standard_exponential(n_panels + n_slots + n_panels * n_eves)
         twin.random((n_ues, 2))
         bernoulli_twin.random(5)
         bernoulli_twin.random((5, 2))
@@ -1028,6 +1084,53 @@ def test_lane_stream_is_geometry_then_fixed_blocks(monkeypatch, kind, seed):
     run_replication(cfg, seed, BernoulliEnvironment(probs, n_agents=5))
     assert made[0].bit_generator.state == twin.bit_generator.state
     assert made[1].bit_generator.state == bernoulli_twin.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_ues=st.integers(min_value=1, max_value=12),
+    n_panels=st.integers(min_value=2, max_value=10),
+    n_eves=st.integers(min_value=0, max_value=3),
+    case=st.sampled_from(list(DistributionCase)),
+    detection_radius=st.one_of(st.none(), st.floats(min_value=1.0, max_value=60.0)),
+    periods=st.integers(min_value=1, max_value=4),
+)
+def test_channel_stream_draws_one_gain_per_slot(
+    seed, n_ues, n_panels, n_eves, case, detection_radius, periods
+):
+    """A channel stream's fading block is (I, S, I*E), S its slot count:
+    its Generator ends where a twin's does that drew the geometry, then per
+    period I + S + I*E exponentials and 2U uniforms; and its lane's
+    _period_floats, read from the config, bounds that period's draws."""
+    topology = TopologyConfig(
+        irs_per_cell=n_panels,
+        eavesdroppers_per_cell=n_eves,
+        ue_count=n_ues,
+        distribution_case=case,
+        cluster_size=1,
+        detection_radius=detection_radius,
+    )
+    cfg = small_cfg(topology=topology, periods=periods, replications=1)
+    twin = np.random.default_rng(seed)
+    topo = build_network(topology, twin)
+    env = ChannelEnvironment(topo, cfg.channel, cfg.rate_threshold, detection_radius)
+    n_panels, n_eves = len(topo.panel_xy), len(topo.eve_xy)
+    assert env.blocks == (n_panels, len(env.arms), n_panels * n_eves)
+    assert len(env.arms) == _slot_count(topo, detection_radius)
+    for _ in range(periods):
+        twin.standard_exponential(sum(env.blocks))
+        twin.random((n_ues, 2))
+    made, make = [], np.random.default_rng
+
+    def recording(s):
+        made.append(make(s))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", recording):
+        run_replication(cfg, seed)
+    assert made[0].bit_generator.state == twin.bit_generator.state
+    assert engine._period_floats(Lane(cfg, seed)) >= sum(env.blocks) + 2 * n_ues
 
 
 def test_every_policy_reads_the_same_fading(monkeypatch):
@@ -1057,7 +1160,8 @@ def test_every_policy_reads_the_same_fading(monkeypatch):
     # the chunk's one Generator ends where a lane's own run leaves it
     assert made[-1].bit_generator.state == made[0].bit_generator.state
     topo = build_network(cfg.topology, np.random.default_rng(31))
-    block = sum(channel.fading_blocks(len(topo.panel_xy), len(topo.ue_xy), len(topo.eve_xy)))
+    n_slots = _slot_count(topo, cfg.topology.detection_radius)
+    block = sum(channel.fading_blocks(len(topo.panel_xy), n_slots, len(topo.eve_xy)))
     assert [len(gains) for gains in seen] == [block] * cfg.periods
     for res, want in zip(results, alone, strict=True):
         for name in ("chosen", "satisfied", "rates", "satisfaction", "mean_secrecy"):

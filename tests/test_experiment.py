@@ -54,7 +54,7 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 # traces.csv of the default sweep (12 cells x 100 periods x 100 replications),
 # as scripts/run_default_sweep.py writes it
 FULL_DEFAULT_SWEEP_CSV_SHA256 = (
-    "91dda44cd4232fea3ae2511f2d0e0e243f0f6ed3b048447e874bf5494238b814"
+    "260b2c4ff0ab0968b80b2921feaec58f5bd77518895009d2e3f4e35d8b76ebf4"
 )
 
 
@@ -325,8 +325,16 @@ def test_every_config_text_runs_or_is_rejected_by_key(text):
             "topology.ue_count",
         ),
         ({"output_path": ""}, "output.path"),
+        (
+            {
+                "base": SimulationConfig(
+                    topology=TopologyConfig(small_cell_offsets=((-95.0, 0.0), (50.0, 0.0)))
+                )
+            },
+            "topology.small_cell_offsets",
+        ),
     ],
-    ids=["phis", "omegas", "omegas-nan", "clustered-ue-count", "output-path"],
+    ids=["phis", "omegas", "omegas-nan", "clustered-ue-count", "output-path", "offsets"],
 )
 def test_experiment_spec_rejects_invalid_sweep_at_construction(changes, key):
     with pytest.raises(ConfigError, match=rf"^{key}: "):
@@ -628,7 +636,9 @@ class TestChunkTiming:
 def test_default_sweep_builds_one_stream_per_case_and_seed(tmp_path, monkeypatch):
     """The default sweep's lanes build exactly 2 cases x 100 seeds = 200
     streams: lanes run by stream within each replication and no chunk cut
-    falls between two lanes on one stream. Its traces keep their bytes."""
+    falls between two lanes on one stream. Each lane is cut on its 440-float
+    bound, every UE on every panel, however few slots its network holds, so
+    11 chunks of 72 lanes and one of 8 run. Its traces keep their bytes."""
     chunks = []
     cut = engine._chunks
 
@@ -642,6 +652,7 @@ def test_default_sweep_builds_one_stream_per_case_and_seed(tmp_path, monkeypatch
     spec = dataclasses.replace(parse_config(default_config_text()), output_path=str(out))
     run_experiment(spec)
     assert sum(len(engine._streams(chunk)[0]) for chunk in chunks) == 200
+    assert [len(chunk) for chunk in chunks] == [72] * 11 + [8]
     for before, after in zip(chunks, chunks[1:]):
         assert engine._stream_key(before[-1]) != engine._stream_key(after[0])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FULL_DEFAULT_SWEEP_CSV_SHA256

@@ -2,10 +2,13 @@
 
 All seven digests were recorded when every period of a lane came to draw
 fixed-size blocks (its environment block, then one (u1, u2) row per
-agent), which changed the random-stream layout deliberately. None may be
-re-frozen to match a code change: any change here is a change to the
-random-stream layout or to the output bytes, and must be deliberate and
-recorded in CHANGES.md.
+agent), which changed the random-stream layout deliberately. The six that
+run the channel were re-frozen when a channel stream's fading block came
+to hold one IRS->UE gain per (UE, candidate panel) slot instead of one
+per (panel, UE), a second deliberate change of the layout; the Bernoulli
+chain's digest was kept. None may be re-frozen to match a code change:
+any change here is a change to the random-stream layout or to the output
+bytes, and must be deliberate and recorded in CHANGES.md.
 """
 
 import dataclasses
@@ -26,26 +29,26 @@ from irsbandit.engine import BernoulliEnvironment, run_monte_carlo, run_replicat
 from irsbandit.experiment import ExperimentSpec, OutputFormat, run_experiment, summary_path
 
 DEFAULT_SWEEP_CSV_SHA256 = (
-    "3c015e64f27544f60289b5a097e64e5d6821b2e864279bc4eaa54eb4727b8bec"
+    "08ed3de8c3f31eb803381ba950f5644db6319fe30d8069e20c03b768a5486631"
 )
 DENSE_PER_REPLICATION_SHA256 = (
-    "7abde05e39b9a184bd8cf5a9127bc839031655d7c6ba3ab93d5e1d9dcc8d1de2"
+    "baa94e4533bfbaf69e2627ab4adeebfb96f7873d80f15d49ca22240ce7fe04f6"
 )
 DENSE_MEAN_SECRECY_SHA256 = (
-    "5b4ee3acb531867e38da133b6bc3e573ce6affe721e7ee83237a82921d1f40e4"
+    "a6b368c2598eb7a3f2b6f731469d828d500726464eff11bfdfc1eb919e120bf4"
 )
 GREEDY_CLUSTERED_SHA256 = (
-    "87e746ec8318f0d28e30f79ef20eb921f9b3fad20f818c6d68ae4618cb39ddb7"
+    "7e385bc052c20c4c746c6b3f87c04b48ab4fbc547d4683c21c432aae3e27158e"
 )
 ONE_AGENT_BERNOULLI_SHA256 = (
     "8c0c297730808114698b4e0fccd648f39af4bef6d4d06f5775ddfc17c1af9cd2"
 )
 DEFAULT_SWEEP_JSON_SHA256 = (
-    "651836721b4913cf89b44b0d6aef3116abc48140dee4433a0e6f81e354843490"
+    "dc3acc6b3b1ffbe35e3e9ff96d700fe273e75457b0a01745fca631aa30f7a3a8"
 )
 # of the summary with every wall_seconds key removed, re-dumped with indent=2
 DEFAULT_SWEEP_SUMMARY_SHA256 = (
-    "bef5c5c682986adc51b84690ffc5d16f208ba5e9ce99bd8799b16a931c0e9301"
+    "0129785f0ca5fd6e39bfeb647c217d20968c20c2bdf034ca532586f50e5360f0"
 )
 
 # Four cells with 16 panels each and 2 eavesdroppers per cell; detection
