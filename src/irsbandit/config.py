@@ -102,6 +102,17 @@ class TopologyConfig:
             raise ValueError("cluster_spread: must be non-negative")
         if self.detection_radius is not None and self.detection_radius <= 0:
             raise ValueError("detection_radius: must be positive when set")
+        side, r = self.grid_side, self.irs_radius
+        for i, (dx, dy) in enumerate(self.small_cell_offsets):
+            x, y = side / 2.0 + dx, side / 2.0 + dy  # build_topology's cell center
+            if min(x, y) - r < 0 or max(x, y) + r > side:
+                raise ValueError(
+                    f"small_cell_offsets: small cell {i} at ({x}, {y}) "
+                    f"leaves the grid or its IRS ring does"
+                )
+        clustered = self.distribution_case is not DistributionCase.RANDOM  # as place_ues reads it
+        if clustered and self.ue_count % self.cluster_size:
+            raise ValueError("ue_count: clustered placement needs it divisible by cluster_size")
 
 
 @dataclass(frozen=True)
@@ -190,10 +201,10 @@ class SimulationConfig:
             raise ValueError("channel.tx_power_db: the largest linear SNR factor exceeds 1e300")
         # Every link's budget, in channel.budgets_db's order, must lie within 2**1022 dB
         # (see engine.ChannelLanes.strongest) and stay finite down to its SNR exponent.
-        # No hop loses less than ref_loss_db; panels and UEs lie in the grid and
-        # eavesdroppers within eve_radius of a cell in it, so with a relative margin for
-        # the rounding of the positions, irs_radius bounds every feed and the grid's
-        # diagonal plus eve_radius every UE and eavesdropper hop.
+        # No hop loses less than ref_loss_db; panels and UEs lie in the grid (TopologyConfig
+        # checks every ring) and eavesdroppers within eve_radius of a cell in it, so with a
+        # relative margin for the rounding of the positions, irs_radius bounds every feed
+        # and the grid's diagonal plus eve_radius every UE and eavesdropper hop.
         t, slack = self.topology, 1.0 + 2.0**-20
         d_rx = math.hypot(t.grid_side, t.grid_side) * slack
         if t.eavesdroppers_per_cell:

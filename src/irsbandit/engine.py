@@ -207,8 +207,9 @@ class BernoulliEnvironment:
         for k, p in enumerate(self.arm_probs.tolist()):
             if not 0.0 <= p <= 1.0:  # NaN fails the comparison too
                 raise ValueError(f"arm_probs[{k}]: must be within [0, 1], got {p!r}")
-        if not isinstance(n_agents, numbers.Integral) or n_agents < 0:
-            raise ValueError(f"n_agents: must be a non-negative integer, got {n_agents!r}")
+        integral = isinstance(n_agents, numbers.Integral) and not isinstance(n_agents, bool)
+        if not integral or n_agents < 1:
+            raise ValueError(f"n_agents: must be a positive integer, got {n_agents!r}")
         self.n_agents = n_agents
         n_arms = len(self.arm_probs)
         self.offsets = np.arange(n_agents + 1) * n_arms

@@ -29,7 +29,6 @@ from .config import (
 )
 from .engine import SatisfactionTrace, run_cells
 from .policy import effective_config
-from .topology import small_cells
 
 log = logging.getLogger("irsbandit")
 
@@ -84,17 +83,14 @@ class ExperimentSpec:
                 except ValueError as exc:  # "omega: must be ...": keep the message
                     message = str(exc).partition(": ")[2]
                     raise ConfigError(f"sweep.{axis}: {message}") from None
-        topo = self.base.topology
-        try:
-            small_cells(topo)
-        except ValueError as exc:  # "small_cell_offsets: ..."
-            raise ConfigError(f"topology.{exc}") from None
-        clustered = DistributionCase.CLUSTERED in self.cases
-        if clustered and topo.ue_count % topo.cluster_size:
+        try:  # the base topology is valid, so only a clustered case's division can fail
+            for case in self.cases:
+                dataclasses.replace(self.base.topology, distribution_case=case)
+        except ValueError:
             raise ConfigError(
                 "topology.ue_count: must be a multiple of topology.cluster_size "
                 "for the clustered case"
-            )
+            ) from None
         if not self.output_path:
             raise ConfigError("output.path: must be non-empty")
 

@@ -79,34 +79,15 @@ def _on_circles(centers: np.ndarray, radius: float, angles: np.ndarray) -> np.nd
     return np.stack([x.ravel(), y.ravel()], axis=1)
 
 
-def small_cells(cfg: TopologyConfig) -> np.ndarray:
-    """Small cell i at grid center + small_cell_offsets[i], as an (N, 2) array.
-
-    Raises ValueError for offsets that push a small cell or any part of its
-    IRS ring outside the grid.
-    """
-    side = cfg.grid_side
-    cells = side / 2.0 + np.array(cfg.small_cell_offsets, dtype=float)
-    outside = ((cells - cfg.irs_radius < 0) | (cells + cfg.irs_radius > side)).any(axis=1)
-    if outside.any():
-        i = int(outside.argmax())
-        x, y = cells[i].tolist()
-        raise ValueError(
-            f"small_cell_offsets: small cell {i} at ({x}, {y}) "
-            f"leaves the grid or its IRS ring does"
-        )
-    return cells
-
-
 def build_topology(cfg: TopologyConfig, rng: np.random.Generator) -> NetworkTopology:
     """Construct small cell, IRS and eavesdropper positions (UEs placed separately).
 
-    Small cells sit as small_cells places them, or it raises; panel k of a
-    cell sits at angle 2*pi*k/irs_per_cell on the irs_radius circle.
-    Eavesdropper angles are one (cells, eavesdroppers_per_cell) block of
-    uniform draws.
+    Small cell i sits at the grid center + small_cell_offsets[i] (TopologyConfig
+    has checked that its ring fits the grid); panel k of a cell sits at angle
+    2*pi*k/irs_per_cell on the irs_radius circle. Eavesdropper angles are one
+    (cells, eavesdroppers_per_cell) block of uniform draws.
     """
-    cells = small_cells(cfg)
+    cells = cfg.grid_side / 2.0 + np.array(cfg.small_cell_offsets, dtype=float)
     n = cfg.irs_per_cell
     angles = 2.0 * math.pi * np.arange(n) / n
     eve_angles = rng.uniform(
@@ -127,17 +108,13 @@ def place_ues(
     """Draw UE positions for one replication, as a (ue_count, 2) array.
 
     Random case: ue_count i.i.d. uniform points on the grid. Clustered
-    case: ue_count/cluster_size cluster centers drawn uniformly, members
-    offset by an isotropic Gaussian (std cluster_spread) and clamped to
-    the grid.
+    case: ue_count/cluster_size cluster centers drawn uniformly (TopologyConfig
+    has checked that the division is exact), members offset by an isotropic
+    Gaussian (std cluster_spread) and clamped to the grid.
     """
     side = topo.grid_side
     if cfg.distribution_case is DistributionCase.RANDOM:
         return rng.uniform(0.0, side, size=(cfg.ue_count, 2))
-    if cfg.ue_count % cfg.cluster_size != 0:
-        raise ValueError(
-            "ue_count: clustered placement needs it divisible by cluster_size"
-        )
     n_clusters = cfg.ue_count // cfg.cluster_size
     centers = rng.uniform(0.0, side, size=(n_clusters, 2))
     # + 0.0 makes a spread of -0.0 the 0.0 that numpy's normal accepts

@@ -106,15 +106,13 @@ class TestMeanSatisfaction:
         assert [res.satisfaction[0] for res in run_lanes(lanes)] == [1.0, 0.0, 1.0, 0.0]
 
     def test_zero_ues_rejected(self):
-        with pytest.raises(ValueError, match="at least one agent"):
-            self.one_period((1.0,), 0)
-        cfg = small_cfg(periods=1)
-        lanes = [Lane(cfg, seed, BernoulliEnvironment((1.0,), 0)) for seed in range(3)]
-        with pytest.raises(ValueError, match="at least one agent"):
-            run_lanes(lanes)
-        lanes.insert(1, Lane(cfg, 0, BernoulliEnvironment((1.0,), 2)))
-        with pytest.raises(ValueError, match="at least one agent"):
-            run_lanes(lanes)
+        # the environment rejects an empty lane when it is built, and the
+        # policy state one it is handed directly
+        with pytest.raises(ValueError, match="^n_agents: must be a positive integer, got 0$"):
+            BernoulliEnvironment((1.0,), 0)
+        cb = PolicyConfig()
+        with pytest.raises(ValueError, match="^every lane needs at least one agent$"):
+            Agents([0, 1, 2], np.arange(2), [cb, cb], lanes=[0, 0, 2])
 
     @pytest.mark.parametrize(
         "probs, n_agents, key",
@@ -125,9 +123,14 @@ class TestMeanSatisfaction:
             ((0.5, float("inf")), 1, r"arm_probs\[1\]"),
             ((), 1, "arm_probs"),
             ((0.5,), -1, "n_agents"),
+            ((0.5,), 0, "n_agents"),
+            ((0.5,), True, "n_agents"),
             ((0.5,), 2.5, "n_agents"),
         ],
-        ids=["above-one", "nan", "negative", "inf", "no-arms", "negative-agents", "fraction"],
+        ids=[
+            "above-one", "nan", "negative", "inf", "no-arms",
+            "negative-agents", "no-agents", "bool-agents", "fraction",
+        ],
     )
     def test_invalid_environment_rejected_at_construction(self, probs, n_agents, key):
         with pytest.raises(ValueError, match=rf"^{key}: "):
@@ -1372,36 +1375,35 @@ def test_accepted_topologies_give_finite_budgets_and_a_period_in_unit_range(
     seed, grid_side, cell_fractions, irs_per_cell, irs_radius, n_eves,
     ue_count, case, cluster_size, cluster_spread, detection_radius,
 ):
-    """Every topology the config and the network build accept can run.
+    """Every topology the config accepts can run.
 
     Its environment's budgets are finite and one period's satisfaction
-    lies in [0, 1]. A network build that rejects the config (a ring that
-    leaves the grid, clusters that do not divide the UEs) names the field.
+    lies in [0, 1]. A config that is rejected (a ring that leaves the
+    grid, clusters that do not divide the UEs) names the field.
     """
-    cfg = TopologyConfig(
-        grid_side=grid_side,
-        small_cell_count=len(cell_fractions),
-        small_cell_offsets=tuple(
-            (fx * grid_side / 2, fy * grid_side / 2) for fx, fy in cell_fractions
-        ),
-        irs_per_cell=irs_per_cell,
-        irs_radius=irs_radius,
-        eavesdroppers_per_cell=n_eves,
-        eve_radius=irs_radius + 5.0,
-        ue_count=ue_count,
-        distribution_case=case,
-        cluster_size=cluster_size,
-        cluster_spread=cluster_spread,
-        detection_radius=detection_radius,
-    )
-    rng = np.random.default_rng(seed)
     try:
-        topo = build_network(cfg, rng)
+        cfg = TopologyConfig(
+            grid_side=grid_side,
+            small_cell_count=len(cell_fractions),
+            small_cell_offsets=tuple(
+                (fx * grid_side / 2, fy * grid_side / 2) for fx, fy in cell_fractions
+            ),
+            irs_per_cell=irs_per_cell,
+            irs_radius=irs_radius,
+            eavesdroppers_per_cell=n_eves,
+            eve_radius=irs_radius + 5.0,
+            ue_count=ue_count,
+            distribution_case=case,
+            cluster_size=cluster_size,
+            cluster_spread=cluster_spread,
+            detection_radius=detection_radius,
+        )
     except ValueError as exc:
         event(f"rejected: {_named_field(exc)}")
         return
     event("accepted")
 
+    topo = build_network(cfg, np.random.default_rng(seed))
     env = ChannelEnvironment(topo, ChannelParams(), 1.0, cfg.detection_radius)
     for budget in (env._budget_db, env._snr, env._eve_snr):
         assert np.isfinite(budget).all()

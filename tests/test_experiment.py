@@ -48,6 +48,9 @@ path = {path}
 format = {format}
 """
 
+CLUSTERED_COUNT_MESSAGE = (
+    "topology.ue_count: must be a multiple of topology.cluster_size for the clustered case"
+)
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -186,8 +189,34 @@ class TestParseConfig:
             parse_config("[topology]\neve_radius = 10\n")
 
     def test_cluster_divisibility_named(self):
-        with pytest.raises(ConfigError, match=r"topology\.ue_count"):
+        with pytest.raises(ConfigError) as info:
             parse_config("[topology]\nue_count = 25\n")
+        assert str(info.value) == CLUSTERED_COUNT_MESSAGE
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "[topology]\nsmall_cell_offsets = -95 0, 50 0\n",
+                "topology.small_cell_offsets: small cell 0 at (5.0, 100.0) "
+                "leaves the grid or its IRS ring does",
+            ),
+            (
+                "[topology]\nsmall_cell_offsets = -50 0, 50 85\n",
+                "topology.small_cell_offsets: small cell 1 at (150.0, 185.0) "
+                "leaves the grid or its IRS ring does",
+            ),
+        ],
+        ids=["offsets", "second-cell"],
+    )
+    def test_grid_fit_named(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
+    def test_indivisible_count_accepted_without_the_clustered_case(self):
+        spec = parse_config("[topology]\nue_count = 25\n[sweep]\ncases = random\n")
+        assert spec.base.topology.ue_count == 25
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -325,20 +354,20 @@ def test_every_config_text_runs_or_is_rejected_by_key(text):
             "topology.ue_count",
         ),
         ({"output_path": ""}, "output.path"),
-        (
-            {
-                "base": SimulationConfig(
-                    topology=TopologyConfig(small_cell_offsets=((-95.0, 0.0), (50.0, 0.0)))
-                )
-            },
-            "topology.small_cell_offsets",
-        ),
     ],
-    ids=["phis", "omegas", "omegas-nan", "clustered-ue-count", "output-path", "offsets"],
+    ids=["phis", "omegas", "omegas-nan", "clustered-ue-count", "output-path"],
 )
 def test_experiment_spec_rejects_invalid_sweep_at_construction(changes, key):
     with pytest.raises(ConfigError, match=rf"^{key}: "):
         ExperimentSpec(**changes)
+
+
+def test_experiment_spec_checks_the_count_only_for_the_clustered_case():
+    base = SimulationConfig(topology=TopologyConfig(ue_count=25))
+    with pytest.raises(ConfigError) as info:
+        ExperimentSpec(base=base)
+    assert str(info.value) == CLUSTERED_COUNT_MESSAGE
+    assert ExperimentSpec(base=base, cases=(DistributionCase.RANDOM,)).base is base
 
 
 def tiny_trace(periods=5, replications=2, seed=42, kind=PolicyKind.CONTEXTUAL_BANDIT):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from irsbandit.config import DistributionCase, TopologyConfig
@@ -26,6 +26,11 @@ def rng(seed=0):
 
 def with_ue_xy(topo, points):
     return dataclasses.replace(topo, ue_xy=np.array(points, dtype=float).reshape(-1, 2))
+
+
+def leaves_grid(i, x, y):
+    """TopologyConfig's message for small cell i, centered at (x, y), that does not fit."""
+    return f"small_cell_offsets: small cell {i} at ({x}, {y}) leaves the grid or its IRS ring does"
 
 
 def candidates(topo, detection_radius=None):
@@ -76,20 +81,41 @@ class TestBuildTopology:
             x, y = getattr(a, field.name), getattr(b, field.name)
             assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
+    # The grid fit is checked when the config is built, so no build can fail on it.
     def test_offsets_outside_grid_rejected(self):
-        cfg = TopologyConfig(small_cell_offsets=((-95.0, 0.0), (50.0, 0.0)))
-        with pytest.raises(ValueError, match="leaves the grid"):
-            build_topology(cfg, rng())
+        with pytest.raises(ValueError) as info:
+            TopologyConfig(small_cell_offsets=((-95.0, 0.0), (50.0, 0.0)))
+        assert str(info.value) == leaves_grid(0, 5.0, 100.0)
 
     def test_ring_clipping_grid_rejected(self):
         # cell inside, but ring pokes out
-        cfg = TopologyConfig(
-            small_cell_count=1,
-            small_cell_offsets=((-90.0, 0.0),),
-            irs_radius=20.0,
-        )
-        with pytest.raises(ValueError):
-            build_topology(cfg, rng())
+        with pytest.raises(ValueError) as info:
+            TopologyConfig(
+                small_cell_count=1,
+                small_cell_offsets=((-90.0, 0.0),),
+                irs_radius=20.0,
+            )
+        assert str(info.value) == leaves_grid(0, 10.0, 100.0)
+
+    @pytest.mark.parametrize(
+        "offsets, message",
+        [
+            (((-105.0, 0.0),), leaves_grid(0, -5.0, 100.0)),
+            # cell 0 fits; cell 1's ring leaves through the top edge
+            (((-50.0, 0.0), (50.0, 85.0)), leaves_grid(1, 150.0, 185.0)),
+        ],
+        ids=["center-outside", "second-cell"],
+    )
+    def test_first_failing_cell_is_named(self, offsets, message):
+        with pytest.raises(ValueError) as info:
+            TopologyConfig(small_cell_count=len(offsets), small_cell_offsets=offsets)
+        assert str(info.value) == message
+
+    def test_ring_touching_grid_edges_accepted(self):
+        # cell 0's ring reaches x = 0 and cell 1's reaches y = 200 exactly
+        cfg = TopologyConfig(small_cell_offsets=((-80.0, 0.0), (0.0, 80.0)))
+        topo = build_topology(cfg, rng())
+        assert topo.panel_xy.min() == 0.0 and topo.panel_xy.max() == 200.0
 
     def test_eavesdroppers_outside_ring(self):
         cfg = TopologyConfig()
@@ -131,14 +157,18 @@ class TestPlaceUes:
         assert len(first) == 1 and len(second) == 1
 
     def test_indivisible_cluster_rejected(self):
-        cfg = TopologyConfig(
-            ue_count=25,
-            cluster_size=10,
-            distribution_case=DistributionCase.CLUSTERED,
-        )
-        topo = build_topology(cfg, rng(2))
-        with pytest.raises(ValueError, match="divisible"):
-            place_ues(cfg, topo, rng(2))
+        with pytest.raises(ValueError) as info:
+            TopologyConfig(
+                ue_count=25,
+                cluster_size=10,
+                distribution_case=DistributionCase.CLUSTERED,
+            )
+        message = "ue_count: clustered placement needs it divisible by cluster_size"
+        assert str(info.value) == message
+
+    def test_indivisible_random_count_accepted(self):
+        cfg = TopologyConfig(ue_count=25, cluster_size=10)
+        assert build_network(cfg, rng(2)).ue_xy.shape == (25, 2)
 
     def test_same_seed_identical_placement(self):
         cfg = TopologyConfig(distribution_case=DistributionCase.CLUSTERED)
@@ -239,6 +269,47 @@ def test_placement_support_and_count(seed, n_ues, case):
     ues = place_ues(cfg, topo, np.random.default_rng(seed))
     assert ues.shape == (cfg.ue_count, 2)
     assert ((0.0 <= ues) & (ues <= cfg.grid_side)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=seeds,
+    grid=st.floats(min_value=1.0, max_value=500.0),
+    cell_fractions=st.lists(
+        st.tuples(st.floats(-0.45, 0.45), st.floats(-0.45, 0.45)), min_size=1, max_size=3
+    ),
+    radius_fraction=st.floats(min_value=0.01, max_value=0.25),
+    n_ues=st.integers(min_value=1, max_value=30),
+    case=st.sampled_from(list(DistributionCase)),
+    cluster_size=st.integers(min_value=1, max_value=6),
+)
+def test_every_constructed_topology_builds(
+    seed, grid, cell_fractions, radius_fraction, n_ues, case, cluster_size
+):
+    """A TopologyConfig either names the field it rejects or builds a network
+    with ue_count UEs, and every panel and UE inside the grid."""
+    radius = grid * radius_fraction
+    try:
+        cfg = TopologyConfig(
+            grid_side=grid,
+            small_cell_count=len(cell_fractions),
+            small_cell_offsets=tuple((fx * grid, fy * grid) for fx, fy in cell_fractions),
+            irs_radius=radius,
+            eve_radius=radius * 1.5,
+            ue_count=n_ues,
+            distribution_case=case,
+            cluster_size=cluster_size,
+        )
+    except ValueError as exc:
+        field = str(exc).partition(":")[0]
+        assert field in ("small_cell_offsets", "ue_count"), str(exc)
+        event(f"rejected: {field}")
+        return
+    event("accepted")
+    topo = build_network(cfg, np.random.default_rng(seed))
+    assert topo.ue_xy.shape == (n_ues, 2)
+    for xy in (topo.ue_xy, topo.panel_xy):
+        assert ((0.0 <= xy) & (xy <= grid)).all()
 
 
 @settings(max_examples=25, deadline=None)
