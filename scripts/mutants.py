@@ -109,9 +109,79 @@ MUTANTS = (
     Mutant(
         "environment-budget-unchecked",  # a budget beyond 2**1022 dB reaches the screen
         "src/irsbandit/engine.py",
-        "if not all((abs(b) <= 2.0**1022).all() for b in (self._budget_db, eve_db)):",
+        "if not all((abs(b) <= 2.0**1022).all() for b in (budget, eve_db)):",
         "if False:",
         ("tests/test_engine.py::test_environment_whose_budget_is_not_finite_rejected",),
+    ),
+    Mutant(
+        "budget-interval-decides-alone",  # an interval past the bound rejects unchecked
+        "src/irsbandit/engine.py",
+        "if not (abs(budget) <= 2.0**1022).all():",
+        "if False:",
+        ("tests/test_engine.py::test_budget_bound_is_decided_by_the_exact_budget",),
+    ),
+    Mutant(
+        "budget-interval-ignores-hops",  # the interval's floor forgets the far hop
+        "src/irsbandit/engine.py",
+        "self._feed_db.min() - channel.path_losses_db(far, params)[0],",
+        "self._feed_db.min() - params.ref_loss_db,",
+        (
+            "tests/test_engine.py::test_environment_whose_budget_is_not_finite_rejected",
+            "tests/test_engine.py::test_budget_bound_is_decided_by_the_exact_budget",
+        ),
+    ),
+    Mutant(
+        "leak-rule-ties-leak",  # equal 1 + SNR takes both logarithms
+        "src/irsbandit/engine.py",
+        "leak = (power > eve_power).nonzero()[0]",
+        "leak = (power >= eve_power).nonzero()[0]",
+        ("tests/test_engine.py::test_equal_eavesdropper_power_leaks_nothing_and_takes_no_log2",),
+    ),
+    Mutant(
+        "warm-start-margin-zero",  # the screen alone picks the strongest slot
+        "src/irsbandit/engine.py",
+        "margin = 2.0**-40 * (a + max(approx.max(), -approx.min())) + 2.0 * error",
+        "margin = 0.0",
+        ("tests/test_engine.py::test_warm_start_decides_near_ties_by_the_exact_rssi",),
+    ),
+    Mutant(
+        "fill-only-read-slots",  # slots first read in a later period keep no SNR factor
+        "src/irsbandit/engine.py",
+        "rest = lo + np.flatnonzero(np.isnan(self._snr[lo:hi]))",
+        "rest = np.unique(slot[(slot >= lo) & (slot < hi)])",
+        (
+            "tests/test_engine.py::test_environment_matches_scalar_channel_bit_for_bit",
+            "tests/test_engine.py::test_chunk_with_greedy_lanes_computes_every_slot_once",
+        ),
+    ),
+    Mutant(
+        "radius-band-by-square",  # dx*dx + dy*dy decides the slots hypot should
+        "src/irsbandit/topology.py",
+        "keep[open_] = elementwise(math.hypot, dx[open_], dy[open_]) <= radius",
+        "keep[open_] = square[open_] <= r2",
+        ("tests/test_topology.py::test_radius_band_is_decided_by_hypot",),
+    ),
+    # the serving-cell screen, clause by clause
+    Mutant(
+        "serving-cell-without-relative-margin",
+        "src/irsbandit/topology.py",
+        "bound = square[np.arange(len(best)), best] * (1.0 + 1e-12)",
+        "bound = square[np.arange(len(best)), best]",
+        ("tests/test_topology.py::test_serving_cells_match_hypot_argmin",),
+    ),
+    Mutant(
+        "serving-cell-without-floor",
+        "src/irsbandit/topology.py",
+        "near = square <= np.maximum(bound, 1e-300)[:, None]",
+        "near = square <= bound[:, None]",
+        ("tests/test_topology.py::test_serving_cells_match_hypot_argmin",),
+    ),
+    Mutant(
+        "serving-cell-without-hypot-rows",
+        "src/irsbandit/topology.py",
+        "best[tied] = elementwise(math.hypot, dx[tied], dy[tied]).argmin(axis=1)",
+        "best[tied] = square[tied].argmin(axis=1)",
+        ("tests/test_topology.py::test_serving_cells_match_hypot_argmin",),
     ),
 )
 

@@ -39,6 +39,10 @@ def _finite(value) -> bool:
     return True
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_numbers(cfg) -> None:
     """Reject NaN and +-inf in every float field, nested tuples included, and
     a bool, a float or any other non-integral value in every int field."""
@@ -102,6 +106,12 @@ class TopologyConfig:
             raise ValueError("cluster_spread: must be non-negative")
         if self.detection_radius is not None and self.detection_radius <= 0:
             raise ValueError("detection_radius: must be positive when set")
+        for i, pair in enumerate(self.small_cell_offsets):
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_real, pair))):
+                raise ValueError(
+                    f"small_cell_offsets: entry {i} must be an (x, y) pair of numbers, "
+                    f"got {pair!r}"
+                )
         side, r = self.grid_side, self.irs_radius
         for i, (dx, dy) in enumerate(self.small_cell_offsets):
             x, y = side / 2.0 + dx, side / 2.0 + dy  # build_topology's cell center

@@ -46,11 +46,16 @@ is a stream of its own, and lanes whose draws are equal by construction
 draw them once, so every lane's results are those it gives when run
 alone, whatever runs beside it and whatever the chunk size.
 
-The channel environment computes every link's deterministic budget once per
-stream, when it is built after step 1; periods only combine those budgets
-with the fading gains. That precompute draws nothing either. The warm start
-on period 1 screens every stream slot's RSSI with np.log10 and takes the
-exact math.log10 RSSI only of the slots that may be their UE's strongest
+The channel environment computes, once per stream when it is built after
+step 1, what every period reads: each panel's feed budget and every (panel,
+eavesdropper) pair's budget and SNR factor. A (UE, candidate panel) slot's
+exact hop length, budget and SNR factor are computed when a run first reads
+them (ChannelLanes.links): the warm start's winners and the slots its exact
+RSSI decides among, then, at the first period whose outcomes read a slot
+still without them, every remaining slot of the chunk. None of it draws.
+The warm start on period 1 screens every stream slot's RSSI with numpy
+(squared hop lengths for the budgets, np.log10 for the gains) and takes the
+exact RSSI only of the slots that may be their UE's strongest
 (ChannelLanes.strongest), so it picks the slots the exact RSSI would.
 """
 
@@ -86,11 +91,10 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # so about 74 default lanes share a chunk (72 in the default sweep, which
 # never cuts its runs of 4 lanes on one stream); a run above the bound runs
 # alone. Per-lane state (each lane's agents and reward counters) grows with
-# this sum, and per-stream state (the draws, each stream slot's panel,
-# budget, SNR factor and gain position) at most with it, so the bound caps a
-# chunk's peak memory. Lanes that share a stream draw and hold its state
-# once, so the sweep's bandit and greedy lanes on one seed hold a fraction
-# of it.
+# this sum, and per-stream state (the draws, each stream slot's panel, SNR
+# factor and gain position) at most with it, so the bound caps a chunk's
+# peak memory. Lanes that share a stream draw and hold its state once, so
+# the sweep's bandit and greedy lanes on one seed hold a fraction of it.
 CHUNK_FLOATS = 2**15
 
 
@@ -148,21 +152,24 @@ class SatisfactionTrace:
 class ChannelEnvironment:
     """Geometry plus block fading drive satisfaction (the default).
 
-    Everything but the fading is fixed within a replication, so the
-    constructor computes each two-hop budget once, in whole-array passes:
-    topology.candidate_slots selects every UE's candidates with their hop
-    lengths, and the array functions of the channel module turn the hop
-    lengths into budgets in dB and linear pre-fading SNRs, for every (UE,
-    candidate panel) slot and every (panel, eavesdropper) pair. ChannelLanes
-    combines those lookups with each period's fading gains. The constructor
-    draws nothing, so the determinism contract is unchanged.
+    Everything but the fading is fixed within a replication. The
+    constructor computes, in whole-array passes, what every period reads:
+    each panel's feed budget (channel.feeds_db) and every (panel,
+    eavesdropper) pair's budget and linear pre-fading SNR. A (UE, candidate
+    panel) slot keeps only its panel and its UE's position: links(slots)
+    gives the exact hop lengths and budgets of any slots, when a run first
+    reads them (see ChannelLanes). The constructor draws nothing, so the
+    determinism contract is unchanged.
 
-    Slots are the agents' flat layout: UE u's k-th candidate sits at slot
-    offsets[u] + k, and arms[s] is the panel index of slot s. blocks gives
-    the sizes of one period's fading blocks: BS->IRS, IRS->UE (one per
-    slot), IRS->eve. A budget that is not within 2**1022 dB is rejected as
-    channel.ref_loss_db, the key SimulationConfig names for it, so the warm
-    start's screen never overflows (see ChannelLanes.strongest).
+    Slots are the agents' flat layout (topology.candidate_slots): UE u's
+    k-th candidate sits at slot offsets[u] + k, and arms[s] is the panel
+    index of slot s. blocks gives the sizes of one period's fading blocks:
+    BS->IRS, IRS->UE (one per slot), IRS->eve. A budget that is not within
+    2**1022 dB is rejected as channel.ref_loss_db, the key SimulationConfig
+    names for it, so the warm start's screen never overflows (see
+    ChannelLanes.strongest). An interval that holds every slot's budget,
+    from the extremes of the positions, screens the bound; links decides
+    every slot when the interval leaves it.
     """
 
     def __init__(
@@ -173,19 +180,68 @@ class ChannelEnvironment:
         detection_radius: float | None = None,
     ):
         self.rate_threshold = rate_threshold
+        self.params = params
         self.n_agents = len(topo.ue_xy)
-        self.arms, self.offsets, d_rx = candidate_slots(topo, detection_radius)
+        self.arms, self.offsets = candidate_slots(topo, detection_radius)
+        self._pxy = np.ascontiguousarray(topo.panel_xy.T)
+        self._uxy = np.ascontiguousarray(topo.ue_xy.T)
         d_feed = distances(topo.cell_xy[topo.panel_cell], topo.panel_xy)
         d_eve = distances(topo.panel_xy[:, None], topo.eve_xy)
         panels = np.arange(len(topo.panel_xy))[:, None]
+        # A hop's coordinates (panel minus UE) are at most the spans between
+        # the panels' and the UEs' extremes, as rounding is monotone, so hypot
+        # of the spans, grown by 2**-40, exceeds every hop: its log10 by more
+        # than 6 ulps, which math.log10 (within 2) keeps in order. A path loss
+        # so grows with its hop and is at least ref_loss_db, and every slot's
+        # budget lies within [min feed - PL(far), max feed - ref_loss_db]; when
+        # that leaves 2**1022 dB (or is not finite), every exact budget decides.
+        spans = [max(p.max() - u.min(), u.max() - p.min()) for p, u in zip(self._pxy, self._uxy)]
+        far = np.array([math.hypot(*spans) * (1.0 + 2.0**-40)])
         with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-            self._budget_db = channel.budgets_db(d_feed, self.arms, d_rx, params)
-            eve_db = channel.budgets_db(d_feed, panels, d_eve, params)
-        if not all((abs(b) <= 2.0**1022).all() for b in (self._budget_db, eve_db)):  # NaN fails too
+            self._feed_db = channel.feeds_db(d_feed, params)
+            eve_db = channel.budgets_db(self._feed_db, panels, d_eve, params)
+            budget = np.array([
+                self._feed_db.min() - channel.path_losses_db(far, params)[0],
+                self._feed_db.max() - params.ref_loss_db,
+            ])
+            if not (abs(budget) <= 2.0**1022).all():
+                budget = self.links(np.arange(len(self.arms)))[1]
+        if not all((abs(b) <= 2.0**1022).all() for b in (budget, eve_db)):  # NaN fails too
             raise ValueError("channel.ref_loss_db: a link budget is not within 2**1022 dB")
-        self._snr = channel.snr_factors(self._budget_db, params)
         self._eve_snr = channel.snr_factors(eve_db, params)
         self.blocks = channel.fading_blocks(len(topo.panel_xy), len(self.arms), len(topo.eve_xy))
+
+    def links(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The exact hop length and budget in dB of each slot given (_links)."""
+        return _links(slots, self.arms, self.offsets, self._pxy, self._uxy, self._feed_db, self.params)
+
+
+def _links(slots, arms, offsets, pxy, uxy, feed_db, params) -> tuple[np.ndarray, np.ndarray]:
+    """The exact hop length and budget in dB of each slot given, bit for bit
+    the scalar channel formulas' (the one place they are taken per slot).
+
+    Slot s is panel arms[s] of the UE whose segment of offsets holds it;
+    pxy and uxy hold the panels' and the UEs' x row and y row, and feed_db
+    each panel's feeds_db. The hop is panel minus UE, by math.hypot.
+    """
+    arm = arms[slots]
+    ue = offsets.searchsorted(slots, side="right") - 1
+    dx = pxy[0][arm]
+    dx -= uxy[0][ue]
+    dy = pxy[1][arm]
+    dy -= uxy[1][ue]
+    del ue
+    hop = elementwise(math.hypot, dx, dy)
+    del dx, dy  # freed before the budgets' temporaries
+    return hop, channel.budgets_db(feed_db, arm, hop, params)
+
+
+class _SlotParams(NamedTuple):
+    """The channel parameters links reads, one value per slot."""
+
+    pathloss_exponent: np.ndarray
+    ref_loss_db: np.ndarray
+    noise_power_db: np.ndarray
 
 
 class BernoulliEnvironment:
@@ -219,9 +275,9 @@ class BernoulliEnvironment:
         return list(range(len(self.arm_probs)))
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts end to end; a single part is returned as is, uncopied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _joined(parts: list[np.ndarray], axis: int = 0) -> np.ndarray:
+    """The parts end to end along axis; a single part is returned as is, uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
 def _shifted(a: np.ndarray, k: int) -> np.ndarray:
@@ -291,17 +347,17 @@ class ChannelLanes:
     numbered across the streams: stream s's panel i is chunk panel
     panel_base[s] + i, and _bs_at gives each chunk panel's BS->IRS gain.
     Slot state is per stream: every stream slot (the streams' slots end to
-    end, a lone stream's arrays uncopied) keeps its chunk panel, budget,
-    SNR factor and the position of its IRS->UE gain (_ue_at), and a lane's
-    agent finds its stream slot at its lane slot + _shift[agent] (_shift is
-    None when every lane is its own stream). Every agent keeps its lane's
-    satisfaction cutoff (_log2_cutoff). Every stream's (panel, eavesdropper)
-    pair, panel by panel, keeps its chunk panel, its IRS->eve gain's
-    position and its SNR factor; a stream without eavesdroppers holds one
-    pair per panel with SNR factor 0 instead. So lanes that share a stream
-    read the same gains and slot state, and the strongest eavesdropper of
-    every chunk panel is one reduceat over its pairs, 0 on a panel without
-    one.
+    end, stream s's from _stream_slots[s]) keeps its chunk panel (a lone
+    stream's arms, uncopied), the position of its IRS->UE gain (_ue_at) and
+    its SNR factor, NaN until links computes it. A lane's agent finds its
+    stream slot at its lane slot + _shift[agent] (_shift is None when every
+    lane is its own stream). Every agent keeps its lane's satisfaction
+    cutoff (_log2_cutoff). Every stream's (panel, eavesdropper) pair, panel
+    by panel, keeps its chunk panel, its IRS->eve gain's position and its
+    SNR factor; a stream without eavesdroppers holds one pair per panel
+    with SNR factor 0 instead. So lanes that share a stream read the same
+    gains and slot state, and the strongest eavesdropper of every chunk
+    panel is one reduceat over its pairs, 0 on a panel without one.
     """
 
     def __init__(self, envs, rngs, layout=None):
@@ -335,8 +391,18 @@ class ChannelLanes:
         # where each chunk panel's pairs start; every panel has at least one
         self._eve_start = np.flatnonzero(np.diff(self._pair_panel, prepend=-1))
         self._panel = _joined([_shifted(env.arms, q) for env, q in zip(envs, panel_base)])
-        self._budget_db = _joined([env._budget_db for env in envs])
-        self._snr = _joined([env._snr for env in envs])
+        # what links reads: chunk panels' and stream agents' positions, chunk feeds
+        self._pxy = _joined([env._pxy for env in envs], axis=1)
+        self._uxy = _joined([env._uxy for env in envs], axis=1)
+        self._feed_db = _joined([env._feed_db for env in envs])
+        self._params = [env.params for env in envs]
+        # one row per field of _SlotParams, one column per stream
+        self._columns = np.array([[getattr(p, f) for p in self._params] for f in _SlotParams._fields])
+        self._stream_slots = np.fromiter(
+            accumulate((len(env.arms) for env in envs), initial=0), np.int64, len(envs) + 1
+        )
+        self._snr = np.full(self._stream_slots[-1], np.nan)
+        self._filled = False  # set once every stream slot has its SNR factor
         cutoffs = [_log2_cutoff(env.rate_threshold) for env in envs]
         self._cutoff = np.repeat([cutoffs[s] for s in layout.stream], np.diff(layout.agents))
         self._stream_offsets = layout.stream_offsets
@@ -352,42 +418,89 @@ class ChannelLanes:
         gain *= self.gains[self._bs_at][self._panel]
         return gain
 
-    def rssi(self, slots=slice(None)) -> np.ndarray:
+    def links(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The exact hop length, budget in dB and SNR factor of each stream slot
+        given (_links, then channel.snr_factors, each slot on its stream's
+        channel parameters); the SNR factors are kept for outcomes."""
+        stream = self._stream_slots.searchsorted(slots, side="right") - 1
+        p = _SlotParams(*self._columns[:, stream])
+        hop, budget = _links(
+            slots, self._panel, self._stream_offsets, self._pxy, self._uxy, self._feed_db, p
+        )
+        snr = channel.snr_factors(budget, p)
+        self._snr[slots] = snr
+        return hop, budget, snr
+
+    def _screened_budgets(self) -> tuple[np.ndarray, float]:
+        """Every stream slot's budget to within the error returned: numpy's
+        squared hop lengths through channel.screened_budgets_db, in place; a
+        screen that is not finite is replaced by the exact budget (links)."""
+        offsets = self._stream_offsets
+        rows = offsets[1:] - offsets[:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = self._pxy[0].take(self._panel)
+            square -= self._uxy[0].repeat(rows)
+            square *= square
+            dy = self._pxy[1].take(self._panel)
+            dy -= self._uxy[1].repeat(rows)
+            dy *= dy
+            square += dy
+            del dy
+            budget = channel.screened_budgets_db(
+                self._feed_db, self._panel, square, self._params, self._stream_slots
+            )
+        odd = np.flatnonzero(~np.isfinite(budget))
+        if len(odd):
+            budget[odd] = self.links(odd)[1]
+        return budget, channel.budget_error_db(self._feed_db, budget, self._params)
+
+    def rssi(self, slots=None) -> np.ndarray:
         """This period's exact RSSI of every stream slot, or of the stream slots
-        given: one math.log10 per slot returned."""
+        given: one math.log10 per slot returned, on the exact budgets of links."""
+        if slots is None:
+            slots = np.arange(len(self._snr))
+        budget = self.links(slots)[1]
         rssi = elementwise(math.log10, self._gain()[slots])
         rssi *= 10.0
-        rssi += self._budget_db[slots]
+        rssi += budget
         return rssi
 
     def strongest(self, agents: policy.Segments) -> np.ndarray:
         """Warm start: every agent's slot of strongest RSSI, ties to the lowest slot.
 
         agents segments the lanes' slots; each lane agent reads its stream
-        agent's argmax, the one segment_argmax(rssi()) gives. np.log10 screens
-        every stream slot: only the slots within a margin of their agent's
-        approximate maximum can hold its exact maximum. An agent left with one
-        slot takes it; when some agent keeps more, rssi(kept) decides among
-        them. Every RSSI is finite (ChannelEnvironment rejects a budget that is
-        not, and every gain is positive), so the margin is too.
+        agent's argmax, the one segment_argmax(rssi()) gives. A screen
+        covers every stream slot: np.log10 of its gain on its screened
+        budget (_screened_budgets). Only the slots within a margin of their
+        agent's screened maximum can hold its exact maximum. An agent left
+        with one slot takes it; when some agent keeps more,
+        rssi(kept) decides among them. Either way the winners' SNR factors
+        are made exact (links). Every RSSI is finite (ChannelEnvironment
+        rejects a budget that is not, and every gain is positive), so the
+        margin is too, unless the budget error is.
         """
         streams = agents if self._shift is None else policy.Segments(self._stream_offsets)
-        approx = self._gain()
+        approx, error = self._screened_budgets()  # first: fewer slot arrays live at once
+        gain = self._gain()
         # Margin: with u = 2**-53 and np.log10 within k ulps of math.log10
         # (k = 2 over 1M products of two Exp(1) draws, numpy 2.4 on x86-64), a
-        # slot's screened RSSI and its exact fl(fl(10 * log10 g) + b) differ by
-        # at most (2k + 3) * u * (A + R), A and R bounding |10 log10 g| and the
-        # |RSSI| over the chunk. An agent's exact maximum thus screens within
-        # twice that of its approximate one; 2**-40 * (A + R) covers it and the
-        # rounding of top - margin for any k up to 2000 (all is 0 if A + R = 0).
-        # Nothing overflows: budgets are within 2**1022 dB (ChannelEnvironment) and
-        # A < 3240, so R < 2**1022 + 2A, margin < 2**983, and top - margin and
-        # approx - top are below 2R + margin < 2**1023.1 < 2**1024 in magnitude.
-        a = 10.0 * max(abs(math.log10(approx.min())), abs(math.log10(approx.max())))
-        np.log10(approx, out=approx)
-        approx *= 10.0
-        approx += self._budget_db
-        margin = 2.0**-40 * (a + max(approx.max(), -approx.min()))
+        # slot's screened RSSI fl(b' + fl(10 * np.log10 g)) and its exact
+        # fl(fl(10 * log10 g) + b) differ by at most (2k + 3) * u * (A + R) + e,
+        # where A and R bound |10 log10 g| and the |RSSI| over the chunk and e
+        # bounds |b' - b| (channel.budget_error_db, the largest of the
+        # streams'). An agent's exact maximum thus screens within twice that of
+        # its approximate one; 2**-40 * (A + R) + 2e covers it and the rounding
+        # of top - margin for any k up to 2000 (all is 0 if A + R + e = 0).
+        # Nothing overflows: budgets are within 2**1022 dB (ChannelEnvironment),
+        # their screens within e < 2**986 of them and A < 3240, so R < 2**1022 +
+        # 2**986 + 2A and top - margin and approx - top stay below 2**1024 in
+        # magnitude; an infinite e (its W overflowing) keeps every slot.
+        a = 10.0 * max(abs(math.log10(gain.min())), abs(math.log10(gain.max())))
+        np.log10(gain, out=gain)
+        gain *= 10.0
+        approx += gain
+        del gain
+        margin = 2.0**-40 * (a + max(approx.max(), -approx.min())) + 2.0 * error
         top = np.maximum.reduceat(approx, streams.starts)
         top -= margin
         # approx - floor >= 0 iff approx >= floor; subtracting in place
@@ -398,6 +511,8 @@ class ChannelLanes:
         if len(best) > len(streams.starts):  # some agent kept more: exact RSSI decides
             within = policy.Segments(np.append(best.searchsorted(streams.starts), len(best)))
             best = best[policy.segment_argmax(self.rssi(best), within)]
+        else:
+            self.links(best)
         if self._shift is None:
             return best
         best = best[self._rows]
@@ -410,13 +525,26 @@ class ChannelLanes:
         Satisfied iff 1 + snr reaches the cutoff. As math.log2 never decreases,
         secrecy, [log2(1 + snr) - log2(1 + the panel's strongest eve snr)]+, is
         0 unless 1 + snr exceeds 1 + eve snr, and only there takes a log2.
+        The first call that reads a slot without an SNR factor fills every
+        stream slot still without one, stream by stream (so the temporaries
+        stay stream-sized); no later call checks.
         """
         gains = self.gains
-        g_bs = gains[self._bs_at]
         if self._shift is not None:
             slot = slot + self._shift  # the stream slots
-        panel = self._panel[slot]
         power = self._snr[slot]  # 1 + snr * g_bs * g_ue, in place in that order
+        if not self._filled and np.isnan(power).any():
+            for p, lo, hi in zip(self._params, self._stream_slots, self._stream_slots[1:]):
+                rest = lo + np.flatnonzero(np.isnan(self._snr[lo:hi]))
+                budget = _links(
+                    rest, self._panel, self._stream_offsets, self._pxy, self._uxy, self._feed_db, p
+                )[1]
+                self._snr[rest] = channel.snr_factors(budget, p)
+                del rest, budget  # freed before the next stream's
+            self._filled = True
+            power = self._snr[slot]
+        g_bs = gains[self._bs_at]
+        panel = self._panel[slot]
         power *= g_bs[panel]
         power *= gains[self._ue_at[slot]]
         power += 1.0

@@ -132,10 +132,11 @@ def build_network(cfg: TopologyConfig, rng: np.random.Generator) -> NetworkTopol
 def serving_cells(xy: np.ndarray, topo: NetworkTopology) -> np.ndarray:
     """Nearest small cell of each (N, 2) point; ties go to the lowest index.
 
-    Squared distances screen the cells as in candidate_slots: a cell whose
-    square is within the relative margin (or the floor) of its row's least
-    square may be nearest by hypot, and no other can. A row with one such
-    cell takes it, its least square; math.hypot decides the rows with more.
+    Squared distances screen the cells: a cell whose square is within a
+    relative margin of 1e-12 (or a floor of 1e-300, for squares that
+    underflow) of its row's least square may be nearest by hypot, and no
+    other can. A row with one such cell takes it, its least square;
+    math.hypot decides the rows with more.
     """
     dx = xy[:, 0:1] - topo.cell_xy[:, 0]
     dy = xy[:, 1:2] - topo.cell_xy[:, 1]
@@ -152,39 +153,37 @@ def serving_cells(xy: np.ndarray, topo: NetworkTopology) -> np.ndarray:
 
 def candidate_slots(
     topo: NetworkTopology, detection_radius: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every UE's candidate panels, flattened into slots, with their distances.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every UE's candidate panels, flattened into slots.
 
-    UE u's k-th candidate is slot offsets[u] + k: arms[s] is the slot's
-    global panel index and distances[s] its panel-to-UE distance, the one
-    the detection-radius filter compared (also the IRS -> UE hop length).
-    A UE's candidates are its serving cell's ring (see serving_cells), in
-    panel order, without the panels farther than detection_radius (None
-    keeps every panel); if that would empty the set the full ring stands
-    in, so every UE keeps at least one arm.
+    UE u's k-th candidate is slot offsets[u] + k, and arms[s] is the slot's
+    global panel index. A UE's candidates are its serving cell's ring (see
+    serving_cells), in panel order, without the panels whose math.hypot
+    distance from the UE (panel minus UE, as every hop is taken) exceeds
+    detection_radius (None keeps every panel); if that would empty the set
+    the full ring stands in, so every UE keeps at least one arm. No hop
+    length is kept: the channel takes a slot's when a run reads it.
     """
     radius = math.inf if detection_radius is None else detection_radius
     ring = topo.rings[serving_cells(topo.ue_xy, topo)]
     px, py = np.ascontiguousarray(topo.panel_xy.T)
     dx = px.take(ring) - topo.ue_xy[:, 0:1]
     dy = py.take(ring) - topo.ue_xy[:, 1:2]
-    # Only slots whose squared distance is within a relative margin of the
-    # radius's square can pass; the margin covers the rounding of dx*dx +
-    # dy*dy and of hypot many times over, and the floor keeps a square that
-    # underflows from excluding anything; a square that overflows compares
-    # as inf, so with no radius every slot passes. The exact hypot then
-    # decides those slots, and gives every slot of a full-ring row.
-    bound = max(radius * radius * (1.0 + 1e-12), 1e-300)
-    with np.errstate(over="ignore"):
-        near = dx * dx + dy * dy <= bound
-    d = np.empty(dx.shape)
-    d[near] = elementwise(math.hypot, dx[near], dy[near])
-    keep = near.copy()
-    keep[near] = d[near] <= radius
-    full = ~keep.any(axis=1)
-    rest = full[:, None] & ~near
-    d[rest] = elementwise(math.hypot, dx[rest], dy[rest])
-    keep[full] = True
+    # Squared distances decide every slot whose square lies outside a relative
+    # margin of the radius's square on either side; the margin covers the
+    # rounding of dx*dx + dy*dy, of radius*radius and of hypot many times
+    # over. A square outside [1e-300, 1e300] may have underflowed or
+    # overflowed, so it decides nothing (a radius whose square overflows
+    # keeps every square in that range, one whose square underflows none).
+    # math.hypot decides the slots left open.
+    r2 = radius * radius
+    with np.errstate(over="ignore", under="ignore"):
+        square = dx * dx + dy * dy
+    keep = square < r2 * (1.0 - 1e-12)
+    open_ = (square <= r2 * (1.0 + 1e-12)) & ~keep
+    open_ |= ~((square >= 1e-300) & (square <= 1e300))
+    keep[open_] = elementwise(math.hypot, dx[open_], dy[open_]) <= radius
+    keep[~keep.any(axis=1)] = True  # the full ring stands in
     offsets = np.zeros(len(ring) + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(keep, axis=1), out=offsets[1:])
-    return ring[keep], offsets, d[keep]
+    return ring[keep], offsets

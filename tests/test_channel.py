@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsbandit.channel import budgets_db, fill_fading, path_losses_db, snr_factors
+from irsbandit.channel import budgets_db, feeds_db, fill_fading, path_losses_db, snr_factors
 from irsbandit.config import ChannelParams, SimulationConfig, TopologyConfig
 from irsbandit.experiment import ConfigError, parse_config
 from irsbandit.topology import build_network
@@ -337,7 +337,7 @@ hop_lengths = st.lists(st.floats(min_value=0.0, max_value=2000.0), min_size=1, m
 def test_array_budgets_match_scalar_functions_bit_for_bit(
     d_bs_irs, d_irs_rx, exponent, ref_loss_db, irs_gain_db, tx_power_db, noise_power_db
 ):
-    """path_losses_db, budgets_db and snr_factors equal their scalar forms per element."""
+    """path_losses_db, feeds_db, budgets_db and snr_factors equal their scalar forms per element."""
     p = ChannelParams(
         pathloss_exponent=exponent,
         ref_loss_db=ref_loss_db,
@@ -348,8 +348,11 @@ def test_array_budgets_match_scalar_functions_bit_for_bit(
     feeds = np.array(d_bs_irs)
     panel = np.arange(len(d_irs_rx)) % len(d_bs_irs)
     got_pl = path_losses_db(np.array(d_irs_rx), p)
-    got_budget = budgets_db(feeds, panel, np.array(d_irs_rx), p)
+    got_feed = feeds_db(feeds, p)
+    got_budget = budgets_db(got_feed, panel, np.array(d_irs_rx), p)
     got_snr = snr_factors(got_budget, p)
+    for i, d in enumerate(d_bs_irs):
+        assert got_feed[i].hex() == feed_db(d, p).hex()
     for j, d in enumerate(d_irs_rx):
         budget = budget_db(feed_db(d_bs_irs[panel[j]], p), d, p)
         assert got_pl[j].hex() == path_loss_db(d, exponent, ref_loss_db).hex()

@@ -695,7 +695,7 @@ def test_warm_start_is_each_lanes_one_lane_argmax(stream):
     # the tie: UE 0 of stream 0, at its cell's centre, on two ring panels of equal budget
     env = envs[0]
     first = list(range(env.offsets[0], env.offsets[1]))
-    budget = env._budget_db
+    budget = env.links(np.arange(len(env.arms)))[1]
     a, b = next((a, b) for a in first for b in first if a < b and budget[a] == budget[b])
     n_bs = env.blocks[0]
     for s in (a, b):
@@ -778,7 +778,7 @@ def test_warm_start_decides_near_ties_by_the_exact_rssi(case, stream):
     lanes = ChannelLanes([env], [rng], layout)
     lanes.draw()
     first = range(env.offsets[0], env.offsets[1])
-    budget = env._budget_db
+    budget = env.links(np.arange(len(env.arms)))[1]
     a, b = next((a, b) for a in first for b in first if a < b and budget[a] == budget[b])
     cases = _near_tie_gains(float(budget[a]))
     if case not in cases:
@@ -900,9 +900,9 @@ def test_screened_warm_start_is_the_exact_argmax_on_dense_rings(
     if tie:
         env, n_bs = envs[0], envs[0].blocks[0]
         first = range(env.offsets[0], env.offsets[1])
+        budget = env.links(np.arange(len(env.arms)))[1]
         pair = next(
-            ((a, b) for a in first for b in first
-             if a < b and env._budget_db[a] == env._budget_db[b]),
+            ((a, b) for a in first for b in first if a < b and budget[a] == budget[b]),
             None,
         )
         event(f"tie made: {pair is not None}")
@@ -920,20 +920,22 @@ def test_screened_warm_start_is_the_exact_argmax_on_dense_rings(
 
 
 def test_lanes_on_one_stream_hold_its_slot_state_once():
-    """k lanes on one stream hold each slot's chunk panel, budget and SNR
-    factor at the stream's slot count: a lone stream's own arrays, uncopied;
-    two streams' arrays end to end, however many lanes read them."""
+    """k lanes on one stream hold each slot's chunk panel and SNR factor at
+    the stream's slot count: a lone stream's own arms, uncopied; two
+    streams' slots end to end, however many lanes read them. No lane or
+    environment holds a per-slot budget."""
     envs, rngs = _stream_envs(2)
     k = 4
     lanes = ChannelLanes(envs[:1], rngs[:1], engine._Layout(envs[:1], [0] * k))
     assert len(lanes.offsets) == k * envs[0].n_agents + 1
     assert len(lanes.arms) == k * len(envs[0].arms)
     assert lanes._panel is envs[0].arms
-    assert lanes._budget_db is envs[0]._budget_db
-    assert lanes._snr is envs[0]._snr
+    assert len(lanes._snr) == len(envs[0].arms)
     both = ChannelLanes(envs, rngs, engine._Layout(envs, [0, 1] * k))
     n = sum(len(env.arms) for env in envs)
-    assert [len(a) for a in (both._panel, both._budget_db, both._snr)] == [n] * 3
+    assert [len(a) for a in (both._panel, both._snr)] == [n] * 2
+    for holder in (lanes, both, *envs):
+        assert not hasattr(holder, "_budget_db")
     alone = ChannelLanes(envs, rngs)  # every lane its own stream: no shift at all
     assert alone._shift is None and both._shift is not None
 
@@ -1405,10 +1407,268 @@ def test_accepted_topologies_give_finite_budgets_and_a_period_in_unit_range(
 
     topo = build_network(cfg, np.random.default_rng(seed))
     env = ChannelEnvironment(topo, ChannelParams(), 1.0, cfg.detection_radius)
-    for budget in (env._budget_db, env._snr, env._eve_snr):
-        assert np.isfinite(budget).all()
+    _, budget, snr = ChannelLanes([env], [None]).links(np.arange(len(env.arms)))
+    for values in (budget, snr, env._eve_snr):
+        assert np.isfinite(values).all()
     assert env._eve_snr.shape == (len(topo.panel_xy), len(topo.eve_xy))
     sim = SimulationConfig(topology=cfg, periods=1, replications=1)
     res = run_replication(sim, seed)  # builds the same network from the same seed
     assert 0.0 <= res.satisfaction[0] <= 1.0
     assert np.isin(res.chosen[0], env.arms).all()
+
+
+def _count_math_calls(monkeypatch, names=("hypot", "log10", "pow")):
+    """Count every call of the named math functions, by where it is taken:
+    "slot" inside engine._links or for the SNR factors of its budgets
+    (ChannelLanes.links, and the fill in ChannelLanes.outcomes), "band"
+    inside topology.candidate_slots, "ties" inside topology.serving_cells,
+    "other" anywhere else."""
+    calls = {name: {} for name in names}
+    places = {"_links": "slot", "links": "slot", "outcomes": "slot",
+              "candidate_slots": "band", "serving_cells": "ties"}
+
+    def place():
+        frame = sys._getframe(2)
+        while frame is not None:
+            if frame.f_code.co_name in places:
+                return places[frame.f_code.co_name]
+            frame = frame.f_back
+        return "other"
+
+    for name in names:
+        real = getattr(math, name)
+
+        def counted(*args, _real=real, _name=name):
+            where = place()
+            calls[_name][where] = calls[_name].get(where, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(math, name, counted)
+    return calls
+
+
+def _record_slot_links(monkeypatch):
+    """Every slot array engine._links computes exact links of, and the warm
+    start's winners and the slots its exact RSSI decided among."""
+    seen = {"links": [], "winners": [], "kept": []}
+    real_links, real_rssi = engine._links, ChannelLanes.rssi
+    real_strongest = ChannelLanes.strongest
+
+    def links(slots, *args):
+        seen["links"].append(np.array(slots))
+        return real_links(slots, *args)
+
+    def rssi(self, slots=None):
+        seen["kept"].append(np.array(slots))
+        return real_rssi(self, slots)
+
+    def strongest(self, agents):
+        best = real_strongest(self, agents)
+        seen["winners"].append(best.copy())
+        return best
+
+    monkeypatch.setattr(engine, "_links", links)
+    monkeypatch.setattr(ChannelLanes, "rssi", rssi)
+    monkeypatch.setattr(ChannelLanes, "strongest", strongest)
+    return seen
+
+
+DENSE_SHORT = SimulationConfig(
+    topology=TopologyConfig(
+        small_cell_offsets=DENSE_OFFSETS,
+        small_cell_count=4,
+        irs_per_cell=32,
+        eavesdroppers_per_cell=1,
+        ue_count=200,
+        distribution_case=DistributionCase.CLUSTERED,
+        cluster_size=20,
+        detection_radius=40.0,
+    ),
+    periods=2,
+    replications=1,
+    enforce_channel_budget=False,
+)
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_bandit_run_computes_slot_links_only_for_its_warm_start(monkeypatch, seed):
+    """A 2-period bandit run on a dense geometry (4 cells x 32 panels, 200
+    clustered UEs, a 40 m detection radius) takes a slot's exact hop, budget
+    and SNR factor only for its warm-start winners (and the slots the exact
+    RSSI decided among, if any), each once: period 2 keeps every UE on its
+    winner (phi = 2), so no slot is filled. Apart from those, math.hypot,
+    log10 and pow run for each panel's feed, each (panel, eavesdropper) pair,
+    the budget interval's far hop, the warm start's gain range and the
+    radius band alone."""
+    topo = build_network(DENSE_SHORT.topology, np.random.default_rng(seed))
+    n_panels, n_pairs = len(topo.panel_xy), len(topo.panel_xy) * len(topo.eve_xy)
+    n_slots = len(engine.candidate_slots(topo, 40.0)[0])
+    seen = _record_slot_links(monkeypatch)
+    calls = _count_math_calls(monkeypatch)
+    run_lanes([Lane(DENSE_SHORT, seed)])
+    computed = np.concatenate(seen["links"])
+    assert len(np.unique(computed)) == len(computed)  # none twice
+    want = np.union1d(seen["winners"][0], np.concatenate([[], *seen["kept"]]))
+    assert np.array_equal(np.sort(computed), want)
+    n = len(computed)
+    assert n < 1.1 * DENSE_SHORT.topology.ue_count
+    assert calls["hypot"].get("slot") == calls["log10"].get("slot") == calls["pow"]["slot"] == n
+    # feeds, pairs and the budget interval's far hop; the gain range; rssi(kept)'s gains
+    assert calls["hypot"]["other"] == n_panels + n_pairs + 1
+    n_kept = sum(len(kept) for kept in seen["kept"])
+    assert calls["log10"]["other"] == n_panels + n_pairs + 1 + 2 + n_kept
+    assert calls["pow"]["other"] == n_pairs
+    assert calls["hypot"].get("band", 0) < 0.01 * n_slots
+    assert "band" not in calls["log10"] and "band" not in calls["pow"]
+    assert sum(sum(c.values()) for c in calls.values()) < 3000
+
+
+def test_chunk_with_greedy_lanes_computes_every_slot_once(monkeypatch):
+    """A bandit and a greedy lane on one stream: the greedy random start reads
+    slots the warm start never computed, so period 1 fills every slot still
+    without an exact link, stream by stream; every stream slot is computed
+    exactly once, and period 2 computes nothing."""
+    greedy = dataclasses.replace(DENSE_SHORT, policy=PolicyConfig(kind=PolicyKind.GREEDY))
+    topo = build_network(DENSE_SHORT.topology, np.random.default_rng(3))
+    n_slots = len(engine.candidate_slots(topo, 40.0)[0])
+    seen = _record_slot_links(monkeypatch)
+    calls = _count_math_calls(monkeypatch)
+    results = run_lanes([Lane(DENSE_SHORT, 3), Lane(greedy, 3)], record=True)
+    computed = np.concatenate(seen["links"])
+    assert np.array_equal(np.sort(computed), np.arange(n_slots))
+    assert calls["hypot"]["slot"] == calls["log10"]["slot"] == calls["pow"]["slot"] == n_slots
+    for lane, res in zip((Lane(DENSE_SHORT, 3), Lane(greedy, 3)), results):
+        _assert_same_bits(res.rates, run_replication(*lane).rates)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.sampled_from([1e-160, 1.0, 1e155]),
+    radius_mode=st.sampled_from(["none", "drawn", "panel_distance", "below_all"]),
+    fraction=st.floats(min_value=0.02, max_value=0.5),
+    n_eves=st.integers(min_value=0, max_value=2),
+    exponent=st.floats(min_value=2.0, max_value=4.0),
+    noise_power_db=st.floats(min_value=-30.0, max_value=30.0),
+)
+def test_on_demand_slot_links_match_reference_bit_for_bit(
+    seed, scale, radius_mode, fraction, n_eves, exponent, noise_power_db
+):
+    """Every slot's exact hop length, budget and SNR factor, taken on demand
+    for the slots in any order, equal the scalar formulas of reference_model
+    bit for bit: with no radius, a drawn one, one exactly at a panel's
+    distance (a slot in the radius band), one below every distance (every
+    row the full ring), on layouts at 1e-160 m (squares subnormal), 1 m and
+    1e155 m (squares overflow). ChannelEnvironment.links gives the same hop
+    lengths and budgets, and the factors stay kept for outcomes."""
+    cfg = TopologyConfig(
+        grid_side=200 * scale,
+        small_cell_offsets=((-50 * scale, 0.0), (50 * scale, 0.0)),
+        irs_radius=20 * scale,
+        eavesdroppers_per_cell=n_eves,
+        eve_radius=25 * scale,
+        cluster_spread=35 * scale,
+    )
+    topo = build_network(cfg, np.random.default_rng(seed))
+    full = [reference_model.candidate_irs_distances(u, topo) for u in range(cfg.ue_count)]
+    radius = {
+        "none": None,
+        "drawn": fraction * cfg.grid_side,
+        "panel_distance": full[0][1][seed % cfg.irs_per_cell],
+        "below_all": min(min(d) for _, d in full) / 2 or None,
+    }[radius_mode]
+    params = ChannelParams(pathloss_exponent=exponent, noise_power_db=noise_power_db)
+    env = ChannelEnvironment(topo, params, 1.0, radius)
+    lanes = ChannelLanes([env], [None])
+    order = np.random.default_rng(seed).permutation(len(env.arms))
+    hop, budget, snr = lanes.links(order)
+    env_hop, env_budget = env.links(order)
+    _assert_same_bits(env_hop, hop)
+    _assert_same_bits(env_budget, budget)
+    _assert_same_bits(lanes._snr[order], snr)
+    if radius_mode == "below_all" and radius is not None:
+        assert (np.diff(env.offsets) == cfg.irs_per_cell).all()
+    at = np.empty(len(order), dtype=np.int64)
+    at[order] = np.arange(len(order))
+    for u, ue in enumerate(topo.ue_xy.tolist()):
+        arms, distances = reference_model.candidate_irs_distances(u, topo, radius)
+        slots = range(env.offsets[u], env.offsets[u + 1])
+        assert env.arms[slots.start : slots.stop].tolist() == arms
+        for s, i, d in zip(slots, arms, distances):
+            bs = topo.cell_xy[topo.panel_cell[i]].tolist()
+            feed = reference_model.feed_db(reference_model.distance(bs, topo.panel_xy[i].tolist()), params)
+            want = reference_model.budget_db(feed, d, params)
+            assert hop[at[s]].hex() == d.hex()
+            assert budget[at[s]].hex() == want.hex()
+            assert snr[at[s]].hex() == reference_model.snr_factor(want, params).hex()
+
+
+def test_equal_eavesdropper_power_leaks_nothing_and_takes_no_log2(monkeypatch):
+    """An agent whose 1 + SNR equals exactly that of its panel's strongest
+    eavesdropper (the UE stands on the eavesdropper, and both hops' gains
+    are equal) has secrecy 0, and outcomes without rates takes no math.log2
+    for it: only 1 + SNR above the eavesdropper's leaks."""
+    topo = build_network(
+        TopologyConfig(ue_count=1, eavesdroppers_per_cell=1), np.random.default_rng(4)
+    )
+    topo = dataclasses.replace(topo, ue_xy=topo.eve_xy[:1].copy())
+    env = ChannelEnvironment(topo, ChannelParams(), 1.0)
+    lanes = ChannelLanes([env], [np.random.default_rng(4)])
+    lanes.draw()
+    n_bs, n_ue, _ = env.blocks
+    slot = np.array([0])
+    panel = env.arms[0]
+    assert lanes.links(slot)[2][0] == env._eve_snr[panel, 0]  # the same link, the same bits
+    lanes.gains[n_bs] = 0.75  # IRS->UE of slot 0
+    eve_gains = lanes.gains[n_bs + n_ue :].reshape(n_bs, -1)
+    eve_gains[panel] = 1e-300  # every other eavesdropper far weaker
+    eve_gains[panel, 0] = 0.75  # IRS->eve 0, equal to the UE's gain
+    logs = []
+    real_log2 = math.log2
+    monkeypatch.setattr(math, "log2", lambda x: logs.append(x) or real_log2(x))
+    _, _, secrecy = lanes.outcomes(slot, rates=False)
+    assert secrecy.tolist() == [0.0]
+    assert logs == []
+    rate, _, secrecy = lanes.outcomes(slot)
+    assert secrecy.tolist() == [0.0] and len(logs) == 1  # the rate's log2 alone
+
+
+@pytest.mark.parametrize("exact_beyond", [True, False], ids=["exact beyond", "exact within"])
+@pytest.mark.filterwarnings("error")
+def test_budget_bound_is_decided_by_the_exact_budget(exact_beyond):
+    """A UE hop whose screened budget and exact budget lie on opposite sides
+    of -2**1022 dB is decided by the exact one: rejected as
+    channel.ref_loss_db when only the exact budget lies beyond the bound,
+    accepted when only the screen does. The UE stands on its panel's x axis,
+    so the screened hop length is the exact one, d; the UE walks until
+    np.log10(d) lies below (or above) math.log10(d), and the path loss
+    exponent scales that last bit across the bound. The feed hop is below
+    1 m and every other constant 0, so a budget is -10 n log10(d)."""
+    cfg = TopologyConfig(
+        grid_side=200.0, small_cell_count=1, small_cell_offsets=((0.0, 0.0),),
+        irs_per_cell=2, irs_radius=0.5, eavesdroppers_per_cell=0, ue_count=1,
+    )
+    topo = build_network(cfg, np.random.default_rng(0))
+    px, py = topo.panel_xy[0].tolist()
+    ux = px + 7.3
+    for _ in range(4096):
+        ux = math.nextafter(ux, math.inf)
+        d = -(px - ux)  # the hop, |panel x - UE x|, as the environment takes it
+        exact, approx = math.log10(d), float(np.log10(np.array([d]))[0])
+        if (approx < exact) if exact_beyond else (approx > exact):
+            break
+    else:
+        pytest.fail("np.log10 and math.log10 agree on every hop walked")
+    n = 2.0**1022 / 10.0 / max(exact, approx)
+    while not 10.0 * n * max(exact, approx) > 2.0**1022 >= 10.0 * n * min(exact, approx):
+        n = math.nextafter(n, math.inf)
+    topo = dataclasses.replace(topo, ue_xy=np.array([[ux, py]]))
+    params = ChannelParams(pathloss_exponent=n, ref_loss_db=0.0, irs_gain_db=0.0, tx_power_db=0.0)
+    if exact_beyond:
+        with pytest.raises(ValueError, match=r"^channel\.ref_loss_db: "):
+            ChannelEnvironment(topo, params, 1.0, detection_radius=d)
+    else:
+        env = ChannelEnvironment(topo, params, 1.0, detection_radius=d)
+        assert env.arms.tolist() == [0]
+        hop, budget = env.links(np.array([0]))
+        assert hop[0] == d and -(2.0**1022) <= budget[0] < -(2.0**1021)

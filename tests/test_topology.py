@@ -6,7 +6,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from irsbandit.config import DistributionCase, TopologyConfig
+from irsbandit.config import ChannelParams, DistributionCase, TopologyConfig
+from irsbandit.engine import ChannelEnvironment
 from irsbandit.topology import (
     NetworkTopology,
     build_network,
@@ -35,8 +36,17 @@ def leaves_grid(i, x, y):
 
 def candidates(topo, detection_radius=None):
     """Each UE's candidate panels, as one list per UE."""
-    arms, offsets, _ = candidate_slots(topo, detection_radius)
+    arms, offsets = candidate_slots(topo, detection_radius)
     return [arms[lo:hi].tolist() for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
+def slots_with_hops(topo, detection_radius=None):
+    """candidate_slots' arms and offsets, and every slot's hop length as the
+    channel computes it on demand (ChannelEnvironment.links)."""
+    arms, offsets = candidate_slots(topo, detection_radius)
+    env = ChannelEnvironment(topo, ChannelParams(), 1.0, detection_radius)
+    assert env.arms.tobytes() == arms.tobytes() and env.offsets.tobytes() == offsets.tobytes()
+    return arms, offsets, env.links(np.arange(len(arms)))[0]
 
 
 class TestBuildTopology:
@@ -110,6 +120,20 @@ class TestBuildTopology:
         with pytest.raises(ValueError) as info:
             TopologyConfig(small_cell_count=len(offsets), small_cell_offsets=offsets)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [((1.0, 2.0, 3.0),), ((1.0,),), (("1", "2"),), (1.0,)],
+        ids=["three-numbers", "one-number", "strings", "bare-number"],
+    )
+    def test_malformed_offset_entry_named(self, offsets):
+        """An entry that is not an (x, y) pair of numbers is rejected by key
+        when the config is built in library code, before the grid fit reads it."""
+        with pytest.raises(ValueError) as info:
+            TopologyConfig(small_cell_count=1, small_cell_offsets=offsets)
+        assert str(info.value) == (
+            f"small_cell_offsets: entry 0 must be an (x, y) pair of numbers, got {offsets[0]!r}"
+        )
 
     def test_ring_touching_grid_edges_accepted(self):
         # cell 0's ring reaches x = 0 and cell 1's reaches y = 200 exactly
@@ -376,7 +400,7 @@ def test_candidate_slots_match_scalar_selection(
     if radius_mode == "below_all" and detection_radius == 0.0:
         detection_radius = None  # a UE on a panel: nothing lies below it
 
-    arms, offsets, distances = candidate_slots(topo, detection_radius)
+    arms, offsets, distances = slots_with_hops(topo, detection_radius)
     assert arms.dtype == offsets.dtype == np.int64
     assert offsets[0] == 0 and offsets[-1] == len(arms) == len(distances)
     cells = serving_cells(topo.ue_xy, topo).tolist()
@@ -470,11 +494,39 @@ def test_candidate_slots_at_extreme_scales_match_scalar_selection(scale):
         topo = build_network(cfg, np.random.default_rng(seed))
         _, ring_distances = reference_model.candidate_irs_distances(0, topo)
         for radius in [*ring_distances, None]:
-            arms, offsets, distances = candidate_slots(topo, radius)
+            arms, offsets, distances = slots_with_hops(topo, radius)
             for u in range(cfg.ue_count):
                 want = reference_model.candidate_irs_distances(u, topo, radius)
                 lo, hi = offsets[u], offsets[u + 1]
                 assert (arms[lo:hi].tolist(), distances[lo:hi].tolist()) == want
+
+
+@pytest.mark.parametrize("side", ["square above, hypot at the radius", "square at or below, hypot above"])
+def test_radius_band_is_decided_by_hypot(side):
+    """A slot whose squared distance and math.hypot distance fall on opposite
+    sides of the detection radius is decided by hypot, as the scalar
+    selection decides it: a radius exactly at the hop keeps the slot though
+    dx*dx + dy*dy rounds above radius*radius, and one a step below the hop
+    drops it though the square rounds to at most radius*radius. The UE
+    walks a fixed line until the rounding puts some slot in that case."""
+    topo = build_network(TopologyConfig(), rng())
+    px, py = topo.panel_xy.T.tolist()
+    for k in range(400):
+        ue = (40.0 + k * 0.3717, 95.0 + k * 0.0731)
+        for dx, dy in zip((x - ue[0] for x in px), (y - ue[1] for y in py)):
+            d = math.hypot(dx, dy)
+            radius = d if side.startswith("square above") else math.nextafter(d, 0.0)
+            if (dx * dx + dy * dy > radius * radius) == side.startswith("square above"):
+                break
+        else:
+            continue
+        break
+    else:
+        pytest.fail("no UE on the walk puts a slot in the case")
+    topo = with_ue_xy(topo, [ue])
+    want = reference_model.candidate_irs_distances(0, topo, radius)
+    assert candidates(topo, radius) == [want[0]]
+    assert want[0] != topo.rings[serving_cells(topo.ue_xy, topo)[0]].tolist()
 
 
 def _cells_only(cell_xy) -> NetworkTopology:
