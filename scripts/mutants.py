@@ -107,6 +107,16 @@ MUTANTS = (
         ("tests/test_engine.py::test_warm_start_decides_near_ties_by_the_exact_rssi",),
     ),
     Mutant(
+        "screen-fallback-dropped",  # a screened budget that overflowed is never made exact
+        "src/irsbandit/engine.py",
+        "budget[odd] = self.links(odd)[1]",
+        "pass",
+        (
+            "tests/test_engine.py"
+            "::test_warm_start_on_overflowing_screens_takes_the_exact_budgets",
+        ),
+    ),
+    Mutant(
         "environment-budget-unchecked",  # a budget beyond 2**1022 dB reaches the screen
         "src/irsbandit/engine.py",
         "if not all((abs(b) <= 2.0**1022).all() for b in (budget, eve_db)):",
@@ -153,6 +163,22 @@ MUTANTS = (
             "tests/test_engine.py::test_environment_matches_scalar_channel_bit_for_bit",
             "tests/test_engine.py::test_chunk_with_greedy_lanes_computes_every_slot_once",
         ),
+    ),
+    # the kept exploit target, clause by clause (moving it onto itself, when
+    # slot == best, writes nothing, so a mutant of that case alone is equivalent)
+    Mutant(
+        "target-ties-go-high",  # an equal reward at a higher slot takes the target
+        "src/irsbandit/policy.py",
+        "np.copyto(best, slot, where=lead >= (slot > best))",
+        "np.copyto(best, slot, where=lead >= (slot < best))",
+        ("tests/test_policy.py::test_kept_target_is_the_argmax_and_decides_like_a_rescan",),
+    ),
+    Mutant(
+        "target-advance-not-strict",  # any equal reward takes the target
+        "src/irsbandit/policy.py",
+        "np.copyto(best, slot, where=lead >= (slot > best))",
+        "np.copyto(best, slot, where=lead >= 0)",
+        ("tests/test_policy.py::test_kept_target_is_the_argmax_and_decides_like_a_rescan",),
     ),
     Mutant(
         "radius-band-by-square",  # dx*dx + dy*dy decides the slots hypot should

@@ -12,7 +12,8 @@ code and are never listed. The property tests run with
 --hypothesis-seed=0 (a later argument overrides it), so a rerun draws the
 same examples and lists the same statements. Only the standard library and
 pytest are used. It is not part of the suite; a failing test does not stop
-it, and it exits 0 once the list is printed.
+it. It exits 1 when it lists any statement and 0 when it lists none, so a
+change that adds a branch no test reaches fails it.
 
 Usage:
     python scripts/unexecuted_lines.py [extra pytest arguments]
@@ -113,7 +114,7 @@ def main() -> int:
                 name = path.relative_to(ROOT)
                 print(f"{name}:{stmt.lineno}: {lines[stmt.lineno - 1].strip()}")
     print(f"{missed} function statements of src/irsbandit never executed")
-    return 0
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":

@@ -208,6 +208,12 @@ class ChannelEnvironment:
                 budget = self.links(np.arange(len(self.arms)))[1]
         if not all((abs(b) <= 2.0**1022).all() for b in (budget, eve_db)):  # NaN fails too
             raise ValueError("channel.ref_loss_db: a link budget is not within 2**1022 dB")
+        # No link's budget exceeds the interval's upper end, and 10**x is finite
+        # below x = log10 of the largest double (308.2547...), so no SNR factor
+        # overflows when that end's does not.
+        x = (float(self._feed_db.max()) - params.ref_loss_db - params.noise_power_db) / 10.0
+        if not x < 308.25:  # NaN fails too
+            raise ValueError("channel.tx_power_db: a linear SNR factor overflows")
         self._eve_snr = channel.snr_factors(eve_db, params)
         self.blocks = channel.fading_blocks(len(topo.panel_xy), len(self.arms), len(topo.eve_xy))
 

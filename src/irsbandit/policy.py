@@ -4,6 +4,10 @@ Two policies over the same state: the bandit policy (RSSI warm start,
 epsilon-style exploration with rate omega, stickiness phi) and the greedy
 baseline (random start, then always the largest accumulated reward).
 Rewards are integer counters of satisfied periods, one per candidate panel.
+Each agent keeps its exploit target, the slot of its largest reward, and
+update advances it in O(agents): only the current slot's reward grows, so
+the target moves only to that slot. This needs a reward that never falls;
+a mean reward would have to recompute the target over every slot.
 
 Every agent's candidates occupy a contiguous run of slots in one flat
 layout shared with the environment: agent u owns slots offsets[u] to
@@ -54,7 +58,10 @@ class Agents(Segments):
     rewards[s] counts the satisfied periods of slot s; slot[u] is the flat
     slot of agent u's current panel; unsat[u] counts periods since agent
     u's last satisfied one and is reset only by a satisfied period. arms[s]
-    is the panel index of slot s within its lane. Lane l owns agents
+    is the panel index of slot s within its lane. best[u] is agent u's
+    exploit target, the slot of its largest reward, ties to the lowest
+    slot: init_association sets it and update keeps it, so no decision
+    scans the slots. Lane l owns agents
     lanes[l] to lanes[l + 1] - 1, at least one, and runs policies[l]; by
     default every agent forms one lane. bandit[u] is False for the agents
     of greedy lanes. phi[u] and omega[u] are agent u's
@@ -80,6 +87,7 @@ class Agents(Segments):
         self.omega = self.bandit * np.repeat([p.omega for p in self.policies], lane_sizes)
         self.rewards = np.zeros(len(arms), dtype=np.int64)
         self.slot = np.full(len(self.starts), -1, dtype=np.int64)
+        self.best = np.full(len(self.starts), -1, dtype=np.int64)
         self.unsat = np.zeros(len(self.starts), dtype=np.int64)
         self.initialized = False
 
@@ -95,6 +103,7 @@ class Agents(Segments):
         part = Agents(offsets, self.arms[s_lo:s_hi], self.policies[l : l + 1])
         part.rewards = self.rewards[s_lo:s_hi].copy()
         part.slot = self.slot[lo:hi] - s_lo
+        part.best = self.best[lo:hi] - s_lo
         part.unsat = self.unsat[lo:hi].copy()
         part.initialized = self.initialized
         return part
@@ -141,7 +150,8 @@ def uniform_slots(starts: np.ndarray, sizes: np.ndarray, u: np.ndarray) -> np.nd
 
 
 def init_association(agents: Agents, strongest, uniform: np.ndarray) -> np.ndarray:
-    """First-period association; sets and returns every agent's slot.
+    """First-period association; sets and returns every agent's slot, and sets
+    every exploit target.
 
     The bandit starts on strongest[u], agent u's slot of strongest RSSI
     (the environment's warm start, ties to the lowest slot); the greedy
@@ -162,6 +172,7 @@ def init_association(agents: Agents, strongest, uniform: np.ndarray) -> np.ndarr
             raise ValueError("strongest slots must align with the agents' candidate slots")
         slot = np.where(agents.bandit, strongest, slot)
     agents.slot = slot
+    agents.best = segment_argmax(agents.rewards, agents)
     agents.unsat[:] = 0
     agents.initialized = True
     return slot
@@ -174,17 +185,16 @@ def select_irs(agents: Agents, uniform: np.ndarray) -> np.ndarray:
     maximum and whose consecutive-unsatisfied counter is below phi stays
     put. Every other agent u with uniform[u, 0] < omega explores its
     uniform random candidate, chosen by uniform[u, 1]; the rest exploit
-    the argmax accumulated reward, ties to the lowest index. Greedy:
-    always exploit (phi and omega are 0).
+    the argmax accumulated reward, ties to the lowest index (the kept
+    target best). Greedy: always exploit (phi and omega are 0).
     """
     if not agents.initialized:
         raise ValueError("agents are not initialized")
-    rewards, slot = agents.rewards, agents.slot
-    best = segment_argmax(rewards, agents)
-    move = (rewards[slot] != rewards[best]) | (agents.unsat >= agents.phi)
+    rewards, slot, best = agents.rewards, agents.slot, agents.best
+    move = (rewards[slot] < rewards[best]) | (agents.unsat >= agents.phi)
     explore = move & (uniform[:, 0] < agents.omega)
-    pick = uniform_slots(agents.starts, agents.sizes, uniform[:, 1])
-    np.copyto(slot, np.where(explore, pick, best), where=move)
+    np.copyto(slot, best, where=move)
+    np.copyto(slot, uniform_slots(agents.starts, agents.sizes, uniform[:, 1]), where=explore)
     return slot
 
 
@@ -193,11 +203,19 @@ def update(agents: Agents, satisfied: np.ndarray) -> Agents:
 
     Satisfied: the current slot's reward grows by one and the
     consecutive-unsatisfied counter resets. Unsatisfied: rewards are
-    untouched and the counter grows by one.
+    untouched and the counter grows by one. The exploit target becomes the
+    current slot when its reward now exceeds the target's, or equals it at
+    a lower slot: no other slot's reward moved.
     """
     if not agents.initialized:
         raise ValueError("agents are not initialized")
-    agents.rewards[agents.slot] += satisfied  # slots of distinct agents never repeat
+    rewards, slot, best = agents.rewards, agents.slot, agents.best
+    lead = rewards[slot]
+    lead += satisfied
+    rewards[slot] = lead  # slots of distinct agents never repeat
+    lead -= rewards[best]  # the current slot's lead over the target, at most 1
+    # it takes the target with a lead of 1, or of 0 from a lower slot
+    np.copyto(best, slot, where=lead >= (slot > best))
     agents.unsat += 1
     agents.unsat[satisfied] = 0
     return agents

@@ -418,6 +418,9 @@ class TestConfigValidation:
             ({"rate_threshold": 0.0}, "rate_threshold: must be positive"),
             ({"rate_threshold": -1.0}, "rate_threshold: must be positive"),
             ({"replications": 0}, "replications: must be at least 1"),
+            ({"periods": 0}, "periods: must be at least 1"),
+            ({"channel_budget": 0}, "channel_budget: must be at least 1"),
+            ({"base_seed": -1}, "base_seed: must be non-negative"),
         ],
     )
     def test_out_of_range_experiment_value_rejected(self, changes, message):
@@ -836,6 +839,84 @@ def test_environment_whose_budget_is_not_finite_rejected(params, far):
         topo.ue_xy[0] = 1e20  # served by its nearest cell, 1e20 m from its ring
     with pytest.raises(ValueError, match=r"^channel\.ref_loss_db: "):
         ChannelEnvironment(topo, params, 1.0)
+
+
+def _largest_accepted_tx_power_db(topology) -> float:
+    """The largest tx_power_db SimulationConfig accepts on topology, to the ulp."""
+
+    def accepted(tx):
+        try:
+            SimulationConfig(topology=topology, channel=ChannelParams(tx_power_db=tx))
+        except ValueError:
+            return False
+        return True
+
+    tx = 3000.0 - ChannelParams().irs_gain_db + 22.0 * math.log10(topology.irs_radius)
+    while not accepted(tx):
+        tx = math.nextafter(tx, -math.inf)
+    while accepted(math.nextafter(tx, math.inf)):
+        tx = math.nextafter(tx, math.inf)
+    return tx
+
+
+@pytest.mark.parametrize("eves", [2, 0], ids=["eavesdroppers", "no-eavesdroppers"])
+@pytest.mark.filterwarnings("error")
+def test_environment_whose_snr_factor_overflows_rejected(eves):
+    """A channel whose SNR factor overflows, built in library code past
+    SimulationConfig's check, is rejected by the constructor as
+    channel.tx_power_db, the key SimulationConfig names; left to pow, it
+    raised OverflowError in the constructor (from the eavesdroppers' factors)
+    or, without eavesdroppers, at the first links read. The default channel
+    and the largest tx power SimulationConfig accepts still construct, with
+    every SNR factor finite."""
+    topology = TopologyConfig(eavesdroppers_per_cell=eves)
+    topo = build_network(topology, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^channel\.tx_power_db: "):
+        ChannelEnvironment(topo, ChannelParams(tx_power_db=3100.0), 1.0)
+    edge = ChannelParams(tx_power_db=_largest_accepted_tx_power_db(topology))
+    for params in (ChannelParams(), edge):
+        env = ChannelEnvironment(topo, params, 1.0)
+        budget = env.links(np.arange(len(env.arms)))[1]
+        assert np.isfinite(channel.snr_factors(budget, params)).all()
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e300])
+@pytest.mark.filterwarnings("error")
+def test_warm_start_on_overflowing_screens_takes_the_exact_budgets(scale):
+    """On a layout scaled so far up that numpy's squared hop lengths overflow
+    (an accepted config), every screened budget is not finite: the warm
+    start takes the exact budget of every slot (links) before its winners,
+    and still picks segment_argmax of the exact rssi(), the slots
+    reference_model picks too."""
+    s = scale
+    cfg = SimulationConfig(
+        topology=TopologyConfig(
+            grid_side=200.0 * s,
+            small_cell_count=2,
+            small_cell_offsets=((-50.0 * s, -50.0 * s), (50.0 * s, 50.0 * s)),
+            irs_radius=10.0 * s,
+            eve_radius=20.0 * s,
+        ),
+        channel=ChannelParams(pathloss_exponent=2.0),
+        enforce_channel_budget=False,
+        periods=2,
+        replications=1,
+    )
+    seed = 5
+    rng = np.random.default_rng(seed)
+    env = ChannelEnvironment(build_network(cfg.topology, rng), cfg.channel, cfg.rate_threshold)
+    lanes = ChannelLanes([env], [rng])
+    lanes.draw()
+    read = []
+    links = lanes.links
+    lanes.links = lambda slots: read.append(len(slots)) or links(slots)
+    best = lanes.strongest(Agents(env.offsets, env.arms, [cfg.policy]))
+    assert read[0] == len(env.arms)  # the fallback, before any winner is read
+    want = policy.segment_argmax(lanes.rssi(), policy.Segments(env.offsets))
+    _assert_same_bits(best, want)
+    reference = reference_model.channel_replication(cfg, seed)
+    _assert_same_bits(env.arms[best], reference.chosen[0])
+    _assert_same_bits(run_replication(cfg, seed).chosen, reference.chosen)
 
 
 def test_lane_with_a_prebuilt_channel_environment_is_sized_like_its_config():

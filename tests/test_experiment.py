@@ -256,6 +256,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{not json")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"experiment": {"periods": 2.5}}', r"experiment\.periods: expected an integer$"),
+            ('{"topology": {"grid_side": [200]}}', r"topology\.grid_side: expected a number$"),
+            (
+                '{"topology": {"small_cell_offsets": [[0, 0, 0]]}}',
+                r"topology\.small_cell_offsets: expected a list of \[x, y\] pairs, got ",
+            ),
+            ('{"sweep": {"phis": 2}}', r"sweep\.phis: expected a list, got 2$"),
+            ('{"experiment": 5}', r"JSON config must be an object of section objects$"),
+            ("[experiment]\nperiods\n", r"line 2: expected 'key = value', got 'periods'$"),
+        ],
+        ids=["float-int", "list-float", "triple", "scalar-list", "scalar-section", "no-equals"],
+    )
+    def test_malformed_text_rejected_by_name(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            parse_config(text)
+
     def test_budget_violation_named(self):
         with pytest.raises(ConfigError, match="experiment"):
             parse_config("[experiment]\nperiods = 200\nreplications = 100\n")

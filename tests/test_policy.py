@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsbandit.config import PolicyConfig, PolicyKind
+from irsbandit import engine, policy
+from irsbandit.config import PolicyConfig, PolicyKind, SimulationConfig
 from irsbandit.policy import (
     Agents,
     init_association,
@@ -36,6 +37,7 @@ def initialized_agent(
     a.slot[0] = list(candidates).index(current)
     if rewards is not None:
         a.rewards[:] = rewards
+    a.best = segment_argmax(a.rewards, a)
     a.unsat[0] = streak
     return a
 
@@ -149,6 +151,7 @@ class TestSelectIrs:
         a.initialized = True
         a.slot[:] = a.starts + 1
         a.rewards[:] = np.tile([0, 9, 0], trials)
+        a.best = segment_argmax(a.rewards, a)
         a.unsat[:] = 5
         select_irs(a, np.random.default_rng(11).random((trials, 2)))
         explored = np.count_nonzero(a.arms[a.slot] != 1)
@@ -172,6 +175,7 @@ class TestSelectIrs:
             a.initialized = True
             a.slot[:] = a.starts + current
             a.rewards[:] = rewards.ravel()
+            a.best = segment_argmax(a.rewards, a)
             a.unsat[:] = streak
         uniform = rng.random((n, 2))
         select_irs(cb, uniform)
@@ -236,6 +240,7 @@ def test_agent_records_read_the_flat_state():
     a.initialized = True
     a.slot[:] = [1, 2, 5]
     a.rewards[:] = [0, 6, 1, 2, 0, 5]
+    a.best = segment_argmax(a.rewards, a)
     a.unsat[:] = [0, 3, 1]
     records = list(a)
     assert [r.candidate_irs for r in records] == [(4, 7), (1,), (2, 3, 9)]
@@ -254,6 +259,8 @@ def test_agent_records_read_the_flat_state():
         Agents([0, 2, 3], np.array([4, 7, 1]), two, lanes=[0, 0, 2])
     mixed = Agents([0, 2, 3], np.array([4, 7, 1]), two, lanes=[0, 1, 2])
     assert mixed.phi.tolist() == [2, 0] and mixed.omega.tolist() == [0.1, 0.0]
+    with pytest.raises(ValueError, match="one policy per lane"):
+        Agents([0, 2, 3], np.array([4, 7, 1]), two[:1], lanes=[0, 1, 2])
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,6 +278,97 @@ def test_reward_monotone_and_conserved(outcomes, seed):
     assert a.rewards.sum() == sum(outcomes)  # total reward = satisfied periods
     if outcomes[-1]:
         assert a.unsat.tolist() == [0]
+
+
+def rescanned_decisions(a, uniform):
+    """select_irs's rule agent by agent, each agent's target taken afresh
+    from its rewards: the first slot of the largest."""
+    slots = []
+    for u in range(len(a)):
+        lo, cur = int(a.starts[u]), int(a.slot[u])
+        rewards = a.rewards[lo : lo + int(a.sizes[u])].tolist()
+        best = lo + rewards.index(max(rewards))
+        if a.rewards[cur] == a.rewards[best] and a.unsat[u] < a.phi[u]:
+            slots.append(cur)
+        elif uniform[u, 0] < a.omega[u]:
+            slots.append(lo + int(uniform[u, 1] * a.sizes[u]))
+        else:
+            slots.append(best)
+    return slots
+
+
+def _assert_equal(got, want):
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+LANE = st.tuples(
+    st.sampled_from([CB, GREEDY]),
+    st.sampled_from([1, 2, 4]),  # phi
+    st.sampled_from([0.0, 0.1, 0.5, 1.0]),  # omega
+    st.lists(st.integers(1, 6), min_size=1, max_size=5),  # each agent's candidate count
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lanes=st.lists(LANE, min_size=1, max_size=4),
+    periods=st.integers(1, 40),
+    p_sat=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kept_target_is_the_argmax_and_decides_like_a_rescan(lanes, periods, p_sat, seed):
+    """On a chunk of bandit and greedy lanes with mixed candidate counts, the
+    target update keeps is segment_argmax of the rewards after every period,
+    and every slot select_irs picks is the one a full rescan picks."""
+    rng = np.random.default_rng(seed)
+    sizes = [n for *_, counts in lanes for n in counts]
+    a = Agents(
+        list(itertools.accumulate(sizes, initial=0)),
+        np.concatenate([np.arange(n) for n in sizes]),
+        [PolicyConfig(kind=k, phi=phi, omega=omega) for k, phi, omega, _ in lanes],
+        list(itertools.accumulate((len(lane[3]) for lane in lanes), initial=0)),
+    )
+    init_association(a, None, rng.random((len(a), 2)))
+    for _ in range(periods):
+        update(a, rng.random(len(a)) < p_sat)
+        _assert_equal(a.best, segment_argmax(a.rewards, a))
+        uniform = rng.random((len(a), 2))
+        want = rescanned_decisions(a, uniform)
+        assert select_irs(a, uniform).tolist() == want
+
+
+def test_a_run_never_rescans_after_its_warm_start(monkeypatch):
+    """Once period 1 has set every target, select_irs and update read no
+    slot-length array: a channel chunk (bandit and greedy lanes sharing a
+    stream) and a Bernoulli run, with segment_argmax raising from then on,
+    give the results they give without the patch."""
+    cb = SimulationConfig(periods=6, replications=1)
+    greedy = SimulationConfig(policy=PolicyConfig(kind=GREEDY), periods=6, replications=1)
+    bernoulli = engine.BernoulliEnvironment((0.2, 0.5, 0.5, 0.9), n_agents=50)
+    runs = [
+        [engine.Lane(cb, 7), engine.Lane(greedy, 7), engine.Lane(cb, 8)],
+        [engine.Lane(cb, 7, bernoulli), engine.Lane(greedy, 7, bernoulli)],
+    ]
+    assert all(len(list(engine._chunks(lanes))) == 1 for lanes in runs)
+    want = [engine.run_lanes(lanes, record=True) for lanes in runs]
+
+    real_argmax, real_init = policy.segment_argmax, policy.init_association
+
+    def rescan(values, agents):
+        raise AssertionError("segment_argmax called after period 1")
+
+    def init_then_forbid(*args):
+        slot = real_init(*args)
+        monkeypatch.setattr(policy, "segment_argmax", rescan)
+        return slot
+
+    monkeypatch.setattr(policy, "init_association", init_then_forbid)
+    for lanes, results in zip(runs, want):
+        monkeypatch.setattr(policy, "segment_argmax", real_argmax)
+        for got, res in zip(engine.run_lanes(lanes, record=True), results, strict=True):
+            _assert_equal(got.chosen, res.chosen)
+            _assert_equal(got.satisfied, res.satisfied)
+        assert policy.segment_argmax is rescan
 
 
 def test_two_armed_sanity_quick():
