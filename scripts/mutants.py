@@ -97,7 +97,10 @@ MUTANTS = (
         "src/irsbandit/engine.py",
         "snr = np.zeros((n_bs, 1))",
         "snr = np.ones((n_bs, 1))",
-        ("tests/test_engine.py::test_environment_matches_scalar_channel_bit_for_bit",),
+        (
+            "tests/test_engine.py::test_outcomes_without_rates_match_outcomes_with_them",
+            "tests/test_engine.py::test_environment_matches_scalar_channel_bit_for_bit",
+        ),
     ),
     Mutant(
         "rssi-numpy-log10",  # numpy's log10 may differ from math's in the last bit
@@ -157,12 +160,34 @@ MUTANTS = (
     Mutant(
         "fill-only-read-slots",  # slots first read in a later period keep no SNR factor
         "src/irsbandit/engine.py",
-        "rest = lo + np.flatnonzero(np.isnan(self._snr[lo:hi]))",
-        "rest = np.unique(slot[(slot >= lo) & (slot < hi)])",
+        "self.links(lo + np.flatnonzero(np.isnan(self._snr[lo:hi])))",
+        "self.links(np.unique(slot[(slot >= lo) & (slot < hi)]))",
         (
             "tests/test_engine.py::test_environment_matches_scalar_channel_bit_for_bit",
             "tests/test_engine.py::test_chunk_with_greedy_lanes_computes_every_slot_once",
         ),
+    ),
+    # one channel and one rate threshold per chunk
+    Mutant(
+        "chunk-key-ignores-channel",  # lanes on other channels or thresholds share a chunk
+        "src/irsbandit/engine.py",
+        "        return ChannelEnvironment, cfg.periods, cfg.channel, cfg.rate_threshold\n"
+        "    if type(env) is ChannelEnvironment:\n"
+        "        return ChannelEnvironment, cfg.periods, env.params, env.rate_threshold\n",
+        "        return ChannelEnvironment, cfg.periods\n"
+        "    if type(env) is ChannelEnvironment:\n"
+        "        return ChannelEnvironment, cfg.periods\n",
+        (
+            "tests/test_engine.py::test_one_generator_per_stream",
+            "tests/test_engine.py::test_lanes_in_chunks_match_one_lane_runs",
+        ),
+    ),
+    Mutant(
+        "chunk-key-reads-prebuilt-cfg",  # a prebuilt environment is keyed by its cfg's channel
+        "src/irsbandit/engine.py",
+        "return ChannelEnvironment, cfg.periods, env.params, env.rate_threshold",
+        "return ChannelEnvironment, cfg.periods, cfg.channel, cfg.rate_threshold",
+        ("tests/test_engine.py::test_lanes_in_chunks_match_one_lane_runs",),
     ),
     # the kept exploit target, clause by clause (moving it onto itself, when
     # slot == best, writes nothing, so a mutant of that case alone is equivalent)

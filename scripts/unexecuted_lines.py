@@ -13,7 +13,9 @@ code and are never listed. The property tests run with
 same examples and lists the same statements. Only the standard library and
 pytest are used. It is not part of the suite; a failing test does not stop
 it. It exits 1 when it lists any statement and 0 when it lists none, so a
-change that adds a branch no test reaches fails it.
+change that adds a branch no test reaches fails it. The sources are read
+before the suite runs; when any of them differs afterwards, the recorded
+line numbers may not match it, so it lists nothing, says so and exits 2.
 
 Usage:
     python scripts/unexecuted_lines.py [extra pytest arguments]
@@ -100,11 +102,19 @@ def trace_suite(pytest_args) -> dict[str, set[int]]:
     return hit
 
 
+def read_sources() -> dict[Path, str]:
+    """The text of every package file, by path."""
+    return {path: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def main() -> int:
+    sources = read_sources()
     hit = trace_suite(sys.argv[1:])
+    if read_sources() != sources:
+        print("src/irsbandit changed while the suite ran; no statement is listed")
+        return 2
     missed = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text()
+    for path, source in sources.items():
         lines = source.splitlines()
         ran = hit.get(str(path), set())
         stmts = sorted(function_statements(ast.parse(source)), key=lambda s: s.lineno)

@@ -28,11 +28,7 @@ MIN_PATH_DISTANCE_M = 1.0
 
 
 def path_losses_db(d: np.ndarray, p: ChannelParams) -> np.ndarray:
-    """Path loss ref_loss_db + 10 * n * log10(d) of every distance d, clamped to d >= 1 m.
-
-    p's fields may also be arrays like d, one value per element (so may
-    those of budgets_db and snr_factors).
-    """
+    """Path loss ref_loss_db + 10 * n * log10(d) of every distance d, clamped to d >= 1 m."""
     loss = elementwise(math.log10, np.maximum(d, MIN_PATH_DISTANCE_M))
     loss *= 10.0 * p.pathloss_exponent  # in place, rounded as the scalar formula
     loss += p.ref_loss_db
@@ -80,27 +76,24 @@ def budgets_db(
 
 
 def screened_budgets_db(
-    feed: np.ndarray, panel: np.ndarray, square: np.ndarray, params, cuts
+    feed: np.ndarray, panel: np.ndarray, square: np.ndarray, p: ChannelParams
 ) -> np.ndarray:
     """budgets_db's formula on hop lengths np.sqrt(square), with np.log10 for
-    math.log10; slots cuts[k] to cuts[k + 1] - 1 take params[k]. Each budget
-    lies within budget_error_db of the exact one wherever it is finite.
-    square, the squared hop lengths, is overwritten."""
+    math.log10. Each budget lies within budget_error_db of the exact one
+    wherever it is finite. square, the squared hop lengths, is overwritten."""
     np.sqrt(square, out=square)
     np.maximum(square, MIN_PATH_DISTANCE_M, out=square)
     np.log10(square, out=square)
-    for p, lo, hi in zip(params, cuts, cuts[1:]):
-        loss = square[lo:hi]
-        loss *= 10.0 * p.pathloss_exponent
-        loss += p.ref_loss_db
+    square *= 10.0 * p.pathloss_exponent
+    square += p.ref_loss_db
     budget = feed.take(panel)
     budget -= square
     return budget
 
 
-def budget_error_db(feed: np.ndarray, budget: np.ndarray, params) -> float:
+def budget_error_db(feed: np.ndarray, budget: np.ndarray, p: ChannelParams) -> float:
     """A bound on |b' - b| for finite screened budgets b' (budget) of finite
-    exact ones b, with the channel parameters of any of params.
+    exact ones b on channel p.
 
     With u = 2**-53, c = 10 * pathloss_exponent, hypot and math.log10
     within an ulp and np.log10 within k ulps: the screened hop length
@@ -115,7 +108,7 @@ def budget_error_db(feed: np.ndarray, budget: np.ndarray, params) -> float:
     inf, a bound that screens nothing out; every term is finite otherwise.
     """
     top = max(feed.max(), -feed.min()) + max(budget.max(), -budget.min())
-    return 2.0**-40 * (max(10.0 * p.pathloss_exponent + abs(p.ref_loss_db) for p in params) + top)
+    return 2.0**-40 * (10.0 * p.pathloss_exponent + abs(p.ref_loss_db) + top)
 
 
 def snr_factors(budget: np.ndarray, p: ChannelParams) -> np.ndarray:

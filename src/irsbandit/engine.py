@@ -10,10 +10,12 @@ period together, their slots and agents concatenated into one flat layout
 (policy.Agents), so every step after the draws (the RSSI and its argmax,
 the decisions, link evaluation with its logarithms, the reward update)
 runs once per chunk rather than once per lane. Chunks are cut in lane
-order: a chunk holds lanes of one environment kind and one period count
-whose per-period draws total at most CHUNK_FLOATS floats. A run of adjacent
-lanes on one stream is never cut apart, and a run larger than the bound
-runs alone.
+order: a chunk holds lanes of one key (_chunk_key: one environment kind
+and one period count, and for channel lanes one channel and one rate
+threshold) whose per-period draws total at most CHUNK_FLOATS floats. A run
+of adjacent lanes on one stream is never cut apart, and a run larger than
+the bound runs alone. A sweep's cells differ only in policy and
+distribution case, so its channel lanes all share one key.
 
 Within a chunk, lanes whose draws and environment are equal by
 construction form one stream: channel lanes with equal topology, channel
@@ -242,14 +244,6 @@ def _links(slots, arms, offsets, pxy, uxy, feed_db, params) -> tuple[np.ndarray,
     return hop, channel.budgets_db(feed_db, arm, hop, params)
 
 
-class _SlotParams(NamedTuple):
-    """The channel parameters links reads, one value per slot."""
-
-    pathloss_exponent: np.ndarray
-    ref_loss_db: np.ndarray
-    noise_power_db: np.ndarray
-
-
 class BernoulliEnvironment:
     """Abstract plug-in: each arm satisfies with a fixed probability.
 
@@ -357,11 +351,13 @@ class ChannelLanes:
     stream's arms, uncopied), the position of its IRS->UE gain (_ue_at) and
     its SNR factor, NaN until links computes it. A lane's agent finds its
     stream slot at its lane slot + _shift[agent] (_shift is None when every
-    lane is its own stream). Every agent keeps its lane's satisfaction
-    cutoff (_log2_cutoff). Every stream's (panel, eavesdropper) pair, panel
-    by panel, keeps its chunk panel, its IRS->eve gain's position and its
-    SNR factor; a stream without eavesdroppers holds one pair per panel
-    with SNR factor 0 instead. So lanes that share a stream read the same
+    lane is its own stream). The streams share one channel and one rate
+    threshold, as _chunks cuts chunks, so the chunk keeps the first
+    stream's ChannelParams and one satisfaction cutoff (_log2_cutoff).
+    Every stream's (panel, eavesdropper) pair, panel by panel, keeps its
+    chunk panel, its IRS->eve gain's position and its SNR factor; a stream
+    without eavesdroppers holds one pair per panel with SNR factor 0
+    instead. So lanes that share a stream read the same
     gains and slot state, and the strongest eavesdropper of every chunk
     panel is one reduceat over its pairs, 0 on a panel without one.
     """
@@ -401,16 +397,11 @@ class ChannelLanes:
         self._pxy = _joined([env._pxy for env in envs], axis=1)
         self._uxy = _joined([env._uxy for env in envs], axis=1)
         self._feed_db = _joined([env._feed_db for env in envs])
-        self._params = [env.params for env in envs]
-        # one row per field of _SlotParams, one column per stream
-        self._columns = np.array([[getattr(p, f) for p in self._params] for f in _SlotParams._fields])
-        self._stream_slots = np.fromiter(
-            accumulate((len(env.arms) for env in envs), initial=0), np.int64, len(envs) + 1
-        )
+        self._params = envs[0].params
+        self._stream_slots = list(accumulate((len(env.arms) for env in envs), initial=0))
         self._snr = np.full(self._stream_slots[-1], np.nan)
         self._filled = False  # set once every stream slot has its SNR factor
-        cutoffs = [_log2_cutoff(env.rate_threshold) for env in envs]
-        self._cutoff = np.repeat([cutoffs[s] for s in layout.stream], np.diff(layout.agents))
+        self._cutoff = _log2_cutoff(envs[0].rate_threshold)
         self._stream_offsets = layout.stream_offsets
         self._rows, self._shift = layout.rows, layout.shift
 
@@ -426,10 +417,9 @@ class ChannelLanes:
 
     def links(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The exact hop length, budget in dB and SNR factor of each stream slot
-        given (_links, then channel.snr_factors, each slot on its stream's
-        channel parameters); the SNR factors are kept for outcomes."""
-        stream = self._stream_slots.searchsorted(slots, side="right") - 1
-        p = _SlotParams(*self._columns[:, stream])
+        given (_links, then channel.snr_factors); the SNR factors are kept
+        for outcomes."""
+        p = self._params
         hop, budget = _links(
             slots, self._panel, self._stream_offsets, self._pxy, self._uxy, self._feed_db, p
         )
@@ -452,9 +442,7 @@ class ChannelLanes:
             dy *= dy
             square += dy
             del dy
-            budget = channel.screened_budgets_db(
-                self._feed_db, self._panel, square, self._params, self._stream_slots
-            )
+            budget = channel.screened_budgets_db(self._feed_db, self._panel, square, self._params)
         odd = np.flatnonzero(~np.isfinite(budget))
         if len(odd):
             budget[odd] = self.links(odd)[1]
@@ -493,10 +481,10 @@ class ChannelLanes:
         # slot's screened RSSI fl(b' + fl(10 * np.log10 g)) and its exact
         # fl(fl(10 * log10 g) + b) differ by at most (2k + 3) * u * (A + R) + e,
         # where A and R bound |10 log10 g| and the |RSSI| over the chunk and e
-        # bounds |b' - b| (channel.budget_error_db, the largest of the
-        # streams'). An agent's exact maximum thus screens within twice that of
-        # its approximate one; 2**-40 * (A + R) + 2e covers it and the rounding
-        # of top - margin for any k up to 2000 (all is 0 if A + R + e = 0).
+        # bounds |b' - b| (channel.budget_error_db). An agent's exact maximum
+        # thus screens within twice that of its approximate one; 2**-40 *
+        # (A + R) + 2e covers it and the rounding of top - margin for any k
+        # up to 2000 (all is 0 if A + R + e = 0).
         # Nothing overflows: budgets are within 2**1022 dB (ChannelEnvironment),
         # their screens within e < 2**986 of them and A < 3240, so R < 2**1022 +
         # 2**986 + 2A and top - margin and approx - top stay below 2**1024 in
@@ -540,13 +528,8 @@ class ChannelLanes:
             slot = slot + self._shift  # the stream slots
         power = self._snr[slot]  # 1 + snr * g_bs * g_ue, in place in that order
         if not self._filled and np.isnan(power).any():
-            for p, lo, hi in zip(self._params, self._stream_slots, self._stream_slots[1:]):
-                rest = lo + np.flatnonzero(np.isnan(self._snr[lo:hi]))
-                budget = _links(
-                    rest, self._panel, self._stream_offsets, self._pxy, self._uxy, self._feed_db, p
-                )[1]
-                self._snr[rest] = channel.snr_factors(budget, p)
-                del rest, budget  # freed before the next stream's
+            for lo, hi in zip(self._stream_slots, self._stream_slots[1:]):
+                self.links(lo + np.flatnonzero(np.isnan(self._snr[lo:hi])))
             self._filled = True
             power = self._snr[slot]
         g_bs = gains[self._bs_at]
@@ -595,16 +578,13 @@ class BernoulliLanes:
         return None
 
     def outcomes(self, slot: np.ndarray, rates: bool = True):
+        """As ChannelLanes.outcomes, but the secrecy is None: it is 0 everywhere."""
         uniform = self._uniform if self._rows is None else self._uniform[self._rows]
         satisfied = uniform < self._probs[self._arm[slot]]
-        return satisfied.astype(float) if rates else None, satisfied, np.zeros(len(slot))
+        return satisfied.astype(float) if rates else None, satisfied, None
 
 
 _LANES = {ChannelEnvironment: ChannelLanes, BernoulliEnvironment: BernoulliLanes}
-
-
-def _kind(lane: Lane) -> type:
-    return ChannelEnvironment if lane.environment is None else type(lane.environment)
 
 
 def _period_floats(lane: Lane) -> int:
@@ -628,8 +608,20 @@ def _period_floats(lane: Lane) -> int:
     return n_panels * (1 + n_ues) + n_pairs + 2 * n_ues
 
 
+def _chunk_key(lane: Lane) -> tuple:
+    """What every lane of a chunk shares: its environment kind and period
+    count, and a channel lane's channel and rate threshold (a prebuilt
+    ChannelEnvironment's own)."""
+    env, cfg = lane.environment, lane.cfg
+    if env is None:
+        return ChannelEnvironment, cfg.periods, cfg.channel, cfg.rate_threshold
+    if type(env) is ChannelEnvironment:
+        return ChannelEnvironment, cfg.periods, env.params, env.rate_threshold
+    return type(env), cfg.periods
+
+
 def _chunks(lanes):
-    """Cut lanes, in order, into chunks of one kind and period count within CHUNK_FLOATS.
+    """Cut lanes, in order, into chunks of one _chunk_key within CHUNK_FLOATS.
 
     Adjacent lanes on one stream are never cut apart: the cut falls before
     their run, and a run above the bound runs alone.
@@ -638,11 +630,7 @@ def _chunks(lanes):
     for _, run in groupby(lanes, key=_stream_key):
         run = list(run)
         n = sum(map(_period_floats, run))
-        if chunk and (
-            floats + n <= CHUNK_FLOATS
-            and _kind(run[0]) is _kind(chunk[0])
-            and run[0].cfg.periods == chunk[0].cfg.periods
-        ):
+        if chunk and floats + n <= CHUNK_FLOATS and _chunk_key(run[0]) == _chunk_key(chunk[0]):
             chunk += run
             floats += n
             continue
@@ -723,9 +711,10 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     ]
     periods = chunk[0].cfg.periods
     # per lane and period, its satisfied count and secrecy sum, made means
-    # after the last period; each lane's row is C-contiguous
+    # after the last period; each lane's row is C-contiguous. A Bernoulli
+    # chunk's secrecy is None, so its sums stay 0
     satisfaction = np.empty((len(chunk), periods))
-    mean_secrecy = np.empty((len(chunk), periods))
+    mean_secrecy = np.zeros((len(chunk), periods))
     if record:
         chosen = np.empty((periods, bounds[-1]), dtype=np.int64)
         sat_record = np.empty((periods, bounds[-1]), dtype=bool)
@@ -746,7 +735,8 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         # agents alone; a count of bools is exact in a double
         for a, run, n in runs:
             np.add.reduce(satisfied[a].reshape(-1, n), axis=1, out=satisfaction[run, t])
-            np.add.reduce(secrecy[a].reshape(-1, n), axis=1, out=mean_secrecy[run, t])
+            if secrecy is not None:
+                np.add.reduce(secrecy[a].reshape(-1, n), axis=1, out=mean_secrecy[run, t])
         if record:
             chosen[t] = batch.arms[slot]
             sat_record[t] = satisfied

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from irsbandit import channel, engine, policy
@@ -606,14 +606,16 @@ def test_environment_matches_scalar_channel_bit_for_bit(
 def test_outcomes_without_rates_match_outcomes_with_them():
     """Without rates, outcomes takes no rate but the same satisfaction and
     secrecy, bit for bit, also in a chunk whose streams have no, one or two
-    eavesdroppers per cell (panels without one read an eavesdropper SNR of 0)."""
-    envs, rngs = [], []
-    for seed, n_eves in [(5, 0), (6, 2), (7, 1), (8, 0)]:
+    eavesdroppers per cell (panels without one read an eavesdropper SNR of 0,
+    so there the secrecy is the rate)."""
+    envs, rngs, eves = [], [], [0, 2, 1, 0]
+    for seed, n_eves in zip([5, 6, 7, 8], eves):
         rng = np.random.default_rng(seed)
         topo = build_network(TopologyConfig(eavesdroppers_per_cell=n_eves), rng)
         envs.append(ChannelEnvironment(topo, ChannelParams(), 1.0))
         rngs.append(rng)
     lanes = ChannelLanes(envs, rngs)
+    eveless = np.repeat([n == 0 for n in eves], [env.n_agents for env in envs])
     sizes = np.diff(lanes.offsets)
     leaked = 0
     for k in range(4):
@@ -625,6 +627,7 @@ def test_outcomes_without_rates_match_outcomes_with_them():
         _assert_same_bits(light_satisfied, satisfied)
         _assert_same_bits(light_secrecy, secrecy)
         _assert_same_bits(satisfied, rate >= 1.0)
+        _assert_same_bits(secrecy[eveless], rate[eveless])
         leaked += np.count_nonzero(secrecy)
     assert 0 < leaked < 4 * len(slot)
 
@@ -1106,12 +1109,14 @@ def test_engine_matches_reference_chain_bit_for_bit(
 def test_bernoulli_engine_matches_reference_chains(
     seed, probs, kind, omega, phi, n_agents
 ):
-    """Bernoulli runs match the scalar chain; one bandit agent matches the oracle script."""
+    """Bernoulli runs match the scalar chain, with a secrecy of +0.0 in every
+    period; one bandit agent matches the oracle script."""
     cfg = SimulationConfig(
         policy=PolicyConfig(kind=kind, omega=omega, phi=phi), periods=40, replications=1
     )
     got = run_replication(cfg, seed, environment=BernoulliEnvironment(probs, n_agents))
     want = reference_model.bernoulli_replication(cfg, seed, probs, n_agents)
+    _assert_same_bits(got.mean_secrecy, np.zeros(cfg.periods))
     _assert_same_bits(got.chosen, want.chosen)
     _assert_same_bits(got.satisfied, want.satisfied)
     _assert_same_bits(got.rates, want.rates)
@@ -1260,7 +1265,8 @@ def test_one_generator_per_stream(monkeypatch):
     """A chunk makes one Generator per distinct stream. Lanes on one seed
     share it only when their topology, channel and rate threshold (or their
     environment object) are equal; a different case, detection radius,
-    channel or threshold makes a stream of its own."""
+    channel or threshold makes a stream of its own, and a different channel
+    or threshold a chunk of its own too. Each variant's greedy twin follows it."""
     cfg = small_cfg(periods=3)
     greedy = PolicyConfig(kind=PolicyKind.GREEDY)
     clustered = dataclasses.replace(cfg.topology, distribution_case=DistributionCase.CLUSTERED)
@@ -1271,13 +1277,12 @@ def test_one_generator_per_stream(monkeypatch):
         dataclasses.replace(cfg, channel=ChannelParams(pathloss_exponent=2.5)),
         dataclasses.replace(cfg, rate_threshold=2.0),
     ]
-    lanes = [Lane(v, 9) for v in variants]
-    lanes += [Lane(dataclasses.replace(v, policy=greedy), 9) for v in variants]
-    lanes += [Lane(cfg, 10)]
+    lanes = [Lane(w, 9) for v in variants for w in (v, dataclasses.replace(v, policy=greedy))]
+    lanes.insert(6, Lane(cfg, 10))  # after the default channel's variants
     env = BernoulliEnvironment((0.2, 0.7), n_agents=3)
     bernoulli = [Lane(cfg, 9, env), Lane(dataclasses.replace(cfg, policy=greedy), 9, env)]
     bernoulli += [Lane(cfg, 10, env)]
-    assert [len(chunk) for chunk in engine._chunks(lanes + bernoulli)] == [11, 3]
+    assert [len(chunk) for chunk in engine._chunks(lanes + bernoulli)] == [7, 2, 2, 3]
     made = _record_generators(monkeypatch)
     got = run_lanes(lanes + bernoulli)
     assert len(made) == 6 + 2
@@ -1286,7 +1291,7 @@ def test_one_generator_per_stream(monkeypatch):
 
 
 channel_lanes = st.builds(
-    lambda seed, kind, case, radius, eves, n_ues, n_panels: Lane(
+    lambda seed, kind, case, radius, eves, n_ues, n_panels, channel, threshold: Lane(
         SimulationConfig(
             topology=TopologyConfig(
                 irs_per_cell=n_panels,
@@ -1296,9 +1301,11 @@ channel_lanes = st.builds(
                 cluster_size=1,
                 detection_radius=radius,
             ),
+            channel=channel,
             policy=PolicyConfig(kind=kind, omega=0.3, phi=2),
             periods=LANE_PERIODS,
             replications=1,
+            rate_threshold=threshold,
         ),
         seed,
     ),
@@ -1309,6 +1316,8 @@ channel_lanes = st.builds(
     eves=st.integers(min_value=0, max_value=2),
     n_ues=st.sampled_from([1, 3, 8]),
     n_panels=st.sampled_from([2, 5]),
+    channel=st.sampled_from([ChannelParams(), ChannelParams(pathloss_exponent=2.5)]),
+    threshold=st.sampled_from([1.0, 2.0]),
 )
 bernoulli_lanes = st.builds(
     lambda seed, kind, probs, n_agents: Lane(
@@ -1335,9 +1344,9 @@ def _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes):
         chunks = list(engine._chunks(lanes))
         got = run_lanes(lanes, record=True)
         series = run_lanes(lanes)
-    kinds = [lane.environment is None for lane in lanes]
+    keys = [engine._chunk_key(lane) for lane in lanes]
     if chunk_floats == math.inf:
-        assert len(chunks) == 1 + sum(a != b for a, b in zip(kinds, kinds[1:]))
+        assert len(chunks) == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
     assert [lane for chunk in chunks for lane in chunk] == lanes
     for want, res, light in zip(alone, got, series, strict=True):
         _assert_same_bits(res.chosen, want.chosen)
@@ -1355,16 +1364,32 @@ def _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes):
             assert record.consecutive_unsatisfied == agent.consecutive_unsatisfied
 
 
+def _prebuilt_between_config_lanes() -> list[Lane]:
+    """Config lanes on the default channel and threshold around a lane whose
+    prebuilt ChannelEnvironment has another channel and threshold than its
+    cfg, which is the default one."""
+    cfg = SimulationConfig(
+        topology=TopologyConfig(ue_count=3), periods=LANE_PERIODS, replications=1
+    )
+    topo = build_network(cfg.topology, np.random.default_rng(5))
+    env = ChannelEnvironment(topo, ChannelParams(pathloss_exponent=2.5), 2.0)
+    greedy = dataclasses.replace(cfg, policy=PolicyConfig(kind=PolicyKind.GREEDY))
+    return [Lane(cfg, 5), Lane(cfg, 6, env), Lane(greedy, 7)]
+
+
 @pytest.mark.parametrize("chunk_floats", [1, 3, math.inf])
 @settings(max_examples=25, deadline=None)
 @given(lanes=st.lists(st.one_of(channel_lanes, bernoulli_lanes), min_size=1, max_size=6))
+@example(lanes=_prebuilt_between_config_lanes())
 def test_lanes_in_chunks_match_one_lane_runs(chunk_floats, lanes):
     """Every lane of a chunk gives, bit for bit, what it gives run alone.
 
-    Lanes mix policies, placements, detection radii, eavesdropper counts
-    and sizes; Bernoulli lanes join the list and chunk with each other.
-    Unbounded chunks put every run of same-kind lanes in one chunk; a
-    bound of 1 or 3 floats runs every channel lane alone.
+    Lanes mix policies, placements, detection radii, eavesdropper counts,
+    sizes, channels and rate thresholds; Bernoulli lanes join the list and
+    chunk with each other. Unbounded chunks put every run of lanes of one
+    _chunk_key in one chunk; a bound of 1 or 3 floats runs every channel
+    lane alone. The explicit example runs a prebuilt environment on its
+    own channel and threshold between config lanes: its own chunk.
     """
     _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes)
 
