@@ -127,6 +127,13 @@ MUTANTS = (
         ("tests/test_engine.py::test_environment_whose_budget_is_not_finite_rejected",),
     ),
     Mutant(
+        "snr-bound-at-overflow",  # a factor that two fading gains overflow is accepted
+        "src/irsbandit/engine.py",
+        "if not x <= 302.0:",
+        "if not x < 308.25:",
+        ("tests/test_engine.py::test_environment_whose_snr_factor_overflows_rejected",),
+    ),
+    Mutant(
         "budget-interval-decides-alone",  # an interval past the bound rejects unchecked
         "src/irsbandit/engine.py",
         "if not (abs(budget) <= 2.0**1022).all():",

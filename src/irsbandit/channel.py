@@ -115,8 +115,8 @@ def snr_factors(budget: np.ndarray, p: ChannelParams) -> np.ndarray:
     """Pre-fading linear SNR of every budget: 10^((budget - noise)/10), to scale by g1 * g2.
 
     math.pow is mapped over a repeated base, with no call layer between; it
-    gives the bits of 10.0 ** x wherever that is finite, and SimulationConfig
-    rejects (as channel.tx_power_db) any channel whose factor could overflow.
+    gives the bits of 10.0 ** x wherever that is finite, and SimulationConfig and
+    ChannelEnvironment reject (as channel.tx_power_db) any factor that could overflow.
     """
     x = budget - p.noise_power_db
     x /= 10.0

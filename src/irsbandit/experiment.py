@@ -51,7 +51,8 @@ class OutputFormat(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A validated experiment: base protocol plus sweep axes."""
+    """A validated experiment: base protocol plus sweep axes. Each sweep cell
+    replaces base.policy and base.topology.distribution_case with its own."""
 
     base: SimulationConfig = SimulationConfig()
     policies: tuple[PolicyKind, ...] = (
@@ -247,8 +248,8 @@ _TYPES = {
     "tuple[float, ...]": (_each(_to_float), _joined(str)),
 }
 
-# Fields no key sets: the nested sections, and the axes every sweep cell sets.
-_NOT_KEYS = ("topology", "channel", "policy", "distribution_case", "kind")
+# Fields no key sets: the nested sections, and the policy and case each cell sets.
+_NOT_KEYS = ("topology", "channel", "policy", "distribution_case")
 
 
 def _keys(cls, names=None) -> dict:
@@ -265,7 +266,6 @@ _SECTIONS = {
     "experiment": (SimulationConfig, _keys(SimulationConfig)),
     "topology": (TopologyConfig, _keys(TopologyConfig)),
     "channel": (ChannelParams, _keys(ChannelParams)),
-    "policy": (PolicyConfig, _keys(PolicyConfig)),
     "sweep": (ExperimentSpec, _keys(ExperimentSpec, {a: a for a in _AXES})),
     "output": (
         ExperimentSpec,
@@ -346,10 +346,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentSpec:
             except ValueError as exc:
                 raise ConfigError(f"{section}.{key}: {exc}") from None
 
-    nested = {
-        section: _build(section, _SECTIONS[section][0], **values[section])
-        for section in ("topology", "channel", "policy")
-    }
+    nested = {s: _build(s, _SECTIONS[s][0], **values[s]) for s in ("topology", "channel")}
     return ExperimentSpec(
         base=_build("experiment", SimulationConfig, **values["experiment"], **nested),
         **values["sweep"],

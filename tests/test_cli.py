@@ -43,16 +43,16 @@ def test_missing_config_exits_nonzero(tmp_path, capsys):
 
 def test_undecodable_config_exits_nonzero(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_bytes(b"[policy]\nomega = 0.1 \xff\n")
+    cfg.write_bytes(b"[sweep]\nomegas = 0.1 \xff\n")
     assert main(["--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read config: ") and "Traceback" not in err
 
 
 def test_validation_error_exits_nonzero(tmp_path, capsys):
-    cfg = write_config(tmp_path, text="[policy]\nomega = 1.5\n")
+    cfg = write_config(tmp_path, text="[sweep]\nomegas = 1.5\n")
     assert main(["--config", str(cfg)]) == 1
-    assert "policy.omega" in capsys.readouterr().err
+    assert "sweep.omegas" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -144,7 +144,6 @@ class TestParseConfig:
                 "tx_power_db": 5.0,
                 "noise_power_db": 0.0,
             },
-            "policy": {"omega": 0.1, "phi": 2},
             "sweep": {
                 "policies": ["cb", "greedy"],
                 "cases": ["random", "clustered"],
@@ -163,16 +162,26 @@ class TestParseConfig:
         assert parse_config(block) == ExperimentSpec()
 
     def test_omega_bound_error_names_key(self):
-        with pytest.raises(ConfigError, match=r"policy\.omega.*\[0, 1\]"):
-            parse_config("[policy]\nomega = 1.5\n")
+        with pytest.raises(ConfigError, match=r"^sweep\.omegas: .*\[0, 1\]"):
+            parse_config("[sweep]\nomegas = 1.5\n")
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match=r"unknown key: topology\.grid_sdie"):
             parse_config("[topology]\ngrid_sdie = 100\n")
 
-    def test_unknown_section_named(self):
-        with pytest.raises(ConfigError, match="unknown section: chanel"):
-            parse_config("[chanel]\nirs_gain_db = 10\n")
+    @pytest.mark.parametrize(
+        "text, section",
+        [
+            ("[chanel]\nirs_gain_db = 10\n", "chanel"),
+            # every cell's policy comes from the sweep axes, so no section sets one
+            ("[policy]\nomega = 0.3\n", "policy"),
+            ('{"policy": {"phi": 3}}', "policy"),
+        ],
+        ids=["misspelt", "policy", "policy-json"],
+    )
+    def test_unknown_section_named(self, text, section):
+        with pytest.raises(ConfigError, match=f"^unknown section: {section}$"):
+            parse_config(text)
 
     def test_type_mismatch_names_key(self):
         with pytest.raises(ConfigError, match=r"experiment\.periods"):
@@ -220,7 +229,7 @@ class TestParseConfig:
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_config("[policy]\nphi = 1\nphi = 2\n")
+            parse_config("[channel]\ntx_power_db = 1\ntx_power_db = 2\n")
 
     def test_empty_sweep_axis_rejected(self):
         with pytest.raises(ConfigError, match=r"sweep\.policies: must be non-empty"):
