@@ -131,7 +131,7 @@ MUTANTS = (
         "src/irsbandit/engine.py",
         "if not x <= 302.0:",
         "if not x < 308.25:",
-        ("tests/test_engine.py::test_environment_whose_snr_factor_overflows_rejected",),
+        ("tests/test_engine.py::test_environment_whose_faded_snr_factor_could_overflow_rejected",),
     ),
     Mutant(
         "budget-interval-decides-alone",  # an interval past the bound rejects unchecked

@@ -865,26 +865,33 @@ def _largest_accepted_tx_power_db(topology) -> float:
 @pytest.mark.parametrize("eves", [2, 0], ids=["eavesdroppers", "no-eavesdroppers"])
 @pytest.mark.filterwarnings("error")
 def test_environment_whose_snr_factor_overflows_rejected(eves):
-    """A channel whose SNR factor overflows, or could once two fading gains
-    scale it, built in library code past SimulationConfig's check, is
-    rejected by the constructor as channel.tx_power_db, the key
-    SimulationConfig names. Left to pow, tx 3100 raised OverflowError in the
-    constructor (from the eavesdroppers' factors) or, without eavesdroppers,
-    at the first links read; tx 3050 (largest factors near 6.6e306)
-    constructed, and a long run's faded eavesdropper powers overflowed to
-    inf. The default channel and the largest tx power SimulationConfig
-    accepts still construct, with every SNR factor finite."""
+    """A channel whose SNR factor overflows, built in library code past
+    SimulationConfig's check, is rejected by the constructor as
+    channel.tx_power_db, the key SimulationConfig names; left to pow, it
+    raised OverflowError in the constructor (from the eavesdroppers' factors)
+    or, without eavesdroppers, at the first links read. The default channel
+    and the largest tx power SimulationConfig accepts still construct, with
+    every SNR factor finite."""
     topology = TopologyConfig(eavesdroppers_per_cell=eves)
     topo = build_network(topology, np.random.default_rng(0))
-    for tx in (3100.0, 3050.0):
-        with pytest.raises(ValueError, match=r"^channel\.tx_power_db: "):
-            ChannelEnvironment(topo, ChannelParams(tx_power_db=tx), 1.0)
+    with pytest.raises(ValueError, match=r"^channel\.tx_power_db: "):
+        ChannelEnvironment(topo, ChannelParams(tx_power_db=3100.0), 1.0)
     edge = ChannelParams(tx_power_db=_largest_accepted_tx_power_db(topology))
     for params in (ChannelParams(), edge):
         env = ChannelEnvironment(topo, params, 1.0)
         budget = env.links(np.arange(len(env.arms)))[1]
         assert np.isfinite(channel.snr_factors(budget, params)).all()
 
+
+
+@pytest.mark.parametrize("eves", [2, 0], ids=["eavesdroppers", "no-eavesdroppers"])
+def test_environment_whose_faded_snr_factor_could_overflow_rejected(eves):
+    """A finite SNR factor that two fading gains could scale past the largest
+    double is rejected too: tx 3050 (largest factors near 6.6e306) used to
+    construct, and a long run's faded eavesdropper powers overflowed to inf."""
+    topo = build_network(TopologyConfig(eavesdroppers_per_cell=eves), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^channel\.tx_power_db: "):
+        ChannelEnvironment(topo, ChannelParams(tx_power_db=3050.0), 1.0)
 
 @pytest.mark.parametrize("scale", [1e155, 1e300])
 @pytest.mark.filterwarnings("error")

@@ -169,18 +169,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"unknown key: topology\.grid_sdie"):
             parse_config("[topology]\ngrid_sdie = 100\n")
 
+    def test_unknown_section_named(self):
+        with pytest.raises(ConfigError, match="unknown section: chanel"):
+            parse_config("[chanel]\nirs_gain_db = 10\n")
+
+    # every cell's policy comes from the sweep axes, so no section sets one
     @pytest.mark.parametrize(
-        "text, section",
-        [
-            ("[chanel]\nirs_gain_db = 10\n", "chanel"),
-            # every cell's policy comes from the sweep axes, so no section sets one
-            ("[policy]\nomega = 0.3\n", "policy"),
-            ('{"policy": {"phi": 3}}', "policy"),
-        ],
-        ids=["misspelt", "policy", "policy-json"],
+        "text", ["[policy]\nomega = 0.3\n", '{"policy": {"phi": 3}}'], ids=["text", "json"]
     )
-    def test_unknown_section_named(self, text, section):
-        with pytest.raises(ConfigError, match=f"^unknown section: {section}$"):
+    def test_policy_section_rejected(self, text):
+        with pytest.raises(ConfigError, match="^unknown section: policy$"):
             parse_config(text)
 
     def test_type_mismatch_names_key(self):
@@ -656,6 +654,18 @@ class TestSweepDedup:
         got = [cell.cfg for cell in run_experiment(spec).cells]
         assert got == want
         assert [hash(cfg) for cfg in got] == [hash(cfg) for cfg in want]
+
+    def test_base_policy_is_replaced_in_every_cell(self, tmp_path):
+        base = dataclasses.replace(SimulationConfig(), periods=3, replications=1)
+        other = dataclasses.replace(
+            base, policy=PolicyConfig(kind=PolicyKind.GREEDY, omega=0.9, phi=7)
+        )
+        summaries = [
+            run_experiment(ExperimentSpec(base=b, output_path=str(tmp_path / f"{i}.csv")))
+            for i, b in enumerate((base, other))
+        ]
+        assert [c.cfg for c in summaries[1].cells] == [c.cfg for c in summaries[0].cells]
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "0.csv").read_bytes()
 
 
 class TestChunkTiming:
