@@ -64,6 +64,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "budget-excludes-its-bound",  # the default protocol's 10^4 blocks exceed the budget
+        "src/irsbandit/config.py",
+        "self.periods * self.replications > CHANNEL_BUDGET",
+        "self.periods * self.replications >= CHANNEL_BUDGET",
+        ("tests/test_engine.py::TestConfigValidation::test_budget_enforcement",),
+    ),
+    Mutant(
         "spec-skips-case-topologies",  # the sweep's clustered case goes unchecked
         "src/irsbandit/experiment.py",
         "dataclasses.replace(self.base.topology, distribution_case=case)",
@@ -196,6 +203,20 @@ MUTANTS = (
         "return ChannelEnvironment, cfg.periods, cfg.channel, cfg.rate_threshold",
         ("tests/test_engine.py::test_lanes_in_chunks_match_one_lane_runs",),
     ),
+    Mutant(
+        "stream-key-ignores-threshold",  # lanes on one seed and two thresholds share a stream
+        "src/irsbandit/engine.py",
+        "return cfg.topology, cfg.channel, cfg.rate_threshold, cfg.periods, lane.seed",
+        "return cfg.topology, cfg.channel, cfg.periods, lane.seed",
+        ("tests/test_engine.py::test_lanes_in_chunks_match_one_lane_runs",),
+    ),
+    Mutant(
+        "stream-shift-sign-flipped",  # a lane agent's slot maps to another stream slot
+        "src/irsbandit/engine.py",
+        "shift = [stream_slots[s] - lo for s, lo in zip(self.stream, self.slots)]",
+        "shift = [lo - stream_slots[s] for s, lo in zip(self.stream, self.slots)]",
+        ("tests/test_engine.py::test_one_generator_per_stream",),
+    ),
     # the kept exploit target, clause by clause (moving it onto itself, when
     # slot == best, writes nothing, so a mutant of that case alone is equivalent)
     Mutant(
@@ -240,6 +261,28 @@ MUTANTS = (
         "best[tied] = elementwise(math.hypot, dx[tied], dy[tied]).argmin(axis=1)",
         "best[tied] = square[tied].argmin(axis=1)",
         ("tests/test_topology.py::test_serving_cells_match_hypot_argmin",),
+    ),
+    # the config reaches the run by one set of rules
+    Mutant(
+        "json-last-repeat-wins",  # a JSON object keeps only the last of a repeated key
+        "src/irsbandit/experiment.py",
+        "blocks = [(section, keys.pairs) for section, keys in data.pairs]",
+        "blocks = [(section, keys.items()) for section, keys in data.items()]",
+        ("tests/test_experiment.py::TestParseConfig::test_json_key_given_twice_rejected",),
+    ),
+    Mutant(
+        "log-level-by-basic-config",  # the level is lost once the root logger has a handler
+        "src/irsbandit/cli.py",
+        'logging.getLogger("irsbandit").setLevel(level)',
+        "logging.basicConfig(level=level)",
+        ("tests/test_cli.py::test_log_level_applies_when_logging_is_configured",),
+    ),
+    Mutant(
+        "cluster-spread-unread",  # a key that parses but that no run reads
+        "src/irsbandit/topology.py",
+        "spread = cfg.cluster_spread + 0.0",
+        "spread = 35.0",
+        ("tests/test_experiment.py::test_every_config_key_reaches_the_run",),
     ),
 )
 

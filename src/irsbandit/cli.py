@@ -52,7 +52,8 @@ def main(argv=None) -> int:
         allowed = ", ".join(_LOG_LEVELS)
         print(f"error: IRSBANDIT_LOG: expected one of {allowed}, got {name!r}", file=sys.stderr)
         return 1
-    logging.basicConfig(level=level)
+    logging.basicConfig()  # a root handler, unless the host program set one
+    logging.getLogger("irsbandit").setLevel(level)
 
     args = build_parser().parse_args(argv)
     try:

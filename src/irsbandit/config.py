@@ -17,6 +17,9 @@ import numbers
 from dataclasses import dataclass
 
 
+CHANNEL_BUDGET = 10_000  # fading blocks (periods x replications) while enforced
+
+
 class DistributionCase(str, enum.Enum):
     """How UEs are scattered over the grid."""
 
@@ -180,7 +183,6 @@ class SimulationConfig:
     periods: int = 100
     replications: int = 100
     rate_threshold: float = 1.0
-    channel_budget: int = 10_000
     enforce_channel_budget: bool = True
 
     def __post_init__(self):
@@ -193,15 +195,10 @@ class SimulationConfig:
             raise ValueError("periods: must be at least 1")
         if self.replications < 1:
             raise ValueError("replications: must be at least 1")
-        if self.channel_budget < 1:
-            raise ValueError("channel_budget: must be at least 1")
-        if (
-            self.enforce_channel_budget
-            and self.periods * self.replications > self.channel_budget
-        ):
+        if self.enforce_channel_budget and self.periods * self.replications > CHANNEL_BUDGET:
             raise ValueError(
-                "channel_budget: periods * replications exceeds it; "
-                "raise the budget or disable enforcement"
+                "enforce_channel_budget: periods * replications exceeds the "
+                f"{CHANNEL_BUDGET} fading blocks; set it false to lift the bound"
             )
         # The strongest link's SNR factor, panel irs_radius from its cell and 1 m from
         # the receiver, must stay below 1e300, which leaves room for two fading gains.

@@ -87,11 +87,8 @@ class ExperimentSpec:
         try:  # the base topology is valid, so only a clustered case's division can fail
             for case in self.cases:
                 dataclasses.replace(self.base.topology, distribution_case=case)
-        except ValueError:
-            raise ConfigError(
-                "topology.ue_count: must be a multiple of topology.cluster_size "
-                "for the clustered case"
-            ) from None
+        except ValueError as exc:
+            raise ConfigError(f"topology.{exc}") from None
         if not self.output_path:
             raise ConfigError("output.path: must be non-empty")
 
@@ -274,38 +271,46 @@ _SECTIONS = {
 }
 
 
+class _JSONObject(dict):
+    """A JSON object that keeps its (key, value) pairs, a repeated key included."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def _parse_sections(text: str) -> dict:
-    """Raw text -> {section: {key: raw value}}; JSON input passes through."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """Raw text or JSON -> {section: {key: raw value}}; in either form a repeated
+    section merges into the first, and a key given twice in one is rejected."""
+    if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_JSONObject)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from None
-        if not isinstance(data, dict) or not all(
-            isinstance(v, dict) for v in data.values()
-        ):
+        if not all(isinstance(keys, dict) for _, keys in data.pairs):
             raise ConfigError("JSON config must be an object of section objects")
-        return data
+        blocks = [(section, keys.pairs) for section, keys in data.pairs]
+    else:
+        blocks = [("experiment", [])]
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                blocks.append((line[1:-1].strip(), []))
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            blocks[-1][1].append((key.strip(), value.strip()))
 
     sections: dict = {}
-    current = "experiment"
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            sections.setdefault(current, {})
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key = key.strip()
-        section = sections.setdefault(current, {})
-        if key in section:
-            raise ConfigError(f"duplicate key: {current}.{key}")
-        section[key] = value.strip()
+    for section, pairs in blocks:
+        keys = sections.setdefault(section, {})
+        for key, value in pairs:
+            if key in keys:
+                raise ConfigError(f"duplicate key: {section}.{key}")
+            keys[key] = value
     return sections
 
 

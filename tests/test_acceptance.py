@@ -20,6 +20,7 @@ import pytest
 
 from irsbandit.channel import fill_fading
 from irsbandit.config import (
+    CHANNEL_BUDGET,
     DistributionCase,
     PolicyConfig,
     PolicyKind,
@@ -237,7 +238,7 @@ def test_criterion_7_invariant_suite(runs, tmp_path):
     )
 
     # channel-budget accounting under the default protocol
-    checks["channel-budget-10^4"] = trace.fading_blocks == 10_000
+    checks["channel-budget-10^4"] = trace.fading_blocks == CHANNEL_BUDGET == 10_000
 
     # conservation and reward monotonicity on a fresh default replication
     cfg = SimulationConfig(replications=1)

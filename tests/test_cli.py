@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -64,7 +65,7 @@ def test_validation_error_exits_nonzero(tmp_path, capsys):
         (
             None,
             ["--periods", "100", "--replications", "200"],
-            "experiment.channel_budget",
+            "experiment.enforce_channel_budget",
         ),
         (None, ["--out", ""], "output.path"),
         (
@@ -144,6 +145,17 @@ def test_unknown_log_level_exits_nonzero(tmp_path, capsys, monkeypatch):
         "error: IRSBANDIT_LOG: expected one of debug, info, warning, quiet, got 'verbose'\n"
     )
     assert not (tmp_path / "traces.csv").exists()
+
+
+def test_log_level_applies_when_logging_is_configured(tmp_path, monkeypatch, caplog):
+    """pytest's capture handler sits on the root logger, so logging.basicConfig
+    does nothing here; IRSBANDIT_LOG=info still logs one line per sweep cell."""
+    monkeypatch.setenv("IRSBANDIT_LOG", "info")
+    cfg = write_config(tmp_path, text="")
+    flags = ["--periods", "2", "--replications", "1", "--out", str(tmp_path / "t.csv")]
+    assert main(["--config", str(cfg), *flags]) == 0
+    cells = [r for r in caplog.records if r.getMessage().startswith("cell ")]
+    assert len(cells) == 12 and all(r.levelno == logging.INFO for r in cells)
 
 
 def test_log_level_is_case_insensitive(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from irsbandit import channel, engine, policy
 from irsbandit.config import (
+    CHANNEL_BUDGET,
     ChannelParams,
     DistributionCase,
     PolicyConfig,
@@ -317,7 +318,9 @@ class TestRunMonteCarlo:
 
 class TestConfigValidation:
     def test_budget_enforcement(self):
-        with pytest.raises(ValueError, match="channel_budget"):
+        assert CHANNEL_BUDGET == 100 * 100  # the default protocol's fading blocks
+        assert SimulationConfig(periods=100, replications=100).periods == 100
+        with pytest.raises(ValueError, match="^enforce_channel_budget: "):
             SimulationConfig(periods=101, replications=100)
 
     def test_budget_enforcement_can_be_disabled(self):
@@ -419,7 +422,6 @@ class TestConfigValidation:
             ({"rate_threshold": -1.0}, "rate_threshold: must be positive"),
             ({"replications": 0}, "replications: must be at least 1"),
             ({"periods": 0}, "periods: must be at least 1"),
-            ({"channel_budget": 0}, "channel_budget: must be at least 1"),
             ({"base_seed": -1}, "base_seed: must be non-negative"),
         ],
     )
@@ -506,7 +508,7 @@ def test_integer_fields_reject_non_integers(cls, key, value):
 def test_every_int_field_is_checked():
     assert {k for _, k in INT_FIELDS} == {
         "small_cell_count", "irs_per_cell", "eavesdroppers_per_cell", "ue_count",
-        "cluster_size", "phi", "base_seed", "periods", "replications", "channel_budget",
+        "cluster_size", "phi", "base_seed", "periods", "replications",
     }
 
 
@@ -1387,10 +1389,19 @@ def _prebuilt_between_config_lanes() -> list[Lane]:
     return [Lane(cfg, 5), Lane(cfg, 6, env), Lane(greedy, 7)]
 
 
+def _one_seed_on_two_thresholds() -> list[Lane]:
+    """Adjacent lanes on one seed and network that differ only in rate threshold."""
+    cfg = SimulationConfig(
+        topology=TopologyConfig(ue_count=3), periods=LANE_PERIODS, replications=1
+    )
+    return [Lane(cfg, 5), Lane(dataclasses.replace(cfg, rate_threshold=2.0), 5)]
+
+
 @pytest.mark.parametrize("chunk_floats", [1, 3, math.inf])
 @settings(max_examples=25, deadline=None)
 @given(lanes=st.lists(st.one_of(channel_lanes, bernoulli_lanes), min_size=1, max_size=6))
 @example(lanes=_prebuilt_between_config_lanes())
+@example(lanes=_one_seed_on_two_thresholds())
 def test_lanes_in_chunks_match_one_lane_runs(chunk_floats, lanes):
     """Every lane of a chunk gives, bit for bit, what it gives run alone.
 
@@ -1398,8 +1409,10 @@ def test_lanes_in_chunks_match_one_lane_runs(chunk_floats, lanes):
     sizes, channels and rate thresholds; Bernoulli lanes join the list and
     chunk with each other. Unbounded chunks put every run of lanes of one
     _chunk_key in one chunk; a bound of 1 or 3 floats runs every channel
-    lane alone. The explicit example runs a prebuilt environment on its
-    own channel and threshold between config lanes: its own chunk.
+    lane alone. The explicit examples run a prebuilt environment on its
+    own channel and threshold between config lanes: its own chunk; and two
+    lanes on one seed side by side that differ only in threshold: two
+    streams, never one run of lanes.
     """
     _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes)
 

@@ -17,7 +17,7 @@ from irsbandit.config import (
     SimulationConfig,
     TopologyConfig,
 )
-from irsbandit import engine
+from irsbandit import cli, engine
 from irsbandit.engine import run_lanes, run_monte_carlo
 from irsbandit.experiment import (
     CSV_HEADER,
@@ -48,14 +48,12 @@ path = {path}
 format = {format}
 """
 
-CLUSTERED_COUNT_MESSAGE = (
-    "topology.ue_count: must be a multiple of topology.cluster_size for the clustered case"
-)
+CLUSTERED_COUNT_MESSAGE = "topology.ue_count: clustered placement needs it divisible by cluster_size"
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 # traces.csv of the default sweep (12 cells x 100 periods x 100 replications),
-# as scripts/run_default_sweep.py writes it
+# as `simulate --config <empty file> --out traces.csv` writes it
 FULL_DEFAULT_SWEEP_CSV_SHA256 = (
     "260b2c4ff0ab0968b80b2921feaec58f5bd77518895009d2e3f4e35d8b76ebf4"
 )
@@ -121,7 +119,6 @@ class TestParseConfig:
                 "periods": 100,
                 "replications": 100,
                 "rate_threshold": 1.0,
-                "channel_budget": 10000,
                 "enforce_channel_budget": True,
             },
             "topology": {
@@ -181,6 +178,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^unknown section: policy$"):
             parse_config(text)
 
+    # the 10^4 fading blocks are config.CHANNEL_BUDGET, which no key sets
+    @pytest.mark.parametrize(
+        "text",
+        ["channel_budget = 20000\n", '{"experiment": {"channel_budget": 20000}}'],
+        ids=["text", "json"],
+    )
+    def test_channel_budget_key_rejected(self, text):
+        with pytest.raises(ConfigError, match=r"^unknown key: experiment\.channel_budget$"):
+            parse_config(text)
+
     def test_type_mismatch_names_key(self):
         with pytest.raises(ConfigError, match=r"experiment\.periods"):
             parse_config("[experiment]\nperiods = ten\n")
@@ -228,6 +235,30 @@ class TestParseConfig:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("[channel]\ntx_power_db = 1\ntx_power_db = 2\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"experiment": {"periods": 5, "periods": 7}}',
+            '{"experiment": {"periods": 5}, "experiment": {"periods": 7}}',
+        ],
+        ids=["one-section", "two-sections"],
+    )
+    def test_json_key_given_twice_rejected(self, text):
+        with pytest.raises(ConfigError, match=r"^duplicate key: experiment\.periods$"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[channel]\ntx_power_db = 9\n[channel]\nirs_gain_db = 60\n",
+            '{"channel": {"tx_power_db": 9}, "channel": {"irs_gain_db": 60}}',
+        ],
+        ids=["text", "json"],
+    )
+    def test_repeated_section_merges_in_either_form(self, text):
+        channel = parse_config(text).base.channel
+        assert (channel.tx_power_db, channel.irs_gain_db) == (9.0, 60.0)
 
     def test_empty_sweep_axis_rejected(self):
         with pytest.raises(ConfigError, match=r"sweep\.policies: must be non-empty"):
@@ -367,6 +398,67 @@ def test_every_config_text_runs_or_is_rejected_by_key(text):
     for trace, _ in engine.run_cells(cfgs):
         assert 0.0 <= trace.mean_satisfaction[0] <= 1.0
         assert np.isfinite(trace.mean_secrecy_rate).all()
+
+
+# A valid non-default raw value for every key that a run's output reads.
+REACHING_VALUES = {
+    ("experiment", "base_seed"): "7",
+    ("experiment", "periods"): "5",
+    ("experiment", "replications"): "3",
+    ("experiment", "rate_threshold"): "2.0",
+    ("topology", "grid_side"): "210.0",
+    ("topology", "small_cell_offsets"): "-40 0, 40 0",
+    ("topology", "irs_per_cell"): "6",
+    ("topology", "irs_radius"): "15.0",
+    ("topology", "eavesdroppers_per_cell"): "1",
+    ("topology", "eve_radius"): "30.0",
+    ("topology", "ue_count"): "30",
+    ("topology", "cluster_size"): "5",
+    ("topology", "cluster_spread"): "20.0",
+    ("topology", "detection_radius"): "30.0",
+    ("channel", "pathloss_exponent"): "2.5",
+    ("channel", "ref_loss_db"): "1.0",
+    ("channel", "irs_gain_db"): "65.0",
+    ("channel", "tx_power_db"): "9.0",
+    ("channel", "noise_power_db"): "1.0",
+    ("sweep", "policies"): "cb",
+    ("sweep", "cases"): "random",
+    ("sweep", "phis"): "1, 2",
+    ("sweep", "omegas"): "0.2",
+    ("output", "format"): "json",
+}
+
+# The keys whose value no output reads, each with the reason.
+UNREAD_KEYS = {
+    ("experiment", "enforce_channel_budget"): "a guard: it only lifts the fading-block bound",
+    ("topology", "small_cell_count"): "restates len(small_cell_offsets), which decides the count",
+    ("output", "path"): "where the files go, not what they hold",
+}
+
+
+def test_every_config_key_reaches_the_run(tmp_path):
+    """Every key of the schema is classified, and each reaching value, set alone
+    on a tiny default sweep, changes the trace file or the summary (its
+    wall_seconds aside): a key that no run reads fails here."""
+    assert set(REACHING_VALUES) | set(UNREAD_KEYS) == set(DEFAULT_KEYS)
+    assert not set(REACHING_VALUES) & set(UNREAD_KEYS)
+    out = tmp_path / "traces.csv"
+
+    def run(changes):
+        overrides = {"experiment": {"periods": 4, "replications": 2}, "output": {"path": str(out)}}
+        for (section, key), raw in changes.items():
+            overrides[section] = {**overrides.get(section, {}), key: raw}
+        run_experiment(parse_config("", overrides))
+        summary = json.loads(pathlib.Path(summary_path(str(out))).read_text())
+        for cell in summary["cells"]:
+            del cell["wall_seconds"]
+        return out.read_bytes(), summary
+
+    tiny = run({})
+    for (section, key), raw in REACHING_VALUES.items():
+        field = experiment._SECTIONS[section][1][key]
+        assert experiment._TYPES[field.type][0](raw) != field.default, f"{section}.{key}"
+        assert run({(section, key): raw}) != tiny, f"{section}.{key} changes nothing"
 
 
 @pytest.mark.parametrize(
@@ -701,11 +793,12 @@ class TestChunkTiming:
 
 
 def test_default_sweep_builds_one_stream_per_case_and_seed(tmp_path, monkeypatch):
-    """The default sweep's lanes build exactly 2 cases x 100 seeds = 200
-    streams: lanes run by stream within each replication and no chunk cut
-    falls between two lanes on one stream. Each lane is cut on its 440-float
-    bound, every UE on every panel, however few slots its network holds, so
-    11 chunks of 72 lanes and one of 8 run. Its traces keep their bytes."""
+    """`simulate --config <empty file>` runs the default sweep, whose lanes
+    build exactly 2 cases x 100 seeds = 200 streams: lanes run by stream
+    within each replication and no chunk cut falls between two lanes on one
+    stream. Each lane is cut on its 440-float bound, every UE on every panel,
+    however few slots its network holds, so 11 chunks of 72 lanes and one of
+    8 run. Its traces keep their bytes."""
     chunks = []
     cut = engine._chunks
 
@@ -715,9 +808,9 @@ def test_default_sweep_builds_one_stream_per_case_and_seed(tmp_path, monkeypatch
             yield chunk
 
     monkeypatch.setattr(engine, "_chunks", recording)
-    out = tmp_path / "traces.csv"
-    spec = dataclasses.replace(parse_config(default_config_text()), output_path=str(out))
-    run_experiment(spec)
+    config, out = tmp_path / "empty.cfg", tmp_path / "traces.csv"
+    config.write_text("")
+    assert cli.main(["--config", str(config), "--out", str(out)]) == 0
     assert sum(len(engine._streams(chunk)[0]) for chunk in chunks) == 200
     assert [len(chunk) for chunk in chunks] == [72] * 11 + [8]
     for before, after in zip(chunks, chunks[1:]):
