@@ -284,6 +284,31 @@ MUTANTS = (
         "spread = 35.0",
         ("tests/test_experiment.py::test_every_config_key_reaches_the_run",),
     ),
+    # Bernoulli lanes drawn in blocks of periods
+    Mutant(
+        "bernoulli-last-block-full",  # the last block draws past the run's periods
+        "src/irsbandit/engine.py",
+        "k = min(len(self._outcome), self._left)",
+        "k = len(self._outcome)",
+        (
+            "tests/test_engine.py::test_lane_stream_is_geometry_then_fixed_blocks",
+            "tests/test_engine.py::test_bernoulli_blocks_keep_every_lane_and_stream",
+        ),
+    ),
+    Mutant(
+        "lone-lane-counts-the-chunk",  # a lone lane counts every lane's satisfied agents
+        "src/irsbandit/engine.py",
+        "satisfaction[l, t] = np.count_nonzero(satisfied[a])",
+        "satisfaction[l, t] = np.count_nonzero(satisfied)",
+        ("tests/test_engine.py::test_bernoulli_blocks_keep_every_lane_and_stream",),
+    ),
+    Mutant(
+        "bernoulli-rate-cast-skipped",  # a recorded Bernoulli run keeps no rates
+        "src/irsbandit/engine.py",
+        "    if record and rates is None:\n",
+        "    if False:\n",
+        ("tests/test_engine.py::test_bernoulli_blocks_keep_every_lane_and_stream",),
+    ),
 )
 
 

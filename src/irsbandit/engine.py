@@ -41,7 +41,12 @@ agents, S slots, E eavesdroppers), never by what the agents did. In order:
         agent in agent order, drawn every period whatever the policy (see
         the policy module for how the decisions read it);
      then the decisions, the link evaluation and the update, which draw
-     nothing.
+     nothing. A lanes object's draw() makes a period's draws, stream by
+     stream. A Bernoulli stream's two blocks are both Generator.random,
+     one 64-bit word per double, so it draws up to k periods' blocks, [U
+     outcome | U x 2 policy] each, in one call, in period order
+     (BernoulliLanes, k from BLOCK_FLOATS): the same doubles in the same
+     order as period by period, so its stream is unchanged.
 So for a given seed every policy sees the same fading in every period:
 bandit and greedy lanes share exact common random numbers. A lane alone
 is a stream of its own, and lanes whose draws are equal by construction
@@ -98,6 +103,14 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # peak memory. Lanes that share a stream draw and hold its state once, so
 # the sweep's bandit and greedy lanes on one seed hold a fraction of it.
 CHUNK_FLOATS = 2**15
+
+# Most floats one block of a Bernoulli chunk may hold, summed over its
+# streams: a chunk whose streams hold U agents in all draws k periods of 3U
+# uniforms per call, k the most that fit, at least 1 (BernoulliLanes). At
+# U = 200 that is k = 4, one call per stream every four periods, and a
+# block of 19 KiB, against 332 KiB for the record of a 200-agent,
+# 100-period run.
+BLOCK_FLOATS = 2400
 
 
 class Lane(NamedTuple):
@@ -251,9 +264,11 @@ class BernoulliEnvironment:
     oracles. There is no geometry, so no signal context exists and the
     warm start degenerates to a uniform random arm; every agent's
     candidates are all arms. A period's outcomes are one block of uniform
-    draws, one per agent in agent order, drawn at the start of the period
-    and read after its decisions. The reported rate is 1.0 or 0.0 and
-    secrecy is always 0.
+    draws, one per agent in agent order, drawn before the period's policy
+    block and read after its decisions; a stream draws up to k periods of
+    both blocks in one call, in period order, which leaves it unchanged
+    (see BernoulliLanes). The reported rate is 1.0 or 0.0 and secrecy is
+    always 0.
     """
 
     def __init__(self, arm_probs, n_agents: int = 1):
@@ -340,6 +355,8 @@ class ChannelLanes:
 
     envs and rngs hold one environment and Generator per stream, and
     layout (by default one lane per stream) places the lanes on them.
+    draw() draws every stream's fading, then every stream's policy block
+    (one (u1, u2) row per stream agent), and returns the lane agents' rows.
     gains holds every stream's period back to back. A stream's part is its
     BS->IRS gains, panel by panel, then one IRS->UE gain per stream slot, in
     slot order, then its IRS->eve gains, row-major by panel: one draw from
@@ -367,6 +384,13 @@ class ChannelLanes:
         self.offsets, self.arms = layout.offsets, layout.arms
         self.gains = np.empty(sum(sum(env.blocks) for env in envs))
         self._draws = []
+        rows = layout.stream_rows
+        self._policy = np.empty((rows[-1], 2))
+        self._policy_draws = [
+            (rng, self._policy[lo:hi]) for rng, lo, hi in zip(rngs, rows, rows[1:])
+        ]
+        # the lane agents' rows, gathered from the stream rows when lanes share a stream
+        self._gathered = None if layout.rows is None else np.empty((layout.agents[-1], 2))
         bs_at, ue_at, pair_panel, pair_eve, pair_snr, panel_base = [], [], [], [], [], []
         b = p = 0  # the stream's first gain and first chunk panel
         for env, rng in zip(envs, rngs):
@@ -405,9 +429,16 @@ class ChannelLanes:
         self._stream_offsets = layout.stream_offsets
         self._rows, self._shift = layout.rows, layout.shift
 
-    def draw(self) -> None:
-        """Every stream's fading for the period, each from its own Generator."""
+    def draw(self) -> np.ndarray:
+        """The period's draws, each stream's from its own Generator: every
+        stream's fading, then every stream's policy block. Returns the
+        policy rows, one (u1, u2) per lane agent."""
         channel.fill_fading(self._draws, self.gains)
+        for rng, out in self._policy_draws:
+            rng.random(out=out)
+        if self._rows is None:
+            return self._policy
+        return np.take(self._policy, self._rows, axis=0, out=self._gathered)
 
     def _gain(self) -> np.ndarray:
         """This period's g_bs * g_ue of every stream slot."""
@@ -553,38 +584,81 @@ class ChannelLanes:
 
 
 class BernoulliLanes:
-    """One period of a chunk of Bernoulli lanes: one block of outcome uniforms per stream.
+    """The periods of a chunk of Bernoulli lanes, drawn in blocks of up to k periods.
 
     envs, rngs and layout are as for ChannelLanes; each lane's agents read
-    their stream's uniforms through the layout's rows.
+    their stream's rows through the layout's rows. A period of a stream of
+    U agents is U outcome uniforms, then U x 2 policy uniforms, both drawn
+    by Generator.random, which reads one 64-bit word per double and keeps
+    nothing between calls. So one call per stream draws k periods of [U
+    outcome | U x 2 policy] uniforms, one period per row in period order:
+    the doubles k period-by-period calls draw, in their order, so the
+    stream is unchanged. k is the most periods whose draws over the
+    chunk's streams fit BLOCK_FLOATS, at least 1; the last block draws
+    only the periods left of the periods given, so each Generator ends
+    where T periods leave it. A lone stream's periods are views of its
+    block; several streams' blocks are joined into chunk blocks, one
+    concatenate per block for each kind of row.
     """
 
-    def __init__(self, envs, rngs, layout=None):
+    def __init__(self, envs, rngs, periods: int, layout=None):
         layout = layout or _Layout(envs)
         self.offsets, self.arms, self._rows = layout.offsets, layout.arms, layout.rows
-        arm_base = list(accumulate((len(env.arm_probs) for env in envs), initial=0))
-        self._arm = _joined([_shifted(envs[s].arms, arm_base[s]) for s in layout.stream])
-        self._probs = _joined([env.arm_probs for env in envs])
+        # each lane slot's arm probability
+        self._slot_prob = _joined([envs[s].arm_probs[envs[s].arms] for s in layout.stream])
         rows = layout.stream_rows
-        self._uniform = np.empty(rows[-1])
-        self._draws = [(rng, self._uniform[lo:hi]) for rng, lo, hi in zip(rngs, rows, rows[1:])]
+        k = int(max(1, min(periods, BLOCK_FLOATS // (3 * rows[-1]))))
+        self._left = periods  # periods not drawn yet
+        # (Generator, its block, its agent count) per stream
+        sizes = [hi - lo for lo, hi in zip(rows, rows[1:])]
+        self._draws = [(rng, np.empty((k, 3 * n)), n) for rng, n in zip(rngs, sizes)]
+        if len(self._draws) == 1:  # a lone stream's periods are views of its block
+            _, block, n = self._draws[0]
+            self._outcome = block[:, :n]
+            self._policy = block[:, n:].reshape(k, n, 2)
+        else:  # the streams' rows are joined into chunk blocks
+            self._outcome = np.empty((k, rows[-1]))
+            self._policy = np.empty((k, rows[-1], 2))
+        self._uniform = None  # the period's outcome uniforms, one per stream agent
+        self._period = self._drawn = 0  # the next period's row; rows drawn in the blocks
+        self._gathered = None if self._rows is None else np.empty((layout.agents[-1], 2))
 
-    def draw(self) -> None:
-        """Every stream's outcome uniforms for the period, each from its own Generator."""
-        for rng, out in self._draws:
-            rng.random(out=out)
+    def draw(self) -> np.ndarray:
+        """The period's policy rows, one (u1, u2) per lane agent; its outcome
+        uniforms are kept for outcomes. A spent block is first redrawn, one
+        call per stream."""
+        if self._period == self._drawn:
+            self._draw_block()
+        t = self._period
+        self._period += 1
+        self._uniform = self._outcome[t]
+        if self._rows is None:
+            return self._policy[t]
+        return np.take(self._policy[t], self._rows, axis=0, out=self._gathered)
+
+    def _draw_block(self) -> None:
+        """The next k periods, or the ones left, each stream's in one call."""
+        k = min(len(self._outcome), self._left)
+        self._left -= k
+        for rng, block, _ in self._draws:
+            rng.random(out=block[:k])
+        if len(self._draws) > 1:
+            draws = self._draws
+            np.concatenate([b[:k, :n] for _, b, n in draws], axis=1, out=self._outcome[:k])
+            policy_rows = [b[:k, n:].reshape(k, n, 2) for _, b, n in draws]
+            np.concatenate(policy_rows, axis=1, out=self._policy[:k])
+        self._period, self._drawn = 0, k
 
     def strongest(self, agents) -> None:
         return None
 
     def outcomes(self, slot: np.ndarray, rates: bool = True):
-        """As ChannelLanes.outcomes, but the secrecy is None: it is 0 everywhere."""
+        """Every agent's satisfaction: its uniform is below its arm's
+        probability. The rate and the secrecy are None: a rate is the
+        satisfied mask as 1.0 and 0.0 (the caller casts its record once),
+        and the secrecy is 0 everywhere."""
         uniform = self._uniform if self._rows is None else self._uniform[self._rows]
-        satisfied = uniform < self._probs[self._arm[slot]]
-        return satisfied.astype(float) if rates else None, satisfied, None
-
-
-_LANES = {ChannelEnvironment: ChannelLanes, BernoulliEnvironment: BernoulliLanes}
+        return None, uniform < self._slot_prob[slot], None
 
 
 def _period_floats(lane: Lane) -> int:
@@ -695,21 +769,20 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         if lane.environment is None
     ), "a network's period draws exceed its config's bound"
     layout = _Layout(envs, stream)
-    batch = _LANES[type(envs[0])](envs, rngs, layout)
-    bounds, rows, stream_rows = layout.agents, layout.rows, layout.stream_rows
+    periods = chunk[0].cfg.periods
+    if isinstance(envs[0], BernoulliEnvironment):
+        batch = BernoulliLanes(envs, rngs, periods, layout)
+    else:
+        batch = ChannelLanes(envs, rngs, layout)
+    bounds = layout.agents
     agents = policy.Agents(layout.offsets, layout.arms, [lane.cfg.policy for lane in chunk], bounds)
-    del envs, layout  # batch and agents hold all that is left to read
+    del envs, rngs, layout  # batch and agents hold all that is left to read
 
     lane_sizes = np.diff(bounds)
     runs = _size_runs(bounds, lane_sizes.tolist())
-    # the policy block: one (u1, u2) row per stream agent, each stream's rows
-    # from its Generator; the agents read it through rows
-    drawn = np.empty((stream_rows[-1], 2))
-    uniform = drawn if rows is None else np.empty((bounds[-1], 2))
-    policy_draws = [
-        (rng, drawn[lo:hi]) for rng, lo, hi in zip(rngs, stream_rows, stream_rows[1:])
-    ]
-    periods = chunk[0].cfg.periods
+    # a lone lane's satisfied count is one count_nonzero; longer runs are row sums
+    lone = [(a, run.start) for a, run, _ in runs if run.stop - run.start == 1]
+    several = [(a, run, n) for a, run, n in runs if run.stop - run.start > 1]
     # per lane and period, its satisfied count and secrecy sum, made means
     # after the last period; each lane's row is C-contiguous. A Bernoulli
     # chunk's secrecy is None, so its sums stay 0
@@ -718,29 +791,33 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     if record:
         chosen = np.empty((periods, bounds[-1]), dtype=np.int64)
         sat_record = np.empty((periods, bounds[-1]), dtype=bool)
-        rates = np.empty((periods, bounds[-1]))
+        # a Bernoulli rate is its satisfied mask, cast once after the last period
+        rates = None if isinstance(batch, BernoulliLanes) else np.empty((periods, bounds[-1]))
     for t in range(periods):
-        batch.draw()
-        for rng, out in policy_draws:
-            rng.random(out=out)
-        if rows is not None:
-            np.take(drawn, rows, axis=0, out=uniform)
+        uniform = batch.draw()
         if t == 0:
             slot = policy.init_association(agents, batch.strongest(agents), uniform)
         else:
             slot = policy.select_irs(agents, uniform)
         rate, satisfied, secrecy = batch.outcomes(slot, rates=record)
         policy.update(agents, satisfied)
-        # row sums, each through the add.reduce loop sum() runs over a lane's
-        # agents alone; a count of bools is exact in a double
-        for a, run, n in runs:
+        # a count of bools is exact in a double; each secrecy row sum runs the
+        # add.reduce loop that sum() runs over a lane's agents alone
+        for a, l in lone:
+            satisfaction[l, t] = np.count_nonzero(satisfied[a])
+        for a, run, n in several:
             np.add.reduce(satisfied[a].reshape(-1, n), axis=1, out=satisfaction[run, t])
-            if secrecy is not None:
+        if secrecy is not None:
+            for a, run, n in runs:
                 np.add.reduce(secrecy[a].reshape(-1, n), axis=1, out=mean_secrecy[run, t])
         if record:
             chosen[t] = batch.arms[slot]
             sat_record[t] = satisfied
-            rates[t] = rate
+            if rates is not None:
+                rates[t] = rate
+    del batch, uniform  # the draws and the views of them, freed before the rate cast
+    if record and rates is None:
+        rates = sat_record.astype(float)
     # sum / n in place, one rounding as in mean()
     satisfaction /= lane_sizes[:, None]
     mean_secrecy /= lane_sizes[:, None]

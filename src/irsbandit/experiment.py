@@ -179,10 +179,14 @@ def _to_offsets(raw):
             raise ValueError(
                 f"expected 'x y' pairs separated by commas, got {raw!r}"
             ) from None
-    try:
-        return tuple((float(a), float(b)) for a, b in raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"expected a list of [x, y] pairs, got {raw!r}") from None
+    if not (isinstance(raw, (list, tuple)) and all(map(_is_pair, raw))):
+        raise ValueError(f"expected a list of [x, y] pairs, got {raw!r}")
+    return tuple((float(x), float(y)) for x, y in raw)
+
+
+def _is_pair(p) -> bool:
+    """p is a list of two numbers, each an int or a float (a bool is neither)."""
+    return isinstance(p, (list, tuple)) and len(p) == 2 and all(type(v) in (int, float) for v in p)
 
 
 def _to_list(raw):

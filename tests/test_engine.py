@@ -158,8 +158,8 @@ def first_period(cfg, seed):
     )
     lanes = ChannelLanes([env], [rng])
     agents = Agents(env.offsets, env.arms, [cfg.policy])
-    lanes.draw()
-    slot = init_association(agents, lanes.strongest(agents), rng.random((len(agents), 2)))
+    uniform = lanes.draw()
+    slot = init_association(agents, lanes.strongest(agents), uniform)
     rate, satisfied, secrecy = lanes.outcomes(slot)
     update(agents, satisfied)
     res = run_replication(dataclasses.replace(cfg, periods=1), seed)
@@ -533,7 +533,7 @@ def test_environment_matches_scalar_channel_bit_for_bit(
     """The per-replication budgets reproduce the scalar channel functions exactly.
 
     The lane's fading is reference_model.draw_fading's, in its block
-    order; rssi covers every slot at once; outcomes is called once per
+    order, and the policy block follows it; rssi covers every slot at once; outcomes is called once per
     candidate rank k, each UE on its k-th candidate (or its last one), so
     every (UE, candidate) pair is evaluated.
     """
@@ -563,9 +563,10 @@ def test_environment_matches_scalar_channel_bit_for_bit(
     ]
     real = reference_model.draw_fading(topo, candidates, twin)
     lanes = ChannelLanes([env], [rng])
-    lanes.draw()
+    uniform = lanes.draw()
     flat = np.concatenate([real.g_bs_irs, list(real.g_irs_ue.values()), real.g_irs_eve.ravel()])
     _assert_same_bits(lanes.gains, flat)
+    _assert_same_bits(uniform, twin.random((n_ues, 2)))  # then the policy block
     assert rng.bit_generator.state == twin.bit_generator.state
     rssi = lanes.rssi()
     sizes = np.diff(env.offsets)
@@ -1097,8 +1098,7 @@ def test_engine_matches_reference_chain_bit_for_bit(
     lanes = ChannelLanes([env], [rng])
     agents = Agents(env.offsets, env.arms, [cfg.policy])
     for t in range(cfg.periods):
-        lanes.draw()
-        uniform = rng.random((len(agents), 2))
+        uniform = lanes.draw()
         if t == 0:
             slot = init_association(agents, lanes.strongest(agents), uniform)
         else:
@@ -1165,7 +1165,9 @@ def test_lane_stream_is_geometry_then_fixed_blocks(monkeypatch, kind, seed):
     """A lane's Generator ends where geometry, then T x (environment block +
     U x 2 policy uniforms), drawn directly, leave a fresh one, whatever the
     policy did: a channel lane's block is I + S + I*E gains, S its UEs'
-    candidate panels counted by the reference model."""
+    candidate panels counted by the reference model. The Bernoulli lane
+    draws two periods per call, so its ninth period is a block of its own."""
+    monkeypatch.setattr(engine, "BLOCK_FLOATS", 2 * 3 * 5)
     cfg = small_cfg(
         topology=TopologyConfig(eavesdroppers_per_cell=3, detection_radius=25.0),
         policy=PolicyConfig(kind=kind, omega=0.5, phi=1),
@@ -1187,6 +1189,48 @@ def test_lane_stream_is_geometry_then_fixed_blocks(monkeypatch, kind, seed):
     run_replication(cfg, seed, BernoulliEnvironment(probs, n_agents=5))
     assert made[0].bit_generator.state == twin.bit_generator.state
     assert made[1].bit_generator.state == bernoulli_twin.bit_generator.state
+
+
+def _bernoulli_block_lanes(periods: int) -> list[Lane]:
+    """Bernoulli lanes of 5, 5, 3 and 5 agents on three streams: the first
+    two lanes share one (a bandit and a greedy lane on one seed and
+    environment), so the chunk holds one run of two lanes and two lone lanes."""
+    cfg = small_cfg(policy=PolicyConfig(kind=CB, omega=0.4, phi=1), periods=periods)
+    greedy = dataclasses.replace(cfg, policy=PolicyConfig(kind=PolicyKind.GREEDY))
+    five = BernoulliEnvironment((0.9, 0.2, 0.5), n_agents=5)
+    three = BernoulliEnvironment((0.3, 0.6), n_agents=3)
+    return [Lane(cfg, 4, five), Lane(greedy, 4, five), Lane(cfg, 5, three), Lane(cfg, 6, five)]
+
+
+# the lanes' streams hold 5 + 3 + 5 agents, so a period draws 39 floats
+@pytest.mark.parametrize("block_floats", [1, 3 * 39, math.inf], ids=["k=1", "k=3", "k=T"])
+@pytest.mark.parametrize("periods", [1, 2, 3, 4, 7])  # 1, k - 1, k, k + 1, 2k + 1 at k = 3
+def test_bernoulli_blocks_keep_every_lane_and_stream(monkeypatch, block_floats, periods):
+    """Drawn k periods per call, a chunk of Bernoulli streams of different U,
+    two lanes on one of them, gives every lane its one-lane run bit for bit,
+    with and without a record, and leaves every stream's Generator where T
+    periods of U outcome and U x 2 policy uniforms leave it."""
+    lanes = _bernoulli_block_lanes(periods)
+    alone = [run_replication(*lane) for lane in lanes]
+    monkeypatch.setattr(engine, "BLOCK_FLOATS", block_floats)
+    assert len(list(engine._chunks(lanes))) == 1
+    made = _record_generators(monkeypatch)
+    got = run_lanes(lanes, record=True)
+    series = run_lanes(lanes)
+    twins = []
+    for seed, n in [(4, 5), (5, 3), (6, 5)]:
+        twins.append(np.random.default_rng(seed))
+        for _ in range(periods):
+            twins[-1].random(n)
+            twins[-1].random((n, 2))
+    for rng, twin in zip(made[:3], twins, strict=True):
+        assert rng.bit_generator.state == twin.bit_generator.state
+    for want, res, light in zip(alone, got, series, strict=True):
+        for name in ("chosen", "satisfied", "rates", "satisfaction", "mean_secrecy"):
+            _assert_same_bits(getattr(res, name), getattr(want, name))
+        _assert_same_bits(light.satisfaction, want.satisfaction)
+        for record, agent in zip(res.agents, want.agents, strict=True):
+            _assert_same_bits(record.rewards, agent.rewards)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1254,8 +1298,9 @@ def test_every_policy_reads_the_same_fading(monkeypatch):
     draw = ChannelLanes.draw
 
     def spy(self):
-        draw(self)
+        uniform = draw(self)
         seen.append(self.gains.copy())
+        return uniform
 
     monkeypatch.setattr(ChannelLanes, "draw", spy)
     results = run_lanes(lanes, record=True)

@@ -303,11 +303,33 @@ class TestParseConfig:
                 '{"topology": {"small_cell_offsets": [[0, 0, 0]]}}',
                 r"topology\.small_cell_offsets: expected a list of \[x, y\] pairs, got ",
             ),
+            (  # an object of two-character keys is no list of pairs
+                '{"topology": {"small_cell_offsets": {"12": 0, "34": 0}}}',
+                r"topology\.small_cell_offsets: expected a list of \[x, y\] pairs, got ",
+            ),
+            (  # nor is a list of two-character strings
+                '{"topology": {"small_cell_offsets": ["12", "34"]}}',
+                r"topology\.small_cell_offsets: expected a list of \[x, y\] pairs, got ",
+            ),
+            (
+                '{"topology": {"small_cell_offsets": [[true, 0], [50, 0]]}}',
+                r"topology\.small_cell_offsets: expected a list of \[x, y\] pairs, got ",
+            ),
             ('{"sweep": {"phis": 2}}', r"sweep\.phis: expected a list, got 2$"),
             ('{"experiment": 5}', r"JSON config must be an object of section objects$"),
             ("[experiment]\nperiods\n", r"line 2: expected 'key = value', got 'periods'$"),
         ],
-        ids=["float-int", "list-float", "triple", "scalar-list", "scalar-section", "no-equals"],
+        ids=[
+            "float-int",
+            "list-float",
+            "triple",
+            "object-offsets",
+            "string-offsets",
+            "bool-offset",
+            "scalar-list",
+            "scalar-section",
+            "no-equals",
+        ],
     )
     def test_malformed_text_rejected_by_name(self, text, message):
         with pytest.raises(ConfigError, match=f"^{message}"):
