@@ -222,16 +222,49 @@ MUTANTS = (
     Mutant(
         "target-ties-go-high",  # an equal reward at a higher slot takes the target
         "src/irsbandit/policy.py",
-        "np.copyto(best, slot, where=lead >= (slot > best))",
-        "np.copyto(best, slot, where=lead >= (slot < best))",
+        "np.putmask(best, lead >= (slot > best), slot)",
+        "np.putmask(best, lead >= (slot < best), slot)",
         ("tests/test_policy.py::test_kept_target_is_the_argmax_and_decides_like_a_rescan",),
     ),
     Mutant(
         "target-advance-not-strict",  # any equal reward takes the target
         "src/irsbandit/policy.py",
-        "np.copyto(best, slot, where=lead >= (slot > best))",
-        "np.copyto(best, slot, where=lead >= 0)",
+        "np.putmask(best, lead >= (slot > best), slot)",
+        "np.putmask(best, lead >= 0, slot)",
         ("tests/test_policy.py::test_kept_target_is_the_argmax_and_decides_like_a_rescan",),
+    ),
+    Mutant(
+        "target-putmask-swapped",  # the mask is written as the target, the slots read as the mask
+        "src/irsbandit/policy.py",
+        "np.putmask(best, lead >= (slot > best), slot)",
+        "np.putmask(best, slot, lead >= (slot > best))",
+        (
+            "tests/test_policy.py::TestUpdate"
+            "::test_overtaking_slot_takes_the_target_and_keeps_its_lead",
+            "tests/test_policy.py::test_target_and_lead_follow_any_interleaving",
+        ),
+    ),
+    # the kept lead: made at the start and by every update
+    Mutant(
+        "update-keeps-no-lead",  # the stay test reads the warm start's leads forever
+        "src/irsbandit/policy.py",
+        "    agents.lead = lead\n",
+        "",
+        (
+            "tests/test_policy.py::TestUpdate"
+            "::test_overtaking_slot_takes_the_target_and_keeps_its_lead",
+            "tests/test_policy.py::test_target_and_lead_follow_any_interleaving",
+        ),
+    ),
+    Mutant(
+        "start-lead-zero",  # rewards that precede the start leave every lead at 0
+        "src/irsbandit/policy.py",
+        "agents.lead = agents.rewards[agents.slot] - agents.rewards[agents.best]",
+        "agents.lead = np.zeros(len(agents.slot), dtype=np.int64)",
+        (
+            "tests/test_policy.py::TestInitAssociation::test_lead_is_made_from_the_rewards",
+            "tests/test_policy.py::test_target_and_lead_follow_any_interleaving",
+        ),
     ),
     Mutant(
         "radius-band-by-square",  # dx*dx + dy*dy decides the slots hypot should
@@ -292,6 +325,16 @@ MUTANTS = (
         "k = len(self._outcome)",
         (
             "tests/test_engine.py::test_lane_stream_is_geometry_then_fixed_blocks",
+            "tests/test_engine.py::test_bernoulli_blocks_keep_every_lane_and_stream",
+        ),
+    ),
+    Mutant(
+        "bernoulli-inputs-one-period-early",  # each period decides on the next one's rows
+        "src/irsbandit/engine.py",
+        "        t = self._period\n        self._period += 1\n",
+        "        self._period += 1\n        t = self._period % self._drawn\n",
+        (
+            "tests/test_engine.py::test_bernoulli_decision_inputs_are_each_periods_own",
             "tests/test_engine.py::test_bernoulli_blocks_keep_every_lane_and_stream",
         ),
     ),

@@ -41,12 +41,17 @@ agents, S slots, E eavesdroppers), never by what the agents did. In order:
         agent in agent order, drawn every period whatever the policy (see
         the policy module for how the decisions read it);
      then the decisions, the link evaluation and the update, which draw
-     nothing. A lanes object's draw() makes a period's draws, stream by
-     stream. A Bernoulli stream's two blocks are both Generator.random,
-     one 64-bit word per double, so it draws up to k periods' blocks, [U
-     outcome | U x 2 policy] each, in one call, in period order
-     (BernoulliLanes, k from BLOCK_FLOATS): the same doubles in the same
-     order as period by period, so its stream is unchanged.
+     nothing. A lanes object's draw(agents) makes a period's draws,
+     stream by stream, and returns the period's decision inputs
+     (policy.decision_inputs of the lane agents' policy rows). A Bernoulli
+     stream's two blocks are both Generator.random, one 64-bit word per
+     double, so it draws up to k periods' blocks, [U outcome | U x 2
+     policy] each, in one call, in period order (BernoulliLanes, k from
+     BLOCK_FLOATS): the same doubles in the same order as period by
+     period, so its stream is unchanged. Its chunk makes the decision
+     inputs of each block's k periods at once, each period's the ones its
+     rows alone give; a channel chunk makes them per period. No draw moves
+     for either.
 So for a given seed every policy sees the same fading in every period:
 bandit and greedy lanes share exact common random numbers. A lane alone
 is a stream of its own, and lanes whose draws are equal by construction
@@ -106,9 +111,11 @@ CHUNK_FLOATS = 2**15
 
 # Most floats one block of a Bernoulli chunk may hold, summed over its
 # streams: a chunk whose streams hold U agents in all draws k periods of 3U
-# uniforms per call, k the most that fit, at least 1 (BernoulliLanes). At
-# U = 200 that is k = 4, one call per stream every four periods, and a
-# block of 19 KiB, against 332 KiB for the record of a 200-agent,
+# uniforms per call, k the most that fit, at least 1 (BernoulliLanes). The
+# block's decision inputs add k x A bools and k x A int64 for the chunk's A
+# lane agents (A = U when every lane is its own stream). At U = 200 that is
+# k = 4, one call per stream every four periods, and a block of 19 KiB
+# plus 7 KiB of inputs, against 332 KiB for the record of a 200-agent,
 # 100-period run.
 BLOCK_FLOATS = 2400
 
@@ -355,8 +362,9 @@ class ChannelLanes:
 
     envs and rngs hold one environment and Generator per stream, and
     layout (by default one lane per stream) places the lanes on them.
-    draw() draws every stream's fading, then every stream's policy block
-    (one (u1, u2) row per stream agent), and returns the lane agents' rows.
+    draw(agents) draws every stream's fading, then every stream's policy
+    block (one (u1, u2) row per stream agent), and returns the decision
+    inputs of the lane agents' rows.
     gains holds every stream's period back to back. A stream's part is its
     BS->IRS gains, panel by panel, then one IRS->UE gain per stream slot, in
     slot order, then its IRS->eve gains, row-major by panel: one draw from
@@ -429,16 +437,17 @@ class ChannelLanes:
         self._stream_offsets = layout.stream_offsets
         self._rows, self._shift = layout.rows, layout.shift
 
-    def draw(self) -> np.ndarray:
+    def draw(self, agents: policy.Agents) -> tuple[np.ndarray, np.ndarray]:
         """The period's draws, each stream's from its own Generator: every
         stream's fading, then every stream's policy block. Returns the
-        policy rows, one (u1, u2) per lane agent."""
+        decision inputs of the policy rows, one (u1, u2) per lane agent."""
         channel.fill_fading(self._draws, self.gains)
         for rng, out in self._policy_draws:
             rng.random(out=out)
-        if self._rows is None:
-            return self._policy
-        return np.take(self._policy, self._rows, axis=0, out=self._gathered)
+        rows = self._policy
+        if self._rows is not None:
+            rows = np.take(rows, self._rows, axis=0, out=self._gathered)
+        return policy.decision_inputs(agents, rows)
 
     def _gain(self) -> np.ndarray:
         """This period's g_bs * g_ue of every stream slot."""
@@ -544,8 +553,9 @@ class ChannelLanes:
         best -= self._shift
         return best
 
-    def outcomes(self, slot: np.ndarray, rates: bool = True):
-        """Every agent's rate (None unless rates), satisfaction and report-only secrecy.
+    def outcomes(self, slot: np.ndarray, rates: bool = True, out=None):
+        """Every agent's rate (None unless rates), satisfaction (written to out
+        when given) and report-only secrecy.
 
         Satisfied iff 1 + snr reaches the cutoff. As math.log2 never decreases,
         secrecy, [log2(1 + snr) - log2(1 + the panel's strongest eve snr)]+, is
@@ -580,7 +590,7 @@ class ChannelLanes:
         del eve_power
         secrecy = np.zeros(len(power))
         secrecy[leak] = logs[: len(leak)] - logs[len(leak) :]
-        return rate, power >= self._cutoff, secrecy
+        return rate, np.greater_equal(power, self._cutoff, out=out), secrecy
 
 
 class BernoulliLanes:
@@ -598,7 +608,9 @@ class BernoulliLanes:
     only the periods left of the periods given, so each Generator ends
     where T periods leave it. A lone stream's periods are views of its
     block; several streams' blocks are joined into chunk blocks, one
-    concatenate per block for each kind of row.
+    concatenate per block for each kind of row. Each block's decision
+    inputs are made once, for its k periods' rows (gathered to the lane
+    agents when lanes share a stream), and draw hands out one period's.
     """
 
     def __init__(self, envs, rngs, periods: int, layout=None):
@@ -620,24 +632,24 @@ class BernoulliLanes:
             self._outcome = np.empty((k, rows[-1]))
             self._policy = np.empty((k, rows[-1], 2))
         self._uniform = None  # the period's outcome uniforms, one per stream agent
+        self._inputs = None  # the block's decision inputs, one row of each per period
         self._period = self._drawn = 0  # the next period's row; rows drawn in the blocks
-        self._gathered = None if self._rows is None else np.empty((layout.agents[-1], 2))
 
-    def draw(self) -> np.ndarray:
-        """The period's policy rows, one (u1, u2) per lane agent; its outcome
+    def draw(self, agents: policy.Agents) -> tuple[np.ndarray, np.ndarray]:
+        """The period's decision inputs, one per lane agent; its outcome
         uniforms are kept for outcomes. A spent block is first redrawn, one
-        call per stream."""
+        call per stream, and its inputs made."""
         if self._period == self._drawn:
-            self._draw_block()
+            self._draw_block(agents)
         t = self._period
         self._period += 1
         self._uniform = self._outcome[t]
-        if self._rows is None:
-            return self._policy[t]
-        return np.take(self._policy[t], self._rows, axis=0, out=self._gathered)
+        explore, jump = self._inputs
+        return explore[t], jump[t]
 
-    def _draw_block(self) -> None:
-        """The next k periods, or the ones left, each stream's in one call."""
+    def _draw_block(self, agents: policy.Agents) -> None:
+        """The next k periods, or the ones left, each stream's in one call,
+        and their decision inputs."""
         k = min(len(self._outcome), self._left)
         self._left -= k
         for rng, block, _ in self._draws:
@@ -647,18 +659,20 @@ class BernoulliLanes:
             np.concatenate([b[:k, :n] for _, b, n in draws], axis=1, out=self._outcome[:k])
             policy_rows = [b[:k, n:].reshape(k, n, 2) for _, b, n in draws]
             np.concatenate(policy_rows, axis=1, out=self._policy[:k])
+        rows = self._policy[:k] if self._rows is None else self._policy[:k, self._rows]
+        self._inputs = policy.decision_inputs(agents, rows)
         self._period, self._drawn = 0, k
 
     def strongest(self, agents) -> None:
         return None
 
-    def outcomes(self, slot: np.ndarray, rates: bool = True):
-        """Every agent's satisfaction: its uniform is below its arm's
-        probability. The rate and the secrecy are None: a rate is the
-        satisfied mask as 1.0 and 0.0 (the caller casts its record once),
-        and the secrecy is 0 everywhere."""
+    def outcomes(self, slot: np.ndarray, rates: bool = True, out=None):
+        """Every agent's satisfaction, written to out when given: its uniform
+        is below its arm's probability. The rate and the secrecy are None: a
+        rate is the satisfied mask as 1.0 and 0.0 (the caller casts its
+        record once), and the secrecy is 0 everywhere."""
         uniform = self._uniform if self._rows is None else self._uniform[self._rows]
-        return None, uniform < self._slot_prob[slot], None
+        return None, np.less(uniform, self._slot_prob[slot], out=out), None
 
 
 def _period_floats(lane: Lane) -> int:
@@ -794,12 +808,15 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
         # a Bernoulli rate is its satisfied mask, cast once after the last period
         rates = None if isinstance(batch, BernoulliLanes) else np.empty((periods, bounds[-1]))
     for t in range(periods):
-        uniform = batch.draw()
+        inputs = batch.draw(agents)
         if t == 0:
-            slot = policy.init_association(agents, batch.strongest(agents), uniform)
+            slot = policy.init_association(agents, batch.strongest(agents), inputs)
         else:
-            slot = policy.select_irs(agents, uniform)
-        rate, satisfied, secrecy = batch.outcomes(slot, rates=record)
+            slot = policy.select_irs(agents, inputs)
+        del inputs  # freed before the outcomes, whose temporaries set a channel chunk's peak
+        # with a record, the satisfied mask is written straight into its row
+        out = sat_record[t] if record else None
+        rate, satisfied, secrecy = batch.outcomes(slot, rates=record, out=out)
         policy.update(agents, satisfied)
         # a count of bools is exact in a double; each secrecy row sum runs the
         # add.reduce loop that sum() runs over a lane's agents alone
@@ -812,10 +829,9 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
                 np.add.reduce(secrecy[a].reshape(-1, n), axis=1, out=mean_secrecy[run, t])
         if record:
             chosen[t] = batch.arms[slot]
-            sat_record[t] = satisfied
             if rates is not None:
                 rates[t] = rate
-    del batch, uniform  # the draws and the views of them, freed before the rate cast
+    del batch  # the draws, freed before the rate cast
     if record and rates is None:
         rates = sat_record.astype(float)
     # sum / n in place, one rounding as in mean()

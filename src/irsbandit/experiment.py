@@ -189,6 +189,19 @@ def _is_pair(p) -> bool:
     return isinstance(p, (list, tuple)) and len(p) == 2 and all(type(v) in (int, float) for v in p)
 
 
+def _is_int(v) -> bool:
+    return type(v) is int  # a bool is no JSON integer
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+def _array_of(is_item, items: str):
+    """The JSON type of an array of items, each passing is_item: (its name, its check)."""
+    return f"a JSON array of {items}", lambda v: type(v) is list and all(map(is_item, v))
+
+
 def _to_list(raw):
     if isinstance(raw, str):
         return [s.strip() for s in raw.split(",") if s.strip()]
@@ -227,26 +240,33 @@ def _value(member):
     return member.value
 
 
+_STRING = ("a JSON string", lambda v: type(v) is str)
+_STRINGS = _array_of(_STRING[1], "strings")
+
 # Field annotation (a string under postponed evaluation) -> (text -> value,
-# value -> text). The second writes default_config_text.
+# value -> text, JSON type). The second writes default_config_text. The
+# third, a name and a check, rejects a JSON config's value that the first
+# reads only as text, such as a quoted number.
 _TYPES = {
-    "int": (_to_int, str),
-    "float": (_to_float, str),
-    "bool": (_to_bool, lambda v: str(v).lower()),
-    "float | None": (_to_optional_float, lambda v: "none" if v is None else str(v)),
-    "str": (_to_str, str),
-    "OutputFormat": (_to_enum(OutputFormat), _value),
+    "int": (_to_int, str, ("a JSON integer", _is_int)),
+    "float": (_to_float, str, ("a JSON number", _is_number)),
+    "bool": (_to_bool, lambda v: str(v).lower(), ("JSON true or false", lambda v: type(v) is bool)),
+    "float | None": (
+        _to_optional_float,
+        lambda v: "none" if v is None else str(v),
+        ("a JSON number or null", lambda v: v is None or _is_number(v)),
+    ),
+    "str": (_to_str, str, _STRING),
+    "OutputFormat": (_to_enum(OutputFormat), _value, _STRING),
     "tuple[tuple[float, float], ...]": (
         _to_offsets,
         _joined(lambda xy: f"{xy[0]:g} {xy[1]:g}"),
+        _array_of(_is_pair, "[x, y] pairs"),
     ),
-    "tuple[PolicyKind, ...]": (_each(_to_enum(PolicyKind)), _joined(_value)),
-    "tuple[DistributionCase, ...]": (
-        _each(_to_enum(DistributionCase)),
-        _joined(_value),
-    ),
-    "tuple[int, ...]": (_each(_to_int), _joined(str)),
-    "tuple[float, ...]": (_each(_to_float), _joined(str)),
+    "tuple[PolicyKind, ...]": (_each(_to_enum(PolicyKind)), _joined(_value), _STRINGS),
+    "tuple[DistributionCase, ...]": (_each(_to_enum(DistributionCase)), _joined(_value), _STRINGS),
+    "tuple[int, ...]": (_each(_to_int), _joined(str), _array_of(_is_int, "integers")),
+    "tuple[float, ...]": (_each(_to_float), _joined(str), _array_of(_is_number, "numbers")),
 }
 
 # Fields no key sets: the nested sections, and the policy and case each cell sets.
@@ -283,10 +303,12 @@ class _JSONObject(dict):
         self.pairs = pairs
 
 
-def _parse_sections(text: str) -> dict:
-    """Raw text or JSON -> {section: {key: raw value}}; in either form a repeated
-    section merges into the first, and a key given twice in one is rejected."""
-    if text.lstrip().startswith("{"):
+def _parse_sections(text: str) -> tuple[dict, bool]:
+    """Raw text or JSON -> {section: {key: raw value}}, and whether it was JSON;
+    in either form a repeated section merges into the first, and a key given
+    twice in one is rejected."""
+    typed = text.lstrip().startswith("{")
+    if typed:
         try:
             data = json.loads(text, object_pairs_hook=_JSONObject)
         except json.JSONDecodeError as exc:
@@ -315,7 +337,7 @@ def _parse_sections(text: str) -> dict:
             if key in keys:
                 raise ConfigError(f"duplicate key: {section}.{key}")
             keys[key] = value
-    return sections
+    return sections, typed
 
 
 def _build(section: str, cls, **fields):
@@ -330,16 +352,22 @@ def _build(section: str, cls, **fields):
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentSpec:
     """Validate config text and fill every omitted key with its default.
 
+    A JSON config's values must have their keys' JSON types (a JSON
+    integer, number, true or false, string or array of these, or null for
+    detection_radius); a text config's are read by the string rules.
     overrides ({section: {key: value}}, None for an unset value) replace
     the text's values before they are checked, so they are validated and
-    named like the text's own. Raises ConfigError naming the exact
-    offending key on unknown keys, type mismatches, and invariant
-    violations.
+    named like the text's own, by the string rules for strings. Raises
+    ConfigError naming the exact offending key on unknown keys, type
+    mismatches, and invariant violations.
     """
-    sections = _parse_sections(text)
+    sections, typed = _parse_sections(text)
+    # the JSON config's own values, checked for their JSON types
+    json_keys = {(s, k) for s, keys in sections.items() for k in keys} if typed else set()
     for section, keys in (overrides or {}).items():
         set_keys = {key: value for key, value in keys.items() if value is not None}
         sections.setdefault(section, {}).update(set_keys)
+        json_keys -= {(section, key) for key in set_keys}
 
     values: dict = {section: {} for section in _SECTIONS}
     for section, keys in sections.items():
@@ -350,8 +378,11 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentSpec:
             if key not in fields:
                 raise ConfigError(f"unknown key: {section}.{key}")
             field = fields[key]
+            read, _, (json_type, is_json_type) = _TYPES[field.type]
             try:
-                values[section][field.name] = _TYPES[field.type][0](raw)
+                values[section][field.name] = read(raw)
+                if (section, key) in json_keys and not is_json_type(raw):
+                    raise ValueError(f"expected {json_type}, got {raw!r}")
             except ValueError as exc:
                 raise ConfigError(f"{section}.{key}: {exc}") from None
 

@@ -7,7 +7,12 @@ Rewards are integer counters of satisfied periods, one per candidate panel.
 Each agent keeps its exploit target, the slot of its largest reward, and
 update advances it in O(agents): only the current slot's reward grows, so
 the target moves only to that slot. This needs a reward that never falls;
-a mean reward would have to recompute the target over every slot.
+a mean reward would have to recompute the target over every slot. Each
+agent also keeps its lead, its current slot's reward minus its target's,
+as update computes it to advance the target, so the decision's stay test
+reads one array instead of gathering two rewards. A decision moves slots
+without making their leads (that would take the two gathers back), so
+update must record its outcome before the next decision.
 
 Every agent's candidates occupy a contiguous run of slots in one flat
 layout shared with the environment: agent u owns slots offsets[u] to
@@ -15,9 +20,16 @@ offsets[u + 1] - 1, in its candidate order. A lane is one replication: a
 contiguous run of agents with one policy config. The rules act on every
 agent of every lane at once and draw nothing: each decision reads a
 uniform block with one row (u1, u2) per agent, which the engine draws
-every period (see its determinism contract). u1 < omega decides
-exploration; starts[u] + floor(u2 * sizes[u]) is the uniform random slot
-of agent u, for exploring and for a random start.
+every period (see its determinism contract), through its decision inputs
+(decision_inputs): the explore draw u1 < omega and the jump slot
+starts[u] + floor(u2 * sizes[u]), agent u's uniform random slot, for
+exploring and for a random start. They are made from the rows alone, so
+the engine may make them for several periods' rows at once.
+
+Masked writes go through np.putmask: its mask and values have the agents'
+shape, so it writes what np.copyto(..., where=mask) or a boolean-mask
+store writes, for less call overhead than either, which is most of a
+write's cost at a few hundred agents.
 """
 
 from __future__ import annotations
@@ -61,7 +73,13 @@ class Agents(Segments):
     is the panel index of slot s within its lane. best[u] is agent u's
     exploit target, the slot of its largest reward, ties to the lowest
     slot: init_association sets it and update keeps it, so no decision
-    scans the slots. Lane l owns agents
+    scans the slots. lead[u] is rewards[slot[u]] - rewards[best[u]] as
+    init_association or update last made it, 0 or 1 where update moved the
+    target to the current slot, so lead[u] < 0 exactly when the current
+    slot's reward is below the target's (set_targets makes best and lead
+    from rewards and slot). decided is True from select_irs until update:
+    the slots have moved and the leads are not theirs yet, so select_irs
+    refuses to decide again. Lane l owns agents
     lanes[l] to lanes[l + 1] - 1, at least one, and runs policies[l]; by
     default every agent forms one lane. bandit[u] is False for the agents
     of greedy lanes. phi[u] and omega[u] are agent u's
@@ -88,8 +106,9 @@ class Agents(Segments):
         self.rewards = np.zeros(len(arms), dtype=np.int64)
         self.slot = np.full(len(self.starts), -1, dtype=np.int64)
         self.best = np.full(len(self.starts), -1, dtype=np.int64)
+        self.lead = np.zeros(len(self.starts), dtype=np.int64)
         self.unsat = np.zeros(len(self.starts), dtype=np.int64)
-        self.initialized = False
+        self.initialized = self.decided = False
 
     def __len__(self) -> int:
         return len(self.slot)
@@ -104,8 +123,9 @@ class Agents(Segments):
         part.rewards = self.rewards[s_lo:s_hi].copy()
         part.slot = self.slot[lo:hi] - s_lo
         part.best = self.best[lo:hi] - s_lo
+        part.lead = self.lead[lo:hi].copy()
         part.unsat = self.unsat[lo:hi].copy()
-        part.initialized = self.initialized
+        part.initialized, part.decided = self.initialized, self.decided
         return part
 
     def __getitem__(self, u: int) -> AgentRecord:
@@ -149,52 +169,76 @@ def uniform_slots(starts: np.ndarray, sizes: np.ndarray, u: np.ndarray) -> np.nd
     return starts + (u * sizes).astype(np.int64)
 
 
-def init_association(agents: Agents, strongest, uniform: np.ndarray) -> np.ndarray:
+def decision_inputs(agents: Agents, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What the decisions read of policy rows (..., U, 2), one (u1, u2) row per agent.
+
+    Returns the explore draw u1 < omega and the jump slot
+    starts + floor(u2 * sizes) (uniform_slots), each of shape (..., U): a
+    block of k periods' rows gives the k periods' inputs in one pass, each
+    period's bit for bit the one its rows alone give.
+    """
+    return rows[..., 0] < agents.omega, uniform_slots(agents.starts, agents.sizes, rows[..., 1])
+
+
+def set_targets(agents: Agents) -> None:
+    """Set every agent's exploit target and lead afresh from its rewards and slot."""
+    agents.best = segment_argmax(agents.rewards, agents)
+    agents.lead = agents.rewards[agents.slot] - agents.rewards[agents.best]
+
+
+def init_association(agents: Agents, strongest, inputs) -> np.ndarray:
     """First-period association; sets and returns every agent's slot, and sets
-    every exploit target.
+    every exploit target and lead (set_targets).
 
     The bandit starts on strongest[u], agent u's slot of strongest RSSI
     (the environment's warm start, ties to the lowest slot); the greedy
-    baseline starts on agent u's uniform random candidate, chosen by
-    uniform[u, 1]. When no signal context exists (strongest is None, as in
-    abstract plug-in environments) the bandit also starts on that random
-    candidate. Re-initialization is an error, and so is a strongest slot
-    that is missing or outside its agent's candidates.
+    baseline starts on agent u's jump slot in inputs (decision_inputs),
+    its uniform random candidate. When no signal context exists (strongest
+    is None, as in abstract plug-in environments) the bandit also starts
+    on that random candidate. Re-initialization is an error, and so is a
+    strongest slot that is missing or outside its agent's candidates.
     """
     if agents.initialized:
         raise ValueError("agents are already initialized")
-    slot = uniform_slots(agents.starts, agents.sizes, uniform[:, 1])
+    slot = inputs[1].copy()
     if strongest is not None:
         strongest = np.asarray(strongest)
         if strongest.shape != slot.shape or (
             (strongest < agents.starts) | (strongest >= agents.starts + agents.sizes)
         ).any():
             raise ValueError("strongest slots must align with the agents' candidate slots")
-        slot = np.where(agents.bandit, strongest, slot)
+        np.putmask(slot, agents.bandit, strongest)
     agents.slot = slot
-    agents.best = segment_argmax(agents.rewards, agents)
+    set_targets(agents)
     agents.unsat[:] = 0
     agents.initialized = True
     return slot
 
 
-def select_irs(agents: Agents, uniform: np.ndarray) -> np.ndarray:
+def select_irs(agents: Agents, inputs) -> np.ndarray:
     """One re-association decision per agent; sets and returns every slot.
 
+    inputs is the period's (explore draw, jump slot), from decision_inputs.
     Bandit: an agent whose current panel's accumulated reward ties its
-    maximum and whose consecutive-unsatisfied counter is below phi stays
-    put. Every other agent u with uniform[u, 0] < omega explores its
-    uniform random candidate, chosen by uniform[u, 1]; the rest exploit
-    the argmax accumulated reward, ties to the lowest index (the kept
-    target best). Greedy: always exploit (phi and omega are 0).
+    maximum (its lead is not negative) and whose consecutive-unsatisfied
+    counter is below phi stays put. Every other agent u whose explore draw
+    is set (u1 < omega) explores its jump slot, its uniform random
+    candidate; the rest exploit the argmax accumulated reward, ties to the
+    lowest index (the kept target best). Greedy: always exploit (phi and
+    omega are 0). The leads stay update's, so a second decision before
+    update is an error.
     """
     if not agents.initialized:
         raise ValueError("agents are not initialized")
-    rewards, slot, best = agents.rewards, agents.slot, agents.best
-    move = (rewards[slot] < rewards[best]) | (agents.unsat >= agents.phi)
-    explore = move & (uniform[:, 0] < agents.omega)
-    np.copyto(slot, best, where=move)
-    np.copyto(slot, uniform_slots(agents.starts, agents.sizes, uniform[:, 1]), where=explore)
+    if agents.decided:
+        raise ValueError("agents already decided: update must record the outcome first")
+    agents.decided = True
+    explore_draw, jump = inputs
+    slot = agents.slot
+    move = agents.lead < 0
+    move |= agents.unsat >= agents.phi
+    np.putmask(slot, move, agents.best)
+    np.putmask(slot, move & explore_draw, jump)
     return slot
 
 
@@ -205,7 +249,8 @@ def update(agents: Agents, satisfied: np.ndarray) -> Agents:
     consecutive-unsatisfied counter resets. Unsatisfied: rewards are
     untouched and the counter grows by one. The exploit target becomes the
     current slot when its reward now exceeds the target's, or equals it at
-    a lower slot: no other slot's reward moved.
+    a lower slot: no other slot's reward moved. The lead is the current
+    slot's over the target before that move.
     """
     if not agents.initialized:
         raise ValueError("agents are not initialized")
@@ -215,7 +260,9 @@ def update(agents: Agents, satisfied: np.ndarray) -> Agents:
     rewards[slot] = lead  # slots of distinct agents never repeat
     lead -= rewards[best]  # the current slot's lead over the target, at most 1
     # it takes the target with a lead of 1, or of 0 from a lower slot
-    np.copyto(best, slot, where=lead >= (slot > best))
+    np.putmask(best, lead >= (slot > best), slot)
+    agents.lead = lead
     agents.unsat += 1
-    agents.unsat[satisfied] = 0
+    np.putmask(agents.unsat, satisfied, 0)
+    agents.decided = False
     return agents

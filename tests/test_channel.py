@@ -277,14 +277,16 @@ class TestRssi:
         # replays the documented draw order (eve angles, UE uniforms,
         # then the fading block) and evaluates
         # tx + gain - PL(20) - PL(|panel-ue|) + 10*log10(g1*g2) directly.
+        from irsbandit.config import PolicyConfig
         from irsbandit.engine import ChannelEnvironment, ChannelLanes
+        from irsbandit.policy import Agents
 
         cfg = TopologyConfig()
         rng = np.random.default_rng(42)
         topo = build_network(cfg, rng)
         env = ChannelEnvironment(topo, ChannelParams(), rate_threshold=1.0)
         lanes = ChannelLanes([env], [rng])
-        lanes.draw()
+        lanes.draw(Agents(env.offsets, env.arms, [PolicyConfig()]))
         rssi = lanes.rssi()  # one entry per slot; UE 0's come first
         assert math.isclose(rssi[env.offsets[0]], -6.4650184599, abs_tol=1e-9)
 

@@ -30,7 +30,7 @@ from irsbandit.engine import (
     run_monte_carlo,
     run_replication,
 )
-from irsbandit.policy import Agents, init_association, select_irs, update
+from irsbandit.policy import Agents, decision_inputs, init_association, select_irs, update
 from irsbandit.topology import build_network
 
 import reference_model
@@ -143,6 +143,11 @@ class TestMeanSatisfaction:
         assert env.n_agents == 2 and env.candidate_arms(1) == [0, 1, 2]
 
 
+def _draw(lanes):
+    """A period's draws, its decision inputs made for agents of one default lane."""
+    return lanes.draw(Agents(lanes.offsets, lanes.arms, [PolicyConfig()]))
+
+
 def first_period(cfg, seed):
     """Period 1 of a replication driven step by step through ChannelLanes.
 
@@ -158,8 +163,8 @@ def first_period(cfg, seed):
     )
     lanes = ChannelLanes([env], [rng])
     agents = Agents(env.offsets, env.arms, [cfg.policy])
-    uniform = lanes.draw()
-    slot = init_association(agents, lanes.strongest(agents), uniform)
+    inputs = lanes.draw(agents)
+    slot = init_association(agents, lanes.strongest(agents), inputs)
     rate, satisfied, secrecy = lanes.outcomes(slot)
     update(agents, satisfied)
     res = run_replication(dataclasses.replace(cfg, periods=1), seed)
@@ -563,10 +568,13 @@ def test_environment_matches_scalar_channel_bit_for_bit(
     ]
     real = reference_model.draw_fading(topo, candidates, twin)
     lanes = ChannelLanes([env], [rng])
-    uniform = lanes.draw()
+    agents = Agents(env.offsets, env.arms, [PolicyConfig()])
+    inputs = lanes.draw(agents)
     flat = np.concatenate([real.g_bs_irs, list(real.g_irs_ue.values()), real.g_irs_eve.ravel()])
     _assert_same_bits(lanes.gains, flat)
-    _assert_same_bits(uniform, twin.random((n_ues, 2)))  # then the policy block
+    # then the policy block
+    for got, want in zip(inputs, decision_inputs(agents, twin.random((n_ues, 2))), strict=True):
+        _assert_same_bits(got, want)
     assert rng.bit_generator.state == twin.bit_generator.state
     rssi = lanes.rssi()
     sizes = np.diff(env.offsets)
@@ -622,7 +630,7 @@ def test_outcomes_without_rates_match_outcomes_with_them():
     sizes = np.diff(lanes.offsets)
     leaked = 0
     for k in range(4):
-        lanes.draw()
+        _draw(lanes)
         slot = lanes.offsets[:-1] + np.minimum(k, sizes - 1)
         rate, satisfied, secrecy = lanes.outcomes(slot)
         none, light_satisfied, light_secrecy = lanes.outcomes(slot, rates=False)
@@ -700,7 +708,7 @@ def test_warm_start_is_each_lanes_one_lane_argmax(stream):
     policies = [PolicyConfig()] * len(layout.stream)
     agents = Agents(layout.offsets, layout.arms, policies, layout.agents)
     assert agents.width == 0
-    lanes.draw()
+    lanes.draw(agents)
     # the tie: UE 0 of stream 0, at its cell's centre, on two ring panels of equal budget
     env = envs[0]
     first = list(range(env.offsets[0], env.offsets[1]))
@@ -728,7 +736,8 @@ def test_warm_start_is_each_lanes_one_lane_argmax(stream):
     for l, s in enumerate(layout.stream):
         lo, hi = layout.agents[l], layout.agents[l + 1]
         _assert_same_bits(best[lo:hi] - layout.slots[l], want[s])
-    init_association(agents, best, np.zeros((len(agents), 2)))  # aligned with every lane
+    # aligned with every lane
+    init_association(agents, best, decision_inputs(agents, np.zeros((len(agents), 2))))
 
 
 def _ulp_walk(start: float, n: int, budget: float):
@@ -785,7 +794,7 @@ def test_warm_start_decides_near_ties_by_the_exact_rssi(case, stream):
     env = ChannelEnvironment(topo, params, 1.0, 25.0)
     layout = engine._Layout([env], stream)
     lanes = ChannelLanes([env], [rng], layout)
-    lanes.draw()
+    _draw(lanes)
     first = range(env.offsets[0], env.offsets[1])
     budget = env.links(np.arange(len(env.arms)))[1]
     a, b = next((a, b) for a in first for b in first if a < b and budget[a] == budget[b])
@@ -922,7 +931,7 @@ def test_warm_start_on_overflowing_screens_takes_the_exact_budgets(scale):
     rng = np.random.default_rng(seed)
     env = ChannelEnvironment(build_network(cfg.topology, rng), cfg.channel, cfg.rate_threshold)
     lanes = ChannelLanes([env], [rng])
-    lanes.draw()
+    _draw(lanes)
     read = []
     links = lanes.links
     lanes.links = lambda slots: read.append(len(slots)) or links(slots)
@@ -993,7 +1002,7 @@ def test_screened_warm_start_is_the_exact_argmax_on_dense_rings(
         rngs.append(rng)
     layout = engine._Layout(envs, stream)
     lanes = ChannelLanes(envs, rngs, layout)
-    lanes.draw()
+    _draw(lanes)
     if tie:
         env, n_bs = envs[0], envs[0].blocks[0]
         first = range(env.offsets[0], env.offsets[1])
@@ -1098,11 +1107,11 @@ def test_engine_matches_reference_chain_bit_for_bit(
     lanes = ChannelLanes([env], [rng])
     agents = Agents(env.offsets, env.arms, [cfg.policy])
     for t in range(cfg.periods):
-        uniform = lanes.draw()
+        inputs = lanes.draw(agents)
         if t == 0:
-            slot = init_association(agents, lanes.strongest(agents), uniform)
+            slot = init_association(agents, lanes.strongest(agents), inputs)
         else:
-            slot = select_irs(agents, uniform)
+            slot = select_irs(agents, inputs)
         _, satisfied, secrecy = lanes.outcomes(slot)
         update(agents, satisfied)
         _assert_same_bits(secrecy, want.secrecy[t])
@@ -1192,14 +1201,22 @@ def test_lane_stream_is_geometry_then_fixed_blocks(monkeypatch, kind, seed):
 
 
 def _bernoulli_block_lanes(periods: int) -> list[Lane]:
-    """Bernoulli lanes of 5, 5, 3 and 5 agents on three streams: the first
-    two lanes share one (a bandit and a greedy lane on one seed and
-    environment), so the chunk holds one run of two lanes and two lone lanes."""
+    """Bernoulli lanes of 5, 5, 5, 3 and 5 agents on three streams: the first
+    three lanes share one (two bandit lanes of different omega and a greedy
+    lane on one seed and environment), so the chunk holds one run of three
+    lanes and two lone lanes."""
     cfg = small_cfg(policy=PolicyConfig(kind=CB, omega=0.4, phi=1), periods=periods)
     greedy = dataclasses.replace(cfg, policy=PolicyConfig(kind=PolicyKind.GREEDY))
+    eager = dataclasses.replace(cfg, policy=PolicyConfig(kind=CB, omega=0.9, phi=2))
     five = BernoulliEnvironment((0.9, 0.2, 0.5), n_agents=5)
     three = BernoulliEnvironment((0.3, 0.6), n_agents=3)
-    return [Lane(cfg, 4, five), Lane(greedy, 4, five), Lane(cfg, 5, three), Lane(cfg, 6, five)]
+    return [
+        Lane(cfg, 4, five),
+        Lane(greedy, 4, five),
+        Lane(eager, 4, five),
+        Lane(cfg, 5, three),
+        Lane(cfg, 6, five),
+    ]
 
 
 # the lanes' streams hold 5 + 3 + 5 agents, so a period draws 39 floats
@@ -1207,7 +1224,7 @@ def _bernoulli_block_lanes(periods: int) -> list[Lane]:
 @pytest.mark.parametrize("periods", [1, 2, 3, 4, 7])  # 1, k - 1, k, k + 1, 2k + 1 at k = 3
 def test_bernoulli_blocks_keep_every_lane_and_stream(monkeypatch, block_floats, periods):
     """Drawn k periods per call, a chunk of Bernoulli streams of different U,
-    two lanes on one of them, gives every lane its one-lane run bit for bit,
+    three lanes on one of them, gives every lane its one-lane run bit for bit,
     with and without a record, and leaves every stream's Generator where T
     periods of U outcome and U x 2 policy uniforms leave it."""
     lanes = _bernoulli_block_lanes(periods)
@@ -1231,6 +1248,32 @@ def test_bernoulli_blocks_keep_every_lane_and_stream(monkeypatch, block_floats, 
         _assert_same_bits(light.satisfaction, want.satisfaction)
         for record, agent in zip(res.agents, want.agents, strict=True):
             _assert_same_bits(record.rewards, agent.rewards)
+
+
+@pytest.mark.parametrize("block_floats", [1, 3 * 39, math.inf], ids=["k=1", "k=3", "k=T"])
+@pytest.mark.parametrize("periods", [1, 2, 3, 4, 7])  # 1, k - 1, k, k + 1, 2k + 1 at k = 3
+def test_bernoulli_decision_inputs_are_each_periods_own(monkeypatch, block_floats, periods):
+    """Whatever the block size, a Bernoulli chunk's draw(agents) hands out,
+    period by period, the decision inputs of that period's policy rows alone:
+    twin Generators drawing period by period give them, the rows gathered
+    to the lane agents (three lanes of different omega on one stream)."""
+    lanes = _bernoulli_block_lanes(periods)
+    monkeypatch.setattr(engine, "BLOCK_FLOATS", block_floats)
+    streams, stream = engine._streams(lanes)
+    envs = [lane.environment for lane in streams]
+    layout = engine._Layout(envs, stream)
+    rngs = [np.random.default_rng(lane.seed) for lane in streams]
+    batch = engine.BernoulliLanes(envs, rngs, periods, layout)
+    agents = Agents(layout.offsets, layout.arms, [lane.cfg.policy for lane in lanes], layout.agents)
+    twins = [np.random.default_rng(lane.seed) for lane in streams]
+    for _ in range(periods):
+        rows = []
+        for twin, env in zip(twins, envs):
+            twin.random(env.n_agents)
+            rows.append(twin.random((env.n_agents, 2)))
+        want = decision_inputs(agents, np.concatenate(rows)[layout.rows])
+        for got, part in zip(batch.draw(agents), want, strict=True):
+            _assert_same_bits(got, part)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1297,10 +1340,10 @@ def test_every_policy_reads_the_same_fading(monkeypatch):
     seen = []
     draw = ChannelLanes.draw
 
-    def spy(self):
-        uniform = draw(self)
+    def spy(self, agents):
+        inputs = draw(self, agents)
         seen.append(self.gains.copy())
-        return uniform
+        return inputs
 
     monkeypatch.setattr(ChannelLanes, "draw", spy)
     results = run_lanes(lanes, record=True)
@@ -1788,7 +1831,7 @@ def test_equal_eavesdropper_power_leaks_nothing_and_takes_no_log2(monkeypatch):
     topo = dataclasses.replace(topo, ue_xy=topo.eve_xy[:1].copy())
     env = ChannelEnvironment(topo, ChannelParams(), 1.0)
     lanes = ChannelLanes([env], [np.random.default_rng(4)])
-    lanes.draw()
+    _draw(lanes)
     n_bs, n_ue, _ = env.blocks
     slot = np.array([0])
     panel = env.arms[0]

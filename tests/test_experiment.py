@@ -335,6 +335,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{message}"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "section, key, value, kind",
+        [
+            ("topology", "grid_side", " 300 ", "a JSON number"),
+            ("topology", "small_cell_count", "2", "a JSON integer"),
+            ("topology", "detection_radius", "none", "a JSON number or null"),
+            ("topology", "detection_radius", "25", "a JSON number or null"),
+            ("experiment", "periods", "5", "a JSON integer"),
+            ("experiment", "enforce_channel_budget", "true", "JSON true or false"),
+            ("topology", "small_cell_offsets", "-50 0, 50 0", "a JSON array of [x, y] pairs"),
+            ("sweep", "phis", "1, 2", "a JSON array of integers"),
+            ("sweep", "phis", ["1", 2], "a JSON array of integers"),
+            ("sweep", "omegas", [0.1, "0.2"], "a JSON array of numbers"),
+            ("sweep", "policies", "cb", "a JSON array of strings"),
+            ("sweep", "cases", "random, clustered", "a JSON array of strings"),
+        ],
+    )
+    def test_json_value_of_another_json_type_named(self, section, key, value, kind):
+        """A JSON config's value must have its key's JSON type: the string
+        forms a text config reads are rejected by key, while the same
+        strings still parse in a text config and as overrides."""
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({section: {key: value}}))
+        assert str(exc.value) == f"{section}.{key}: expected {kind}, got {value!r}"
+        if isinstance(value, str):
+            text = parse_config(f"[{section}]\n{key} = {value}\n")
+            assert parse_config("{}", {section: {key: value}}) == text
+
     def test_budget_violation_named(self):
         with pytest.raises(ConfigError, match="experiment"):
             parse_config("[experiment]\nperiods = 200\nreplications = 100\n")

@@ -9,9 +9,11 @@ from irsbandit import engine, policy
 from irsbandit.config import PolicyConfig, PolicyKind, SimulationConfig
 from irsbandit.policy import (
     Agents,
+    decision_inputs,
     init_association,
     segment_argmax,
     select_irs,
+    set_targets,
     uniform_slots,
     update,
 )
@@ -37,7 +39,7 @@ def initialized_agent(
     a.slot[0] = list(candidates).index(current)
     if rewards is not None:
         a.rewards[:] = rewards
-    a.best = segment_argmax(a.rewards, a)
+    set_targets(a)
     a.unsat[0] = streak
     return a
 
@@ -48,8 +50,9 @@ def panels(a):
 
 
 def block(a, u1=0.5, u2=0.0):
-    """A policy block of one (u1, u2) row per agent, every row alike."""
-    return np.tile([u1, u2], (len(a), 1))
+    """The decision inputs of a policy block of one (u1, u2) row per agent,
+    every row alike."""
+    return decision_inputs(a, np.tile([u1, u2], (len(a), 1)))
 
 
 LAST_BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest uniform a Generator draws
@@ -101,11 +104,21 @@ class TestInitAssociation:
             init_association(a, strongest, block(a))
         assert not a.initialized
 
+    def test_lead_is_made_from_the_rewards(self):
+        # rewards that precede the start set the lead: slot 1 trails the target by 5
+        a = agents(policy=PolicyConfig(kind=CB, omega=0.0, phi=2))
+        a.rewards[:] = [5, 0, 2]
+        init_association(a, [1], block(a))
+        assert a.best.tolist() == [0] and a.lead.tolist() == [-5]
+        select_irs(a, block(a))  # below its target, so it moves though unsat < phi
+        assert panels(a) == [0]
+
     def test_cb_without_signal_context_draws_uniformly(self):
         counts = np.zeros(3)
         for seed in range(300):
             a = agents()
-            init_association(a, None, np.random.default_rng(seed).random((1, 2)))
+            rows = np.random.default_rng(seed).random((1, 2))
+            init_association(a, None, decision_inputs(a, rows))
             counts[panels(a)[0]] += 1
         assert counts.min() > 60  # roughly uniform across 3 arms
 
@@ -144,6 +157,14 @@ class TestSelectIrs:
         with pytest.raises(ValueError, match="not initialized"):
             select_irs(agents(), block(agents()))
 
+    def test_second_decision_before_update_rejected(self):
+        a = initialized_agent(current=1, rewards=[5, 2, 9])
+        select_irs(a, block(a))
+        with pytest.raises(ValueError, match="already decided"):
+            select_irs(a, block(a))
+        update(a, np.array([True]))
+        select_irs(a, block(a))
+
     def test_exploration_rate_respected(self):
         cfg = PolicyConfig(kind=CB, omega=0.3, phi=1)
         trials = 4000
@@ -151,9 +172,9 @@ class TestSelectIrs:
         a.initialized = True
         a.slot[:] = a.starts + 1
         a.rewards[:] = np.tile([0, 9, 0], trials)
-        a.best = segment_argmax(a.rewards, a)
+        set_targets(a)
         a.unsat[:] = 5
-        select_irs(a, np.random.default_rng(11).random((trials, 2)))
+        select_irs(a, decision_inputs(a, np.random.default_rng(11).random((trials, 2))))
         explored = np.count_nonzero(a.arms[a.slot] != 1)
         # explore picks uniformly among 3 arms, so P(leave argmax) = omega * 2/3
         assert abs(explored / trials - 0.2) < 0.02
@@ -175,11 +196,11 @@ class TestSelectIrs:
             a.initialized = True
             a.slot[:] = a.starts + current
             a.rewards[:] = rewards.ravel()
-            a.best = segment_argmax(a.rewards, a)
+            set_targets(a)
             a.unsat[:] = streak
         uniform = rng.random((n, 2))
-        select_irs(cb, uniform)
-        select_irs(gr, uniform)
+        select_irs(cb, decision_inputs(cb, uniform))
+        select_irs(gr, decision_inputs(gr, uniform))
         assert panels(cb) == panels(gr) == rewards.argmax(axis=1).tolist()
 
     def test_argmax_invariant_under_positive_scaling(self):
@@ -200,6 +221,30 @@ class TestSelectIrs:
         low = segment_argmax(values, two)
         high = segment_argmax(values * 2.0, two)
         assert low.tolist() == high.tolist() == [1, 4]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_decision_inputs_of_a_block_are_each_rows_own(k):
+    """decision_inputs of k periods' rows (..., U, 2), read strided out of a
+    [U | U x 2] block as BernoulliLanes holds them, equals k per-row calls."""
+    a = Agents(
+        [0, 3, 4, 8, 10],
+        np.array([0, 1, 2, 0, 0, 1, 2, 3, 0, 1]),
+        [PolicyConfig(kind=CB, omega=0.3), PolicyConfig(kind=GREEDY)],
+        [0, 2, 4],
+    )
+    n = len(a)
+    block = np.random.default_rng(k).random((k, 3 * n))
+    block[0, n] = 0.3  # u1 == omega: not an exploration
+    block[-1, n + 1] = LAST_BELOW_ONE  # the largest u2: the last slot
+    rows = block[:, n:].reshape(k, n, 2)
+    explore, jump = decision_inputs(a, rows)
+    assert explore.shape == jump.shape == (k, n)
+    for t in range(k):
+        want = decision_inputs(a, np.ascontiguousarray(rows[t]))
+        _assert_equal(explore[t], want[0])
+        _assert_equal(jump[t], want[1])
+    assert not explore[0, 0] and jump[-1, 0] == 2
 
 
 def test_largest_uniform_picks_the_last_slot():
@@ -223,6 +268,19 @@ class TestUpdate:
         assert a.rewards.tolist() == [0, 3]
         assert a.unsat.tolist() == [1]
 
+    def test_overtaking_slot_takes_the_target_and_keeps_its_lead(self):
+        # slot 1 ties the target at slot 0 from above, then overtakes it;
+        # slot 2 trails the target, which stays
+        a = initialized_agent((0, 1, 2), current=1, rewards=[3, 3, 1], streak=2)
+        update(a, np.array([False]))
+        assert a.best.tolist() == [0] and a.lead.tolist() == [0] and a.unsat.tolist() == [3]
+        update(a, np.array([True]))
+        assert a.best.tolist() == [1] and a.lead.tolist() == [1] and a.unsat.tolist() == [0]
+        b = initialized_agent((0, 1, 2), current=2, rewards=[3, 3, 1])
+        update(b, np.array([True]))
+        assert b.best.tolist() == [0] and b.lead.tolist() == [-1]
+        assert b.rewards.tolist() == [3, 3, 2]
+
     def test_streak_counts_consecutive(self):
         a = initialized_agent((0, 1), current=0)
         for _ in range(3):
@@ -240,7 +298,7 @@ def test_agent_records_read_the_flat_state():
     a.initialized = True
     a.slot[:] = [1, 2, 5]
     a.rewards[:] = [0, 6, 1, 2, 0, 5]
-    a.best = segment_argmax(a.rewards, a)
+    set_targets(a)
     a.unsat[:] = [0, 3, 1]
     records = list(a)
     assert [r.candidate_irs for r in records] == [(4, 7), (1,), (2, 3, 9)]
@@ -268,10 +326,10 @@ def test_agent_records_read_the_flat_state():
 def test_reward_monotone_and_conserved(outcomes, seed):
     rng = np.random.default_rng(seed)
     a = agents((0, 1, 2, 3), policy=PolicyConfig(kind=CB, omega=0.2, phi=2))
-    init_association(a, None, rng.random((1, 2)))
+    init_association(a, None, decision_inputs(a, rng.random((1, 2))))
     prev = a.rewards.copy()
     for sat in outcomes:
-        select_irs(a, rng.random((1, 2)))
+        select_irs(a, decision_inputs(a, rng.random((1, 2))))
         update(a, np.array([sat]))
         assert (a.rewards >= prev).all()  # never decreases
         prev = a.rewards.copy()
@@ -328,13 +386,65 @@ def test_kept_target_is_the_argmax_and_decides_like_a_rescan(lanes, periods, p_s
         [PolicyConfig(kind=k, phi=phi, omega=omega) for k, phi, omega, _ in lanes],
         list(itertools.accumulate((len(lane[3]) for lane in lanes), initial=0)),
     )
-    init_association(a, None, rng.random((len(a), 2)))
+    init_association(a, None, decision_inputs(a, rng.random((len(a), 2))))
     for _ in range(periods):
         update(a, rng.random(len(a)) < p_sat)
         _assert_equal(a.best, segment_argmax(a.rewards, a))
         uniform = rng.random((len(a), 2))
         want = rescanned_decisions(a, uniform)
-        assert select_irs(a, uniform).tolist() == want
+        assert select_irs(a, decision_inputs(a, uniform)).tolist() == want
+
+
+def _assert_targets(a):
+    """best is segment_argmax of the rewards and, unless a decision awaits its
+    update, lead < 0 exactly where the current slot's reward trails the target's."""
+    _assert_equal(a.best, segment_argmax(a.rewards, a))
+    if not a.decided:
+        _assert_equal(a.lead < 0, a.rewards[a.slot] < a.rewards[a.best])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lanes=st.lists(LANE, min_size=1, max_size=4),
+    steps=st.lists(st.sampled_from(["select", "update"]), max_size=30),
+    warm=st.booleans(),
+    p_sat=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_target_and_lead_follow_any_interleaving(lanes, steps, warm, p_sat, seed):
+    """From random rewards, with or without a warm start, over any
+    interleaving of select_irs and update on a chunk of bandit and greedy
+    lanes: after every step, and in every lane's copy, the target is the
+    argmax and the lead's sign is the current slot's reward against the
+    target's (a decision leaves the leads to its update); every decision is
+    a rescan's, and a second decision before update is refused unchanged."""
+    rng = np.random.default_rng(seed)
+    sizes = [n for *_, counts in lanes for n in counts]
+    a = Agents(
+        list(itertools.accumulate(sizes, initial=0)),
+        np.concatenate([np.arange(n) for n in sizes]),
+        [PolicyConfig(kind=k, phi=phi, omega=omega) for k, phi, omega, _ in lanes],
+        list(itertools.accumulate((len(lane[3]) for lane in lanes), initial=0)),
+    )
+    a.rewards[:] = rng.integers(0, 3, len(a.rewards))
+    strongest = a.starts + (rng.random(len(a)) * a.sizes).astype(np.int64) if warm else None
+    init_association(a, strongest, decision_inputs(a, rng.random((len(a), 2))))
+    _assert_targets(a)
+    for step in steps:
+        uniform = rng.random((len(a), 2))
+        if step == "update":
+            update(a, rng.random(len(a)) < p_sat)
+        elif a.decided:
+            before = a.slot.copy()
+            with pytest.raises(ValueError, match="already decided"):
+                select_irs(a, decision_inputs(a, uniform))
+            _assert_equal(a.slot, before)
+        else:
+            want = rescanned_decisions(a, uniform)
+            assert select_irs(a, decision_inputs(a, uniform)).tolist() == want
+        _assert_targets(a)
+        for l in range(len(lanes)):
+            _assert_targets(a.lane(l))
 
 
 def test_a_run_never_rescans_after_its_warm_start(monkeypatch):
@@ -379,14 +489,14 @@ def test_two_armed_sanity_quick():
     for seed in range(20):
         rng = np.random.default_rng(500 + seed)
         a = agents((0, 1), policy=cfg)
-        init_association(a, None, rng.random((1, 2)))
+        init_association(a, None, decision_inputs(a, rng.random((1, 2))))
         picks = []
         first = True
         for t in range(400):
             if first:
                 first = False
             else:
-                select_irs(a, rng.random((1, 2)))
+                select_irs(a, decision_inputs(a, rng.random((1, 2))))
             picks.append(panels(a)[0])
             update(a, np.array([rng.random() < (0.9 if picks[-1] == 0 else 0.1)]))
         fractions.append(np.mean(np.array(picks[199:400]) == 0))
