@@ -185,23 +185,12 @@ MUTANTS = (
     Mutant(
         "chunk-key-ignores-channel",  # lanes on other channels or thresholds share a chunk
         "src/irsbandit/engine.py",
-        "        return ChannelEnvironment, cfg.periods, cfg.channel, cfg.rate_threshold\n"
-        "    if type(env) is ChannelEnvironment:\n"
-        "        return ChannelEnvironment, cfg.periods, env.params, env.rate_threshold\n",
-        "        return ChannelEnvironment, cfg.periods\n"
-        "    if type(env) is ChannelEnvironment:\n"
-        "        return ChannelEnvironment, cfg.periods\n",
+        "return ChannelEnvironment, cfg.periods, cfg.channel, cfg.rate_threshold",
+        "return ChannelEnvironment, cfg.periods",
         (
             "tests/test_engine.py::test_one_generator_per_stream",
             "tests/test_engine.py::test_lanes_in_chunks_match_one_lane_runs",
         ),
-    ),
-    Mutant(
-        "chunk-key-reads-prebuilt-cfg",  # a prebuilt environment is keyed by its cfg's channel
-        "src/irsbandit/engine.py",
-        "return ChannelEnvironment, cfg.periods, env.params, env.rate_threshold",
-        "return ChannelEnvironment, cfg.periods, cfg.channel, cfg.rate_threshold",
-        ("tests/test_engine.py::test_lanes_in_chunks_match_one_lane_runs",),
     ),
     Mutant(
         "stream-key-ignores-threshold",  # lanes on one seed and two thresholds share a stream
@@ -216,6 +205,88 @@ MUTANTS = (
         "shift = [stream_slots[s] - lo for s, lo in zip(self.stream, self.slots)]",
         "shift = [lo - stream_slots[s] for s, lo in zip(self.stream, self.slots)]",
         ("tests/test_engine.py::test_one_generator_per_stream",),
+    ),
+    # lanes sharing a stream read it through the layout's rows and shifts
+    Mutant(
+        "bernoulli-outcomes-ignore-rows",  # a lane agent reads its row in the chunk, not its stream
+        "src/irsbandit/engine.py",
+        "uniform = self._uniform if self._rows is None else self._uniform[self._rows]",
+        "uniform = self._uniform",
+        ("tests/test_engine.py::test_bernoulli_blocks_keep_every_lane_and_stream",),
+    ),
+    Mutant(
+        "ue-gains-of-first-stream",  # every stream reads the first stream's IRS->UE gains
+        "src/irsbandit/engine.py",
+        "ue_at.append(b + n_bs + np.arange(n_ue))",
+        "ue_at.append(n_bs + np.arange(n_ue))",
+        ("tests/test_engine.py::test_one_generator_per_stream",),
+    ),
+    Mutant(
+        "outcome-shift-sign-flipped",  # outcomes read another stream slot than the lane's
+        "src/irsbandit/engine.py",
+        "slot = slot + self._shift  # the stream slots",
+        "slot = slot - self._shift  # the stream slots",
+        ("tests/test_engine.py::test_one_generator_per_stream",),
+    ),
+    Mutant(
+        "warm-start-shift-sign-flipped",  # the warm start hands a lane another lane's slots
+        "src/irsbandit/engine.py",
+        "        best -= self._shift\n",
+        "        best += self._shift\n",
+        ("tests/test_engine.py::test_one_generator_per_stream",),
+    ),
+    Mutant(
+        "warm-start-skips-exact-decision",  # the lowest slot kept by the screen wins
+        "src/irsbandit/engine.py",
+        "best = best[policy.segment_argmax(self.rssi(best), within)]",
+        "best = best[within.starts]",
+        ("tests/test_engine.py::test_warm_start_decides_near_ties_by_the_exact_rssi",),
+    ),
+    # per-lane series: one C-contiguous row per lane, divided by its own agent count
+    Mutant(
+        "lane-sizes-reversed",  # each lane's sums are divided by another lane's size
+        "src/irsbandit/engine.py",
+        "    satisfaction /= lane_sizes[:, None]\n",
+        "    satisfaction /= lane_sizes[::-1, None]\n",
+        ("tests/test_engine.py::test_lane_means_are_the_records_means",),
+    ),
+    Mutant(
+        "series-rows-non-contiguous",  # a lane's series is a strided column of a transpose
+        "src/irsbandit/engine.py",
+        "satisfaction = np.empty((len(chunk), periods))",
+        "satisfaction = np.empty((periods, len(chunk))).T",
+        ("tests/test_engine.py::test_lane_means_are_the_records_means",),
+    ),
+    # a lane the engine cannot run is rejected by field as it enters
+    Mutant(
+        "lane-environment-unchecked",  # a ChannelEnvironment lane runs
+        "src/irsbandit/engine.py",
+        "if env is not None and not isinstance(env, BernoulliEnvironment):",
+        "if False:",
+        (
+            "tests/test_engine.py::test_lane_the_engine_cannot_run_is_rejected_by_field"
+            "[environment-channel-run_lanes]",
+        ),
+    ),
+    Mutant(
+        "lane-seed-minus-one-accepted",  # seed -1 reaches numpy, which does not name it
+        "src/irsbandit/engine.py",
+        "seed < 0:",
+        "seed < -1:",
+        (
+            "tests/test_engine.py::test_lane_the_engine_cannot_run_is_rejected_by_field"
+            "[seed-negative-run_replication]",
+        ),
+    ),
+    Mutant(
+        "lane-seed-bool-accepted",  # True runs as seed 1
+        "src/irsbandit/engine.py",
+        "or isinstance(seed, bool) or",
+        "or",
+        (
+            "tests/test_engine.py::test_lane_the_engine_cannot_run_is_rejected_by_field"
+            "[seed-bool-run_replication]",
+        ),
     ),
     # the kept exploit target, clause by clause (moving it onto itself, when
     # slot == best, writes nothing, so a mutant of that case alone is equivalent)

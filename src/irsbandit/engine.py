@@ -1,7 +1,8 @@
 """Monte-Carlo simulation loop.
 
-A lane is one replication: a (config, seed) pair, optionally with its own
-environment. Each lane owns its agents and draws from default_rng(seed).
+A lane is one replication: a (config, seed) pair, optionally with a
+BernoulliEnvironment in place of the configured network. Each lane owns its
+agents and draws from default_rng(seed).
 The replications of a cell are lanes with seeds base_seed + i and
 aggregate by plain averaging, so their order never matters.
 
@@ -19,7 +20,7 @@ distribution case, so its channel lanes all share one key.
 
 Within a chunk, lanes whose draws and environment are equal by
 construction form one stream: channel lanes with equal topology, channel
-parameters, rate threshold, period count and seed, or plug-in lanes with
+parameters, rate threshold, period count and seed, or Bernoulli lanes with
 the same environment object, period count and seed. Lanes in one stream
 differ only in policy, and the policy draws nothing, so the stream's
 Generator, network, fading, policy block and slot state are made once and
@@ -123,8 +124,10 @@ BLOCK_FLOATS = 2400
 class Lane(NamedTuple):
     """One replication: cfg run on default_rng(seed).
 
-    environment=None builds the configured network from that stream; an
-    environment (e.g. BernoulliEnvironment) replaces the channel.
+    environment=None builds the configured network from that stream; a
+    BernoulliEnvironment replaces the channel. run_lanes rejects, by field
+    name, any other environment, a seed that is not a non-negative integer
+    and a cfg that is not a SimulationConfig.
     """
 
     cfg: SimulationConfig
@@ -265,7 +268,7 @@ def _links(slots, arms, offsets, pxy, uxy, feed_db, params) -> tuple[np.ndarray,
 
 
 class BernoulliEnvironment:
-    """Abstract plug-in: each arm satisfies with a fixed probability.
+    """Abstract environment: each arm satisfies with a fixed probability.
 
     Test hook for validating the policy chain against straight-line
     oracles. There is no geometry, so no signal context exists and the
@@ -613,8 +616,7 @@ class BernoulliLanes:
     agents when lanes share a stream), and draw hands out one period's.
     """
 
-    def __init__(self, envs, rngs, periods: int, layout=None):
-        layout = layout or _Layout(envs)
+    def __init__(self, envs, rngs, periods: int, layout: _Layout):
         self.offsets, self.arms, self._rows = layout.offsets, layout.arms, layout.rows
         # each lane slot's arm probability
         self._slot_prob = _joined([envs[s].arm_probs[envs[s].arms] for s in layout.stream])
@@ -680,32 +682,25 @@ def _period_floats(lane: Lane) -> int:
     (fading gains, or outcome uniforms), then its policy block of 2 per agent.
 
     A channel lane counts every UE on every panel, I + I*U + I*E gains, read
-    from the config (or alike from its own ChannelEnvironment), so chunks are
-    cut before any network is built and no lane's set-up outlives its chunk.
+    from the config, so chunks are cut before any network is built and no
+    lane's set-up outlives its chunk.
     """
-    env = lane.environment
-    if env is None:
-        t = lane.cfg.topology
-        cells = len(t.small_cell_offsets)
-        n_panels, n_ues = cells * t.irs_per_cell, t.ue_count
-        n_pairs = n_panels * cells * t.eavesdroppers_per_cell
-    elif isinstance(env, ChannelEnvironment):
-        (n_panels, _, n_pairs), n_ues = env.blocks, env.n_agents
-    else:
-        return 3 * env.n_agents
+    if lane.environment is not None:
+        return 3 * lane.environment.n_agents
+    t = lane.cfg.topology
+    cells = len(t.small_cell_offsets)
+    n_panels, n_ues = cells * t.irs_per_cell, t.ue_count
+    n_pairs = n_panels * cells * t.eavesdroppers_per_cell
     return n_panels * (1 + n_ues) + n_pairs + 2 * n_ues
 
 
 def _chunk_key(lane: Lane) -> tuple:
     """What every lane of a chunk shares: its environment kind and period
-    count, and a channel lane's channel and rate threshold (a prebuilt
-    ChannelEnvironment's own)."""
-    env, cfg = lane.environment, lane.cfg
-    if env is None:
-        return ChannelEnvironment, cfg.periods, cfg.channel, cfg.rate_threshold
-    if type(env) is ChannelEnvironment:
-        return ChannelEnvironment, cfg.periods, env.params, env.rate_threshold
-    return type(env), cfg.periods
+    count, and a channel lane's channel and rate threshold."""
+    cfg = lane.cfg
+    if lane.environment is not None:
+        return BernoulliEnvironment, cfg.periods
+    return ChannelEnvironment, cfg.periods, cfg.channel, cfg.rate_threshold
 
 
 def _chunks(lanes):
@@ -864,16 +859,30 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     return results
 
 
+def _checked(lane: Lane) -> Lane:
+    """lane, if the engine can run it; else a ValueError that starts with the field's name."""
+    cfg, seed, env = lane
+    if not isinstance(cfg, SimulationConfig):
+        raise ValueError(f"cfg: must be a SimulationConfig, got {cfg!r}")
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed: must be a non-negative integer, got {seed!r}")
+    if env is not None and not isinstance(env, BernoulliEnvironment):
+        raise ValueError(f"environment: must be None or a BernoulliEnvironment, got {env!r}")
+    return lane
+
+
 def run_lanes(lanes, record: bool = False) -> list[ReplicationResult]:
     """Run every Lane of lanes; one result each, in order.
 
     Lanes run in chunks of lanes advancing in lock step (see the module
     docstring); each lane's results are those it gives when run alone.
     Without record only the per-period series are kept: a result's chosen,
-    satisfied, rates and agents are None.
+    satisfied, rates and agents are None. Each lane is checked as it enters
+    (_checked), so a lane the engine cannot run raises a ValueError that
+    names its field.
     """
     results = []
-    for chunk in _chunks(lanes):
+    for chunk in _chunks(map(_checked, lanes)):
         results.extend(_run_chunk(chunk, record))
     return results
 
@@ -883,9 +892,9 @@ def run_replication(
 ) -> ReplicationResult:
     """One seeded replication, with its full record: a one-lane run_lanes call.
 
-    With environment=None the scenario is the configured network; passing
-    an environment (e.g. BernoulliEnvironment) replaces the channel while
-    keeping the policy loop identical.
+    With environment=None the scenario is the configured network; a
+    BernoulliEnvironment replaces the channel while keeping the policy loop
+    identical.
     """
     return run_lanes([Lane(cfg, seed, environment)], record=True)[0]
 

@@ -944,19 +944,51 @@ def test_warm_start_on_overflowing_screens_takes_the_exact_budgets(scale):
     _assert_same_bits(run_replication(cfg, seed).chosen, reference.chosen)
 
 
-def test_lane_with_a_prebuilt_channel_environment_is_sized_like_its_config():
-    """A lane carrying its own ChannelEnvironment is bounded, per period, like
-    the lane that builds it from the config, so chunks are cut alike: every
-    UE on every panel, I + I*U + I*E gains and 2U uniforms, at least what it
-    draws."""
-    cfg = small_cfg()
-    topo = build_network(cfg.topology, np.random.default_rng(cfg.base_seed))
-    env = ChannelEnvironment(topo, cfg.channel, cfg.rate_threshold)
-    built = engine._period_floats(Lane(cfg, cfg.base_seed))
-    assert engine._period_floats(Lane(cfg, cfg.base_seed, env)) == built
-    n_panels, n_ues, n_eves = len(topo.panel_xy), len(topo.ue_xy), len(topo.eve_xy)
-    assert built == n_panels * (1 + n_ues + n_eves) + 2 * n_ues
-    assert env.blocks[1] < n_panels * n_ues
+def _prebuilt_environment():
+    cfg = small_cfg(periods=2, replications=1)
+    topo = build_network(cfg.topology, np.random.default_rng(1))
+    return ChannelEnvironment(topo, cfg.channel, cfg.rate_threshold)
+
+
+# (field, the lane's cfg, seed and environment, its environment built when run)
+BAD_LANES = [
+    pytest.param("seed", lambda cfg: (cfg, -1, None), id="seed-negative"),
+    pytest.param("seed", lambda cfg: (cfg, 1.5, None), id="seed-float"),
+    pytest.param("seed", lambda cfg: (cfg, True, None), id="seed-bool"),
+    pytest.param("seed", lambda cfg: (cfg, "3", None), id="seed-str"),
+    pytest.param("environment", lambda cfg: (cfg, 1, object()), id="environment-object"),
+    pytest.param(
+        "environment", lambda cfg: (cfg, 1, _prebuilt_environment()), id="environment-channel"
+    ),
+    pytest.param("environment", lambda cfg: (cfg, 1, "x"), id="environment-str"),
+    pytest.param("cfg", lambda cfg: (None, 1, None), id="cfg-none"),
+    pytest.param("cfg", lambda cfg: (TopologyConfig(), 1, None), id="cfg-topology"),
+]
+
+
+@pytest.mark.parametrize("entry", ["run_lanes", "run_replication"])
+@pytest.mark.parametrize("field, make", BAD_LANES)
+def test_lane_the_engine_cannot_run_is_rejected_by_field(entry, field, make):
+    """A lane's seed must be a non-negative integer and not a bool, its cfg a
+    SimulationConfig, and its environment None or a BernoulliEnvironment (a
+    ChannelEnvironment is what the engine builds from the cfg, never a
+    lane's). Either entry point raises a ValueError naming the field."""
+    lane = Lane(*make(small_cfg(periods=2, replications=1)))
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        if entry == "run_lanes":
+            run_lanes([Lane(small_cfg(periods=2, replications=1), 0), lane])
+        else:
+            run_replication(*lane)
+
+
+def test_lane_seed_may_be_any_non_negative_integer():
+    """Seed 0 and numpy integers are seeds like the ints they equal."""
+    cfg = small_cfg(periods=2, replications=1)
+    env = BernoulliEnvironment((0.3, 0.7), n_agents=4)
+    for seed in (np.uint32(0), np.int64(5)):
+        for e in (None, env):
+            want = run_replication(cfg, int(seed), e)
+            _assert_same_bits(run_replication(cfg, seed, e).chosen, want.chosen)
 
 
 DENSE_OFFSETS = ((-50.0, -50.0), (50.0, -50.0), (-50.0, 50.0), (50.0, 50.0))
@@ -1464,19 +1496,6 @@ def _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes):
             assert record.consecutive_unsatisfied == agent.consecutive_unsatisfied
 
 
-def _prebuilt_between_config_lanes() -> list[Lane]:
-    """Config lanes on the default channel and threshold around a lane whose
-    prebuilt ChannelEnvironment has another channel and threshold than its
-    cfg, which is the default one."""
-    cfg = SimulationConfig(
-        topology=TopologyConfig(ue_count=3), periods=LANE_PERIODS, replications=1
-    )
-    topo = build_network(cfg.topology, np.random.default_rng(5))
-    env = ChannelEnvironment(topo, ChannelParams(pathloss_exponent=2.5), 2.0)
-    greedy = dataclasses.replace(cfg, policy=PolicyConfig(kind=PolicyKind.GREEDY))
-    return [Lane(cfg, 5), Lane(cfg, 6, env), Lane(greedy, 7)]
-
-
 def _one_seed_on_two_thresholds() -> list[Lane]:
     """Adjacent lanes on one seed and network that differ only in rate threshold."""
     cfg = SimulationConfig(
@@ -1488,7 +1507,6 @@ def _one_seed_on_two_thresholds() -> list[Lane]:
 @pytest.mark.parametrize("chunk_floats", [1, 3, math.inf])
 @settings(max_examples=25, deadline=None)
 @given(lanes=st.lists(st.one_of(channel_lanes, bernoulli_lanes), min_size=1, max_size=6))
-@example(lanes=_prebuilt_between_config_lanes())
 @example(lanes=_one_seed_on_two_thresholds())
 def test_lanes_in_chunks_match_one_lane_runs(chunk_floats, lanes):
     """Every lane of a chunk gives, bit for bit, what it gives run alone.
@@ -1497,10 +1515,8 @@ def test_lanes_in_chunks_match_one_lane_runs(chunk_floats, lanes):
     sizes, channels and rate thresholds; Bernoulli lanes join the list and
     chunk with each other. Unbounded chunks put every run of lanes of one
     _chunk_key in one chunk; a bound of 1 or 3 floats runs every channel
-    lane alone. The explicit examples run a prebuilt environment on its
-    own channel and threshold between config lanes: its own chunk; and two
-    lanes on one seed side by side that differ only in threshold: two
-    streams, never one run of lanes.
+    lane alone. The explicit example runs two lanes on one seed side by side
+    that differ only in threshold: two streams, never one run of lanes.
     """
     _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes)
 
