@@ -214,12 +214,34 @@ MUTANTS = (
         "uniform = self._uniform",
         ("tests/test_engine.py::test_bernoulli_blocks_keep_every_lane_and_stream",),
     ),
+    # each stream's IRS->UE gains, a slice of gains: addressed per lane agent
+    # by an offset (outcomes) and joined in stream order (the warm start)
     Mutant(
-        "ue-gains-of-first-stream",  # every stream reads the first stream's IRS->UE gains
+        "ue-gains-of-first-stream",  # every stream's outcomes read the first stream's gains
         "src/irsbandit/engine.py",
-        "ue_at.append(b + n_bs + np.arange(n_ue))",
-        "ue_at.append(n_bs + np.arange(n_ue))",
+        "ue_off.append(b + n_bs - k)",
+        "ue_off.append(n_bs - k)",
         ("tests/test_engine.py::test_one_generator_per_stream",),
+    ),
+    Mutant(
+        "ue-offset-not-gathered",  # lane agents read the stream agents' offsets
+        "src/irsbandit/engine.py",
+        "self._ue_off = ue_off if layout.rows is None else ue_off[layout.rows]",
+        "self._ue_off = ue_off",
+        (
+            "tests/test_engine.py::test_lanes_in_chunks_match_one_lane_runs[inf]",
+            "tests/test_engine.py::test_one_generator_per_stream",
+        ),
+    ),
+    Mutant(
+        "ue-slices-joined-in-reverse",  # the warm start pairs slots with other streams' gains
+        "src/irsbandit/engine.py",
+        "gain *= _joined(self._ue_gains)",
+        "gain *= _joined(self._ue_gains[::-1])",
+        (
+            "tests/test_engine.py::test_lanes_in_chunks_match_one_lane_runs[inf]",
+            "tests/test_engine.py::test_one_generator_per_stream",
+        ),
     ),
     Mutant(
         "outcome-shift-sign-flipped",  # outcomes read another stream slot than the lane's
@@ -288,6 +310,13 @@ MUTANTS = (
             "[seed-bool-run_replication]",
         ),
     ),
+    Mutant(
+        "cell-cfg-unchecked",  # run_cells reads replications of a cfg before any check
+        "src/irsbandit/engine.py",
+        "cfgs = [_checked(Lane(cfg, 0)).cfg for cfg in cfgs]",
+        "cfgs = list(cfgs)",
+        ("tests/test_engine.py::test_cell_the_engine_cannot_run_is_rejected_by_cfg",),
+    ),
     # the kept exploit target, clause by clause (moving it onto itself, when
     # slot == best, writes nothing, so a mutant of that case alone is equivalent)
     Mutant(
@@ -340,9 +369,16 @@ MUTANTS = (
     Mutant(
         "radius-band-by-square",  # dx*dx + dy*dy decides the slots hypot should
         "src/irsbandit/topology.py",
-        "keep[open_] = elementwise(math.hypot, dx[open_], dy[open_]) <= radius",
-        "keep[open_] = square[open_] <= r2",
+        "elementwise(math.hypot, px[panel] - ux[ue], py[panel] - uy[ue]) <= radius",
+        "(px[panel] - ux[ue]) ** 2 + (py[panel] - uy[ue]) ** 2 <= r2",
         ("tests/test_topology.py::test_radius_band_is_decided_by_hypot",),
+    ),
+    Mutant(
+        "open-entry-ue-by-remainder",  # an open slot's hop is taken from another UE
+        "src/irsbandit/topology.py",
+        "flat // ring.shape[1]",
+        "flat % ring.shape[1]",
+        ("tests/test_topology.py::test_open_slot_is_decided_on_its_own_ue",),
     ),
     # the serving-cell screen, clause by clause
     Mutant(

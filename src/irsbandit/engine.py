@@ -104,10 +104,10 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # so about 74 default lanes share a chunk (72 in the default sweep, which
 # never cuts its runs of 4 lanes on one stream); a run above the bound runs
 # alone. Per-lane state (each lane's agents and reward counters) grows with
-# this sum, and per-stream state (the draws, each stream slot's panel, SNR
-# factor and gain position) at most with it, so the bound caps a chunk's
-# peak memory. Lanes that share a stream draw and hold its state once, so
-# the sweep's bandit and greedy lanes on one seed hold a fraction of it.
+# this sum, and per-stream state (the draws, each stream slot's panel and SNR
+# factor) at most with it, so the bound caps a chunk's peak memory. Lanes
+# that share a stream draw and hold its state once, so the sweep's bandit
+# and greedy lanes on one seed hold a fraction of it.
 CHUNK_FLOATS = 2**15
 
 # Most floats one block of a Bernoulli chunk may hold, summed over its
@@ -376,10 +376,13 @@ class ChannelLanes:
     panel_base[s] + i, and _bs_at gives each chunk panel's BS->IRS gain.
     Slot state is per stream: every stream slot (the streams' slots end to
     end, stream s's from _stream_slots[s]) keeps its chunk panel (a lone
-    stream's arms, uncopied), the position of its IRS->UE gain (_ue_at) and
-    its SNR factor, NaN until links computes it. A lane's agent finds its
-    stream slot at its lane slot + _shift[agent] (_shift is None when every
-    lane is its own stream). The streams share one channel and one rate
+    stream's arms, uncopied) and its SNR factor, NaN until links computes
+    it. Its IRS->UE gain needs no index: stream s's are the slice
+    _ue_gains[s] of gains, in slot order, so the stream slots' gains are the
+    slices joined (a lone stream's slice, uncopied), and a lane agent's is at
+    its stream slot + _ue_off[agent]. A lane's agent finds its stream slot
+    at its lane slot + _shift[agent] (_shift is None when every lane is its
+    own stream). The streams share one channel and one rate
     threshold, as _chunks cuts chunks, so the chunk keeps the first
     stream's ChannelParams and one satisfaction cutoff (_log2_cutoff).
     Every stream's (panel, eavesdropper) pair, panel by panel, keeps its
@@ -402,13 +405,16 @@ class ChannelLanes:
         ]
         # the lane agents' rows, gathered from the stream rows when lanes share a stream
         self._gathered = None if layout.rows is None else np.empty((layout.agents[-1], 2))
-        bs_at, ue_at, pair_panel, pair_eve, pair_snr, panel_base = [], [], [], [], [], []
+        bs_at, ue_off, pair_panel, pair_eve, pair_snr, panel_base = [], [], [], [], [], []
+        self._ue_gains = []  # each stream's IRS->UE gains, a slice of gains in slot order
+        self._stream_slots = list(accumulate((len(env.arms) for env in envs), initial=0))
         b = p = 0  # the stream's first gain and first chunk panel
-        for env, rng in zip(envs, rngs):
+        for env, rng, k in zip(envs, rngs, self._stream_slots):  # k: its first stream slot
             n_bs, n_ue, n_eve = env.blocks
             self._draws.append((rng, self.gains[b : b + n_bs + n_ue + n_eve]))
             bs_at.append(b + np.arange(n_bs))
-            ue_at.append(b + n_bs + np.arange(n_ue))
+            self._ue_gains.append(self.gains[b + n_bs : b + n_bs + n_ue])
+            ue_off.append(b + n_bs - k)
             snr = env._eve_snr
             if n_eve:
                 pair_eve.append(b + n_bs + n_ue + np.arange(n_eve))
@@ -421,7 +427,6 @@ class ChannelLanes:
             b += n_bs + n_ue + n_eve
             p += n_bs
         self._bs_at = np.concatenate(bs_at)
-        self._ue_at = np.concatenate(ue_at)
         self._pair_panel = np.concatenate(pair_panel)
         self._pair_eve = np.concatenate(pair_eve)
         self._pair_snr = _joined(pair_snr)
@@ -433,7 +438,9 @@ class ChannelLanes:
         self._uxy = _joined([env._uxy for env in envs], axis=1)
         self._feed_db = _joined([env._feed_db for env in envs])
         self._params = envs[0].params
-        self._stream_slots = list(accumulate((len(env.arms) for env in envs), initial=0))
+        # a lane agent's IRS->UE gain is at its stream slot + _ue_off[agent]
+        ue_off = np.repeat(ue_off, np.diff(rows))
+        self._ue_off = ue_off if layout.rows is None else ue_off[layout.rows]
         self._snr = np.full(self._stream_slots[-1], np.nan)
         self._filled = False  # set once every stream slot has its SNR factor
         self._cutoff = _log2_cutoff(envs[0].rate_threshold)
@@ -453,9 +460,9 @@ class ChannelLanes:
         return policy.decision_inputs(agents, rows)
 
     def _gain(self) -> np.ndarray:
-        """This period's g_bs * g_ue of every stream slot."""
-        gain = self.gains[self._ue_at]
-        gain *= self.gains[self._bs_at][self._panel]
+        """This period's g_bs * g_ue of every stream slot (bit for bit g_ue * g_bs)."""
+        gain = self.gains[self._bs_at][self._panel]
+        gain *= _joined(self._ue_gains)
         return gain
 
     def links(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -579,7 +586,7 @@ class ChannelLanes:
         g_bs = gains[self._bs_at]
         panel = self._panel[slot]
         power *= g_bs[panel]
-        power *= gains[self._ue_at[slot]]
+        power *= gains[slot + self._ue_off]
         power += 1.0
         eve = self._pair_snr * g_bs[self._pair_panel]
         eve *= gains[self._pair_eve]
@@ -930,8 +937,9 @@ def run_cells(cfgs) -> list[tuple[SatisfactionTrace, float]]:
     (cells on one seed range that differ only in policy) run side by side,
     in order of their first cell, so no chunk cut falls between them.
     A cell's wall seconds are its lanes' shares of their chunks' wall time.
+    Every cfg is checked, as a lane's is (_checked), before any is read.
     """
-    cfgs = list(cfgs)
+    cfgs = [_checked(Lane(cfg, 0)).cfg for cfg in cfgs]
     depth = max((cfg.replications for cfg in cfgs), default=0)
     by_stream = {}  # the stream key of a cell's first lane -> its cells, in order
     for c, cfg in enumerate(cfgs):

@@ -163,26 +163,36 @@ def candidate_slots(
     detection_radius (None keeps every panel); if that would empty the set
     the full ring stands in, so every UE keeps at least one arm. No hop
     length is kept: the channel takes a slot's when a run reads it.
+
+    At most three (UE, ring panel) grids are held at once: the ring, the
+    squared distances, built in place, and the y part while it is added.
+    No difference grid is kept; the slots left open take theirs anew.
     """
     radius = math.inf if detection_radius is None else detection_radius
     ring = topo.rings[serving_cells(topo.ue_xy, topo)]
     px, py = np.ascontiguousarray(topo.panel_xy.T)
-    dx = px.take(ring) - topo.ue_xy[:, 0:1]
-    dy = py.take(ring) - topo.ue_xy[:, 1:2]
+    ux, uy = topo.ue_xy.T
+    square = px.take(ring) - ux[:, None]
+    dy = py.take(ring)
+    dy -= uy[:, None]
     # Squared distances decide every slot whose square lies outside a relative
     # margin of the radius's square on either side; the margin covers the
     # rounding of dx*dx + dy*dy, of radius*radius and of hypot many times
     # over. A square outside [1e-300, 1e300] may have underflowed or
     # overflowed, so it decides nothing (a radius whose square overflows
     # keeps every square in that range, one whose square underflows none).
-    # math.hypot decides the slots left open.
+    # math.hypot decides the slots left open, on their differences taken anew.
     r2 = radius * radius
     with np.errstate(over="ignore", under="ignore"):
-        square = dx * dx + dy * dy
+        square *= square
+        square += np.multiply(dy, dy, out=dy)
+    del dy
     keep = square < r2 * (1.0 - 1e-12)
     open_ = (square <= r2 * (1.0 + 1e-12)) & ~keep
     open_ |= ~((square >= 1e-300) & (square <= 1e300))
-    keep[open_] = elementwise(math.hypot, dx[open_], dy[open_]) <= radius
+    flat = np.flatnonzero(open_)
+    panel, ue = ring.take(flat), flat // ring.shape[1]
+    np.put(keep, flat, elementwise(math.hypot, px[panel] - ux[ue], py[panel] - uy[ue]) <= radius)
     keep[~keep.any(axis=1)] = True  # the full ring stands in
     offsets = np.zeros(len(ring) + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(keep, axis=1), out=offsets[1:])

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -981,6 +982,24 @@ def test_lane_the_engine_cannot_run_is_rejected_by_field(entry, field, make):
             run_replication(*lane)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: run_monte_carlo(None), id="monte-carlo-none"),
+        pytest.param(lambda: run_monte_carlo(TopologyConfig()), id="monte-carlo-topology"),
+        pytest.param(
+            lambda: engine.run_cells([small_cfg(periods=2, replications=1), 5]), id="cells-int"
+        ),
+    ],
+)
+def test_cell_the_engine_cannot_run_is_rejected_by_cfg(call):
+    """run_cells, and so run_monte_carlo, checks every cfg before it reads
+    any: one that is not a SimulationConfig raises a ValueError naming cfg,
+    not an AttributeError on its replications, and no cell runs."""
+    with pytest.raises(ValueError, match="^cfg: "):
+        call()
+
+
 def test_lane_seed_may_be_any_non_negative_integer():
     """Seed 0 and numpy integers are seeds like the ints they equal."""
     cfg = small_cfg(periods=2, replications=1)
@@ -1496,6 +1515,17 @@ def _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes):
             assert record.consecutive_unsatisfied == agent.consecutive_unsatisfied
 
 
+def _two_streams_one_shared() -> list[Lane]:
+    """Two streams of unequal slot counts in one chunk; the first is shared by
+    a bandit and a greedy lane with the second's lane between them."""
+    small = SimulationConfig(
+        topology=TopologyConfig(ue_count=3), periods=LANE_PERIODS, replications=1
+    )
+    large = dataclasses.replace(small, topology=TopologyConfig(ue_count=8, irs_per_cell=5))
+    greedy = dataclasses.replace(small, policy=PolicyConfig(kind=PolicyKind.GREEDY))
+    return [Lane(small, 5), Lane(large, 6), Lane(greedy, 5)]
+
+
 def _one_seed_on_two_thresholds() -> list[Lane]:
     """Adjacent lanes on one seed and network that differ only in rate threshold."""
     cfg = SimulationConfig(
@@ -1508,6 +1538,7 @@ def _one_seed_on_two_thresholds() -> list[Lane]:
 @settings(max_examples=25, deadline=None)
 @given(lanes=st.lists(st.one_of(channel_lanes, bernoulli_lanes), min_size=1, max_size=6))
 @example(lanes=_one_seed_on_two_thresholds())
+@example(lanes=_two_streams_one_shared())
 def test_lanes_in_chunks_match_one_lane_runs(chunk_floats, lanes):
     """Every lane of a chunk gives, bit for bit, what it gives run alone.
 
@@ -1515,8 +1546,10 @@ def test_lanes_in_chunks_match_one_lane_runs(chunk_floats, lanes):
     sizes, channels and rate thresholds; Bernoulli lanes join the list and
     chunk with each other. Unbounded chunks put every run of lanes of one
     _chunk_key in one chunk; a bound of 1 or 3 floats runs every channel
-    lane alone. The explicit example runs two lanes on one seed side by side
-    that differ only in threshold: two streams, never one run of lanes.
+    lane alone. The explicit examples run two lanes on one seed side by side
+    that differ only in threshold: two streams, never one run of lanes; and
+    two streams of unequal slot counts, one read by two lanes apart, whose
+    warm start and outcomes address each stream's IRS->UE gains.
     """
     _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes)
 
@@ -1721,6 +1754,47 @@ DENSE_SHORT = SimulationConfig(
     replications=1,
     enforce_channel_budget=False,
 )
+
+
+def _traced(make):
+    """The bytes make() left held, with what it made alive, and the most it
+    held at once (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        made = make()  # held while measured
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held - base, peak - base
+
+
+# 2000 clustered UEs on 4 cells x 64 panels, a 40 m detection radius
+DENSE_2000 = dataclasses.replace(DENSE_SHORT.topology, irs_per_cell=64, ue_count=2000)
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_candidate_slots_holds_three_grids_at_most(seed):
+    """candidate_slots holds at most three (UE, ring panel) grids of 8-byte
+    items at once (the ring, the squares and the y part being added): its
+    peak stays below 3.5 of them on a 2000-UE network."""
+    topo = build_network(DENSE_2000, np.random.default_rng(seed))
+    _, peak = _traced(lambda: engine.candidate_slots(topo, 40.0))
+    assert peak <= 3.5 * DENSE_2000.ue_count * DENSE_2000.irs_per_cell * 8
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_one_stream_lanes_hold_two_slot_arrays(seed):
+    """A one-stream ChannelLanes keeps per stream slot only its period's
+    IRS->UE gain and its SNR factor, and makes no slot-sized index on the
+    way: on a 2000-UE network it holds, and peaks at, under 2.5 arrays of
+    one 8-byte item per slot."""
+    topo = build_network(DENSE_2000, np.random.default_rng(seed))
+    env = ChannelEnvironment(topo, ChannelParams(), 1.0, 40.0)
+    rng = np.random.default_rng(seed)
+    held, peak = _traced(lambda: ChannelLanes([env], [rng]))
+    bound = 2.5 * len(env.arms) * 8
+    assert held <= peak <= bound
 
 
 @pytest.mark.parametrize("seed", [1, 7919])

@@ -529,6 +529,32 @@ def test_radius_band_is_decided_by_hypot(side):
     assert want[0] != topo.rings[serving_cells(topo.ue_xy, topo)[0]].tolist()
 
 
+def test_open_slot_is_decided_on_its_own_ue():
+    """math.hypot decides an open slot on its own UE's hop. The last UE's ring
+    panel lies a step beyond the radius by hypot though its square rounds to
+    at most radius*radius; a ring's worth of UEs standing on that panel come
+    first, so a hop taken from any of them would keep the panel."""
+    topo = build_network(TopologyConfig(), rng())
+    for k in range(400):
+        ue = [40.0 + k * 0.3717, 95.0 + k * 0.0731]
+        ring = topo.rings[serving_cells(np.array([ue]), topo)[0]].tolist()
+        for panel in ring:
+            dx, dy = (p - u for p, u in zip(topo.panel_xy[panel].tolist(), ue))
+            radius = math.nextafter(math.hypot(dx, dy), 0.0)
+            if dx * dx + dy * dy <= radius * radius:
+                break
+        else:
+            continue
+        break
+    else:
+        pytest.fail("no UE on the walk puts a ring panel in the case")
+    topo = with_ue_xy(topo, [topo.panel_xy[panel]] * len(ring) + [ue])
+    got = candidates(topo, radius)
+    want = [reference_model.candidate_irs_distances(u, topo, radius)[0] for u in range(len(got))]
+    assert got == want
+    assert panel in got[0] and panel not in got[-1]
+
+
 def _cells_only(cell_xy) -> NetworkTopology:
     """A topology of the given small cells and nothing else: all serving_cells reads."""
     return NetworkTopology(
