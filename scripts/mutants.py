@@ -376,8 +376,15 @@ MUTANTS = (
     Mutant(
         "open-entry-ue-by-remainder",  # an open slot's hop is taken from another UE
         "src/irsbandit/topology.py",
-        "flat // ring.shape[1]",
-        "flat % ring.shape[1]",
+        "ue = flat // rings.shape[1]",
+        "ue = flat % rings.shape[1]",
+        ("tests/test_topology.py::test_open_slot_is_decided_on_its_own_ue",),
+    ),
+    Mutant(
+        "open-entry-panel-by-quotient",  # an open slot's hop is taken to another panel
+        "src/irsbandit/topology.py",
+        "flat % rings.shape[1]]",
+        "flat // rings.shape[1]]",
         ("tests/test_topology.py::test_open_slot_is_decided_on_its_own_ue",),
     ),
     # the serving-cell screen, clause by clause
@@ -451,6 +458,83 @@ MUTANTS = (
         "satisfaction[l, t] = np.count_nonzero(satisfied[a])",
         "satisfaction[l, t] = np.count_nonzero(satisfied)",
         ("tests/test_engine.py::test_bernoulli_blocks_keep_every_lane_and_stream",),
+    ),
+    Mutant(
+        "outcomes-makes-no-snr-factors",  # outcomes run before any links call fail
+        "src/irsbandit/engine.py",
+        "power = self._factors()[slot]",
+        "power = self._snr[slot]",
+        ("tests/test_engine.py::test_outcomes_without_rates_match_outcomes_with_them",),
+    ),
+    Mutant(
+        "screen-block-written-at-ue-index",  # a block's budgets land at its first UE's index
+        "src/irsbandit/engine.py",
+        "budget[lo:hi] = channel.screened_budgets_db(",
+        "budget[a : a + hi - lo] = channel.screened_budgets_db(",
+        ("tests/test_engine.py::test_screen_in_small_blocks_matches_one_block",),
+    ),
+    # mutations recorded before the mutant list existed
+    Mutant(
+        "argmax-ties-go-high",  # unequal segments break ties to their highest slot
+        "src/irsbandit/policy.py",
+        "return hits[hits.searchsorted(agents.starts)]",
+        "return hits[hits.searchsorted(agents.starts + agents.sizes) - 1]",
+        ("tests/test_policy.py::TestInitAssociation::test_cb_rssi_tie_goes_low",),
+    ),
+    Mutant(
+        "streak-at-phi-stays",  # an agent unsatisfied phi times in a row stays put
+        "src/irsbandit/policy.py",
+        "move |= agents.unsat >= agents.phi",
+        "move |= agents.unsat > agents.phi",
+        ("tests/test_policy.py::TestSelectIrs::test_streak_at_phi_forces_decision",),
+    ),
+    Mutant(
+        "streak-never-reset",  # a satisfied period leaves the unsatisfied streak
+        "src/irsbandit/policy.py",
+        "    np.putmask(agents.unsat, satisfied, 0)\n",
+        "",
+        ("tests/test_policy.py::TestUpdate::test_satisfied_increments_and_resets",),
+    ),
+    Mutant(
+        "rate-by-numpy-log2",  # numpy's log2 may differ from math's in the last bit
+        "src/irsbandit/engine.py",
+        "rate = elementwise(math.log2, power) if rates else None",
+        "rate = np.log2(power) if rates else None",
+        ("tests/test_golden.py::test_greedy_clustered_replication_digest",),
+    ),
+    Mutant(
+        "rssi-scale-twenty",  # the exact RSSI takes 20 log10 of the gain
+        "src/irsbandit/engine.py",
+        "rssi *= 10.0",
+        "rssi *= 20.0",
+        (
+            "tests/test_channel.py::TestRssi::test_golden_default_scenario_ue0",
+            "tests/test_engine.py::test_environment_matches_scalar_channel_bit_for_bit",
+        ),
+    ),
+    Mutant(
+        "eve-gains-wrong-base",  # eavesdropper pairs read the IRS->UE gains
+        "src/irsbandit/engine.py",
+        "pair_eve.append(b + n_bs + n_ue + np.arange(n_eve))",
+        "pair_eve.append(b + n_bs + np.arange(n_eve))",
+        (
+            "tests/test_golden.py::test_dense_clustered_trace_digests",
+            "tests/test_engine.py::test_environment_matches_scalar_channel_bit_for_bit",
+        ),
+    ),
+    Mutant(
+        "streams-draw-from-the-first",  # every stream's fading comes from stream 0's Generator
+        "src/irsbandit/engine.py",
+        "self._draws.append((rng, self.gains[b : b + n_bs + n_ue + n_eve]))",
+        "self._draws.append((rngs[0], self.gains[b : b + n_bs + n_ue + n_eve]))",
+        ("tests/test_engine.py::test_lane_means_are_the_records_means",),
+    ),
+    Mutant(
+        "fading-by-inversion",  # Exp(1) gains drawn by inversion, another stream of doubles
+        "src/irsbandit/channel.py",
+        "rng.standard_exponential(out=out)",
+        "rng.standard_exponential(out=out, method=\"inv\")",
+        ("tests/test_channel.py::test_fill_fading_streams_redraw_from_their_own_generators",),
     ),
     Mutant(
         "bernoulli-rate-cast-skipped",  # a recorded Bernoulli run keeps no rates

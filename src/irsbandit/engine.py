@@ -120,6 +120,14 @@ CHUNK_FLOATS = 2**15
 # 100-period run.
 BLOCK_FLOATS = 2400
 
+# Stream slots per block of the warm start's screen, which cuts its blocks at
+# UE boundaries (ChannelLanes._screened_budgets): each block's two slot-sized
+# temporaries stay near 12 KiB apiece, beside the screened budgets of every
+# slot. A default sweep chunk's 320 stream slots are one block; a dense_short
+# chunk's 3450 or so are three, whose temporaries stay below the peak that the
+# warm start's target scan sets (1024 made four, at the same peak).
+SCREEN_SLOTS = 1536
+
 
 class Lane(NamedTuple):
     """One replication: cfg run on default_rng(seed).
@@ -377,12 +385,14 @@ class ChannelLanes:
     Slot state is per stream: every stream slot (the streams' slots end to
     end, stream s's from _stream_slots[s]) keeps its chunk panel (a lone
     stream's arms, uncopied) and its SNR factor, NaN until links computes
-    it. Its IRS->UE gain needs no index: stream s's are the slice
-    _ue_gains[s] of gains, in slot order, so the stream slots' gains are the
-    slices joined (a lone stream's slice, uncopied), and a lane agent's is at
-    its stream slot + _ue_off[agent]. A lane's agent finds its stream slot
-    at its lane slot + _shift[agent] (_shift is None when every lane is its
-    own stream). The streams share one channel and one rate
+    it; their array is made on its first read (_factors, by links or by
+    outcomes), so it is not live during the warm start's screen. Its IRS->UE
+    gain needs no index: stream s's are the slice _ue_gains[s] of gains, in
+    slot order, so the stream slots' gains are the slices joined (a lone
+    stream's slice, uncopied), and a lane agent's is at its stream slot +
+    _ue_off[agent]. A lane's agent finds its stream slot at its lane slot +
+    _shift[agent] (_shift is None when every lane is its own stream). The
+    streams share one channel and one rate
     threshold, as _chunks cuts chunks, so the chunk keeps the first
     stream's ChannelParams and one satisfaction cutoff (_log2_cutoff).
     Every stream's (panel, eavesdropper) pair, panel by panel, keeps its
@@ -441,7 +451,7 @@ class ChannelLanes:
         # a lane agent's IRS->UE gain is at its stream slot + _ue_off[agent]
         ue_off = np.repeat(ue_off, np.diff(rows))
         self._ue_off = ue_off if layout.rows is None else ue_off[layout.rows]
-        self._snr = np.full(self._stream_slots[-1], np.nan)
+        self._snr = None  # made on the first read, after the warm start's screen
         self._filled = False  # set once every stream slot has its SNR factor
         self._cutoff = _log2_cutoff(envs[0].rate_threshold)
         self._stream_offsets = layout.stream_offsets
@@ -456,7 +466,8 @@ class ChannelLanes:
             rng.random(out=out)
         rows = self._policy
         if self._rows is not None:
-            rows = np.take(rows, self._rows, axis=0, out=self._gathered)
+            # "clip" (every row is in range) spares take the buffered copy of out=
+            rows = np.take(rows, self._rows, axis=0, out=self._gathered, mode="clip")
         return policy.decision_inputs(agents, rows)
 
     def _gain(self) -> np.ndarray:
@@ -474,35 +485,59 @@ class ChannelLanes:
             slots, self._panel, self._stream_offsets, self._pxy, self._uxy, self._feed_db, p
         )
         snr = channel.snr_factors(budget, p)
-        self._snr[slots] = snr
+        self._factors()[slots] = snr
         return hop, budget, snr
+
+    def _factors(self) -> np.ndarray:
+        """The kept SNR factor of every stream slot, made as NaNs on first read."""
+        if self._snr is None:
+            self._snr = np.full(self._stream_slots[-1], np.nan)
+        return self._snr
 
     def _screened_budgets(self) -> tuple[np.ndarray, float]:
         """Every stream slot's budget to within the error returned: numpy's
         squared hop lengths through channel.screened_budgets_db, in place; a
-        screen that is not finite is replaced by the exact budget (links)."""
+        screen that is not finite is replaced by the exact budget (links).
+
+        The slots are screened in blocks of whole UEs: each block builds its
+        squares in its own slice of the returned array and writes its
+        screened budgets over them. A block ends at the last UE boundary at
+        or below a multiple of SCREEN_SLOTS (one searchsorted on the offsets
+        finds them all), so it holds fewer than SCREEN_SLOTS slots plus those
+        of the UE it starts with. budget_error_db and the exact fix-up of
+        screens that are not finite run over the whole array.
+        """
         offsets = self._stream_offsets
         rows = offsets[1:] - offsets[:-1]
+        cut = offsets.searchsorted(np.arange(0, offsets[-1], SCREEN_SLOTS), side="right") - 1
+        cut = list(dict.fromkeys(cut.tolist())) + [len(rows)]  # cut is sorted
+        (px, py), (ux, uy), feed = self._pxy, self._uxy, self._feed_db
+        budget = np.empty(offsets[-1])
         with np.errstate(over="ignore", invalid="ignore"):
-            square = self._pxy[0].take(self._panel)
-            square -= self._uxy[0].repeat(rows)
-            square *= square
-            dy = self._pxy[1].take(self._panel)
-            dy -= self._uxy[1].repeat(rows)
-            dy *= dy
-            square += dy
-            del dy
-            budget = channel.screened_budgets_db(self._feed_db, self._panel, square, self._params)
+            for a, b in zip(cut, cut[1:]):
+                lo, hi, each = offsets[a], offsets[b], rows[a:b]
+                panel = self._panel[lo:hi]
+                # every panel is in range; "clip" spares take the buffered
+                # copy that out= costs under the default "raise"
+                square = px.take(panel, out=budget[lo:hi], mode="clip")
+                square -= ux[a:b].repeat(each)
+                square *= square
+                dy = py.take(panel)
+                dy -= uy[a:b].repeat(each)
+                dy *= dy
+                square += dy
+                del dy
+                budget[lo:hi] = channel.screened_budgets_db(feed, panel, square, self._params)
         odd = np.flatnonzero(~np.isfinite(budget))
         if len(odd):
             budget[odd] = self.links(odd)[1]
-        return budget, channel.budget_error_db(self._feed_db, budget, self._params)
+        return budget, channel.budget_error_db(feed, budget, self._params)
 
     def rssi(self, slots=None) -> np.ndarray:
         """This period's exact RSSI of every stream slot, or of the stream slots
         given: one math.log10 per slot returned, on the exact budgets of links."""
         if slots is None:
-            slots = np.arange(len(self._snr))
+            slots = np.arange(self._stream_slots[-1])
         budget = self.links(slots)[1]
         rssi = elementwise(math.log10, self._gain()[slots])
         rssi *= 10.0
@@ -577,7 +612,7 @@ class ChannelLanes:
         gains = self.gains
         if self._shift is not None:
             slot = slot + self._shift  # the stream slots
-        power = self._snr[slot]  # 1 + snr * g_bs * g_ue, in place in that order
+        power = self._factors()[slot]  # 1 + snr * g_bs * g_ue, in place in that order
         if not self._filled and np.isnan(power).any():
             for lo, hi in zip(self._stream_slots, self._stream_slots[1:]):
                 self.links(lo + np.flatnonzero(np.isnan(self._snr[lo:hi])))

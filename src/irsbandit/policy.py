@@ -84,7 +84,8 @@ class Agents(Segments):
     default every agent forms one lane. bandit[u] is False for the agents
     of greedy lanes. phi[u] and omega[u] are agent u's
     stickiness and exploration rate, both 0 for greedy agents, which never
-    stay put and never explore. Indexing or iterating yields one
+    stay put and never explore. float_sizes holds the sizes as float64 for
+    decision_inputs. Indexing or iterating yields one
     AgentRecord per agent.
     """
 
@@ -103,6 +104,7 @@ class Agents(Segments):
         )
         self.phi = self.bandit * np.repeat([p.phi for p in self.policies], lane_sizes)
         self.omega = self.bandit * np.repeat([p.omega for p in self.policies], lane_sizes)
+        self.float_sizes = self.sizes.astype(float)  # exact: uniform_slots multiplies no int64
         self.rewards = np.zeros(len(arms), dtype=np.int64)
         self.slot = np.full(len(self.starts), -1, dtype=np.int64)
         self.best = np.full(len(self.starts), -1, dtype=np.int64)
@@ -164,7 +166,9 @@ def uniform_slots(starts: np.ndarray, sizes: np.ndarray, u: np.ndarray) -> np.nd
     """starts + floor(u * sizes): for u in [0, 1), a uniform slot of each segment.
 
     The product rounds below sizes even at the largest double below 1, so
-    the slot never leaves its segment.
+    the slot never leaves its segment. sizes may be int64 or their float64
+    copies (exact below 2**53): the products are the same doubles, and
+    float64 sizes spare numpy a mixed-type multiply.
     """
     return starts + (u * sizes).astype(np.int64)
 
@@ -177,7 +181,7 @@ def decision_inputs(agents: Agents, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     block of k periods' rows gives the k periods' inputs in one pass, each
     period's bit for bit the one its rows alone give.
     """
-    return rows[..., 0] < agents.omega, uniform_slots(agents.starts, agents.sizes, rows[..., 1])
+    return rows[..., 0] < agents.omega, uniform_slots(agents.starts, agents.float_sizes, rows[..., 1])
 
 
 def set_targets(agents: Agents) -> None:

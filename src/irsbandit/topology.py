@@ -164,16 +164,20 @@ def candidate_slots(
     the full ring stands in, so every UE keeps at least one arm. No hop
     length is kept: the channel takes a slot's when a run reads it.
 
-    At most three (UE, ring panel) grids are held at once: the ring, the
-    squared distances, built in place, and the y part while it is added.
-    No difference grid is kept; the slots left open take theirs anew.
+    At most two (UE, ring panel) float grids are held at once: the squared
+    distances, built in place, and the y part while it is added. No index
+    grid is held beside them: the panel coordinates are gathered per ring
+    and each UE takes its serving cell's row, the slots left open find
+    their panels from their flat indices, and the arms are gathered once
+    the squares are freed.
     """
     radius = math.inf if detection_radius is None else detection_radius
-    ring = topo.rings[serving_cells(topo.ue_xy, topo)]
+    rings, serving = topo.rings, serving_cells(topo.ue_xy, topo)
     px, py = np.ascontiguousarray(topo.panel_xy.T)
     ux, uy = topo.ue_xy.T
-    square = px.take(ring) - ux[:, None]
-    dy = py.take(ring)
+    square = px.take(rings).take(serving, axis=0)
+    square -= ux[:, None]
+    dy = py.take(rings).take(serving, axis=0)
     dy -= uy[:, None]
     # Squared distances decide every slot whose square lies outside a relative
     # margin of the radius's square on either side; the margin covers the
@@ -190,10 +194,12 @@ def candidate_slots(
     keep = square < r2 * (1.0 - 1e-12)
     open_ = (square <= r2 * (1.0 + 1e-12)) & ~keep
     open_ |= ~((square >= 1e-300) & (square <= 1e300))
+    del square  # freed before the arms are gathered
     flat = np.flatnonzero(open_)
-    panel, ue = ring.take(flat), flat // ring.shape[1]
+    ue = flat // rings.shape[1]
+    panel = rings[serving[ue], flat % rings.shape[1]]
     np.put(keep, flat, elementwise(math.hypot, px[panel] - ux[ue], py[panel] - uy[ue]) <= radius)
     keep[~keep.any(axis=1)] = True  # the full ring stands in
-    offsets = np.zeros(len(ring) + 1, dtype=np.int64)
+    offsets = np.zeros(len(keep) + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(keep, axis=1), out=offsets[1:])
-    return ring[keep], offsets
+    return rings.take(serving, axis=0)[keep], offsets
