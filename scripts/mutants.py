@@ -366,6 +366,27 @@ MUTANTS = (
             "tests/test_policy.py::test_target_and_lead_follow_any_interleaving",
         ),
     ),
+    # fresh agents' targets and leads, set without a scan
+    Mutant(
+        "fresh-targets-alias-starts",  # update moves the agents' starts with their targets
+        "src/irsbandit/policy.py",
+        "agents.best = agents.starts.copy()",
+        "agents.best = agents.starts",
+        (
+            "tests/test_policy.py::TestInitAssociation"
+            "::test_fresh_agents_start_on_their_first_slots_without_a_scan",
+        ),
+    ),
+    Mutant(
+        "preset-counters-skip-the-scan",  # counters a caller filled read as fresh zeros
+        "src/irsbandit/policy.py",
+        'if "rewards" in vars(agents):',
+        'if "rewards" not in vars(agents):',
+        (
+            "tests/test_policy.py::TestInitAssociation::test_lead_is_made_from_the_rewards",
+            "tests/test_policy.py::test_target_and_lead_follow_any_interleaving",
+        ),
+    ),
     Mutant(
         "radius-band-by-square",  # dx*dx + dy*dy decides the slots hypot should
         "src/irsbandit/topology.py",
@@ -469,8 +490,8 @@ MUTANTS = (
     Mutant(
         "screen-block-written-at-ue-index",  # a block's budgets land at its first UE's index
         "src/irsbandit/engine.py",
-        "budget[lo:hi] = channel.screened_budgets_db(",
-        "budget[a : a + hi - lo] = channel.screened_budgets_db(",
+        "square = px.take(panel, out=budget[lo:hi], mode=\"clip\")",
+        "square = px.take(panel, out=budget[a : a + hi - lo], mode=\"clip\")",
         ("tests/test_engine.py::test_screen_in_small_blocks_matches_one_block",),
     ),
     # mutations recorded before the mutant list existed

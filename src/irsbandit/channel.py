@@ -80,15 +80,14 @@ def screened_budgets_db(
 ) -> np.ndarray:
     """budgets_db's formula on hop lengths np.sqrt(square), with np.log10 for
     math.log10. Each budget lies within budget_error_db of the exact one
-    wherever it is finite. square, the squared hop lengths, is overwritten."""
+    wherever it is finite. square, the squared hop lengths, is overwritten
+    with the budgets and returned."""
     np.sqrt(square, out=square)
     np.maximum(square, MIN_PATH_DISTANCE_M, out=square)
     np.log10(square, out=square)
     square *= 10.0 * p.pathloss_exponent
     square += p.ref_loss_db
-    budget = feed.take(panel)
-    budget -= square
-    return budget
+    return np.subtract(feed.take(panel), square, out=square)
 
 
 def budget_error_db(feed: np.ndarray, budget: np.ndarray, p: ChannelParams) -> float:

@@ -124,8 +124,9 @@ BLOCK_FLOATS = 2400
 # UE boundaries (ChannelLanes._screened_budgets): each block's two slot-sized
 # temporaries stay near 12 KiB apiece, beside the screened budgets of every
 # slot. A default sweep chunk's 320 stream slots are one block; a dense_short
-# chunk's 3450 or so are three, whose temporaries stay below the peak that the
-# warm start's target scan sets (1024 made four, at the same peak).
+# chunk's 3450 or so are three, which keep the warm start about 11 KiB below
+# the run's peak, set in a period's outcomes (177 KiB at seed 1). Two blocks
+# (2048) stay 5 KiB below it; one block would set the peak, 17 KiB above it.
 SCREEN_SLOTS = 1536
 
 
@@ -527,7 +528,7 @@ class ChannelLanes:
                 dy *= dy
                 square += dy
                 del dy
-                budget[lo:hi] = channel.screened_budgets_db(feed, panel, square, self._params)
+                channel.screened_budgets_db(feed, panel, square, self._params)
         odd = np.flatnonzero(~np.isfinite(budget))
         if len(odd):
             budget[odd] = self.links(odd)[1]

@@ -34,6 +34,7 @@ write's cost at a few hundred agents.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +68,9 @@ class Segments:
 class Agents(Segments):
     """Bandit memory of every agent of one or more lanes, each agent a segment of slots.
 
-    rewards[s] counts the satisfied periods of slot s; slot[u] is the flat
+    rewards[s] counts the satisfied periods of slot s; the counters are made,
+    as zeros, on their first read, which in a run is init_association's, so
+    constructing the agents makes no slot-sized array. slot[u] is the flat
     slot of agent u's current panel; unsat[u] counts periods since agent
     u's last satisfied one and is reset only by a satisfied period. arms[s]
     is the panel index of slot s within its lane. best[u] is agent u's
@@ -77,9 +80,10 @@ class Agents(Segments):
     init_association or update last made it, 0 or 1 where update moved the
     target to the current slot, so lead[u] < 0 exactly when the current
     slot's reward is below the target's (set_targets makes best and lead
-    from rewards and slot). decided is True from select_irs until update:
-    the slots have moved and the leads are not theirs yet, so select_irs
-    refuses to decide again. Lane l owns agents
+    from rewards and slot; on fresh agents every target is its agent's
+    first slot and every lead 0). decided is True from select_irs until
+    update: the slots have moved and the leads are not theirs yet, so
+    select_irs refuses to decide again. Lane l owns agents
     lanes[l] to lanes[l + 1] - 1, at least one, and runs policies[l]; by
     default every agent forms one lane. bandit[u] is False for the agents
     of greedy lanes. phi[u] and omega[u] are agent u's
@@ -105,12 +109,17 @@ class Agents(Segments):
         self.phi = self.bandit * np.repeat([p.phi for p in self.policies], lane_sizes)
         self.omega = self.bandit * np.repeat([p.omega for p in self.policies], lane_sizes)
         self.float_sizes = self.sizes.astype(float)  # exact: uniform_slots multiplies no int64
-        self.rewards = np.zeros(len(arms), dtype=np.int64)
         self.slot = np.full(len(self.starts), -1, dtype=np.int64)
         self.best = np.full(len(self.starts), -1, dtype=np.int64)
         self.lead = np.zeros(len(self.starts), dtype=np.int64)
         self.unsat = np.zeros(len(self.starts), dtype=np.int64)
         self.initialized = self.decided = False
+
+    @cached_property
+    def rewards(self) -> np.ndarray:
+        """Every slot's reward counter, made as zeros on the first read and a
+        plain attribute from then on."""
+        return np.zeros(len(self.arms), dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.slot)
@@ -192,7 +201,12 @@ def set_targets(agents: Agents) -> None:
 
 def init_association(agents: Agents, strongest, inputs) -> np.ndarray:
     """First-period association; sets and returns every agent's slot, and sets
-    every exploit target and lead (set_targets).
+    every exploit target and lead.
+
+    Fresh agents, whose counters were never read, get their counters here,
+    all 0, so every target is the agent's first slot and every lead is 0,
+    which is what set_targets gives, set without its scan. Agents whose
+    counters a caller read first, and may have filled, get set_targets.
 
     The bandit starts on strongest[u], agent u's slot of strongest RSSI
     (the environment's warm start, ties to the lowest slot); the greedy
@@ -213,7 +227,12 @@ def init_association(agents: Agents, strongest, inputs) -> np.ndarray:
             raise ValueError("strongest slots must align with the agents' candidate slots")
         np.putmask(slot, agents.bandit, strongest)
     agents.slot = slot
-    set_targets(agents)
+    if "rewards" in vars(agents):  # counters a caller made first
+        set_targets(agents)
+    else:
+        agents.rewards  # made on this first read, all 0
+        agents.best = agents.starts.copy()  # update moves the targets in place
+        agents.lead = np.zeros_like(agents.best)
     agents.unsat[:] = 0
     agents.initialized = True
     return slot

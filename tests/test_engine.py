@@ -1806,6 +1806,18 @@ def test_one_stream_lanes_hold_one_slot_array(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 7919])
+def test_agents_hold_no_slot_array(seed):
+    """Constructing a lane's agents makes only per-agent arrays: the reward
+    counters are made on their first read, so on a 2000-UE network the
+    agents hold, and peak at, less than one array of one 8-byte item per
+    slot."""
+    topo = build_network(DENSE_2000, np.random.default_rng(seed))
+    env = ChannelEnvironment(topo, ChannelParams(), 1.0, 40.0)
+    held, peak = _traced(lambda: Agents(env.offsets, env.arms, [PolicyConfig()]))
+    assert held <= peak < len(env.arms) * 8
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
 def test_screen_peaks_at_two_slot_arrays(seed):
     """The warm start's screen holds the screened budgets and, per block of
     SCREEN_SLOTS slots, its temporaries: on a 2000-UE network it peaks at

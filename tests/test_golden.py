@@ -6,7 +6,11 @@ agent), which changed the random-stream layout deliberately. The six that
 run the channel were re-frozen when a channel stream's fading block came
 to hold one IRS->UE gain per (UE, candidate panel) slot instead of one
 per (panel, UE), a second deliberate change of the layout; the Bernoulli
-chain's digest was kept. None may be re-frozen to match a code change:
+chain's digest was kept. The greedy clustered replication's thresholded
+twin was frozen later, from the same code, so that a last-bit change of
+the C library's math (which moves raw rates and secrecy but a chosen
+panel or a satisfied flag only within an ulp of its threshold) can be
+told from a change of decisions. None may be re-frozen to match a code change:
 any change here is a change to the random-stream layout or to the output
 bytes, and must be deliberate and recorded in CHANGES.md.
 """
@@ -39,6 +43,10 @@ DENSE_MEAN_SECRECY_SHA256 = (
 )
 GREEDY_CLUSTERED_SHA256 = (
     "7e385bc052c20c4c746c6b3f87c04b48ab4fbc547d4683c21c432aae3e27158e"
+)
+# the same replications' chosen and satisfied arrays alone
+GREEDY_CLUSTERED_DECISIONS_SHA256 = (
+    "f23884e8c85bd04a50004e32f30bc577d8f7e0dad7459758382a4ca8d82e362d"
 )
 ONE_AGENT_BERNOULLI_SHA256 = (
     "8c0c297730808114698b4e0fccd648f39af4bef6d4d06f5775ddfc17c1af9cd2"
@@ -139,6 +147,21 @@ def test_greedy_clustered_replication_digest():
         for a in (res.chosen, res.satisfied, res.rates, res.mean_secrecy):
             h.update(a.tobytes())
     assert h.hexdigest() == GREEDY_CLUSTERED_SHA256
+
+
+def test_greedy_clustered_decisions_digest():
+    """The twin of test_greedy_clustered_replication_digest that hashes only
+    the thresholded arrays, chosen and satisfied, which a last-bit change of
+    libm's log10, log2 or pow leaves alone unless a value sits within an ulp
+    of its threshold."""
+    h = hashlib.sha256()
+    cfg = GREEDY_CLUSTERED_CFG
+    for i in range(cfg.replications):
+        res = run_replication(cfg, cfg.base_seed + i)
+        assert res.chosen.dtype == np.int64 and res.satisfied.dtype == np.bool_
+        for a in (res.chosen, res.satisfied):
+            h.update(a.tobytes())
+    assert h.hexdigest() == GREEDY_CLUSTERED_DECISIONS_SHA256
 
 
 def test_one_agent_bernoulli_chain_digest():

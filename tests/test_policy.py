@@ -17,6 +17,7 @@ from irsbandit.policy import (
     uniform_slots,
     update,
 )
+from irsbandit.topology import build_network
 
 CB = PolicyKind.CONTEXTUAL_BANDIT
 GREEDY = PolicyKind.GREEDY
@@ -112,6 +113,51 @@ class TestInitAssociation:
         assert a.best.tolist() == [0] and a.lead.tolist() == [-5]
         select_irs(a, block(a))  # below its target, so it moves though unsat < phi
         assert panels(a) == [0]
+
+    @pytest.mark.parametrize("case", ["channel-warm-start", "no-signal", "lanes"])
+    def test_fresh_agents_start_on_their_first_slots_without_a_scan(self, monkeypatch, case):
+        """Agents whose counters were never read start with every target on
+        the agent's first slot and every lead 0, made without segment_argmax;
+        the targets are their own array, so an update that moves them leaves
+        the agents' starts as they were."""
+        if case == "channel-warm-start":  # a lane's warm start on a default network
+            cfg = SimulationConfig()
+            rng = np.random.default_rng(11)
+            env = engine.ChannelEnvironment(
+                build_network(cfg.topology, rng), cfg.channel, cfg.rate_threshold
+            )
+            lanes = engine.ChannelLanes([env], [rng])
+            a = Agents(env.offsets, env.arms, [cfg.policy])
+            inputs = lanes.draw(a)
+            strongest = lanes.strongest(a)
+        else:
+            if case == "no-signal":
+                a = agents((0, 1, 2), (3, 4), (5,), (6, 7, 8, 9))
+            else:  # bandit and greedy lanes with mixed candidate counts
+                sizes = [3, 1, 4, 2, 5, 2]
+                a = Agents(
+                    list(itertools.accumulate(sizes, initial=0)),
+                    np.concatenate([np.arange(n) for n in sizes]),
+                    [PolicyConfig(phi=2), PolicyConfig(kind=GREEDY), PolicyConfig(omega=0.5)],
+                    [0, 2, 3, 6],
+                )
+            inputs = decision_inputs(a, np.random.default_rng(3).random((len(a), 2)))
+            strongest = None
+        starts = a.starts.copy()
+
+        def scan(values, segments):
+            raise AssertionError("segment_argmax called on fresh agents")
+
+        monkeypatch.setattr(policy, "segment_argmax", scan)
+        assert "rewards" not in vars(a)
+        slot = init_association(a, strongest, inputs)
+        _assert_equal(a.best, starts)
+        _assert_equal(a.lead, np.zeros(len(a), dtype=np.int64))
+        _assert_equal(a.rewards, np.zeros(len(a.arms), dtype=np.int64))
+        assert (slot != starts).any()
+        update(a, np.ones(len(a), dtype=bool))  # every target moves to its agent's slot
+        _assert_equal(a.best, slot)
+        _assert_equal(a.starts, starts)
 
     def test_cb_without_signal_context_draws_uniformly(self):
         counts = np.zeros(3)
