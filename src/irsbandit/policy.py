@@ -75,7 +75,8 @@ class Agents(Segments):
     u's last satisfied one and is reset only by a satisfied period. arms[s]
     is the panel index of slot s within its lane. best[u] is agent u's
     exploit target, the slot of its largest reward, ties to the lowest
-    slot: init_association sets it and update keeps it, so no decision
+    slot: init_association makes it (best and lead exist from then on)
+    and update keeps it, so no decision
     scans the slots. lead[u] is rewards[slot[u]] - rewards[best[u]] as
     init_association or update last made it, 0 or 1 where update moved the
     target to the current slot, so lead[u] < 0 exactly when the current
@@ -110,8 +111,6 @@ class Agents(Segments):
         self.omega = self.bandit * np.repeat([p.omega for p in self.policies], lane_sizes)
         self.float_sizes = self.sizes.astype(float)  # exact: uniform_slots multiplies no int64
         self.slot = np.full(len(self.starts), -1, dtype=np.int64)
-        self.best = np.full(len(self.starts), -1, dtype=np.int64)
-        self.lead = np.zeros(len(self.starts), dtype=np.int64)
         self.unsat = np.zeros(len(self.starts), dtype=np.int64)
         self.initialized = self.decided = False
 
