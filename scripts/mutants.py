@@ -206,14 +206,6 @@ MUTANTS = (
         "shift = [lo - stream_slots[s] for s, lo in zip(self.stream, self.slots)]",
         ("tests/test_engine.py::test_one_generator_per_stream",),
     ),
-    # lanes sharing a stream read it through the layout's rows and shifts
-    Mutant(
-        "bernoulli-outcomes-ignore-rows",  # a lane agent reads its row in the chunk, not its stream
-        "src/irsbandit/engine.py",
-        "uniform = self._uniform if self._rows is None else self._uniform[self._rows]",
-        "uniform = self._uniform",
-        ("tests/test_engine.py::test_bernoulli_blocks_keep_every_lane_and_stream",),
-    ),
     # each stream's IRS->UE gains, a slice of gains: addressed per lane agent
     # by an offset (outcomes) and joined in stream order (the warm start)
     Mutant(
@@ -452,12 +444,48 @@ MUTANTS = (
         "spread = 35.0",
         ("tests/test_experiment.py::test_every_config_key_reaches_the_run",),
     ),
+    # arm probabilities: a sequence of real numbers, bools excluded
+    Mutant(
+        "arm-probs-string-iterated",  # a string is read character by character
+        "src/irsbandit/engine.py",
+        "if isinstance(arm_probs, (str, bytes)) or not np.iterable(arm_probs):",
+        "if not np.iterable(arm_probs):",
+        (
+            "tests/test_engine.py::TestMeanSatisfaction"
+            "::test_invalid_environment_rejected_at_construction",
+        ),
+    ),
+    Mutant(
+        "arm-probs-bool-accepted",  # True is taken as probability 1.0
+        "src/irsbandit/engine.py",
+        "real = isinstance(p, numbers.Real) and not isinstance(p, bool)",
+        "real = isinstance(p, numbers.Real)",
+        (
+            "tests/test_engine.py::TestMeanSatisfaction"
+            "::test_invalid_environment_rejected_at_construction",
+        ),
+    ),
+    # a Bernoulli lane is a stream and a chunk of its own
+    Mutant(
+        "bernoulli-lanes-share-a-stream",  # lanes on one environment and seed share a stream
+        "src/irsbandit/engine.py",
+        "        return object()\n    return cfg.topology,",
+        "        return lane.environment, cfg.periods, lane.seed\n    return cfg.topology,",
+        ("tests/test_engine.py::test_bernoulli_lanes_on_one_seed_run_as_chunks_of_their_own",),
+    ),
+    Mutant(
+        "bernoulli-lanes-share-a-chunk",  # Bernoulli lanes of one period count share a chunk
+        "src/irsbandit/engine.py",
+        "        return object()\n    return ChannelEnvironment,",
+        "        return BernoulliEnvironment, cfg.periods\n    return ChannelEnvironment,",
+        ("tests/test_engine.py::test_bernoulli_lanes_on_one_seed_run_as_chunks_of_their_own",),
+    ),
     # Bernoulli lanes drawn in blocks of periods
     Mutant(
         "bernoulli-last-block-full",  # the last block draws past the run's periods
         "src/irsbandit/engine.py",
-        "k = min(len(self._outcome), self._left)",
-        "k = len(self._outcome)",
+        "k = min(len(self._block), self._left)",
+        "k = len(self._block)",
         (
             "tests/test_engine.py::test_lane_stream_is_geometry_then_fixed_blocks",
             "tests/test_engine.py::test_bernoulli_blocks_keep_every_lane_and_stream",
@@ -478,7 +506,10 @@ MUTANTS = (
         "src/irsbandit/engine.py",
         "satisfaction[l, t] = np.count_nonzero(satisfied[a])",
         "satisfaction[l, t] = np.count_nonzero(satisfied)",
-        ("tests/test_engine.py::test_bernoulli_blocks_keep_every_lane_and_stream",),
+        (
+            "tests/test_engine.py::TestMeanSatisfaction::test_lanes_of_one_chunk_reduce_apart",
+            "tests/test_engine.py::test_lane_means_are_the_records_means",
+        ),
     ),
     Mutant(
         "outcomes-makes-no-snr-factors",  # outcomes run before any links call fail

@@ -11,20 +11,21 @@ period together, their slots and agents concatenated into one flat layout
 (policy.Agents), so every step after the draws (the RSSI and its argmax,
 the decisions, link evaluation with its logarithms, the reward update)
 runs once per chunk rather than once per lane. Chunks are cut in lane
-order: a chunk holds lanes of one key (_chunk_key: one environment kind
-and one period count, and for channel lanes one channel and one rate
-threshold) whose per-period draws total at most CHUNK_FLOATS floats. A run
-of adjacent lanes on one stream is never cut apart, and a run larger than
-the bound runs alone. A sweep's cells differ only in policy and
-distribution case, so its channel lanes all share one key.
+order: a chunk holds channel lanes of one key (_chunk_key: one period
+count, one channel and one rate threshold) whose per-period draws total at
+most CHUNK_FLOATS floats. A run of adjacent lanes on one stream is never
+cut apart, and a run larger than the bound runs alone. A sweep's cells
+differ only in policy and distribution case, so its channel lanes all
+share one key.
 
 Within a chunk, lanes whose draws and environment are equal by
 construction form one stream: channel lanes with equal topology, channel
-parameters, rate threshold, period count and seed, or Bernoulli lanes with
-the same environment object, period count and seed. Lanes in one stream
+parameters, rate threshold, period count and seed. Lanes in one stream
 differ only in policy, and the policy draws nothing, so the stream's
 Generator, network, fading, policy block and slot state are made once and
-every lane of the stream reads them.
+every lane of the stream reads them. A Bernoulli lane is a stream and a
+chunk of its own (its _stream_key and _chunk_key equal no other lane's),
+since no caller outside the tests runs two side by side.
 
 Determinism contract: each stream has one Generator, and every draw it
 makes has a size fixed by the stream's shape after step 1 (I panels, U
@@ -45,14 +46,13 @@ agents, S slots, E eavesdroppers), never by what the agents did. In order:
      nothing. A lanes object's draw(agents) makes a period's draws,
      stream by stream, and returns the period's decision inputs
      (policy.decision_inputs of the lane agents' policy rows). A Bernoulli
-     stream's two blocks are both Generator.random, one 64-bit word per
+     lane's two blocks are both Generator.random, one 64-bit word per
      double, so it draws up to k periods' blocks, [U outcome | U x 2
      policy] each, in one call, in period order (BernoulliLanes, k from
      BLOCK_FLOATS): the same doubles in the same order as period by
-     period, so its stream is unchanged. Its chunk makes the decision
-     inputs of each block's k periods at once, each period's the ones its
-     rows alone give; a channel chunk makes them per period. No draw moves
-     for either.
+     period, so its stream is unchanged. It makes the decision inputs of
+     each block's k periods at once, each period's the ones its rows alone
+     give; a channel chunk makes them per period. No draw moves for either.
 So for a given seed every policy sees the same fading in every period:
 bandit and greedy lanes share exact common random numbers. A lane alone
 is a stream of its own, and lanes whose draws are equal by construction
@@ -110,14 +110,12 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # and greedy lanes on one seed hold a fraction of it.
 CHUNK_FLOATS = 2**15
 
-# Most floats one block of a Bernoulli chunk may hold, summed over its
-# streams: a chunk whose streams hold U agents in all draws k periods of 3U
-# uniforms per call, k the most that fit, at least 1 (BernoulliLanes). The
-# block's decision inputs add k x A bools and k x A int64 for the chunk's A
-# lane agents (A = U when every lane is its own stream). At U = 200 that is
-# k = 4, one call per stream every four periods, and a block of 19 KiB
-# plus 7 KiB of inputs, against 332 KiB for the record of a 200-agent,
-# 100-period run.
+# Most floats one block of a Bernoulli lane may hold: a lane of U agents
+# draws k periods of 3U uniforms per call, k the most that fit, at least 1
+# (BernoulliLanes). The block's decision inputs add k x U bools and k x U
+# int64. At U = 200 that is k = 4, one call every four periods, and a block
+# of 19 KiB plus 7 KiB of inputs, against 332 KiB for the record of a
+# 200-agent, 100-period run.
 BLOCK_FLOATS = 2400
 
 # Stream slots per block of the warm start's screen, which cuts its blocks at
@@ -284,19 +282,24 @@ class BernoulliEnvironment:
     warm start degenerates to a uniform random arm; every agent's
     candidates are all arms. A period's outcomes are one block of uniform
     draws, one per agent in agent order, drawn before the period's policy
-    block and read after its decisions; a stream draws up to k periods of
-    both blocks in one call, in period order, which leaves it unchanged
-    (see BernoulliLanes). The reported rate is 1.0 or 0.0 and secrecy is
-    always 0.
+    block and read after its decisions; a lane draws up to k periods of
+    both blocks in one call, in period order, which leaves its stream
+    unchanged (see BernoulliLanes). The reported rate is 1.0 or 0.0 and
+    secrecy is always 0. arm_probs is a sequence of real numbers, bools
+    excluded as for n_agents.
     """
 
     def __init__(self, arm_probs, n_agents: int = 1):
-        self.arm_probs = np.fromiter(arm_probs, dtype=float)
-        if not len(self.arm_probs):
+        if isinstance(arm_probs, (str, bytes)) or not np.iterable(arm_probs):
+            raise ValueError(f"arm_probs: must be a sequence of numbers, got {arm_probs!r}")
+        probs = list(arm_probs)
+        if not probs:
             raise ValueError("arm_probs: need at least one arm")
-        for k, p in enumerate(self.arm_probs.tolist()):
-            if not 0.0 <= p <= 1.0:  # NaN fails the comparison too
-                raise ValueError(f"arm_probs[{k}]: must be within [0, 1], got {p!r}")
+        for k, p in enumerate(probs):
+            real = isinstance(p, numbers.Real) and not isinstance(p, bool)
+            if not (real and 0.0 <= p <= 1.0):  # NaN fails the comparison too
+                raise ValueError(f"arm_probs[{k}]: must be a number within [0, 1], got {p!r}")
+        self.arm_probs = np.array(probs, dtype=float)
         integral = isinstance(n_agents, numbers.Integral) and not isinstance(n_agents, bool)
         if not integral or n_agents < 1:
             raise ValueError(f"n_agents: must be a positive integer, got {n_agents!r}")
@@ -640,50 +643,39 @@ class ChannelLanes:
 
 
 class BernoulliLanes:
-    """The periods of a chunk of Bernoulli lanes, drawn in blocks of up to k periods.
+    """The periods of one Bernoulli lane, drawn in blocks of up to k periods.
 
-    envs, rngs and layout are as for ChannelLanes; each lane's agents read
-    their stream's rows through the layout's rows. A period of a stream of
-    U agents is U outcome uniforms, then U x 2 policy uniforms, both drawn
-    by Generator.random, which reads one 64-bit word per double and keeps
-    nothing between calls. So one call per stream draws k periods of [U
-    outcome | U x 2 policy] uniforms, one period per row in period order:
-    the doubles k period-by-period calls draw, in their order, so the
-    stream is unchanged. k is the most periods whose draws over the
-    chunk's streams fit BLOCK_FLOATS, at least 1; the last block draws
-    only the periods left of the periods given, so each Generator ends
-    where T periods leave it. A lone stream's periods are views of its
-    block; several streams' blocks are joined into chunk blocks, one
-    concatenate per block for each kind of row. Each block's decision
-    inputs are made once, for its k periods' rows (gathered to the lane
-    agents when lanes share a stream), and draw hands out one period's.
+    env and rng are the lane's environment and Generator: a Bernoulli lane
+    is a stream and a chunk of its own (_stream_key, _chunk_key). A period
+    of U agents is U outcome uniforms, then U x 2 policy uniforms, both
+    drawn by Generator.random, which reads one 64-bit word per double and
+    keeps nothing between calls. So one call draws k periods of [U outcome
+    | U x 2 policy] uniforms, one period per row in period order: the
+    doubles k period-by-period calls draw, in their order, so the stream is
+    unchanged. k is the most periods whose draws fit BLOCK_FLOATS, at least
+    1; the last block draws only the periods left of the periods given, so
+    the Generator ends where T periods leave it. A period's outcome and
+    policy rows are views of the block. Each block's decision inputs are
+    made once, for its k periods' rows, and draw hands out one period's.
     """
 
-    def __init__(self, envs, rngs, periods: int, layout: _Layout):
-        self.offsets, self.arms, self._rows = layout.offsets, layout.arms, layout.rows
-        # each lane slot's arm probability
-        self._slot_prob = _joined([envs[s].arm_probs[envs[s].arms] for s in layout.stream])
-        rows = layout.stream_rows
-        k = int(max(1, min(periods, BLOCK_FLOATS // (3 * rows[-1]))))
+    def __init__(self, env: BernoulliEnvironment, rng, periods: int):
+        self.arms, self._rng = env.arms, rng
+        self._slot_prob = env.arm_probs[env.arms]  # each slot's arm probability
+        n = env.n_agents
+        k = int(max(1, min(periods, BLOCK_FLOATS // (3 * n))))
+        self._block = np.empty((k, 3 * n))
+        self._outcome = self._block[:, :n]
+        self._policy = self._block[:, n:].reshape(k, n, 2)
         self._left = periods  # periods not drawn yet
-        # (Generator, its block, its agent count) per stream
-        sizes = [hi - lo for lo, hi in zip(rows, rows[1:])]
-        self._draws = [(rng, np.empty((k, 3 * n)), n) for rng, n in zip(rngs, sizes)]
-        if len(self._draws) == 1:  # a lone stream's periods are views of its block
-            _, block, n = self._draws[0]
-            self._outcome = block[:, :n]
-            self._policy = block[:, n:].reshape(k, n, 2)
-        else:  # the streams' rows are joined into chunk blocks
-            self._outcome = np.empty((k, rows[-1]))
-            self._policy = np.empty((k, rows[-1], 2))
-        self._uniform = None  # the period's outcome uniforms, one per stream agent
+        self._uniform = None  # the period's outcome uniforms, one per agent
         self._inputs = None  # the block's decision inputs, one row of each per period
-        self._period = self._drawn = 0  # the next period's row; rows drawn in the blocks
+        self._period = self._drawn = 0  # the next period's row; rows drawn in the block
 
     def draw(self, agents: policy.Agents) -> tuple[np.ndarray, np.ndarray]:
-        """The period's decision inputs, one per lane agent; its outcome
-        uniforms are kept for outcomes. A spent block is first redrawn, one
-        call per stream, and its inputs made."""
+        """The period's decision inputs, one per agent; its outcome uniforms
+        are kept for outcomes. A spent block is first redrawn, in one call,
+        and its inputs made."""
         if self._period == self._drawn:
             self._draw_block(agents)
         t = self._period
@@ -693,19 +685,11 @@ class BernoulliLanes:
         return explore[t], jump[t]
 
     def _draw_block(self, agents: policy.Agents) -> None:
-        """The next k periods, or the ones left, each stream's in one call,
-        and their decision inputs."""
-        k = min(len(self._outcome), self._left)
+        """The next k periods, or the ones left, in one call, and their decision inputs."""
+        k = min(len(self._block), self._left)
         self._left -= k
-        for rng, block, _ in self._draws:
-            rng.random(out=block[:k])
-        if len(self._draws) > 1:
-            draws = self._draws
-            np.concatenate([b[:k, :n] for _, b, n in draws], axis=1, out=self._outcome[:k])
-            policy_rows = [b[:k, n:].reshape(k, n, 2) for _, b, n in draws]
-            np.concatenate(policy_rows, axis=1, out=self._policy[:k])
-        rows = self._policy[:k] if self._rows is None else self._policy[:k, self._rows]
-        self._inputs = policy.decision_inputs(agents, rows)
+        self._rng.random(out=self._block[:k])
+        self._inputs = policy.decision_inputs(agents, self._policy[:k])
         self._period, self._drawn = 0, k
 
     def strongest(self, agents) -> None:
@@ -716,20 +700,18 @@ class BernoulliLanes:
         is below its arm's probability. The rate and the secrecy are None: a
         rate is the satisfied mask as 1.0 and 0.0 (the caller casts its
         record once), and the secrecy is 0 everywhere."""
-        uniform = self._uniform if self._rows is None else self._uniform[self._rows]
-        return None, np.less(uniform, self._slot_prob[slot], out=out), None
+        return None, np.less(self._uniform, self._slot_prob[slot], out=out), None
 
 
 def _period_floats(lane: Lane) -> int:
-    """Most floats one period of the lane may draw: its environment block
-    (fading gains, or outcome uniforms), then its policy block of 2 per agent.
+    """Most floats one period of a channel lane may draw: its fading gains, then
+    its policy block of 2 per UE.
 
-    A channel lane counts every UE on every panel, I + I*U + I*E gains, read
-    from the config, so chunks are cut before any network is built and no
-    lane's set-up outlives its chunk.
+    It counts every UE on every panel, I + I*U + I*E gains, read from the
+    config, so chunks are cut before any network is built and no lane's
+    set-up outlives its chunk. A Bernoulli lane joins no chunk, so its count
+    decides nothing.
     """
-    if lane.environment is not None:
-        return 3 * lane.environment.n_agents
     t = lane.cfg.topology
     cells = len(t.small_cell_offsets)
     n_panels, n_ues = cells * t.irs_per_cell, t.ue_count
@@ -737,12 +719,13 @@ def _period_floats(lane: Lane) -> int:
     return n_panels * (1 + n_ues) + n_pairs + 2 * n_ues
 
 
-def _chunk_key(lane: Lane) -> tuple:
-    """What every lane of a chunk shares: its environment kind and period
-    count, and a channel lane's channel and rate threshold."""
+def _chunk_key(lane: Lane):
+    """What every lane of a chunk shares: a channel lane's kind, period count,
+    channel and rate threshold. A Bernoulli lane's key is a new object, equal
+    to no other, so the lane runs as a chunk of its own."""
     cfg = lane.cfg
     if lane.environment is not None:
-        return BernoulliEnvironment, cfg.periods
+        return object()
     return ChannelEnvironment, cfg.periods, cfg.channel, cfg.rate_threshold
 
 
@@ -768,10 +751,12 @@ def _chunks(lanes):
 
 
 def _stream_key(lane: Lane):
-    """What decides a lane's draws and environment; lanes with equal keys share them."""
+    """What decides a lane's draws and environment; lanes with equal keys share
+    them. A Bernoulli lane's key is a new object, equal to no other: the lane
+    is a stream of its own."""
     cfg = lane.cfg
     if lane.environment is not None:
-        return lane.environment, cfg.periods, lane.seed
+        return object()
     return cfg.topology, cfg.channel, cfg.rate_threshold, cfg.periods, lane.seed
 
 
@@ -823,7 +808,7 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     layout = _Layout(envs, stream)
     periods = chunk[0].cfg.periods
     if isinstance(envs[0], BernoulliEnvironment):
-        batch = BernoulliLanes(envs, rngs, periods, layout)
+        batch = BernoulliLanes(envs[0], rngs[0], periods)
     else:
         batch = ChannelLanes(envs, rngs, layout)
     bounds = layout.agents

@@ -52,8 +52,7 @@ class AgentRecord(NamedTuple):
 
 
 class Segments:
-    """Slot runs: segment u is sizes[u] >= 1 slots from starts[u]; width is
-    every segment's size when all are equal, else 0."""
+    """Slot runs: segment u is sizes[u] >= 1 slots from starts[u]."""
 
     def __init__(self, offsets):
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -61,8 +60,6 @@ class Segments:
         self.sizes = np.diff(offsets)
         if (self.sizes < 1).any():
             raise ValueError("every agent needs at least one candidate panel")
-        equal = len(self.sizes) and (self.sizes == self.sizes[0]).all()
-        self.width = int(self.sizes[0]) if equal else 0
 
 
 class Agents(Segments):
@@ -163,8 +160,6 @@ def effective_config(cfg: PolicyConfig) -> PolicyConfig:
 
 def segment_argmax(values: np.ndarray, agents: Segments) -> np.ndarray:
     """Per segment: the slot of its largest value, ties to the lowest slot."""
-    if agents.width:  # one row of values per agent
-        return agents.starts + values.reshape(-1, agents.width).argmax(axis=1)
     top = np.maximum.reduceat(values, agents.starts)
     hits = (values == np.repeat(top, agents.sizes)).nonzero()[0]
     return hits[hits.searchsorted(agents.starts)]

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import importlib.util
@@ -49,6 +50,31 @@ def _load_script(name):
 
 two_armed_oracle = _load_script("two_armed_oracle")
 calibrate_satisfaction = _load_script("calibrate_satisfaction")
+mutants = _load_script("mutants")
+
+
+def _defines(path: Path, names: list[str]) -> bool:
+    """Whether the module at path defines names[0], names[1] within it, and so on."""
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    for name in names:
+        kinds = (ast.ClassDef, ast.FunctionDef)
+        found = [node for node in body if isinstance(node, kinds) and node.name == name]
+        if not found:
+            return False
+        body = found[0].body
+    return True
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
+def test_mutant_list_matches_the_code(mutant):
+    """Every entry of scripts/mutants.py still applies: its old text occurs
+    exactly once in its file, and every test it names is defined there."""
+    text = (mutants.ROOT / mutant.path).read_text(encoding="utf-8")
+    assert text.count(mutant.old) == 1
+    for node in mutant.tests:
+        path, *names = node.split("::")
+        names[-1] = names[-1].partition("[")[0]  # a parametrized case's test
+        assert _defines(mutants.ROOT / path, names), node
 
 
 def test_calibration_script_restates_the_package_defaults():
@@ -79,10 +105,20 @@ def small_cfg(**overrides):
     return SimulationConfig(**defaults)
 
 
+def _lanes_of_sizes(periods: int) -> list[Lane]:
+    """Channel lanes of 1, 20, 20 and 3 UEs on seeds of their own: one chunk
+    whose runs of equal-size lanes are a lone lane, two lanes, and a lone lane."""
+    return [
+        Lane(small_cfg(periods=periods, topology=TopologyConfig(ue_count=n)), 3 + k)
+        for k, n in enumerate([1, 20, 20, 3])
+    ]
+
+
 class TestMeanSatisfaction:
     """A period's satisfaction is the fraction of its lane's agents satisfied.
 
-    One-period Bernoulli runs whose arms satisfy always (1.0) or never (0.0).
+    One-period Bernoulli runs whose arms satisfy always (1.0) or never (0.0),
+    and channel lanes of different sizes in one chunk.
     """
 
     def one_period(self, probs, n_agents, seed=0):
@@ -101,11 +137,11 @@ class TestMeanSatisfaction:
         assert self.one_period((0.0,), 3).satisfaction[0] == 0.0
 
     def test_lanes_of_one_chunk_reduce_apart(self):
-        cfg = small_cfg(periods=1)
-        probs = [(1.0,), (0.0,), (1.0,), (0.0, 0.0)]
-        lanes = [Lane(cfg, 0, BernoulliEnvironment(p, n)) for p, n in zip(probs, [3, 3, 2, 2])]
+        lanes = _lanes_of_sizes(periods=1)
         assert len(list(engine._chunks(lanes))) == 1
-        assert [res.satisfaction[0] for res in run_lanes(lanes)] == [1.0, 0.0, 1.0, 0.0]
+        got = [res.satisfaction[0] for res in run_lanes(lanes)]
+        assert got == [run_replication(*lane).satisfied[0].mean() for lane in lanes]
+        assert len(set(got)) > 1
 
     def test_zero_ues_rejected(self):
         # the environment rejects an empty lane when it is built, and the
@@ -124,6 +160,10 @@ class TestMeanSatisfaction:
             ((0.2, -0.1), 2, r"arm_probs\[1\]"),
             ((0.5, float("inf")), 1, r"arm_probs\[1\]"),
             ((), 1, "arm_probs"),
+            ([[0.1, 0.2]], 1, r"arm_probs\[0\]"),
+            ("0.5", 1, "arm_probs"),
+            (np.array(0.5), 1, "arm_probs"),
+            ([True, 0.5], 1, r"arm_probs\[0\]"),
             ((0.5,), -1, "n_agents"),
             ((0.5,), 0, "n_agents"),
             ((0.5,), True, "n_agents"),
@@ -131,6 +171,7 @@ class TestMeanSatisfaction:
         ],
         ids=[
             "above-one", "nan", "negative", "inf", "no-arms",
+            "nested-arms", "string-arms", "zero-d-arms", "bool-arm",
             "negative-agents", "no-agents", "bool-agents", "fraction",
         ],
     )
@@ -646,14 +687,10 @@ def test_outcomes_without_rates_match_outcomes_with_them():
 
 def test_lane_means_are_the_records_means():
     """Each lane's per-period satisfaction is its record's row mean, bit for bit,
-    and both series are its one-lane run's: in a chunk of 1, 20, 20 and 3
-    agents (three runs of equal-size lanes) and in a chunk whose channel
-    lanes share streams of 20 and of 7 UEs. The series are C-contiguous rows."""
-    cfg = small_cfg(periods=6)
-    bernoulli = [
-        Lane(cfg, 3 + k, BernoulliEnvironment((0.3, 0.6, 0.9), n))
-        for k, n in enumerate([1, 20, 20, 3])
-    ]
+    and both series are its one-lane run's: in a chunk of lanes of 1, 20, 20
+    and 3 UEs (three runs of equal-size lanes) and in a chunk whose lanes
+    share streams of 20 and of 7 UEs. The series are C-contiguous rows."""
+    sizes = _lanes_of_sizes(periods=6)
     channel_lanes = [
         Lane(
             small_cfg(
@@ -667,7 +704,7 @@ def test_lane_means_are_the_records_means():
         for kind, phi in ((CB, 1), (PolicyKind.GREEDY, 1), (CB, 4))
     ]
     assert len(engine._streams(channel_lanes)[0]) == 2
-    for lanes in (bernoulli, channel_lanes):
+    for lanes in (sizes, channel_lanes):
         assert len(list(engine._chunks(lanes))) == 1
         light = run_lanes(lanes)
         for lane, res, lean in zip(lanes, run_lanes(lanes, record=True), light):
@@ -708,7 +745,6 @@ def test_warm_start_is_each_lanes_one_lane_argmax(stream):
     lanes = ChannelLanes(envs, rngs, layout)
     policies = [PolicyConfig()] * len(layout.stream)
     agents = Agents(layout.offsets, layout.arms, policies, layout.agents)
-    assert agents.width == 0
     lanes.draw(agents)
     # the tie: UE 0 of stream 0, at its cell's centre, on two ring panels of equal budget
     env = envs[0]
@@ -1257,10 +1293,9 @@ def test_lane_stream_is_geometry_then_fixed_blocks(monkeypatch, kind, seed):
 
 
 def _bernoulli_block_lanes(periods: int) -> list[Lane]:
-    """Bernoulli lanes of 5, 5, 5, 3 and 5 agents on three streams: the first
-    three lanes share one (two bandit lanes of different omega and a greedy
-    lane on one seed and environment), so the chunk holds one run of three
-    lanes and two lone lanes."""
+    """Bernoulli lanes of 5, 5, 5, 3 and 5 agents: two bandit lanes of
+    different omega and a greedy lane on one seed and environment, then two
+    lanes on seeds of their own. Each runs as a chunk of its own."""
     cfg = small_cfg(policy=PolicyConfig(kind=CB, omega=0.4, phi=1), periods=periods)
     greedy = dataclasses.replace(cfg, policy=PolicyConfig(kind=PolicyKind.GREEDY))
     eager = dataclasses.replace(cfg, policy=PolicyConfig(kind=CB, omega=0.9, phi=2))
@@ -1275,61 +1310,75 @@ def _bernoulli_block_lanes(periods: int) -> list[Lane]:
     ]
 
 
-# the lanes' streams hold 5 + 3 + 5 agents, so a period draws 39 floats
-@pytest.mark.parametrize("block_floats", [1, 3 * 39, math.inf], ids=["k=1", "k=3", "k=T"])
+# a lane of U agents draws 3U floats a period, so BLOCK_FLOATS = k x 3U gives blocks of k periods
+@pytest.mark.parametrize("k", [1, 3, math.inf], ids=["k=1", "k=3", "k=T"])
 @pytest.mark.parametrize("periods", [1, 2, 3, 4, 7])  # 1, k - 1, k, k + 1, 2k + 1 at k = 3
-def test_bernoulli_blocks_keep_every_lane_and_stream(monkeypatch, block_floats, periods):
-    """Drawn k periods per call, a chunk of Bernoulli streams of different U,
-    three lanes on one of them, gives every lane its one-lane run bit for bit,
-    with and without a record, and leaves every stream's Generator where T
-    periods of U outcome and U x 2 policy uniforms leave it."""
+def test_bernoulli_blocks_keep_every_lane_and_stream(monkeypatch, k, periods):
+    """Drawn k periods per call, every Bernoulli lane, each a chunk of its
+    own, gives the scalar reference chain bit for bit, with and without a
+    record, and leaves its Generator where T periods of U outcome and U x 2
+    policy uniforms leave it."""
     lanes = _bernoulli_block_lanes(periods)
-    alone = [run_replication(*lane) for lane in lanes]
-    monkeypatch.setattr(engine, "BLOCK_FLOATS", block_floats)
-    assert len(list(engine._chunks(lanes))) == 1
-    made = _record_generators(monkeypatch)
-    got = run_lanes(lanes, record=True)
-    series = run_lanes(lanes)
-    twins = []
-    for seed, n in [(4, 5), (5, 3), (6, 5)]:
-        twins.append(np.random.default_rng(seed))
+    assert [len(chunk) for chunk in engine._chunks(lanes)] == [1] * len(lanes)
+    for lane in lanes:
+        env = lane.environment
+        want = reference_model.bernoulli_replication(
+            lane.cfg, lane.seed, env.arm_probs.tolist(), env.n_agents
+        )
+        monkeypatch.setattr(engine, "BLOCK_FLOATS", k * 3 * env.n_agents)
+        made = _record_generators(monkeypatch)
+        (res,), (light,) = run_lanes([lane], record=True), run_lanes([lane])
+        twin = np.random.default_rng(lane.seed)
         for _ in range(periods):
-            twins[-1].random(n)
-            twins[-1].random((n, 2))
-    for rng, twin in zip(made[:3], twins, strict=True):
-        assert rng.bit_generator.state == twin.bit_generator.state
-    for want, res, light in zip(alone, got, series, strict=True):
-        for name in ("chosen", "satisfied", "rates", "satisfaction", "mean_secrecy"):
+            twin.random(env.n_agents)
+            twin.random((env.n_agents, 2))
+        for rng in made:
+            assert rng.bit_generator.state == twin.bit_generator.state
+        for name in ("chosen", "satisfied", "rates"):
             _assert_same_bits(getattr(res, name), getattr(want, name))
-        _assert_same_bits(light.satisfaction, want.satisfaction)
+        for r in (res, light):
+            _assert_same_bits(r.satisfaction, want.satisfied.mean(axis=1))
+            _assert_same_bits(r.mean_secrecy, np.zeros(periods))
         for record, agent in zip(res.agents, want.agents, strict=True):
             _assert_same_bits(record.rewards, agent.rewards)
 
 
-@pytest.mark.parametrize("block_floats", [1, 3 * 39, math.inf], ids=["k=1", "k=3", "k=T"])
+@pytest.mark.parametrize("k", [1, 3, math.inf], ids=["k=1", "k=3", "k=T"])
 @pytest.mark.parametrize("periods", [1, 2, 3, 4, 7])  # 1, k - 1, k, k + 1, 2k + 1 at k = 3
-def test_bernoulli_decision_inputs_are_each_periods_own(monkeypatch, block_floats, periods):
-    """Whatever the block size, a Bernoulli chunk's draw(agents) hands out,
-    period by period, the decision inputs of that period's policy rows alone:
-    twin Generators drawing period by period give them, the rows gathered
-    to the lane agents (three lanes of different omega on one stream)."""
-    lanes = _bernoulli_block_lanes(periods)
-    monkeypatch.setattr(engine, "BLOCK_FLOATS", block_floats)
-    streams, stream = engine._streams(lanes)
-    envs = [lane.environment for lane in streams]
-    layout = engine._Layout(envs, stream)
-    rngs = [np.random.default_rng(lane.seed) for lane in streams]
-    batch = engine.BernoulliLanes(envs, rngs, periods, layout)
-    agents = Agents(layout.offsets, layout.arms, [lane.cfg.policy for lane in lanes], layout.agents)
-    twins = [np.random.default_rng(lane.seed) for lane in streams]
-    for _ in range(periods):
-        rows = []
-        for twin, env in zip(twins, envs):
+def test_bernoulli_decision_inputs_are_each_periods_own(monkeypatch, k, periods):
+    """Whatever the block size, a Bernoulli lane's draw(agents) hands out,
+    period by period, the decision inputs of that period's policy rows
+    alone: a twin Generator drawing period by period gives them, for lanes
+    of different U and policy."""
+    for lane in _bernoulli_block_lanes(periods):
+        env = lane.environment
+        monkeypatch.setattr(engine, "BLOCK_FLOATS", k * 3 * env.n_agents)
+        batch = engine.BernoulliLanes(env, np.random.default_rng(lane.seed), periods)
+        agents = Agents(env.offsets, env.arms, [lane.cfg.policy])
+        twin = np.random.default_rng(lane.seed)
+        for _ in range(periods):
             twin.random(env.n_agents)
-            rows.append(twin.random((env.n_agents, 2)))
-        want = decision_inputs(agents, np.concatenate(rows)[layout.rows])
-        for got, part in zip(batch.draw(agents), want, strict=True):
-            _assert_same_bits(got, part)
+            want = decision_inputs(agents, twin.random((env.n_agents, 2)))
+            for got, part in zip(batch.draw(agents), want, strict=True):
+                _assert_same_bits(got, part)
+
+
+def test_bernoulli_lanes_on_one_seed_run_as_chunks_of_their_own(monkeypatch):
+    """Two Bernoulli lanes on one environment object and one seed, a bandit
+    and a greedy lane, make two chunks and two Generators, and each gives
+    its run_replication result bit for bit."""
+    cfg = small_cfg(policy=PolicyConfig(kind=CB, omega=0.3, phi=2), periods=9)
+    greedy = dataclasses.replace(cfg, policy=PolicyConfig(kind=PolicyKind.GREEDY))
+    env = BernoulliEnvironment((0.2, 0.7, 0.5), n_agents=4)
+    lanes = [Lane(cfg, 3, env), Lane(greedy, 3, env)]
+    alone = [run_replication(*lane) for lane in lanes]
+    assert [len(chunk) for chunk in engine._chunks(lanes)] == [1, 1]
+    made = _record_generators(monkeypatch)
+    got = run_lanes(lanes, record=True)
+    assert len(made) == 2
+    for res, want in zip(got, alone, strict=True):
+        for name in ("chosen", "satisfied", "rates", "satisfaction", "mean_secrecy"):
+            _assert_same_bits(getattr(res, name), getattr(want, name))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1418,11 +1467,12 @@ def test_every_policy_reads_the_same_fading(monkeypatch):
 
 
 def test_one_generator_per_stream(monkeypatch):
-    """A chunk makes one Generator per distinct stream. Lanes on one seed
-    share it only when their topology, channel and rate threshold (or their
-    environment object) are equal; a different case, detection radius,
-    channel or threshold makes a stream of its own, and a different channel
-    or threshold a chunk of its own too. Each variant's greedy twin follows it."""
+    """A chunk makes one Generator per distinct stream. Channel lanes on one
+    seed share it only when their topology, channel and rate threshold are
+    equal; a different case, detection radius, channel or threshold makes a
+    stream of its own, and a different channel or threshold a chunk of its
+    own too. Each variant's greedy twin follows it. Bernoulli lanes on one
+    seed and environment object each make a chunk and a stream of their own."""
     cfg = small_cfg(periods=3)
     greedy = PolicyConfig(kind=PolicyKind.GREEDY)
     clustered = dataclasses.replace(cfg.topology, distribution_case=DistributionCase.CLUSTERED)
@@ -1438,10 +1488,10 @@ def test_one_generator_per_stream(monkeypatch):
     env = BernoulliEnvironment((0.2, 0.7), n_agents=3)
     bernoulli = [Lane(cfg, 9, env), Lane(dataclasses.replace(cfg, policy=greedy), 9, env)]
     bernoulli += [Lane(cfg, 10, env)]
-    assert [len(chunk) for chunk in engine._chunks(lanes + bernoulli)] == [7, 2, 2, 3]
+    assert [len(chunk) for chunk in engine._chunks(lanes + bernoulli)] == [7, 2, 2, 1, 1, 1]
     made = _record_generators(monkeypatch)
     got = run_lanes(lanes + bernoulli)
-    assert len(made) == 6 + 2
+    assert len(made) == 6 + 3
     for lane, res in zip(lanes + bernoulli, got, strict=True):
         _assert_same_bits(res.satisfaction, run_replication(*lane).satisfaction)
 
@@ -1548,8 +1598,8 @@ def test_lanes_in_chunks_match_one_lane_runs(chunk_floats, lanes):
     """Every lane of a chunk gives, bit for bit, what it gives run alone.
 
     Lanes mix policies, placements, detection radii, eavesdropper counts,
-    sizes, channels and rate thresholds; Bernoulli lanes join the list and
-    chunk with each other. Unbounded chunks put every run of lanes of one
+    sizes, channels and rate thresholds; Bernoulli lanes join the list, each
+    a chunk of its own. Unbounded chunks put every run of lanes of one
     _chunk_key in one chunk; a bound of 1 or 3 floats runs every channel
     lane alone. The explicit examples run two lanes on one seed side by side
     that differ only in threshold: two streams, never one run of lanes; and
@@ -1569,10 +1619,12 @@ OTHER_POLICIES = [
 
 @st.composite
 def sharing_lanes(draw):
-    """Lanes on seeds from a small pool, each cloned under one to three other
-    policies (a Bernoulli clone keeps its environment object), shuffled."""
+    """Lanes on seeds from a small pool, a channel lane and up to two more,
+    each cloned under one to three other policies (a Bernoulli clone keeps
+    its environment object), shuffled."""
     lanes = []
-    for lane in draw(st.lists(st.one_of(channel_lanes, bernoulli_lanes), min_size=1, max_size=3)):
+    more = draw(st.lists(st.one_of(channel_lanes, bernoulli_lanes), max_size=2))
+    for lane in [draw(channel_lanes)] + more:
         lane = lane._replace(seed=draw(st.sampled_from([3, 4])))
         clones = draw(st.lists(st.sampled_from(OTHER_POLICIES), min_size=1, max_size=3))
         lanes.append(lane)
@@ -1584,10 +1636,14 @@ def sharing_lanes(draw):
 @settings(max_examples=25, deadline=None)
 @given(lanes=sharing_lanes())
 def test_lanes_sharing_streams_match_one_lane_runs(chunk_floats, lanes):
-    """Lanes that share a stream in a chunk still give, bit for bit, what
-    each gives run alone; unbounded chunks hold every run of same-kind lanes."""
-    keys = [engine._stream_key(lane) for lane in lanes]
+    """Channel lanes that share a stream in a chunk still give, bit for bit,
+    what each gives run alone; unbounded chunks hold every run of channel
+    lanes of one key. A Bernoulli lane and its clones share no stream and no
+    chunk."""
+    keys = [engine._stream_key(lane) for lane in lanes if lane.environment is None]
     assert len(set(keys)) < len(keys)
+    for chunk in engine._chunks(lanes):
+        assert len(chunk) == 1 or all(lane.environment is None for lane in chunk)
     _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes)
 
 

@@ -496,8 +496,9 @@ def test_target_and_lead_follow_any_interleaving(lanes, steps, warm, p_sat, seed
 def test_a_run_never_rescans_after_its_warm_start(monkeypatch):
     """Once period 1 has set every target, select_irs and update read no
     slot-length array: a channel chunk (bandit and greedy lanes sharing a
-    stream) and a Bernoulli run, with segment_argmax raising from then on,
-    give the results they give without the patch."""
+    stream) and a bandit and a greedy Bernoulli lane (a chunk each), with
+    segment_argmax raising from then on, give the results they give without
+    the patch."""
     cb = SimulationConfig(periods=6, replications=1)
     greedy = SimulationConfig(policy=PolicyConfig(kind=GREEDY), periods=6, replications=1)
     bernoulli = engine.BernoulliEnvironment((0.2, 0.5, 0.5, 0.9), n_agents=50)
@@ -505,7 +506,7 @@ def test_a_run_never_rescans_after_its_warm_start(monkeypatch):
         [engine.Lane(cb, 7), engine.Lane(greedy, 7), engine.Lane(cb, 8)],
         [engine.Lane(cb, 7, bernoulli), engine.Lane(greedy, 7, bernoulli)],
     ]
-    assert all(len(list(engine._chunks(lanes))) == 1 for lanes in runs)
+    assert [len(list(engine._chunks(lanes))) for lanes in runs] == [1, 2]
     want = [engine.run_lanes(lanes, record=True) for lanes in runs]
 
     real_argmax, real_init = policy.segment_argmax, policy.init_association
