@@ -185,8 +185,8 @@ MUTANTS = (
     Mutant(
         "chunk-key-ignores-channel",  # lanes on other channels or thresholds share a chunk
         "src/irsbandit/engine.py",
-        "return ChannelEnvironment, cfg.periods, cfg.channel, cfg.rate_threshold",
-        "return ChannelEnvironment, cfg.periods",
+        "and key[:3] == shared:",
+        "and key[:1] == shared[:1]:",
         (
             "tests/test_engine.py::test_one_generator_per_stream",
             "tests/test_engine.py::test_lanes_in_chunks_match_one_lane_runs",
@@ -195,15 +195,15 @@ MUTANTS = (
     Mutant(
         "stream-key-ignores-threshold",  # lanes on one seed and two thresholds share a stream
         "src/irsbandit/engine.py",
-        "return cfg.topology, cfg.channel, cfg.rate_threshold, cfg.periods, lane.seed",
-        "return cfg.topology, cfg.channel, cfg.periods, lane.seed",
+        "return cfg.periods, cfg.channel, cfg.rate_threshold, cfg.topology, lane.seed",
+        "return cfg.periods, cfg.channel, 0, cfg.topology, lane.seed",
         ("tests/test_engine.py::test_lanes_in_chunks_match_one_lane_runs",),
     ),
     Mutant(
         "stream-shift-sign-flipped",  # a lane agent's slot maps to another stream slot
         "src/irsbandit/engine.py",
-        "shift = [stream_slots[s] - lo for s, lo in zip(self.stream, self.slots)]",
-        "shift = [lo - stream_slots[s] for s, lo in zip(self.stream, self.slots)]",
+        "shift = [self._stream_slots[s] - lo for s, lo in zip(stream, slots)]",
+        "shift = [lo - self._stream_slots[s] for s, lo in zip(stream, slots)]",
         ("tests/test_engine.py::test_one_generator_per_stream",),
     ),
     # each stream's IRS->UE gains, a slice of gains: addressed per lane agent
@@ -218,7 +218,7 @@ MUTANTS = (
     Mutant(
         "ue-offset-not-gathered",  # lane agents read the stream agents' offsets
         "src/irsbandit/engine.py",
-        "self._ue_off = ue_off if layout.rows is None else ue_off[layout.rows]",
+        "self._ue_off = ue_off if self._rows is None else ue_off[self._rows]",
         "self._ue_off = ue_off",
         (
             "tests/test_engine.py::test_lanes_in_chunks_match_one_lane_runs[inf]",
@@ -465,20 +465,74 @@ MUTANTS = (
             "::test_invalid_environment_rejected_at_construction",
         ),
     ),
+    # an enum-typed field or argument takes only its enum's members, not their values as str
+    Mutant(
+        "enum-field-string-accepted",  # kind="greedy" runs the bandit
+        "src/irsbandit/config.py",
+        "if issubclass(kind, enum.Enum) and not isinstance(value, kind):",
+        "if issubclass(kind, enum.Enum) and not isinstance(value, (kind, str)):",
+        ("tests/test_experiment.py::test_enum_fields_reject_non_members_by_name",),
+    ),
+    Mutant(
+        "only-policy-kind-checked",  # distribution_case="random" places UEs in clusters
+        "src/irsbandit/config.py",
+        "if issubclass(kind, enum.Enum) and not isinstance(value, kind):",
+        "if issubclass(kind, PolicyKind) and not isinstance(value, kind):",
+        ("tests/test_experiment.py::test_enum_fields_reject_non_members_by_name",),
+    ),
+    Mutant(
+        "sweep-axis-string-accepted",  # a sweep's policies or cases hold plain strings
+        "src/irsbandit/experiment.py",
+        "if not isinstance(value, kind):",
+        "if not isinstance(value, str):",
+        ("tests/test_experiment.py::test_enum_fields_reject_non_members_by_name",),
+    ),
+    Mutant(
+        "spec-format-string-accepted",  # format="csv" writes JSON into traces.csv
+        "src/irsbandit/experiment.py",
+        "if not isinstance(self.format, OutputFormat):",
+        "if not isinstance(self.format, str):",
+        ("tests/test_experiment.py::test_enum_fields_reject_non_members_by_name",),
+    ),
+    Mutant(
+        "emit-format-string-accepted",  # emit_trace(..., "csv") writes JSON
+        "src/irsbandit/experiment.py",
+        "if not isinstance(format, OutputFormat):",
+        "if not isinstance(format, (OutputFormat, str)):",
+        (
+            "tests/test_experiment.py::TestEmitTrace"
+            "::test_format_not_an_output_format_rejected_by_name",
+        ),
+    ),
     # a Bernoulli lane is a stream and a chunk of its own
     Mutant(
         "bernoulli-lanes-share-a-stream",  # lanes on one environment and seed share a stream
         "src/irsbandit/engine.py",
-        "        return object()\n    return cfg.topology,",
-        "        return lane.environment, cfg.periods, lane.seed\n    return cfg.topology,",
+        "return (object(),)",
+        "return lane.environment, cfg.periods, lane.seed",
         ("tests/test_engine.py::test_bernoulli_lanes_on_one_seed_run_as_chunks_of_their_own",),
     ),
     Mutant(
         "bernoulli-lanes-share-a-chunk",  # Bernoulli lanes of one period count share a chunk
         "src/irsbandit/engine.py",
-        "        return object()\n    return ChannelEnvironment,",
-        "        return BernoulliEnvironment, cfg.periods\n    return ChannelEnvironment,",
+        "return (object(),)",
+        "return cfg.periods, None, None, object()",
         ("tests/test_engine.py::test_bernoulli_lanes_on_one_seed_run_as_chunks_of_their_own",),
+    ),
+    # set-up holds one slot layout where one is enough
+    Mutant(
+        "lone-streams-copy-the-layout",  # a chunk of lone streams holds a second offsets array
+        "src/irsbandit/engine.py",
+        "self._stream_slots, self._stream_offsets = slots, self.offsets",
+        "self._stream_slots, self._stream_offsets = slots, self.offsets.copy()",
+        ("tests/test_engine.py::test_lanes_on_one_stream_hold_its_slot_state_once",),
+    ),
+    Mutant(
+        "bernoulli-offsets-copied",  # a Bernoulli run's agents hold a copy of its offsets
+        "src/irsbandit/engine.py",
+        "policy.Agents(env.offsets, env.arms,",
+        "policy.Agents(env.offsets.copy(), env.arms,",
+        ("tests/test_engine.py::test_bernoulli_agents_read_the_environments_layout_uncopied",),
     ),
     # Bernoulli lanes drawn in blocks of periods
     Mutant(

@@ -46,9 +46,12 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_numbers(cfg) -> None:
-    """Reject NaN and +-inf in every float field, nested tuples included, and
-    a bool, a float or any other non-integral value in every int field."""
+def _check_fields(cfg) -> None:
+    """Reject NaN and +-inf in every float field, nested tuples included, a
+    bool, a float or any other non-integral value in every int field, and
+    anything but a member of its enum in an enum field (one whose default is
+    a member). The enums subclass str, so a plain string equal to a member's
+    value would pass every equality test and fail every identity test."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if not _finite(value):
@@ -57,6 +60,9 @@ def _check_numbers(cfg) -> None:
             isinstance(value, bool) or not isinstance(value, numbers.Integral)
         ):
             raise ValueError(f"{f.name}: must be an integer, got {value!r}")
+        kind = type(f.default)
+        if issubclass(kind, enum.Enum) and not isinstance(value, kind):
+            raise ValueError(f"{f.name}: must be a {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,7 @@ class TopologyConfig:
     detection_radius: float | None = None  # optional cap on candidate IRS distance
 
     def __post_init__(self):
-        _check_numbers(self)
+        _check_fields(self)
         if self.grid_side <= 0:
             raise ValueError("grid_side: must be positive")
         if self.small_cell_count < 1:
@@ -147,7 +153,7 @@ class ChannelParams:
     noise_power_db: float = 0.0
 
     def __post_init__(self):
-        _check_numbers(self)
+        _check_fields(self)
         if self.pathloss_exponent < 2:
             raise ValueError("pathloss_exponent: must be at least 2")
         if 10.0 * self.pathloss_exponent == math.inf:  # inf * log10(1 m) is NaN
@@ -165,7 +171,7 @@ class PolicyConfig:
     phi: int = 2
 
     def __post_init__(self):
-        _check_numbers(self)
+        _check_fields(self)
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError("omega: must be within [0, 1]")
         if self.phi < 1:
@@ -186,7 +192,7 @@ class SimulationConfig:
     enforce_channel_budget: bool = True
 
     def __post_init__(self):
-        _check_numbers(self)
+        _check_fields(self)
         if self.base_seed < 0:
             raise ValueError("base_seed: must be non-negative")
         if self.rate_threshold <= 0:

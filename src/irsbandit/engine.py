@@ -11,21 +11,22 @@ period together, their slots and agents concatenated into one flat layout
 (policy.Agents), so every step after the draws (the RSSI and its argmax,
 the decisions, link evaluation with its logarithms, the reward update)
 runs once per chunk rather than once per lane. Chunks are cut in lane
-order: a chunk holds channel lanes of one key (_chunk_key: one period
-count, one channel and one rate threshold) whose per-period draws total at
-most CHUNK_FLOATS floats. A run of adjacent lanes on one stream is never
-cut apart, and a run larger than the bound runs alone. A sweep's cells
-differ only in policy and distribution case, so its channel lanes all
-share one key.
+order: a chunk holds channel lanes of one period count, one channel and
+one rate threshold (the first three fields of their _stream_key) whose
+per-period draws total at most CHUNK_FLOATS floats. A run of adjacent lanes
+on one stream is never cut apart, and a run larger than the bound runs
+alone. A sweep's cells differ only in policy and distribution case, so its
+channel lanes all share those three fields.
 
 Within a chunk, lanes whose draws and environment are equal by
-construction form one stream: channel lanes with equal topology, channel
-parameters, rate threshold, period count and seed. Lanes in one stream
+construction form one stream: channel lanes with equal period count,
+channel parameters, rate threshold, topology and seed. Lanes in one stream
 differ only in policy, and the policy draws nothing, so the stream's
 Generator, network, fading, policy block and slot state are made once and
-every lane of the stream reads them. A Bernoulli lane is a stream and a
-chunk of its own (its _stream_key and _chunk_key equal no other lane's),
-since no caller outside the tests runs two side by side.
+every lane of the stream reads them (ChannelLanes lays the lanes out on
+their streams). A Bernoulli lane is a stream and a chunk of its own (its
+_stream_key equals no other lane's), since no caller outside the tests runs
+two side by side; its agents read its environment's own slot layout.
 
 Determinism contract: each stream has one Generator, and every draw it
 makes has a size fixed by the stream's shape after step 1 (I panels, U
@@ -317,46 +318,11 @@ def _joined(parts: list[np.ndarray], axis: int = 0) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
-def _shifted(a: np.ndarray, k: int) -> np.ndarray:
-    return a + k if k else a
-
-
 def _slot_layout(envs) -> tuple[list[int], np.ndarray]:
     """Each environment's first slot, and the flat offsets of their agents end to end."""
     slots = list(accumulate((len(env.arms) for env in envs), initial=0))
     parts = [env.offsets[:-1] + base for env, base in zip(envs, slots)]
     return slots, np.concatenate(parts + [slots[-1:]])
-
-
-class _Layout:
-    """Where each lane of a chunk sits in the concatenated agents and slots.
-
-    envs holds one environment per stream and stream[l] names lane l's, by
-    default one stream per lane in order. Lane l owns agents agents[l] to
-    agents[l + 1] - 1 and slots slots[l] to slots[l + 1] - 1; offsets is
-    the chunk's flat slot layout. Stream s owns rows stream_rows[s] to
-    stream_rows[s + 1] - 1 of a block drawn per agent, and agent u reads
-    row rows[u]; stream_offsets is the flat slot layout of the streams'
-    agents end to end, and a lane agent's slot + shift[agent] is its stream
-    slot. When every lane is its own stream, rows and shift are None and
-    stream_offsets is offsets: the rows are the agents and the stream slots
-    the lane slots.
-    """
-
-    def __init__(self, envs, stream=None):
-        self.stream = range(len(envs)) if stream is None else stream
-        lanes = [envs[s] for s in self.stream]
-        self.agents = list(accumulate((env.n_agents for env in lanes), initial=0))
-        self.slots, self.offsets = _slot_layout(lanes)
-        self.arms = _joined([env.arms for env in lanes])
-        self.stream_rows = list(accumulate((env.n_agents for env in envs), initial=0))
-        self.stream_offsets, self.rows, self.shift = self.offsets, None, None
-        if len(lanes) > len(envs):
-            rows = self.stream_rows
-            self.rows = np.concatenate([np.arange(rows[s], rows[s + 1]) for s in self.stream])
-            stream_slots, self.stream_offsets = _slot_layout(envs)
-            shift = [stream_slots[s] - lo for s, lo in zip(self.stream, self.slots)]
-            self.shift = np.repeat(shift, np.diff(self.agents))
 
 
 def _log2_cutoff(threshold: float) -> float:
@@ -376,10 +342,20 @@ class ChannelLanes:
     """One period of a chunk of channel lanes, in whole-chunk array passes.
 
     envs and rngs hold one environment and Generator per stream, and
-    layout (by default one lane per stream) places the lanes on them.
+    stream[l] names lane l's, by default one stream per lane in order. The
+    constructor lays the lanes out as policy.Agents reads them: their
+    environments' agents and slots end to end, lane l owning agents
+    bounds[l] to bounds[l + 1] - 1; offsets is the chunk's flat slot layout
+    and arms[s] the panel of lane slot s within its lane.
     draw(agents) draws every stream's fading, then every stream's policy
-    block (one (u1, u2) row per stream agent), and returns the decision
-    inputs of the lane agents' rows.
+    block (one (u1, u2) row per stream agent, stream by stream), and
+    returns the decision inputs of the lane agents' rows: lane agent u
+    reads row _rows[u], gathered into _gathered. A lane agent's slot +
+    _shift[agent] is its stream slot, in _stream_offsets, the flat slot
+    layout of the streams' agents end to end. When every lane is its own
+    stream, _rows, _gathered and _shift are None and _stream_offsets is
+    offsets: the rows are the agents and the stream slots the lane slots,
+    so the chunk holds no second layout.
     gains holds every stream's period back to back. A stream's part is its
     BS->IRS gains, panel by panel, then one IRS->UE gain per stream slot, in
     slot order, then its IRS->eve gains, row-major by panel: one draw from
@@ -394,34 +370,40 @@ class ChannelLanes:
     gain needs no index: stream s's are the slice _ue_gains[s] of gains, in
     slot order, so the stream slots' gains are the slices joined (a lone
     stream's slice, uncopied), and a lane agent's is at its stream slot +
-    _ue_off[agent]. A lane's agent finds its stream slot at its lane slot +
-    _shift[agent] (_shift is None when every lane is its own stream). The
-    streams share one channel and one rate
-    threshold, as _chunks cuts chunks, so the chunk keeps the first
-    stream's ChannelParams and one satisfaction cutoff (_log2_cutoff).
-    Every stream's (panel, eavesdropper) pair, panel by panel, keeps its
-    chunk panel, its IRS->eve gain's position and its SNR factor; a stream
+    _ue_off[agent]. The streams share one channel and one rate threshold,
+    as _chunks cuts chunks, so the chunk keeps the first stream's
+    ChannelParams and one satisfaction cutoff (_log2_cutoff). Every
+    stream's (panel, eavesdropper) pair, panel by panel, keeps its chunk
+    panel, its IRS->eve gain's position and its SNR factor; a stream
     without eavesdroppers holds one pair per panel with SNR factor 0
-    instead. So lanes that share a stream read the same
-    gains and slot state, and the strongest eavesdropper of every chunk
-    panel is one reduceat over its pairs, 0 on a panel without one.
+    instead. So lanes that share a stream read the same gains and slot
+    state, and the strongest eavesdropper of every chunk panel is one
+    reduceat over its pairs, 0 on a panel without one.
     """
 
-    def __init__(self, envs, rngs, layout=None):
-        layout = layout or _Layout(envs)
-        self.offsets, self.arms = layout.offsets, layout.arms
+    def __init__(self, envs, rngs, stream=None):
+        stream = range(len(envs)) if stream is None else stream
+        lanes = [envs[s] for s in stream]
+        self.bounds = list(accumulate((env.n_agents for env in lanes), initial=0))
+        slots, self.offsets = _slot_layout(lanes)  # slots[l]: lane l's first slot
+        self.arms = _joined([env.arms for env in lanes])
+        rows = list(accumulate((env.n_agents for env in envs), initial=0))  # per stream
+        self._stream_slots, self._stream_offsets = slots, self.offsets
+        self._rows = self._gathered = self._shift = None
+        if len(lanes) > len(envs):  # some lanes share a stream
+            self._stream_slots, self._stream_offsets = _slot_layout(envs)
+            self._rows = np.concatenate([np.arange(rows[s], rows[s + 1]) for s in stream])
+            self._gathered = np.empty((self.bounds[-1], 2))
+            shift = [self._stream_slots[s] - lo for s, lo in zip(stream, slots)]
+            self._shift = np.repeat(shift, np.diff(self.bounds))
         self.gains = np.empty(sum(sum(env.blocks) for env in envs))
         self._draws = []
-        rows = layout.stream_rows
         self._policy = np.empty((rows[-1], 2))
         self._policy_draws = [
             (rng, self._policy[lo:hi]) for rng, lo, hi in zip(rngs, rows, rows[1:])
         ]
-        # the lane agents' rows, gathered from the stream rows when lanes share a stream
-        self._gathered = None if layout.rows is None else np.empty((layout.agents[-1], 2))
         bs_at, ue_off, pair_panel, pair_eve, pair_snr, panel_base = [], [], [], [], [], []
         self._ue_gains = []  # each stream's IRS->UE gains, a slice of gains in slot order
-        self._stream_slots = list(accumulate((len(env.arms) for env in envs), initial=0))
         b = p = 0  # the stream's first gain and first chunk panel
         for env, rng, k in zip(envs, rngs, self._stream_slots):  # k: its first stream slot
             n_bs, n_ue, n_eve = env.blocks
@@ -446,7 +428,7 @@ class ChannelLanes:
         self._pair_snr = _joined(pair_snr)
         # where each chunk panel's pairs start; every panel has at least one
         self._eve_start = np.flatnonzero(np.diff(self._pair_panel, prepend=-1))
-        self._panel = _joined([_shifted(env.arms, q) for env, q in zip(envs, panel_base)])
+        self._panel = _joined([env.arms + q if q else env.arms for env, q in zip(envs, panel_base)])
         # what links reads: chunk panels' and stream agents' positions, chunk feeds
         self._pxy = _joined([env._pxy for env in envs], axis=1)
         self._uxy = _joined([env._uxy for env in envs], axis=1)
@@ -454,12 +436,10 @@ class ChannelLanes:
         self._params = envs[0].params
         # a lane agent's IRS->UE gain is at its stream slot + _ue_off[agent]
         ue_off = np.repeat(ue_off, np.diff(rows))
-        self._ue_off = ue_off if layout.rows is None else ue_off[layout.rows]
+        self._ue_off = ue_off if self._rows is None else ue_off[self._rows]
         self._snr = None  # made on the first read, after the warm start's screen
         self._filled = False  # set once every stream slot has its SNR factor
         self._cutoff = _log2_cutoff(envs[0].rate_threshold)
-        self._stream_offsets = layout.stream_offsets
-        self._rows, self._shift = layout.rows, layout.shift
 
     def draw(self, agents: policy.Agents) -> tuple[np.ndarray, np.ndarray]:
         """The period's draws, each stream's from its own Generator: every
@@ -646,10 +626,10 @@ class BernoulliLanes:
     """The periods of one Bernoulli lane, drawn in blocks of up to k periods.
 
     env and rng are the lane's environment and Generator: a Bernoulli lane
-    is a stream and a chunk of its own (_stream_key, _chunk_key). A period
-    of U agents is U outcome uniforms, then U x 2 policy uniforms, both
-    drawn by Generator.random, which reads one 64-bit word per double and
-    keeps nothing between calls. So one call draws k periods of [U outcome
+    is a stream and a chunk of its own (_stream_key). A period of U agents
+    is U outcome uniforms, then U x 2 policy uniforms, both drawn by
+    Generator.random, which reads one 64-bit word per double and keeps
+    nothing between calls. So one call draws k periods of [U outcome
     | U x 2 policy] uniforms, one period per row in period order: the
     doubles k period-by-period calls draw, in their order, so the stream is
     unchanged. k is the most periods whose draws fit BLOCK_FLOATS, at least
@@ -719,45 +699,38 @@ def _period_floats(lane: Lane) -> int:
     return n_panels * (1 + n_ues) + n_pairs + 2 * n_ues
 
 
-def _chunk_key(lane: Lane):
-    """What every lane of a chunk shares: a channel lane's kind, period count,
-    channel and rate threshold. A Bernoulli lane's key is a new object, equal
-    to no other, so the lane runs as a chunk of its own."""
-    cfg = lane.cfg
-    if lane.environment is not None:
-        return object()
-    return ChannelEnvironment, cfg.periods, cfg.channel, cfg.rate_threshold
-
-
 def _chunks(lanes):
-    """Cut lanes, in order, into chunks of one _chunk_key within CHUNK_FLOATS.
+    """Cut lanes, in order, into chunks within CHUNK_FLOATS whose lanes agree in
+    the first three fields of their _stream_key.
 
     Adjacent lanes on one stream are never cut apart: the cut falls before
     their run, and a run above the bound runs alone.
     """
-    chunk, floats = [], 0
-    for _, run in groupby(lanes, key=_stream_key):
+    chunk, floats, shared = [], 0, None
+    for key, run in groupby(lanes, key=_stream_key):
         run = list(run)
         n = sum(map(_period_floats, run))
-        if chunk and floats + n <= CHUNK_FLOATS and _chunk_key(run[0]) == _chunk_key(chunk[0]):
+        if chunk and floats + n <= CHUNK_FLOATS and key[:3] == shared:
             chunk += run
             floats += n
             continue
         if chunk:
             yield chunk
-        chunk, floats = run, n  # the run's own list: no second list outlives it
+        chunk, floats, shared = run, n, key[:3]  # the run's own list: no second list outlives it
     if chunk:
         yield chunk
 
 
-def _stream_key(lane: Lane):
+def _stream_key(lane: Lane) -> tuple:
     """What decides a lane's draws and environment; lanes with equal keys share
-    them. A Bernoulli lane's key is a new object, equal to no other: the lane
-    is a stream of its own."""
+    them. The first three fields, a channel lane's period count, channel and
+    rate threshold, are what every lane of a chunk shares (_chunks). A
+    Bernoulli lane's key holds a new object, equal to no other: the lane is
+    a stream and a chunk of its own."""
     cfg = lane.cfg
     if lane.environment is not None:
-        return object()
-    return cfg.topology, cfg.channel, cfg.rate_threshold, cfg.periods, lane.seed
+        return (object(),)
+    return cfg.periods, cfg.channel, cfg.rate_threshold, cfg.topology, lane.seed
 
 
 def _streams(chunk: list[Lane]) -> tuple[list[Lane], list[int]]:
@@ -786,34 +759,38 @@ def _size_runs(bounds: list[int], sizes: list[int]) -> list[tuple[slice, slice, 
 def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     """Run the lanes of one chunk in lock step; one result per lane."""
     start = time.perf_counter()
-    streams, stream = _streams(chunk)
-    rngs = [np.random.default_rng(lane.seed) for lane in streams]
-    envs = [
-        lane.environment
-        if lane.environment is not None
-        else ChannelEnvironment(
-            build_network(lane.cfg.topology, rng),
-            lane.cfg.channel,
-            lane.cfg.rate_threshold,
-            lane.cfg.topology.detection_radius,
-        )
-        for lane, rng in zip(streams, rngs)
-    ]
-    # the chunk was cut on bounds read from the configs; no network may draw more
-    assert all(
-        sum(env.blocks) + 2 * env.n_agents <= _period_floats(lane)
-        for lane, env in zip(streams, envs)
-        if lane.environment is None
-    ), "a network's period draws exceed its config's bound"
-    layout = _Layout(envs, stream)
     periods = chunk[0].cfg.periods
-    if isinstance(envs[0], BernoulliEnvironment):
-        batch = BernoulliLanes(envs[0], rngs[0], periods)
+    env = chunk[0].environment
+    if env is not None:  # a Bernoulli lane: a chunk and a stream of its own
+        n_streams = 1
+        batch = BernoulliLanes(env, np.random.default_rng(chunk[0].seed), periods)
+        agents = policy.Agents(env.offsets, env.arms, [lane.cfg.policy for lane in chunk])
+        rates = None  # its satisfied mask, cast once after the last period
     else:
-        batch = ChannelLanes(envs, rngs, layout)
-    bounds = layout.agents
-    agents = policy.Agents(layout.offsets, layout.arms, [lane.cfg.policy for lane in chunk], bounds)
-    del envs, rngs, layout  # batch and agents hold all that is left to read
+        streams, stream = _streams(chunk)
+        n_streams = len(streams)
+        rngs = [np.random.default_rng(lane.seed) for lane in streams]
+        envs = [
+            ChannelEnvironment(
+                build_network(lane.cfg.topology, rng),
+                lane.cfg.channel,
+                lane.cfg.rate_threshold,
+                lane.cfg.topology.detection_radius,
+            )
+            for lane, rng in zip(streams, rngs)
+        ]
+        # the chunk was cut on bounds read from the configs; no network may draw more
+        assert all(
+            sum(env.blocks) + 2 * env.n_agents <= _period_floats(lane)
+            for lane, env in zip(streams, envs)
+        ), "a network's period draws exceed its config's bound"
+        batch = ChannelLanes(envs, rngs, stream)
+        del streams, stream, envs, rngs  # batch holds all that is left to read
+        agents = policy.Agents(
+            batch.offsets, batch.arms, [lane.cfg.policy for lane in chunk], batch.bounds
+        )
+        rates = np.empty((periods, len(agents))) if record else None
+    bounds = agents.lanes
 
     lane_sizes = np.diff(bounds)
     runs = _size_runs(bounds, lane_sizes.tolist())
@@ -828,8 +805,6 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     if record:
         chosen = np.empty((periods, bounds[-1]), dtype=np.int64)
         sat_record = np.empty((periods, bounds[-1]), dtype=bool)
-        # a Bernoulli rate is its satisfied mask, cast once after the last period
-        rates = None if isinstance(batch, BernoulliLanes) else np.empty((periods, bounds[-1]))
     for t in range(periods):
         inputs = batch.draw(agents)
         if t == 0:
@@ -864,7 +839,7 @@ def _run_chunk(chunk: list[Lane], record: bool) -> list[ReplicationResult]:
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "chunk lanes=%d cells=%d streams=%d periods=%d: %.3f s",
-            len(chunk), len({lane.cfg for lane in chunk}), len(streams), periods, wall,
+            len(chunk), len({lane.cfg for lane in chunk}), n_streams, periods, wall,
         )
     results = []
     for l, (lo, hi) in enumerate(zip(bounds, bounds[1:])):

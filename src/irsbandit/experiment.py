@@ -69,6 +69,12 @@ class ExperimentSpec:
     format: OutputFormat = OutputFormat.CSV
 
     def __post_init__(self):
+        for axis, kind in (("policies", PolicyKind), ("cases", DistributionCase)):
+            for value in getattr(self, axis):
+                if not isinstance(value, kind):  # a str equal to a member's value too
+                    raise ConfigError(f"sweep.{axis}: {value!r} is not a {kind.__name__}")
+        if not isinstance(self.format, OutputFormat):
+            raise ConfigError(f"output.format: must be an OutputFormat, got {self.format!r}")
         for axis in _AXES:
             values = getattr(self, axis)
             if not values:
@@ -448,8 +454,11 @@ def emit_trace(traces, path: str, format: OutputFormat = OutputFormat.CSV) -> No
     the same spec are byte-identical. CSV rows go to the file one cell at a
     time, and only the last cell's formatted numbers are kept: a trace
     that shares its arrays with the one before it (a copy under another
-    config) formats nothing.
+    config) formats nothing. A format that is not an OutputFormat, a string
+    included, is rejected before the file is opened.
     """
+    if not isinstance(format, OutputFormat):
+        raise ValueError(f"format: must be an OutputFormat, got {format!r}")
     traces = [traces] if isinstance(traces, SatisfactionTrace) else list(traces)
     with open(path, "w", encoding="utf-8") as fh:
         if format is OutputFormat.CSV:

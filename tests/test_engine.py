@@ -741,10 +741,9 @@ def test_warm_start_is_each_lanes_one_lane_argmax(stream):
     An exact tie, made by giving two slots of equal budget equal gains,
     goes to the lower slot."""
     envs, rngs = _stream_envs(3 if stream is None else max(stream) + 1)
-    layout = engine._Layout(envs, stream)
-    lanes = ChannelLanes(envs, rngs, layout)
-    policies = [PolicyConfig()] * len(layout.stream)
-    agents = Agents(layout.offsets, layout.arms, policies, layout.agents)
+    lanes = ChannelLanes(envs, rngs, stream)
+    stream = range(len(envs)) if stream is None else stream
+    agents = Agents(lanes.offsets, lanes.arms, [PolicyConfig()] * len(stream), lanes.bounds)
     lanes.draw(agents)
     # the tie: UE 0 of stream 0, at its cell's centre, on two ring panels of equal budget
     env = envs[0]
@@ -770,9 +769,9 @@ def test_warm_start_is_each_lanes_one_lane_argmax(stream):
     some = np.arange(len(every))[::-7]  # any stream slots, in any order
     _assert_same_bits(lanes.rssi(some), every[some])
     best = lanes.strongest(agents)
-    for l, s in enumerate(layout.stream):
-        lo, hi = layout.agents[l], layout.agents[l + 1]
-        _assert_same_bits(best[lo:hi] - layout.slots[l], want[s])
+    for l, s in enumerate(stream):
+        lo, hi = lanes.bounds[l], lanes.bounds[l + 1]
+        _assert_same_bits(best[lo:hi] - lanes.offsets[lo], want[s])  # from lane l's first slot
     # aligned with every lane
     init_association(agents, best, decision_inputs(agents, np.zeros((len(agents), 2))))
 
@@ -829,8 +828,7 @@ def test_warm_start_decides_near_ties_by_the_exact_rssi(case, stream):
     topo.ue_xy[0] = topo.cell_xy[0]
     params = ChannelParams()
     env = ChannelEnvironment(topo, params, 1.0, 25.0)
-    layout = engine._Layout([env], stream)
-    lanes = ChannelLanes([env], [rng], layout)
+    lanes = ChannelLanes([env], [rng], stream)
     _draw(lanes)
     first = range(env.offsets[0], env.offsets[1])
     budget = env.links(np.arange(len(env.arms)))[1]
@@ -860,11 +858,11 @@ def test_warm_start_decides_near_ties_by_the_exact_rssi(case, stream):
         for s, arm in zip(first, env.arms[first.start : first.stop].tolist())
     ]
     assert first.start + reference_model.argmax_lowest(reference) == want[0]
-    policies = [PolicyConfig()] * len(layout.stream)
-    agents = Agents(layout.offsets, layout.arms, policies, layout.agents)
+    bounds = lanes.bounds
+    agents = Agents(lanes.offsets, lanes.arms, [PolicyConfig()] * (len(bounds) - 1), bounds)
     best = lanes.strongest(agents)
-    for l in range(len(layout.stream)):
-        _assert_same_bits(best[layout.agents[l] : layout.agents[l + 1]] - layout.slots[l], want)
+    for lo, hi in zip(bounds, bounds[1:]):
+        _assert_same_bits(best[lo:hi] - lanes.offsets[lo], want)
 
 
 @pytest.mark.parametrize(
@@ -1087,8 +1085,7 @@ def test_screened_warm_start_is_the_exact_argmax_on_dense_rings(
             topo.ue_xy[0] = topo.cell_xy[0]
         envs.append(ChannelEnvironment(topo, ChannelParams(), 1.0, detection_radius))
         rngs.append(rng)
-    layout = engine._Layout(envs, stream)
-    lanes = ChannelLanes(envs, rngs, layout)
+    lanes = ChannelLanes(envs, rngs, stream)
     _draw(lanes)
     if tie:
         env, n_bs = envs[0], envs[0].blocks[0]
@@ -1102,14 +1099,15 @@ def test_screened_warm_start_is_the_exact_argmax_on_dense_rings(
         for s in pair or ():
             lanes.gains[env.arms[s]] = 1e3
             lanes.gains[n_bs + s] = 1e3
-    streams = engine._Layout(envs)
+    streams = ChannelLanes(envs, rngs)  # every stream once: the stream slots' layout
     want = policy.segment_argmax(lanes.rssi(), policy.Segments(streams.offsets))
-    agents = Agents(layout.offsets, layout.arms, [PolicyConfig()] * len(stream), layout.agents)
+    bounds = lanes.bounds
+    agents = Agents(lanes.offsets, lanes.arms, [PolicyConfig()] * len(stream), bounds)
     best = lanes.strongest(agents)
-    rows = streams.agents
+    rows = streams.bounds
     for l, s in enumerate(stream):
-        got = best[layout.agents[l] : layout.agents[l + 1]] - layout.slots[l]
-        _assert_same_bits(got, want[rows[s] : rows[s + 1]] - streams.slots[s])
+        got = best[bounds[l] : bounds[l + 1]] - lanes.offsets[bounds[l]]
+        _assert_same_bits(got, want[rows[s] : rows[s + 1]] - streams.offsets[rows[s]])
 
 
 def test_lanes_on_one_stream_hold_its_slot_state_once():
@@ -1117,25 +1115,38 @@ def test_lanes_on_one_stream_hold_its_slot_state_once():
     the stream's slot count: a lone stream's own arms, uncopied; two
     streams' slots end to end, however many lanes read them. The SNR
     factors are made on their first read, not before. No lane or
-    environment holds a per-slot budget."""
+    environment holds a per-slot budget. When every lane is its own stream,
+    the chunk holds one slot layout, the lanes', and gathers no rows."""
     envs, rngs = _stream_envs(2)
     k = 4
-    lanes = ChannelLanes(envs[:1], rngs[:1], engine._Layout(envs[:1], [0] * k))
+    lanes = ChannelLanes(envs[:1], rngs[:1], [0] * k)
     assert len(lanes.offsets) == k * envs[0].n_agents + 1
     assert len(lanes.arms) == k * len(envs[0].arms)
     assert lanes._panel is envs[0].arms
     assert lanes._snr is None
     lanes.links(np.arange(1))
     assert len(lanes._snr) == len(envs[0].arms)
-    both = ChannelLanes(envs, rngs, engine._Layout(envs, [0, 1] * k))
+    both = ChannelLanes(envs, rngs, [0, 1] * k)
     assert both._snr is None
     both.links(np.arange(1))
     n = sum(len(env.arms) for env in envs)
     assert [len(a) for a in (both._panel, both._snr)] == [n] * 2
     for holder in (lanes, both, *envs):
         assert not hasattr(holder, "_budget_db")
-    alone = ChannelLanes(envs, rngs)  # every lane its own stream: no shift at all
-    assert alone._shift is None and both._shift is not None
+    assert both._gathered is not None and both._shift is not None
+    for stream in (None, [0, 1]):  # every lane its own stream: one layout, no gather, no shift
+        alone = ChannelLanes(envs, rngs, stream)
+        assert alone._stream_offsets is alone.offsets
+        assert alone._rows is None and alone._gathered is None and alone._shift is None
+
+
+def test_bernoulli_agents_read_the_environments_layout_uncopied():
+    """A Bernoulli run's agents segment its environment's own offsets and
+    arms: no copy of either is made."""
+    env = BernoulliEnvironment((0.2, 0.7, 0.5), n_agents=4)
+    agents = run_replication(small_cfg(periods=3), 5, env).agents
+    assert agents.starts.base is env.offsets
+    assert agents.arms is env.arms
 
 
 def _assert_same_bits(got, want):
@@ -1550,7 +1561,7 @@ def _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes):
         chunks = list(engine._chunks(lanes))
         got = run_lanes(lanes, record=True)
         series = run_lanes(lanes)
-    keys = [engine._chunk_key(lane) for lane in lanes]
+    keys = [engine._stream_key(lane)[:3] for lane in lanes]
     if chunk_floats == math.inf:
         assert len(chunks) == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
     assert [lane for chunk in chunks for lane in chunk] == lanes
@@ -1599,12 +1610,13 @@ def test_lanes_in_chunks_match_one_lane_runs(chunk_floats, lanes):
 
     Lanes mix policies, placements, detection radii, eavesdropper counts,
     sizes, channels and rate thresholds; Bernoulli lanes join the list, each
-    a chunk of its own. Unbounded chunks put every run of lanes of one
-    _chunk_key in one chunk; a bound of 1 or 3 floats runs every channel
-    lane alone. The explicit examples run two lanes on one seed side by side
-    that differ only in threshold: two streams, never one run of lanes; and
-    two streams of unequal slot counts, one read by two lanes apart, whose
-    warm start and outcomes address each stream's IRS->UE gains.
+    a chunk of its own. Unbounded chunks put every run of lanes whose
+    _stream_key agrees in its first three fields in one chunk; a bound of 1
+    or 3 floats runs every channel lane alone. The explicit examples run two
+    lanes on one seed side by side that differ only in threshold: two
+    streams, never one run of lanes; and two streams of unequal slot counts,
+    one read by two lanes apart, whose warm start and outcomes address each
+    stream's IRS->UE gains.
     """
     _assert_chunked_runs_match_one_lane_runs(chunk_floats, lanes)
 
@@ -1898,9 +1910,8 @@ def test_screen_in_small_blocks_matches_one_block(monkeypatch, seed):
             topo = build_network(DENSE_SHORT.topology, rng)
             envs.append(ChannelEnvironment(topo, ChannelParams(), 1.0, 40.0))
             rngs.append(rng)
-        layout = engine._Layout(envs, [0, 1, 1, 0])
-        lanes = ChannelLanes(envs, rngs, layout)
-        agents = Agents(layout.offsets, layout.arms, [PolicyConfig()] * 4, layout.agents)
+        lanes = ChannelLanes(envs, rngs, [0, 1, 1, 0])
+        agents = Agents(lanes.offsets, lanes.arms, [PolicyConfig()] * 4, lanes.bounds)
         _draw(lanes)
         budget, error = lanes._screened_budgets()
         return budget, error, lanes.strongest(agents), lanes._stream_offsets

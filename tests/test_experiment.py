@@ -538,6 +538,41 @@ def test_experiment_spec_checks_the_count_only_for_the_clustered_case():
     assert ExperimentSpec(base=base, cases=(DistributionCase.RANDOM,)).base is base
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: PolicyConfig(kind="greedy"), "kind: must be a PolicyKind, got 'greedy'"),
+        (lambda: PolicyConfig(kind="nope"), "kind: must be a PolicyKind, got 'nope'"),
+        (
+            lambda: TopologyConfig(distribution_case="random"),
+            "distribution_case: must be a DistributionCase, got 'random'",
+        ),
+        (
+            lambda: ExperimentSpec(policies=(PolicyKind.CONTEXTUAL_BANDIT, "greedy")),
+            "sweep.policies: 'greedy' is not a PolicyKind",
+        ),
+        (
+            lambda: ExperimentSpec(cases=("clustered",)),
+            "sweep.cases: 'clustered' is not a DistributionCase",
+        ),
+        (lambda: ExperimentSpec(format="csv"), "output.format: must be an OutputFormat, got 'csv'"),
+        (lambda: ExperimentSpec(format="xml"), "output.format: must be an OutputFormat, got 'xml'"),
+    ],
+    ids=[
+        "kind-member-value", "kind-unknown", "distribution-case-member-value",
+        "sweep-policies", "sweep-cases", "output-format-member-value", "output-format-unknown",
+    ],
+)
+def test_enum_fields_reject_non_members_by_name(make, message):
+    """An enum-typed field takes only members of its enum. A string, even one
+    equal to a member's value (the enums subclass str), is rejected by the
+    field's or key's name, not coerced: an identity test such as
+    place_ues's `is DistributionCase.RANDOM` would read it as another member."""
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def tiny_trace(periods=5, replications=2, seed=42, kind=PolicyKind.CONTEXTUAL_BANDIT):
     from irsbandit.config import PolicyConfig
 
@@ -551,6 +586,15 @@ def tiny_trace(periods=5, replications=2, seed=42, kind=PolicyKind.CONTEXTUAL_BA
 
 
 class TestEmitTrace:
+    @pytest.mark.parametrize("format", ["csv", "json", "xml", None])
+    def test_format_not_an_output_format_rejected_by_name(self, tmp_path, format):
+        """A plain string, even a member's value, is rejected before the file
+        is opened: "csv" would otherwise have written JSON."""
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=rf"^format: must be an OutputFormat, got {format!r}$"):
+            emit_trace(tiny_trace(), str(path), format)
+        assert not path.exists()
+
     def test_csv_schema(self, tmp_path):
         path = tmp_path / "out.csv"
         trace = tiny_trace()
